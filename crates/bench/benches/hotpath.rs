@@ -7,12 +7,12 @@
 use std::hint::black_box;
 
 use impulse_bench::harness::Group;
-use impulse_cache::{Cache, CacheConfig, Tlb, TlbConfig};
+use impulse_cache::{Tlb, TlbConfig};
 use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn};
 use impulse_dram::{Dram, DramConfig};
 use impulse_os::AddressSpace;
 use impulse_types::geom::PAGE_SIZE;
-use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr};
+use impulse_types::{MAddr, PAddr, PvAddr, VAddr};
 
 fn bench_pgtbl_translate() {
     let mut g = Group::new("pgtbl");
@@ -112,64 +112,9 @@ fn bench_gather_merge() {
     });
 }
 
-fn bench_cache_probe_batch() {
-    let mut g = Group::new("l1_probe");
-    // The replay evaluator's span check is a pure batched residency
-    // probe over Paint's direct-mapped L1; guard its per-batch cost.
-    let mut l1 = Cache::new(CacheConfig::paint_l1());
-    let line = l1.config().line;
-    let lines = l1.config().size / line;
-    for i in 0..lines {
-        l1.access(VAddr::new(i * line), PAddr::new(i * line), AccessKind::Load);
-    }
-    let resident: Vec<(VAddr, PAddr)> = (0..64u64)
-        .map(|i| (VAddr::new(i * line), PAddr::new(i * line)))
-        .collect();
-    // Every other probe aliases a resident line's set with a different
-    // tag — the miss half never matches, the hit half always does.
-    let mixed: Vec<(VAddr, PAddr)> = (0..64u64)
-        .map(|i| {
-            let a = i * line + (i % 2) * lines * line;
-            (VAddr::new(a), PAddr::new(a))
-        })
-        .collect();
-    g.bench("probe_batch_64_resident", || {
-        black_box(l1.probe_batch(black_box(&resident)))
-    });
-    g.bench("probe_batch_64_mixed", || {
-        black_box(l1.probe_batch(black_box(&mixed)))
-    });
-}
-
-fn bench_dram_row_probe() {
-    let mut g = Group::new("dram_row");
-    // Open one row in every bank, then probe batches against the open
-    // set — the read-only row-buffer query replay uses to cost a span
-    // without touching DRAM state.
-    let mut d = Dram::new(DramConfig::default());
-    let cfg = d.config().clone();
-    for bank in 0..cfg.banks {
-        d.access(MAddr::new(bank * cfg.row_bytes), AccessKind::Load, 8, 0);
-    }
-    let hits: Vec<MAddr> = (0..64u64)
-        .map(|i| MAddr::new((i % cfg.banks) * cfg.row_bytes + (i * 64) % cfg.row_bytes))
-        .collect();
-    let mixed: Vec<MAddr> = (0..64u64)
-        .map(|i| MAddr::new((i % cfg.banks) * cfg.row_bytes + (i % 2) * cfg.banks * cfg.row_bytes))
-        .collect();
-    g.bench("probe_row_hits_64_open", || {
-        black_box(d.probe_row_hits(black_box(&hits)))
-    });
-    g.bench("probe_row_hits_64_mixed", || {
-        black_box(d.probe_row_hits(black_box(&mixed)))
-    });
-}
-
 fn main() {
     bench_pgtbl_translate();
     bench_cpu_tlb();
     bench_os_vm();
     bench_gather_merge();
-    bench_cache_probe_batch();
-    bench_dram_row_probe();
 }

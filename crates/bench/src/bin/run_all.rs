@@ -36,26 +36,11 @@
 //! seed) to `BENCH_history.jsonl` (`history=<path>`) — the committed
 //! PR-over-PR perf trajectory.
 //!
-//! `mode=replay` routes every experiment through the trace-driven
-//! replay backend: each is executed once with the capture recorder
-//! attached, round-tripped through the `impulse-replay-v1` codec, then
-//! re-evaluated by the batched replay engine — and the replayed report
-//! is asserted byte-identical to the executed one before it reaches any
-//! artifact, so `results.csv` / `results/run_all.json` match
-//! `mode=execute` exactly (locked by `tests/replay_equiv.rs`). The
-//! BENCH record gains per-phase walls (`execute`, `codec`, `eval`) and
-//! the headline `eval_speedup`; any experiment replay refuses (e.g.
-//! fault schedules) falls back to its executed report and is marked
-//! `replayed = false`.
-//!
 //! `tier=flat|cache` re-organises every experiment's memory system
 //! under the given hybrid DRAM/SCM tier policy before it runs — the
 //! grid's tier axis. The default catalog already carries dedicated
 //! `tier/...` cells (the same workload across all three policies), so
-//! plain runs chart the tier cost next to the paper tables; the
-//! hybrid-tier cells always execute directly (`mode=replay` marks them
-//! `replayed = false` with a typed reason rather than mis-time SCM
-//! traffic).
+//! plain runs chart the tier cost next to the paper tables.
 //!
 //! For the paper-layout tables with reference values, run the individual
 //! binaries (`table1`, `table2`, `fig1`, ...). For flight-recorder
@@ -71,31 +56,14 @@ use impulse_bench::experiments::{
     catalog_entries, csv_from_outcomes, document_from_outcomes, report_artifacts, DEFAULT_SEED,
 };
 use impulse_bench::journal;
-use impulse_bench::replay_mode;
 use impulse_bench::runner::{self, CommonArgs, SharedJob};
 use impulse_obs::{prof, Json};
 use impulse_sim::{Machine, Report};
 
-const USAGE: &str = "usage: run_all [mode=execute|replay] [out=results.csv] \
-[json=results/run_all.json] [bench=BENCH_run_all.json] [history=BENCH_history.jsonl] \
-[journal=results/journal.jsonl] [jobs=N] [seed=N] [tier=none|flat|cache] [profile=0|1] \
-[watchdog_ms=N] [max_retries=K] [--resume]";
-
-/// Per-experiment replay-backend phase walls and telemetry, collected
-/// as jobs run (same lifecycle as the wall-clock timings vector).
-struct ReplayPhases {
-    name: String,
-    execute_wall_ns: u64,
-    codec_wall_ns: u64,
-    eval_wall_ns: u64,
-    raw_ops: u64,
-    folded_ops: u64,
-    fast_ops: u64,
-    fallback_ops: u64,
-    fast_forwarded: bool,
-    replayed: bool,
-    fallback_reason: Option<String>,
-}
+const USAGE: &str = "usage: run_all [out=results.csv] [json=results/run_all.json] \
+[bench=BENCH_run_all.json] [history=BENCH_history.jsonl] [journal=results/journal.jsonl] \
+[jobs=N] [seed=N] [tier=none|flat|cache] [profile=0|1] [watchdog_ms=N] [max_retries=K] \
+[--resume]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -111,27 +79,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mode = common.mode.clone().unwrap_or_else(|| "execute".into());
-    let replay = match mode.as_str() {
-        "execute" => false,
-        "replay" => true,
-        other => {
-            eprintln!("error: unknown mode `{other}`\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
     let path = arg("out=", "results.csv");
     let json_path = arg("json=", "results/run_all.json");
     let bench_path = arg("bench=", "BENCH_run_all.json");
     let history_path = arg("history=", "BENCH_history.jsonl");
-    // Replay runs get their own journal by default so an execute-mode
-    // `--resume` never picks up (or is poisoned by) replay-mode state.
-    let journal_default = if replay {
-        "results/journal-replay.jsonl"
-    } else {
-        "results/journal.jsonl"
-    };
-    let journal_path = arg("journal=", journal_default);
+    let journal_path = arg("journal=", "results/journal.jsonl");
     let resume = args.iter().any(|a| a == "--resume");
 
     let (jobs, seed, opts, tier) = (common.jobs, common.seed, common.supervise, common.tier);
@@ -151,70 +103,26 @@ fn main() -> ExitCode {
     let timings: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     type SpanMap = std::collections::BTreeMap<&'static str, (u64, u64, u64)>;
     let spans: Arc<Mutex<SpanMap>> = Arc::new(Mutex::new(SpanMap::new()));
-    let replay_phases: Arc<Mutex<Vec<ReplayPhases>>> = Arc::new(Mutex::new(Vec::new()));
 
-    // `mode=replay` routes every experiment through the record → codec →
-    // batched-replay backend; the report each job yields is the replayed
-    // one, already asserted byte-identical to its own execution, so the
-    // CSV/JSON artifacts below come out byte-identical to mode=execute.
     // `tier=` re-organises every entry's memory system before it runs —
     // the whole catalog under one hybrid-tier policy (the grid's tier
     // axis; `tier=none` runs the catalog exactly as defined, including
     // its own `tier/...` cells).
-    let base_catalog: Vec<(String, SharedJob<Report>)> = if replay {
-        catalog_entries(seed)
-            .into_iter()
-            .map(|entry| {
-                let id = entry.name().to_string();
-                let phases = replay_phases.clone();
-                let entry = Arc::new(entry.with_tier(tier));
-                let job: SharedJob<Report> = Arc::new(move || {
-                    let run = replay_mode::replay_entry(&entry);
-                    phases.lock().expect("phases lock").push(ReplayPhases {
-                        name: entry.name().to_string(),
-                        execute_wall_ns: run.execute_wall_ns,
-                        codec_wall_ns: run.codec_wall_ns,
-                        eval_wall_ns: run.eval_wall_ns,
-                        raw_ops: run.raw_ops,
-                        folded_ops: run.folded_ops,
-                        fast_ops: run.fast_ops,
-                        fallback_ops: run.fallback_ops,
-                        fast_forwarded: run.fast_forwarded,
-                        replayed: run.replayed,
-                        fallback_reason: run.fallback_reason,
-                    });
-                    run.report
-                });
-                (id, job)
-            })
-            .collect()
-    } else {
-        catalog_entries(seed)
-            .into_iter()
-            .map(|entry| {
-                let id = entry.name().to_string();
-                let entry = Arc::new(entry.with_tier(tier));
-                let job: SharedJob<Report> = Arc::new(move || {
-                    let mut m = Machine::new(entry.config());
-                    entry.drive(&mut m);
-                    m.report(entry.name().to_string())
-                });
-                (id, job)
-            })
-            .collect()
-    };
-    let catalog: Vec<(String, SharedJob<Report>)> = base_catalog
+    let catalog: Vec<(String, SharedJob<Report>)> = catalog_entries(seed)
         .into_iter()
-        .map(|(id, job)| {
+        .map(|entry| {
+            let id = entry.name().to_string();
+            let entry = Arc::new(entry.with_tier(tier));
             let timings = timings.clone();
             let spans = spans.clone();
-            let name = id.clone();
-            let wrapped: SharedJob<Report> = Arc::new(move || {
+            let job: SharedJob<Report> = Arc::new(move || {
                 if profile {
                     prof::enable();
                 }
                 let t0 = Instant::now();
-                let r = job();
+                let mut m = Machine::new(entry.config());
+                entry.drive(&mut m);
+                let r = m.report(entry.name().to_string());
                 let wall = t0.elapsed().as_nanos() as u64;
                 if profile {
                     let mut merged = spans.lock().expect("spans lock");
@@ -228,10 +136,10 @@ fn main() -> ExitCode {
                 timings
                     .lock()
                     .expect("timings lock")
-                    .push((name.clone(), wall));
+                    .push((entry.name().to_string(), wall));
                 r
             });
-            (id, wrapped)
+            (id, job)
         })
         .collect();
 
@@ -283,7 +191,6 @@ fn main() -> ExitCode {
     timings.sort_by_key(|(name, _)| position.get(name.as_str()).copied().unwrap_or(usize::MAX));
     let mut bench = Json::obj();
     bench.set("schema", Json::Str("impulse-bench-run-all-v1".into()));
-    bench.set("mode", Json::Str(mode.clone()));
     bench.set("tier", Json::Str(tier.name().to_string()));
     bench.set("jobs", Json::UInt(jobs as u64));
     bench.set("seed", Json::UInt(seed));
@@ -326,60 +233,6 @@ fn main() -> ExitCode {
             ),
         );
     }
-    // Replay-mode phase walls: per experiment and summed, plus the
-    // headline execute-vs-replay speedup on the timing-evaluation
-    // phase. `execute_wall_ns` is the recording run — a complete
-    // execution with capture hooks — so `execute_sum / eval_sum` is the
-    // in-repo measurement behind the replay-backend speedup claim.
-    let mut replay_summary: Option<(u64, u64, u64, u64)> = None;
-    if replay {
-        let mut phases = Arc::try_unwrap(replay_phases)
-            .map_err(|_| "workers exited")
-            .expect("workers exited")
-            .into_inner()
-            .expect("phases lock");
-        phases.sort_by_key(|p| position.get(p.name.as_str()).copied().unwrap_or(usize::MAX));
-        let execute_sum: u64 = phases.iter().map(|p| p.execute_wall_ns).sum();
-        let codec_sum: u64 = phases.iter().map(|p| p.codec_wall_ns).sum();
-        let eval_sum: u64 = phases.iter().map(|p| p.eval_wall_ns).sum();
-        let replayed_count = phases.iter().filter(|p| p.replayed).count() as u64;
-        let mut r = Json::obj();
-        r.set("execute_sum_wall_ns", Json::UInt(execute_sum));
-        r.set("codec_sum_wall_ns", Json::UInt(codec_sum));
-        r.set("eval_sum_wall_ns", Json::UInt(eval_sum));
-        r.set("replayed", Json::UInt(replayed_count));
-        r.set(
-            "eval_speedup",
-            Json::Float(execute_sum as f64 / eval_sum.max(1) as f64),
-        );
-        r.set(
-            "experiments",
-            Json::Arr(
-                phases
-                    .iter()
-                    .map(|p| {
-                        let mut e = Json::obj();
-                        e.set("name", Json::Str(p.name.clone()));
-                        e.set("execute_wall_ns", Json::UInt(p.execute_wall_ns));
-                        e.set("codec_wall_ns", Json::UInt(p.codec_wall_ns));
-                        e.set("eval_wall_ns", Json::UInt(p.eval_wall_ns));
-                        e.set("raw_ops", Json::UInt(p.raw_ops));
-                        e.set("folded_ops", Json::UInt(p.folded_ops));
-                        e.set("fast_ops", Json::UInt(p.fast_ops));
-                        e.set("fallback_ops", Json::UInt(p.fallback_ops));
-                        e.set("fast_forwarded", Json::Bool(p.fast_forwarded));
-                        e.set("replayed", Json::Bool(p.replayed));
-                        if let Some(why) = &p.fallback_reason {
-                            e.set("fallback_reason", Json::Str(why.clone()));
-                        }
-                        e
-                    })
-                    .collect(),
-            ),
-        );
-        bench.set("replay", r);
-        replay_summary = Some((execute_sum, codec_sum, eval_sum, replayed_count));
-    }
     let mut bf = std::fs::File::create(&bench_path).expect("create bench record");
     writeln!(bf, "{bench:#}").expect("write bench record");
 
@@ -396,18 +249,7 @@ fn main() -> ExitCode {
         total_wall.as_nanos() as u64,
         serial_sum,
     );
-    hist.set("mode", Json::Str(mode.clone()));
     hist.set("tier", Json::Str(tier.name().to_string()));
-    if let Some((execute_sum, codec_sum, eval_sum, replayed_count)) = replay_summary {
-        hist.set("replay_execute_sum_wall_ns", Json::UInt(execute_sum));
-        hist.set("replay_codec_sum_wall_ns", Json::UInt(codec_sum));
-        hist.set("replay_eval_sum_wall_ns", Json::UInt(eval_sum));
-        hist.set("replay_replayed", Json::UInt(replayed_count));
-        hist.set(
-            "replay_eval_speedup",
-            Json::Float(execute_sum as f64 / eval_sum.max(1) as f64),
-        );
-    }
     impulse_bench::append_history(Path::new(&history_path), &hist).expect("append history rollup");
 
     println!(
@@ -415,16 +257,6 @@ fn main() -> ExitCode {
          ({jobs} jobs, {:.2}s wall, timings in {bench_path})",
         total_wall.as_secs_f64(),
     );
-    if let Some((execute_sum, _, eval_sum, replayed_count)) = replay_summary {
-        println!(
-            "replay backend: {replayed_count}/{} replayed; timing evaluation \
-             {:.1} ms vs {:.1} ms executed ({:.1}x)",
-            outcomes.len(),
-            eval_sum as f64 / 1e6,
-            execute_sum as f64 / 1e6,
-            execute_sum as f64 / eval_sum.max(1) as f64,
-        );
-    }
     impulse_bench::print_artifacts(&[&path, &json_path, &bench_path, &history_path, &journal_path]);
 
     let failures: Vec<&(String, Result<journal::RunArtifacts, String>)> =

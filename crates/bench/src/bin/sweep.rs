@@ -7,23 +7,12 @@
 //!
 //! Sweeps: per-descriptor prefetch buffer size, non-shadow prefetch SRAM
 //! size, controller TLB entries, DRAM banks, the DRAM scheduling policy,
-//! and the hybrid memory tier (none / flat / DRAM-cache-over-SCM; tier
-//! points always execute — tier state is execution-ordered, so the
-//! replay backend refuses them and the harness falls back). Overrides: `rows=`, `nnz=`, `seed=`, `jobs=` (worker threads;
-//! default all hardware threads, `jobs=1` for the serial path), plus the
-//! crash-recovery knobs `journal=`, `timeout_ms=`, `attempts=`, and
-//! `--resume`.
-//!
-//! `mode=replay` is the capture-once-replay-many path: the scatter/gather
-//! workload is recorded a single time under the base configuration, and
-//! every sweep grid point is then evaluated from that one capture through
-//! the batched replay backend — the capture cost amortizes across the
-//! whole grid instead of re-executing the workload per point. Any point
-//! whose replay refuses (e.g. a config the capture cannot be evaluated
-//! under) silently falls back to direct execution, so the rendered tables
-//! are identical in either mode. The MMP tile points always execute: each
-//! variant is a different instruction stream, so there is nothing to
-//! share.
+//! and the hybrid memory tier (none / flat / DRAM-cache-over-SCM).
+//! Overrides: `rows=`, `nnz=`, `seed=`, `jobs=` (worker threads; default
+//! all hardware threads, `jobs=1` for the serial path), plus the
+//! crash-recovery knobs `journal=`, `watchdog_ms=`, `max_retries=` (the
+//! older `timeout_ms=`/`attempts=` spellings still work), and `--resume`.
+//! A malformed shared argument exits 2 with a usage message.
 //!
 //! Every grid point builds its own `Machine`, so the whole grid fans
 //! across a job pool; rows are gathered and printed in grid order, making
@@ -36,21 +25,18 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::replay_mode;
-use impulse_bench::runner::{SharedJob, SuperviseOpts};
+use impulse_bench::runner::{CommonArgs, SharedJob};
 use impulse_bench::Args;
 use impulse_dram::SchedulePolicy;
 use impulse_obs::Json;
-use impulse_sim::{Machine, ReplayCapture, Report, SystemConfig};
+use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
 use impulse_workloads::{Mmp, MmpParams, MmpVariant, Smvp, SmvpVariant, SparsePattern};
 
-const USAGE: &str = "usage: sweep [--paper] [mode=execute|replay] [rows=N] [nnz=N] \
-[seed=N] [jobs=N] [journal=results/sweep-journal.jsonl] [timeout_ms=N] [attempts=K] \
-[--resume]";
+const USAGE: &str = "usage: sweep [--paper] [rows=N] [nnz=N] [seed=N] [jobs=N] \
+[journal=results/sweep-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
 
 fn run(cfg: &SystemConfig, pattern: &Arc<SparsePattern>) -> Report {
     let mut m = Machine::new(cfg);
@@ -80,43 +66,22 @@ fn render_row(label: &str, r: &Report) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
-    let seed = args.get("seed", 0x5eed);
-    let jobs = match args.jobs() {
-        Ok(n) => n,
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let common = match CommonArgs::parse(&raw, 0x5eed) {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let timeout_ms = args.get("timeout_ms", 0);
-    let attempts = args.get("attempts", 2);
-    let mode = args.mode.clone().unwrap_or_else(|| "execute".to_string());
-    let replay = match mode.as_str() {
-        "execute" => false,
-        "replay" => true,
-        other => {
-            eprintln!("error: unknown mode `{other}`\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    // Replay runs journal separately so an execute-mode `--resume` never
-    // reuses (or is poisoned by) replay-mode state, and vice versa.
-    let journal_default = if replay {
-        "results/sweep-journal-replay.jsonl"
-    } else {
-        "results/sweep-journal.jsonl"
-    };
+    let args = Args::parse();
+    let rows = args.get("rows", 14_000);
+    let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
+    let (seed, jobs, opts) = (common.seed, common.jobs, common.supervise);
     let journal_path = args
         .journal
         .clone()
-        .unwrap_or_else(|| journal_default.to_string());
-    let opts = SuperviseOpts {
-        timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-        max_attempts: attempts.clamp(1, u64::from(u32::MAX)) as u32,
-    };
+        .unwrap_or_else(|| "results/sweep-journal.jsonl".to_string());
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, seed));
 
     println!("================================================================");
@@ -128,26 +93,6 @@ fn main() -> ExitCode {
     println!("================================================================");
 
     let base = SystemConfig::paint().with_prefetch(true, false);
-
-    // mode=replay: record the workload once under the base config. Every
-    // grid point below then replays this single capture under its own
-    // candidate configuration — the point of the replay backend is that
-    // the (expensive) execution is paid once and the (cheap) timing
-    // evaluation is paid per point.
-    let shared_cap: Option<(Arc<ReplayCapture>, u64)> = if replay {
-        match replay_mode::capture_shared(&base, |m| {
-            let w = Smvp::setup(m, pattern.clone(), SmvpVariant::ScatterGather).expect("setup");
-            w.run(m, 1);
-        }) {
-            Ok(v) => Some(v),
-            Err(why) => {
-                eprintln!("note: replay capture unavailable ({why}); executing all points");
-                None
-            }
-        }
-    } else {
-        None
-    };
 
     // The whole grid, as (section title, rows of (label, config)). Each
     // point is an independent simulation; the pool runs them all and the
@@ -239,29 +184,13 @@ fn main() -> ExitCode {
             let cfg = cfg.clone();
             let pattern = pattern.clone();
             let label = label.clone();
-            let cap = shared_cap.as_ref().map(|(c, _)| c.clone());
             catalog.push((
                 id,
                 Arc::new(move || {
-                    // Replay the shared capture under this point's config;
-                    // fall back to direct execution if the replay refuses,
-                    // so the rendered row is produced either way.
-                    let (r, replayed, eval_ns) = match &cap {
-                        Some(cap) => {
-                            let t = Instant::now();
-                            match replay_mode::eval_capture(&cfg, cap, "sweep") {
-                                Ok((r, _)) => (r, true, t.elapsed().as_nanos() as u64),
-                                Err(_) => (run(&cfg, &pattern), false, 0),
-                            }
-                        }
-                        None => (run(&cfg, &pattern), false, 0),
-                    };
-                    let mut j = Json::obj();
-                    j.set("replayed", Json::Bool(replayed));
-                    j.set("eval_ns", Json::UInt(eval_ns));
+                    let r = run(&cfg, &pattern);
                     RunArtifacts {
                         csv: render_row(&label, &r),
-                        json: j,
+                        json: Json::obj(),
                     }
                 }),
             ));
@@ -320,27 +249,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-    }
-
-    // The amortization record for the ≥10× replay claim: one capture
-    // (full execution + recording) serving the whole grid, vs one full
-    // execution per point in mode=execute.
-    if let Some((_, capture_ns)) = &shared_cap {
-        let (mut replayed_points, mut eval_sum_ns) = (0u64, 0u64);
-        for (_, o) in &results[..grid_points] {
-            if let Ok(a) = o {
-                if a.json.get("replayed").and_then(Json::as_bool) == Some(true) {
-                    replayed_points += 1;
-                    eval_sum_ns += a.json.get("eval_ns").and_then(Json::as_u64).unwrap_or(0);
-                }
-            }
-        }
-        println!(
-            "\nreplay: {replayed_points}/{grid_points} grid points evaluated from one \
-             capture (capture {:.1} ms, eval sum {:.1} ms)",
-            *capture_ns as f64 / 1e6,
-            eval_sum_ns as f64 / 1e6,
-        );
     }
 
     // Section 4.2's forward-looking claim: "as caches (and therefore

@@ -10,15 +10,6 @@
 //! times, so they are byte-identical at any job count and across
 //! resumed runs.
 //!
-//! `trace replay` exercises the *replay* capture format (the
-//! `impulse-replay-v1` op stream, distinct from the flight recorder's
-//! event log): each selected catalog experiment is executed once with
-//! the op recorder attached, round-tripped through the codec, evaluated
-//! by the batched replay backend, and its replayed report asserted
-//! byte-identical to the executed one. Per-experiment phase timings and
-//! the aggregate execute/eval ratio are printed; `save=DIR` additionally
-//! writes each encoded capture to disk.
-//!
 //! The other subcommands work on capture files offline:
 //!
 //! * `trace dump <file>` — header plus a decoded event table
@@ -30,7 +21,6 @@
 //! ```text
 //! trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] [top=N]
 //!              [watchdog_ms=N] [max_retries=K] [--resume]
-//! trace replay [match=SUBSTR] [seed=N] [save=DIR]
 //! trace dump <capture.trace> [limit=N]
 //! trace diff <a.trace> <b.trace>
 //! trace top <capture.trace> [k=N]
@@ -40,9 +30,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use impulse_bench::experiments::{catalog_entries, run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
+use impulse_bench::experiments::{run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
 use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::replay_mode;
 use impulse_bench::runner::{self, SharedJob, SuperviseOpts};
 use impulse_core::flight::{self, Capture};
 use impulse_obs::{Json, SketchConfig};
@@ -50,7 +39,6 @@ use impulse_types::ExperimentKey;
 
 const USAGE: &str = "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] \
 [top=N] [watchdog_ms=N] [max_retries=K] [--resume]\n\
-       trace replay [match=SUBSTR] [seed=N] [save=DIR]\n\
        trace dump <capture.trace> [limit=N]\n\
        trace diff <a.trace> <b.trace>\n\
        trace top <capture.trace> [k=N]";
@@ -287,118 +275,6 @@ fn cmd_record(args: &[String]) -> ExitCode {
     }
 }
 
-/// Runs catalog experiments through record → codec → batched replay and
-/// verifies each replayed report byte-identical to its execution. This
-/// is the interactive form of the `tests/replay_equiv.rs` contract,
-/// with per-phase timings on display.
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let arg = |prefix: &str| -> Option<String> {
-        args.iter()
-            .find_map(|a| a.strip_prefix(prefix).map(String::from))
-    };
-    let needle = arg("match=").unwrap_or_default();
-    let save = arg("save=");
-    let seed = match runner::u64_from_args(args, "seed", DEFAULT_SEED) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(dir) = &save {
-        std::fs::create_dir_all(dir).expect("create save directory");
-    }
-
-    let entries: Vec<_> = catalog_entries(seed)
-        .into_iter()
-        .filter(|e| e.name().contains(&needle))
-        .collect();
-    if entries.is_empty() {
-        eprintln!("error: no catalog entry matches `{needle}`");
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "{:<26} {:>10} {:>8} {:>9} {:>9} {:>8} {:>8} {:>8}  status",
-        "experiment", "raw ops", "folded", "fast", "fallback", "exec ms", "eval ms", "ratio"
-    );
-    let (mut exec_sum, mut eval_sum) = (0u64, 0u64);
-    let (mut replayed, mut skipped, mut failed) = (0u64, 0u64, 0u64);
-    for entry in &entries {
-        let run = replay_mode::replay_entry(entry);
-        let status = if run.replayed {
-            replayed += 1;
-            exec_sum += run.execute_wall_ns;
-            eval_sum += run.eval_wall_ns;
-            "ok".to_string()
-        } else if let Some(why) = &run.fallback_reason {
-            // Capture refusals (fault schedules) are expected; anything
-            // after a successful capture is a real failure.
-            if why.starts_with("capture") || why.starts_with("unreplayable") {
-                skipped += 1;
-                format!("skipped: {why}")
-            } else {
-                failed += 1;
-                format!("FAILED: {why}")
-            }
-        } else {
-            failed += 1;
-            "FAILED: no reason recorded".to_string()
-        };
-        let ratio = if run.eval_wall_ns > 0 {
-            format!(
-                "{:.2}x",
-                run.execute_wall_ns as f64 / run.eval_wall_ns as f64
-            )
-        } else {
-            "-".to_string()
-        };
-        println!(
-            "{:<26} {:>10} {:>8} {:>9} {:>9} {:>8.1} {:>8.1} {:>8}  {}",
-            entry.name(),
-            run.raw_ops,
-            run.folded_ops,
-            run.fast_ops,
-            run.fallback_ops,
-            run.execute_wall_ns as f64 / 1e6,
-            run.eval_wall_ns as f64 / 1e6,
-            ratio,
-            status
-        );
-        if let Some(dir) = &save {
-            // Re-record to get the encoded bytes (replay_entry keeps only
-            // the evaluation telemetry, not the capture itself).
-            let cfg = entry.config().clone();
-            if impulse_sim::replayable(&cfg) {
-                let mut m = impulse_sim::Machine::new(&cfg);
-                m.start_recording(&cfg);
-                entry.drive(&mut m);
-                if let Some(Ok(cap)) = m.take_recording() {
-                    let file = Path::new(dir).join(format!("{}.replay", sanitize(entry.name())));
-                    std::fs::write(&file, cap.encode()).expect("write replay capture");
-                }
-            }
-        }
-    }
-    println!(
-        "\n{replayed} replayed, {skipped} skipped, {failed} failed of {} \
-         (execute sum {:.1} ms, eval sum {:.1} ms, ratio {:.2}x)",
-        entries.len(),
-        exec_sum as f64 / 1e6,
-        eval_sum as f64 / 1e6,
-        if eval_sum > 0 {
-            exec_sum as f64 / eval_sum as f64
-        } else {
-            0.0
-        },
-    );
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_dump(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.contains('=')) else {
         eprintln!("error: dump needs a capture file\n{USAGE}");
@@ -545,7 +421,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
         Some("dump") => cmd_dump(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("top") => cmd_top(&args[1..]),

@@ -180,11 +180,11 @@ fn finish(m: &Machine, name: &str, obs: ObsSpec) -> TraceOutcome {
 }
 
 /// One catalog experiment in factored form: its base configuration and
-/// the workload-driving closure, separated so every execution backend
-/// (direct, observed/tracing, record-then-replay) runs the *same*
-/// definition. The drive closure performs setup and the measured run
-/// against a machine the backend built; the backend then collects
-/// `machine.report(name)` (plus whatever artifacts it owns).
+/// the workload-driving closure, separated so every runner (direct and
+/// observed/tracing) runs the *same* definition. The drive closure
+/// performs setup and the measured run against a machine the runner
+/// built; the runner then collects `machine.report(name)` (plus whatever
+/// artifacts it owns).
 pub struct CatalogEntry {
     name: String,
     cfg: SystemConfig,

@@ -22,7 +22,6 @@ pub mod chaos;
 pub mod experiments;
 pub mod harness;
 pub mod journal;
-pub mod replay_mode;
 pub mod runner;
 #[cfg(unix)]
 pub mod serve_support;
@@ -235,8 +234,6 @@ pub struct Args {
     pub resume: bool,
     /// `journal=<path>` override for the run journal location.
     pub journal: Option<String>,
-    /// `mode=<execute|replay>` backend selector (binary-interpreted).
-    pub mode: Option<String>,
     /// `key=value` overrides.
     pub overrides: Vec<(String, u64)>,
     /// Raw `jobs=` value; validated (typed) by [`Args::jobs`].
@@ -258,8 +255,6 @@ impl Args {
                 out.resume = true;
             } else if let Some(v) = a.strip_prefix("journal=") {
                 out.journal = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("mode=") {
-                out.mode = Some(v.to_string());
             } else if let Some(v) = a.strip_prefix("jobs=") {
                 out.jobs_raw = Some(v.to_string());
             } else if let Some((k, v)) = a.split_once('=') {

@@ -204,7 +204,7 @@ pub fn supervise_from_args(args: &[String]) -> Result<SuperviseOpts, ArgError> {
 
 /// Parses a `tier=none|flat|cache` argument (alias: `tier_policy=`;
 /// `tier=` wins when both are given), defaulting to
-/// [`TierPolicy::None`] when absent.
+/// [`TierPolicy::None`](impulse_types::TierPolicy::None) when absent.
 ///
 /// # Errors
 ///
@@ -227,10 +227,10 @@ pub fn tier_from_args(args: &[String]) -> Result<impulse_types::TierPolicy, ArgE
 /// The `key=value` arguments every grid binary shares, parsed once and
 /// typed once: `jobs=` (worker count), `seed=` (master seed),
 /// `watchdog_ms=`/`max_retries=` (supervision; legacy `timeout_ms=` and
-/// `attempts=` aliases accepted), `mode=` (free-form backend selector),
-/// and `tier=none|flat|cache` (alias `tier_policy=`). New binaries get
-/// the whole vocabulary — including the tier axis — from one call
-/// instead of re-growing their own parsers.
+/// `attempts=` aliases accepted), and `tier=none|flat|cache` (alias
+/// `tier_policy=`). New binaries get the whole vocabulary — including
+/// the tier axis — from one call instead of re-growing their own
+/// parsers.
 #[derive(Clone, Debug)]
 pub struct CommonArgs {
     /// Worker-thread count (`jobs=`, default: all hardware threads).
@@ -239,8 +239,6 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Supervision policy (`watchdog_ms=`, `max_retries=` + aliases).
     pub supervise: SuperviseOpts,
-    /// Backend/mode selector (`mode=`), when the binary has one.
-    pub mode: Option<String>,
     /// Hybrid-tier policy (`tier=`, alias `tier_policy=`).
     pub tier: impulse_types::TierPolicy,
 }
@@ -259,10 +257,6 @@ impl CommonArgs {
             jobs: jobs_from_args(args)?,
             seed: u64_from_args(args, "seed", default_seed)?,
             supervise: supervise_from_args(args)?,
-            mode: args
-                .iter()
-                .rev()
-                .find_map(|a| a.strip_prefix("mode=").map(String::from)),
             tier: tier_from_args(args)?,
         })
     }
@@ -597,7 +591,6 @@ mod tests {
             "seed=77",
             "watchdog_ms=5000",
             "max_retries=3",
-            "mode=replay",
             "tier=cache",
             "out=ignored.json",
         ]
@@ -608,12 +601,10 @@ mod tests {
         assert_eq!(c.seed, 77);
         assert_eq!(c.supervise.timeout, Some(Duration::from_millis(5000)));
         assert_eq!(c.supervise.max_attempts, 3);
-        assert_eq!(c.mode.as_deref(), Some("replay"));
         assert_eq!(c.tier, impulse_types::TierPolicy::Cache);
 
         let d = CommonArgs::parse(&[], 9).expect("defaults");
         assert_eq!(d.seed, 9);
-        assert_eq!(d.mode, None);
         assert_eq!(d.tier, impulse_types::TierPolicy::None);
 
         // Legacy supervision aliases flow through unchanged.

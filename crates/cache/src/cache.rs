@@ -284,119 +284,6 @@ impl Cache {
             .any(|l| l.valid && l.ptag == ptag)
     }
 
-    /// Batched tag probe: counts how many `(v, p)` pairs are present,
-    /// touching no state. One bounds check and set/tag derivation per
-    /// element, no per-element dispatch — the query kernel the replay
-    /// evaluator's verify pass and the `hotpath` bench are built on.
-    pub fn probe_batch(&self, pairs: &[(VAddr, PAddr)]) -> u64 {
-        let ways = self.cfg.ways as usize;
-        let mut hits = 0u64;
-        for &(v, p) in pairs {
-            let set = self.set_of(v, p);
-            let ptag = self.ptag_of(p);
-            let base = set * ways;
-            let mut found = 0u64;
-            for l in &self.lines[base..base + ways] {
-                found |= u64::from(l.valid && l.ptag == ptag);
-            }
-            hits += found;
-        }
-        hits
-    }
-
-    /// Attempts the demand-hit half of [`access`](Cache::access) without
-    /// touching hit/miss counters: on a hit it applies exactly the state
-    /// transitions `access` would (replacement tick and stamp, the
-    /// prefetched-bit clear, dirtying on store) and returns whether the
-    /// line was a not-yet-demanded prefetch; on a miss it changes
-    /// *nothing* and returns `None`, so the caller can re-issue the full
-    /// `access` untainted.
-    ///
-    /// Callers own the statistics delta: they must account one
-    /// load/store, one hit, and (when `Some(true)`) one useful prefetch —
-    /// usually batched across many hits and flushed through
-    /// [`stats_mut`](Cache::stats_mut).
-    #[inline]
-    pub fn try_demand_hit(&mut self, v: VAddr, p: PAddr, kind: AccessKind) -> Option<bool> {
-        let set = self.set_of(v, p);
-        let ptag = self.ptag_of(p);
-        let range = self.set_range(set);
-        let line = self.lines[range]
-            .iter_mut()
-            .find(|l| l.valid && l.ptag == ptag)?;
-        self.tick += 1;
-        let was_prefetched = line.prefetched;
-        line.prefetched = false;
-        line.stamp = self.tick;
-        if kind.is_store() {
-            line.dirty = true;
-        }
-        Some(was_prefetched)
-    }
-
-    /// Current replacement tick — the value
-    /// [`try_demand_hit`](Cache::try_demand_hit) would stamp the *next*
-    /// hit with, minus
-    /// one. Batched evaluators that know an access's position in the
-    /// global order compute stamps from this and commit them through
-    /// [`demand_hit_stamped`](Cache::demand_hit_stamped).
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Advances the replacement tick by `n` without touching any line —
-    /// the bulk counterpart of the `tick += 1` that `n` individual
-    /// demand hits would have performed. Callers pair this with
-    /// `demand_hit_stamped` so the final tick equals the per-access
-    /// sequence's.
-    pub fn advance_tick(&mut self, n: u64) {
-        self.tick += n;
-    }
-
-    /// Applies the line-state effects of one *or more* demand hits to a
-    /// resident line when the access order is known externally: clears
-    /// the prefetched bit, dirties on store, and raises the line's stamp
-    /// to `stamp` (the tick the line's **last** hit in the run would
-    /// have received). Does not advance the shared tick — the caller
-    /// advances it once per access via
-    /// [`advance_tick`](Cache::advance_tick). Returns `None` untouched
-    /// on a miss.
-    ///
-    /// Stamps are monotone (`max`), so overlapping runs from different
-    /// access streams may commit in any order and still reproduce the
-    /// interleaved per-access stamp exactly.
-    #[inline]
-    pub fn demand_hit_stamped(
-        &mut self,
-        v: VAddr,
-        p: PAddr,
-        kind: AccessKind,
-        stamp: u64,
-    ) -> Option<bool> {
-        let set = self.set_of(v, p);
-        let ptag = self.ptag_of(p);
-        let range = self.set_range(set);
-        let line = self.lines[range]
-            .iter_mut()
-            .find(|l| l.valid && l.ptag == ptag)?;
-        let was_prefetched = line.prefetched;
-        line.prefetched = false;
-        line.stamp = line.stamp.max(stamp);
-        if kind.is_store() {
-            line.dirty = true;
-        }
-        Some(was_prefetched)
-    }
-
-    /// Mutable access to the counters, for callers that batch statistics
-    /// across many [`try_demand_hit`](Cache::try_demand_hit) probes and
-    /// flush them in one step. The flushed state must equal what the
-    /// equivalent `access` calls would have produced — the replay
-    /// equivalence tests hold this to the byte.
-    pub fn stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.stats
-    }
-
     /// Performs a demand access; updates replacement state, allocates on
     /// miss per the write policy, and reports any dirty victim.
     pub fn access(&mut self, v: VAddr, p: PAddr, kind: AccessKind) -> Outcome {

@@ -106,13 +106,6 @@ pub struct Tlb {
     /// Slots holding superpage entries (span > 1).
     super_slots: Vec<usize>,
     stats: TlbStats,
-    /// Bumped on every mutation of the entry array (insert, flush,
-    /// shootdown, snapshot restore). Hit memos keyed on `(vpage,
-    /// generation)` are therefore valid exactly as long as a repeat
-    /// lookup would hit with no replacement-state change: reference bits
-    /// only ever clear inside [`insert`](Tlb::insert), which bumps the
-    /// generation.
-    generation: u64,
 }
 
 impl Tlb {
@@ -128,7 +121,6 @@ impl Tlb {
             index: FxHashMap::default(),
             super_slots: Vec::new(),
             stats: TlbStats::default(),
-            generation: 0,
         }
     }
 
@@ -191,7 +183,6 @@ impl Tlb {
             "superpage base must be span-aligned"
         );
         self.stats.inserts += 1;
-        self.generation += 1;
 
         let victim = if let Some(i) = self.entries.iter().position(|e| !e.valid) {
             i
@@ -227,7 +218,6 @@ impl Tlb {
 
     /// Invalidates every entry.
     pub fn flush(&mut self) {
-        self.generation += 1;
         for e in &mut self.entries {
             *e = Entry::INVALID;
         }
@@ -238,7 +228,6 @@ impl Tlb {
     /// Invalidates any entry covering `vpage`; returns whether one existed.
     pub fn flush_page(&mut self, vpage: u64) -> bool {
         if let Some(i) = self.slot_of(vpage) {
-            self.generation += 1;
             self.clear_slot(i);
             true
         } else {
@@ -249,27 +238,6 @@ impl Tlb {
     /// Number of valid entries.
     pub fn valid_entries(&self) -> usize {
         self.entries.iter().filter(|e| e.valid).count()
-    }
-
-    /// Current mutation generation (see the field docs). Replay-style
-    /// evaluators memoize hits as `(vpage, generation)` pairs.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Side-effect-free probe: would [`Tlb::lookup`] hit for `vpage`?
-    /// Touches neither statistics nor reference bits.
-    pub fn peek(&self, vpage: u64) -> bool {
-        self.slot_of(vpage).is_some()
-    }
-
-    /// Folds `n` memoized hits into the statistics in one step — exactly
-    /// what `n` calls to [`Tlb::lookup`] on an already-referenced entry
-    /// would record. Callers must only use this for accesses proven to
-    /// hit (e.g. via an unexpired `(vpage, generation)` memo).
-    pub fn add_hits_bulk(&mut self, n: u64) {
-        self.stats.lookups += n;
-        self.stats.hits += n;
     }
 
     /// Serializes the entry array verbatim (slot order is NRU-relevant
@@ -298,7 +266,6 @@ impl Tlb {
     /// built from the same configuration, rebuilding the lookup index.
     pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(TAG_TLB)?;
-        self.generation += 1;
         let n = r.usize()?;
         if n != self.entries.len() {
             return Err(SnapError::Geometry("TLB entry count"));
@@ -406,53 +373,6 @@ mod tests {
         t.insert(2, 1);
         t.flush();
         assert_eq!(t.valid_entries(), 0);
-    }
-
-    #[test]
-    fn generation_tracks_entry_mutations_only() {
-        let mut t = tlb(4);
-        let g0 = t.generation();
-        assert!(!t.lookup(9)); // lookups never bump
-        assert_eq!(t.generation(), g0);
-        t.insert(9, 1);
-        let g1 = t.generation();
-        assert!(g1 > g0);
-        t.lookup(9); // hit: reference bit set, no bump
-        assert_eq!(t.generation(), g1);
-        assert!(t.flush_page(9));
-        assert!(t.generation() > g1);
-        let g2 = t.generation();
-        assert!(!t.flush_page(9)); // no covering entry: no bump
-        assert_eq!(t.generation(), g2);
-        t.flush();
-        assert!(t.generation() > g2);
-    }
-
-    #[test]
-    fn peek_is_side_effect_free() {
-        let mut t = tlb(4);
-        t.insert(5, 1);
-        let stats = t.stats();
-        let gen = t.generation();
-        assert!(t.peek(5));
-        assert!(!t.peek(6));
-        assert_eq!(t.stats(), stats);
-        assert_eq!(t.generation(), gen);
-    }
-
-    #[test]
-    fn add_hits_bulk_matches_repeat_lookups() {
-        let mut a = tlb(4);
-        let mut b = tlb(4);
-        a.insert(3, 1);
-        b.insert(3, 1);
-        a.lookup(3); // establish the referenced bit, as a memo would require
-        b.lookup(3);
-        for _ in 0..7 {
-            a.lookup(3);
-        }
-        b.add_hits_bulk(7);
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

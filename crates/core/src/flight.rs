@@ -196,7 +196,7 @@ impl std::error::Error for TraceError {}
 
 /// Appends `v` as an LEB128 varint — the shared primitive from
 /// [`impulse_types::varint`], kept here under its historical name for
-/// the trace/replay codecs.
+/// the trace codec.
 pub fn put_varint(out: &mut Vec<u8>, v: u64) {
     varint::put(out, v);
 }
@@ -220,7 +220,7 @@ pub use impulse_types::varint::{unzigzag, zigzag};
 
 /// Seals a byte payload by appending its [`fnv64`] digest as an 8-byte
 /// little-endian trailer; [`unseal`] verifies and strips it. Capture
-/// files written by the trace/replay tooling travel sealed so corruption
+/// files written by the trace tooling travel sealed so corruption
 /// is caught before the delta stream is interpreted.
 pub fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
     let d = fnv64(&bytes);

@@ -306,22 +306,6 @@ impl Dram {
         done
     }
 
-    /// Batched row-buffer check: how many of `addrs` would hit the row
-    /// currently open in their bank? Read-only — no state, stats, or
-    /// timing change — so replay-style evaluators and micro-benchmarks
-    /// can probe a whole batch without perturbing the model. Note the
-    /// answer is against the *current* open rows; interleaved accesses in
-    /// the batch would themselves move the row buffers.
-    pub fn probe_row_hits(&self, addrs: &[MAddr]) -> u64 {
-        let mut hits = 0u64;
-        for &addr in addrs {
-            let bank = self.cfg.bank_of(addr) as usize;
-            let row = self.cfg.row_of(addr);
-            hits += u64::from(self.banks[bank].open_row == Some(row));
-        }
-        hits
-    }
-
     /// Closes all open rows (e.g. across a simulated refresh or barrier).
     pub fn precharge_all(&mut self) {
         for bank in &mut self.banks {
@@ -479,26 +463,6 @@ mod tests {
             cfg.bank_of(MAddr::new(0)),
             cfg.bank_of(MAddr::new(cfg.row_bytes))
         );
-    }
-
-    #[test]
-    fn probe_row_hits_is_read_only_and_matches_open_rows() {
-        let cfg = DramConfig::default();
-        let stride = cfg.row_bytes * cfg.banks; // same bank, next row
-        let mut d = Dram::new(cfg);
-        assert_eq!(d.probe_row_hits(&[MAddr::new(0)]), 0); // nothing open
-        d.access(MAddr::new(0), AccessKind::Load, 8, 0);
-        let stats = d.stats();
-        // Open row 0 of bank 0: same-row addrs hit, other rows/banks miss.
-        let probe = [
-            MAddr::new(0),
-            MAddr::new(512),
-            MAddr::new(stride),
-            MAddr::new(d.config().row_bytes),
-        ];
-        assert_eq!(d.probe_row_hits(&probe), 2);
-        assert_eq!(d.stats(), stats, "probe must not perturb stats");
-        assert_eq!(d.probe_row_hits(&[]), 0);
     }
 
     #[test]

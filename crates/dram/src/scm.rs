@@ -240,7 +240,7 @@ impl Scm {
             "SCM access beyond capacity: {offset:#x}+{bytes}"
         );
         let first = self.cfg.line_of(offset);
-        let last = self.cfg.line_of(offset + bytes.saturating_sub(1).max(0));
+        let last = self.cfg.line_of(offset + bytes.saturating_sub(1));
         // Dead-line check up front: rejected accesses consume no timing
         // or fault-stream state, so the schedule stays deterministic.
         for line in first..=last {

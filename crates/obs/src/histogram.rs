@@ -68,32 +68,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records `n` samples of the same value in one step — the batch
-    /// entry point replay-style evaluators use to fold a run of constant
-    /// latencies. State is exactly what `n` calls to [`record`] would
-    /// leave (falls back to the loop if the bulk sum would saturate).
-    ///
-    /// [`record`]: Histogram::record
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        match v.checked_mul(n).and_then(|vn| self.sum.checked_add(vn)) {
-            Some(sum) => {
-                self.buckets[bucket_of(v)] += n;
-                self.count += n;
-                self.sum = sum;
-                self.min = self.min.min(v);
-                self.max = self.max.max(v);
-            }
-            None => {
-                for _ in 0..n {
-                    self.record(v);
-                }
-            }
-        }
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count

@@ -94,7 +94,7 @@ pub enum ImpulseError {
     NotOwner(Pid),
     /// The process id does not exist.
     NoSuchProcess(Pid),
-    /// A recorded trace or replay capture could not be decoded.
+    /// A recorded trace could not be decoded.
     Trace(TraceError),
     /// The capability behind the access or operation has been revoked —
     /// the handle's generation is stale. Raised both for syscalls on a

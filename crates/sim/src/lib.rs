@@ -12,8 +12,6 @@
 //! * [`system`] — the memory hierarchy datapath and demand statistics.
 //! * [`machine`] — the CPU + OS harness that workloads run against.
 //! * [`report`] — paper-style measurement tables.
-//! * [`replay`] — trace-driven replay: capture a workload's operation
-//!   stream once, re-evaluate its timing in folded batches, bit-exactly.
 //! * [`trace`] — bounded access-trace capture for debugging remappings.
 //!
 //! # Examples
@@ -38,7 +36,6 @@
 pub mod bus;
 pub mod config;
 pub mod machine;
-pub mod replay;
 pub mod report;
 pub mod system;
 pub mod trace;
@@ -46,7 +43,6 @@ pub mod trace;
 pub use bus::{Bus, BusConfig, BusStats};
 pub use config::SystemConfig;
 pub use machine::Machine;
-pub use replay::{replay_into, replayable, ReplayCapture, ReplayError, ReplayOutcome};
 pub use report::Report;
 pub use system::{MemStats, MemorySystem};
 pub use trace::{TraceEvent, Tracer};

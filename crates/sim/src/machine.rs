@@ -20,7 +20,6 @@ use impulse_types::snap::{open, seal, SnapError, SnapReader, SnapWriter};
 use impulse_types::{Cycle, PAddr, VAddr, VRange};
 
 use crate::config::SystemConfig;
-use crate::replay::{Recorder, ReplayCapture};
 use crate::report::Report;
 use crate::system::MemorySystem;
 use crate::trace::{TraceEvent, Tracer};
@@ -51,10 +50,6 @@ pub struct Machine {
     overlap_threshold: Cycle,
     /// Online superpage promotion threshold (0 = disabled).
     promote_threshold: u64,
-    /// Replay recorder, when a capture is being taken (boxed: inactive
-    /// recording must cost one null check on the hot paths, nothing
-    /// more). Not part of snapshots.
-    recorder: Option<Box<Recorder>>,
 }
 
 impl Machine {
@@ -86,7 +81,6 @@ impl Machine {
             mshr: cfg.mshr,
             overlap_threshold: cfg.t_l2_hit,
             promote_threshold: 0,
-            recorder: None,
         }
     }
 
@@ -97,9 +91,6 @@ impl Machine {
     pub fn enable_auto_promotion(&mut self, threshold: u64) {
         assert!(threshold > 0, "a zero threshold would promote everything");
         self.promote_threshold = threshold;
-        if let Some(rec) = &mut self.recorder {
-            rec.enable_auto_promotion(threshold);
-        }
     }
 
     /// Retires completed overlapped misses; stalls for the oldest if the
@@ -137,57 +128,6 @@ impl Machine {
     /// Detaches and returns the trace recorder, if one was attached.
     pub fn take_tracer(&mut self) -> Option<Tracer> {
         self.tracer.take()
-    }
-
-    // ---- replay capture -------------------------------------------------
-
-    /// Starts recording every public operation into a replay capture
-    /// (see [`crate::replay`]). `cfg` must be the configuration this
-    /// machine was built from — its fingerprint is stamped into the
-    /// capture. Recording never perturbs simulated time or statistics.
-    pub fn start_recording(&mut self, cfg: &SystemConfig) {
-        self.recorder = Some(Box::new(Recorder::new(cfg.clone(), self.kernel.current())));
-    }
-
-    /// Stops recording and returns the capture: `None` if recording was
-    /// never started, `Some(Err(why))` if the stream cannot be replayed
-    /// faithfully (e.g. it references grants created before recording
-    /// began).
-    pub fn take_recording(&mut self) -> Option<Result<ReplayCapture, String>> {
-        self.recorder.take().map(|r| r.finish())
-    }
-
-    // ---- replay-evaluator support (crate-internal) ----------------------
-
-    /// The MSHR-retire step [`Machine::load`] performs before issuing —
-    /// for the replay fast path, which bypasses `load` on L1 hits.
-    #[inline]
-    pub(crate) fn replay_mshr_retire(&mut self) {
-        if self.mshr > 1 {
-            self.make_mshr_slot();
-        }
-    }
-
-    /// Advances the clock and instruction counter — the fast path's
-    /// equivalent of a completed 1-instruction operation.
-    #[inline]
-    pub(crate) fn replay_advance(&mut self, cycles: Cycle, instructions: u64) {
-        self.now += cycles;
-        self.instructions += instructions;
-    }
-
-    /// Whether the overlapped-miss window is empty, i.e. the per-load
-    /// MSHR-retire step is a guaranteed no-op. The bulk replay path only
-    /// engages while this holds — skipping retires is then exact.
-    #[inline]
-    pub(crate) fn replay_mshr_idle(&self) -> bool {
-        self.mshr <= 1 || self.inflight.is_empty()
-    }
-
-    /// Mutable memory-system access for the replay evaluator.
-    #[inline]
-    pub(crate) fn ms_mut(&mut self) -> &mut MemorySystem {
-        &mut self.ms
     }
 
     /// Current cycle.
@@ -269,9 +209,6 @@ impl Machine {
                 latency: self.now - start,
             });
         }
-        if let Some(rec) = &mut self.recorder {
-            rec.rec_load(v.raw());
-        }
     }
 
     /// Executes a store to the word at `v`.
@@ -290,9 +227,6 @@ impl Machine {
                 paddr: p,
                 latency: self.now - start,
             });
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.rec_store(v.raw());
         }
     }
 
@@ -318,12 +252,7 @@ impl Machine {
                 self.load(v);
                 Ok(())
             }
-            Err(e) => {
-                if let Some(rec) = &mut self.recorder {
-                    rec.poison("try_load faulted: fault timing is not replayable");
-                }
-                Err(self.fail_syscall(e))
-            }
+            Err(e) => Err(self.fail_syscall(e)),
         }
     }
 
@@ -333,19 +262,13 @@ impl Machine {
     pub fn compute(&mut self, n: u64) {
         self.now += n;
         self.instructions += n;
-        if let Some(rec) = &mut self.recorder {
-            rec.rec_compute(n);
-        }
     }
 
-    /// Online promotion check after a TLB miss. Calls the `_inner`
-    /// syscall: a promotion is a side effect of the load that triggered
-    /// it, not a workload operation — a replay of the load stream
-    /// re-triggers it identically, so it must not be recorded.
+    /// Online promotion check after a TLB miss.
     fn consider_promotion(&mut self, v: VAddr) {
         if let Some(region) = self.kernel.note_tlb_miss(v, self.promote_threshold) {
             // Best effort: descriptor exhaustion just skips the promotion.
-            let _ = self.sys_superpage_inner(region);
+            let _ = self.sys_superpage(region);
         }
     }
 
@@ -371,9 +294,6 @@ impl Machine {
         let p = self.translate_fast(v);
         self.now += 1; // one instruction to arm the stream
         self.ms.program_stream(p, stride, self.now);
-        if let Some(rec) = &mut self.recorder {
-            rec.program_stream(v.raw(), stride);
-        }
     }
 
     // ---- OS entry points ---------------------------------------------
@@ -411,14 +331,6 @@ impl Machine {
     ///
     /// Propagates kernel allocation failures.
     pub fn alloc_region(&mut self, bytes: u64, align: u64) -> Result<VRange, OsError> {
-        let res = self.alloc_region_inner(bytes, align);
-        if let Some(rec) = &mut self.recorder {
-            rec.alloc(bytes, align, &res);
-        }
-        res
-    }
-
-    fn alloc_region_inner(&mut self, bytes: u64, align: u64) -> Result<VRange, OsError> {
         let r = self
             .kernel
             .alloc_region(bytes, align)
@@ -439,19 +351,6 @@ impl Machine {
         align: u64,
         colors: &[u64],
     ) -> Result<VRange, OsError> {
-        let res = self.alloc_region_colored_inner(bytes, align, colors);
-        if let Some(rec) = &mut self.recorder {
-            rec.alloc_colored(bytes, align, colors, &res);
-        }
-        res
-    }
-
-    fn alloc_region_colored_inner(
-        &mut self,
-        bytes: u64,
-        align: u64,
-        colors: &[u64],
-    ) -> Result<VRange, OsError> {
         let r = self
             .kernel
             .alloc_region_colored(bytes, align, colors)
@@ -463,16 +362,6 @@ impl Machine {
     /// Flushes a virtual range from the caches (writes back dirty lines),
     /// charging the per-line flush cost.
     pub fn flush_region(&mut self, r: VRange) {
-        self.flush_region_inner(r);
-        if let Some(rec) = &mut self.recorder {
-            rec.flush_region(r);
-        }
-    }
-
-    /// Flush body shared with the `sys_*` calls that flush internally —
-    /// those flushes are part of the syscall's recorded effect, so only
-    /// the top-level public entry records.
-    fn flush_region_inner(&mut self, r: VRange) {
         self.drain_loads();
         let costs = self.kernel.config().costs;
         let line = self.ms.l1().config().line;
@@ -490,9 +379,6 @@ impl Machine {
     /// Purges a virtual range (invalidates without writeback) — used for
     /// remapped input tiles whose cached copies are clean.
     pub fn purge_region(&mut self, r: VRange) {
-        if let Some(rec) = &mut self.recorder {
-            rec.purge_region(r);
-        }
         let costs = self.kernel.config().costs;
         let line = self.ms.l1().config().line;
         let mut purged = 0;
@@ -521,35 +407,6 @@ impl Machine {
         index_region: VRange,
         index_bytes: u64,
     ) -> Result<RemapGrant, OsError> {
-        let res = self.sys_remap_gather_inner(
-            target,
-            elem_size,
-            indices.clone(),
-            index_region,
-            index_bytes,
-        );
-        if let Some(rec) = &mut self.recorder {
-            rec.remap_gather(
-                target,
-                elem_size,
-                &indices,
-                index_region,
-                index_bytes,
-                None,
-                &res,
-            );
-        }
-        res
-    }
-
-    fn sys_remap_gather_inner(
-        &mut self,
-        target: VRange,
-        elem_size: u64,
-        indices: Arc<Vec<u64>>,
-        index_region: VRange,
-        index_bytes: u64,
-    ) -> Result<RemapGrant, OsError> {
         let grant = self
             .kernel
             .remap_gather(
@@ -562,7 +419,7 @@ impl Machine {
             )
             .map_err(|e| self.fail_syscall(e))?;
         self.charge_syscall(grant.pages_installed);
-        self.flush_region_inner(target);
+        self.flush_region(target);
         Ok(grant)
     }
 
@@ -577,37 +434,6 @@ impl Machine {
     ///
     /// Propagates kernel/controller errors.
     pub fn sys_remap_gather_interleaved(
-        &mut self,
-        target: VRange,
-        elem_size: u64,
-        indices: Arc<Vec<u64>>,
-        index_region: VRange,
-        index_bytes: u64,
-        partner: VAddr,
-    ) -> Result<RemapGrant, OsError> {
-        let res = self.sys_remap_gather_interleaved_inner(
-            target,
-            elem_size,
-            indices.clone(),
-            index_region,
-            index_bytes,
-            partner,
-        );
-        if let Some(rec) = &mut self.recorder {
-            rec.remap_gather(
-                target,
-                elem_size,
-                &indices,
-                index_region,
-                index_bytes,
-                Some(partner),
-                &res,
-            );
-        }
-        res
-    }
-
-    fn sys_remap_gather_interleaved_inner(
         &mut self,
         target: VRange,
         elem_size: u64,
@@ -632,7 +458,7 @@ impl Machine {
             )
             .map_err(|e| self.fail_syscall(e))?;
         self.charge_syscall(grant.pages_installed);
-        self.flush_region_inner(target);
+        self.flush_region(target);
         Ok(grant)
     }
 
@@ -642,21 +468,6 @@ impl Machine {
     ///
     /// Propagates kernel/controller errors.
     pub fn sys_remap_strided(
-        &mut self,
-        base: VAddr,
-        object_size: u64,
-        stride: u64,
-        count: u64,
-        alias_align: u64,
-    ) -> Result<RemapGrant, OsError> {
-        let res = self.sys_remap_strided_inner(base, object_size, stride, count, alias_align);
-        if let Some(rec) = &mut self.recorder {
-            rec.remap_strided(base, object_size, stride, count, alias_align, &res);
-        }
-        res
-    }
-
-    fn sys_remap_strided_inner(
         &mut self,
         base: VAddr,
         object_size: u64,
@@ -679,7 +490,7 @@ impl Machine {
         // Only the strided objects themselves need flushing — not the
         // (possibly huge) span between them.
         for i in 0..count {
-            self.flush_region_inner(VRange::new(base.add(i * stride), object_size));
+            self.flush_region(VRange::new(base.add(i * stride), object_size));
         }
         Ok(grant)
     }
@@ -692,21 +503,6 @@ impl Machine {
     ///
     /// Propagates kernel/controller errors.
     pub fn sys_retarget_strided(
-        &mut self,
-        grant: &mut RemapGrant,
-        new_base: VAddr,
-        object_size: u64,
-        stride: u64,
-        count: u64,
-    ) -> Result<(), OsError> {
-        let res = self.sys_retarget_strided_inner(grant, new_base, object_size, stride, count);
-        if let Some(rec) = &mut self.recorder {
-            rec.retarget_strided(grant, new_base, object_size, stride, count, &res);
-        }
-        res
-    }
-
-    fn sys_retarget_strided_inner(
         &mut self,
         grant: &mut RemapGrant,
         new_base: VAddr,
@@ -750,20 +546,12 @@ impl Machine {
     ///
     /// Propagates kernel/controller errors.
     pub fn sys_recolor(&mut self, target: VRange, colors: &[u64]) -> Result<RemapGrant, OsError> {
-        let res = self.sys_recolor_inner(target, colors);
-        if let Some(rec) = &mut self.recorder {
-            rec.recolor(target, colors, &res);
-        }
-        res
-    }
-
-    fn sys_recolor_inner(&mut self, target: VRange, colors: &[u64]) -> Result<RemapGrant, OsError> {
         let grant = self
             .kernel
             .remap_recolor(self.ms.mc_mut(), target, colors)
             .map_err(|e| self.fail_syscall(e))?;
         self.charge_syscall(grant.pages_installed);
-        self.flush_region_inner(target);
+        self.flush_region(target);
         Ok(grant)
     }
 
@@ -776,19 +564,9 @@ impl Machine {
     ///
     /// Propagates kernel/controller errors.
     pub fn sys_superpage(&mut self, target: VRange) -> Result<RemapGrant, OsError> {
-        let res = self.sys_superpage_inner(target);
-        if let Some(rec) = &mut self.recorder {
-            rec.superpage(target, &res);
-        }
-        res
-    }
-
-    /// Superpage body shared with [`Machine::consider_promotion`] (online
-    /// promotions are replay-derived, not recorded).
-    fn sys_superpage_inner(&mut self, target: VRange) -> Result<RemapGrant, OsError> {
         // The flush must happen before the remap: cached lines are tagged
         // with the original physical addresses.
-        self.flush_region_inner(target);
+        self.flush_region(target);
         for page in target.blocks(PAGE_SIZE) {
             self.ms.tlb_shootdown(page);
         }
@@ -804,9 +582,6 @@ impl Machine {
     pub fn sys_spawn(&mut self) -> Pid {
         let pid = self.kernel.spawn();
         self.charge_syscall(0);
-        if let Some(rec) = &mut self.recorder {
-            rec.spawn(pid);
-        }
         pid
     }
 
@@ -818,14 +593,6 @@ impl Machine {
     ///
     /// Fails if the process does not exist.
     pub fn sys_switch(&mut self, pid: Pid) -> Result<(), OsError> {
-        let res = self.sys_switch_inner(pid);
-        if let Some(rec) = &mut self.recorder {
-            rec.switch(pid, &res);
-        }
-        res
-    }
-
-    fn sys_switch_inner(&mut self, pid: Pid) -> Result<(), OsError> {
         self.kernel.switch(pid).map_err(|e| self.fail_syscall(e))?;
         self.ms.tlb_flush();
         self.charge_syscall(1);
@@ -846,25 +613,12 @@ impl Machine {
     /// Like [`Machine::sys_share`], but also returns the derived
     /// capability handle protecting the receiver's alias — for explicit
     /// handoff bookkeeping (a fork-style parent handing its buffers to a
-    /// child). Replays as a plain share: the capability handle is
-    /// deterministic kernel state, not a workload input.
+    /// child).
     ///
     /// # Errors
     ///
     /// Fails unless the calling process owns the grant.
     pub fn sys_share_cap(
-        &mut self,
-        grant: &RemapGrant,
-        with: Pid,
-    ) -> Result<(VRange, impulse_os::CapId), OsError> {
-        let res = self.sys_share_cap_inner(grant, with);
-        if let Some(rec) = &mut self.recorder {
-            rec.share(grant, with, &res.as_ref().map(|&(alias, _)| alias));
-        }
-        res
-    }
-
-    fn sys_share_cap_inner(
         &mut self,
         grant: &RemapGrant,
         with: Pid,
@@ -886,11 +640,7 @@ impl Machine {
     ///
     /// Propagates kernel/controller errors.
     pub fn sys_release(&mut self, grant: &RemapGrant) -> Result<(), OsError> {
-        let res = self.sys_revoke_inner(grant);
-        if let Some(rec) = &mut self.recorder {
-            rec.release(grant, &res);
-        }
-        res.map(|_| ())
+        self.sys_revoke(grant).map(|_| ())
     }
 
     /// Explicitly revokes a grant's capability, transitively tearing
@@ -905,17 +655,7 @@ impl Machine {
     /// Propagates kernel/controller errors; a second revocation of the
     /// same grant yields [`OsError::RevokedCapability`].
     pub fn sys_revoke(&mut self, grant: &RemapGrant) -> Result<RevokeOutcome, OsError> {
-        let res = self.sys_revoke_inner(grant);
-        if let Some(rec) = &mut self.recorder {
-            // Replay-wise a revoke *is* a release: same kernel effect,
-            // same charges, so the existing release op replays it.
-            rec.release(grant, &res);
-        }
-        res
-    }
-
-    fn sys_revoke_inner(&mut self, grant: &RemapGrant) -> Result<RevokeOutcome, OsError> {
-        self.flush_region_inner(grant.alias);
+        self.flush_region(grant.alias);
         for page in grant.alias.blocks(PAGE_SIZE) {
             self.ms.tlb_shootdown(page);
         }
@@ -936,9 +676,7 @@ impl Machine {
     // ---- measurement ---------------------------------------------------
 
     /// Resets all statistics and starts a new measurement epoch (cache and
-    /// DRAM contents survive, enabling warm-up then measure). When a
-    /// replay capture is being recorded, the post-reset machine image is
-    /// embedded in the capture so replays can fast-forward over warm-up.
+    /// DRAM contents survive, enabling warm-up then measure).
     pub fn reset_stats(&mut self) {
         self.drain_loads();
         self.epoch = self.now;
@@ -947,13 +685,6 @@ impl Machine {
         self.instructions = 0;
         self.ms.reset_stats();
         self.ms.mc_mut().reset_stats();
-        // Take the recorder out while snapshotting: the image must not
-        // (and cannot) include the recorder itself.
-        if let Some(mut rec) = self.recorder.take() {
-            let snap = self.snapshot(rec.cfg());
-            rec.reset_stats(snap);
-            self.recorder = Some(rec);
-        }
     }
 
     /// Builds a report over the current measurement epoch. Outstanding
@@ -989,9 +720,9 @@ impl Machine {
     /// The configuration fingerprint stamped into snapshot headers — the
     /// shared [`impulse_types::ident`] digest of the full `SystemConfig`,
     /// so an image can never be restored into a machine with different
-    /// geometry or timing, and so every keyed artifact (snapshots, replay
-    /// captures, the experiment server's result cache) derives identity
-    /// from the same hash discipline.
+    /// geometry or timing, and so every keyed artifact (snapshots, the
+    /// experiment server's result cache) derives identity from the same
+    /// hash discipline.
     pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
         digest64(format!("{cfg:?}").as_bytes())
     }

@@ -94,22 +94,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Deferred statistics for replay-evaluated L1 hits, flushed in bulk via
-/// [`MemorySystem::apply_replay_pending`]. Every field is an
-/// order-insensitive sum, so deferral cannot change any final counter.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ReplayPending {
-    /// Demand loads that hit the L1 on the fast path.
-    pub load_hits: u64,
-    /// Demand stores that hit the L1 on the fast path.
-    pub store_hits: u64,
-    /// Fast-path hits that consumed a prefetched line.
-    pub prefetch_useful: u64,
-    /// Fast-path accesses whose TLB hit was served from the replay memo
-    /// (the rest performed a real `Tlb::lookup`).
-    pub tlb_memo_hits: u64,
-}
-
 /// The assembled memory system.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
@@ -224,56 +208,6 @@ impl MemorySystem {
     /// descriptors and page mappings.
     pub fn mc_mut(&mut self) -> &mut MemController {
         &mut self.mc
-    }
-
-    /// Mutable L1 access for the replay evaluator's batched hit path.
-    #[inline]
-    pub(crate) fn l1_mut(&mut self) -> &mut Cache {
-        &mut self.l1
-    }
-
-    /// Mutable TLB access for the replay evaluator.
-    #[inline]
-    pub(crate) fn tlb_mut(&mut self) -> &mut Tlb {
-        &mut self.tlb
-    }
-
-    /// Stream-buffer store invalidation, exactly as the demand store
-    /// path performs it (no-op without stream buffers; idempotent).
-    #[inline]
-    pub(crate) fn streams_invalidate(&mut self, p: PAddr) {
-        if let Some(s) = &mut self.streams {
-            s.invalidate(p);
-        }
-    }
-
-    /// Folds a batch of replay-evaluated L1 hits into the statistics —
-    /// precisely the per-access effects of [`MemorySystem::load`] /
-    /// [`MemorySystem::store`] on the TLB-hit + L1-hit path, which are
-    /// all order-insensitive sums (counters, attribution, histogram
-    /// buckets), applied in bulk.
-    pub(crate) fn apply_replay_pending(&mut self, p: &ReplayPending) {
-        let hits = p.load_hits + p.store_hits;
-        if hits == 0 {
-            return;
-        }
-        self.stats.loads += p.load_hits;
-        self.stats.l1_load_hits += p.load_hits;
-        self.stats.load_cycles += p.load_hits * self.t_l1_hit;
-        self.stats.stores += p.store_hits;
-        self.stats.store_l1_hits += p.store_hits;
-        self.stats.store_cycles += p.store_hits * self.t_l1_hit;
-        self.attr.charge(Stage::L1, hits * self.t_l1_hit);
-        self.lat_l1_hit.record_n(self.t_l1_hit, hits);
-        self.lat_load.record_n(self.t_l1_hit, p.load_hits);
-        self.lat_store.record_n(self.t_l1_hit, p.store_hits);
-        let cs = self.l1.stats_mut();
-        cs.loads += p.load_hits;
-        cs.load_hits += p.load_hits;
-        cs.stores += p.store_hits;
-        cs.store_hits += p.store_hits;
-        cs.prefetch_useful += p.prefetch_useful;
-        self.tlb.add_hits_bulk(p.tlb_memo_hits);
     }
 
     /// Resets all statistics (cache/TLB/DRAM contents are preserved, so a

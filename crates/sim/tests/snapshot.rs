@@ -377,7 +377,7 @@ fn tier_channel_kill_resumes_bit_exactly() {
     // victims. Flat mode turns dead-channel accesses into typed,
     // NACK-degraded rejections, which must also count identically.
     let faults = FaultConfig {
-        seed: 0xDEAD_C4,
+        seed: 0x00DE_ADC4,
         tier_fail: Trigger::EveryN {
             every: 900,
             phase: 300,

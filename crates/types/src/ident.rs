@@ -4,8 +4,8 @@
 //! An experiment is identified by **what it runs** (its name and the
 //! full system configuration it runs under) and **what it is fed** (the
 //! master seed). Several subsystems need that identity as a compact
-//! key — the crash-safe run journal, flight/replay capture file names,
-//! and the experiment server's result cache — and before this module
+//! key — the crash-safe run journal, flight capture file names, and
+//! the experiment server's result cache — and before this module
 //! each invented its own keying (id strings, raw FNV of a `Debug`
 //! string, `(name, seed)` tuples). [`ExperimentKey`] replaces those
 //! ad-hoc schemes with one stable, well-mixed 64-bit digest:
