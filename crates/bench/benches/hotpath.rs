@@ -1,6 +1,6 @@
 //! Regression guards for the simulator's host-side hot paths: the three
-//! translate layers (OS page table, CPU TLB index, controller PgTbl with
-//! its front cache) and the shadow-line gather's segment/merge pipeline.
+//! translate layers (OS page table, CPU TLB index, controller PgTbl and
+//! its on-chip TLB) and the shadow-line gather's segment/merge pipeline.
 //! These are the paths that run once (or more) per simulated access, so
 //! a regression here slows every experiment in the suite.
 
@@ -24,18 +24,19 @@ fn bench_pgtbl_translate() {
         (pt, Dram::new(DramConfig::default()))
     };
 
-    // Same page over and over: the front-cache fast path.
+    // Same page over and over: hits on the most recently used entry.
     let (mut pt, mut dram) = mk();
     let mut off = 0u64;
-    g.bench("translate_front_hit", || {
+    g.bench("translate_mru_hit", || {
         off = (off + 8) % PAGE_SIZE;
         pt.translate(PvAddr::new(7 * PAGE_SIZE + off), &mut dram, 0)
             .expect("mapped page")
             .0
     });
 
-    // A working set larger than the on-chip TLB: hit/walk mix with
-    // front-cache conflicts (the shape shadow gathers produce).
+    // 512 pages cycled through the 64-entry LRU TLB: every translation
+    // misses, walks and evicts (the shape of a transpose's column
+    // gathers).
     let (mut pt, mut dram) = mk();
     let mut i = 0u64;
     g.bench("translate_512page_sweep", || {

@@ -1039,7 +1039,7 @@ impl MemController {
         // issues in order, like the paper's published scheduler).
         let done = match tier.as_deref_mut() {
             Some(te) => te.run_batch(dram, merge_scratch, kind, t)?,
-            None => sched.run_batch_sized(dram, merge_scratch, kind, t).done,
+            None => sched.issue(dram, merge_scratch, kind, t),
         };
         desc.note_gather(merge_scratch.len() as u64);
         bd.dram += done.saturating_sub(t);

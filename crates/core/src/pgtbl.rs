@@ -53,27 +53,35 @@ pub struct PgTblStats {
     pub walks: u64,
 }
 
-/// Slots in the direct-mapped front cache over the on-chip TLB (a host
-/// optimization mirroring `Machine::xlat`, not an architectural
-/// structure: front hits behave exactly like TLB hits).
-const FRONT_SLOTS: usize = 32;
-/// Tag marking an empty front-cache slot.
-const FRONT_EMPTY: u64 = u64::MAX;
+/// Link value marking either end of the TLB's recency list.
+const NIL: u32 = u32::MAX;
+
+/// One on-chip TLB entry: a cached translation, threaded on the recency
+/// list by slot index.
+#[derive(Clone, Copy, Debug)]
+struct TlbEntry {
+    page: u64,
+    frame: MAddr,
+    /// The next more recently used slot (`NIL` for the MRU entry).
+    newer: u32,
+    /// The next less recently used slot (`NIL` for the LRU entry).
+    older: u32,
+}
 
 /// Controller page table with an on-chip TLB.
 #[derive(Clone, Debug)]
 pub struct PgTbl {
     cfg: PgTblConfig,
     map: FxHashMap<u64, MAddr>,
-    /// Fully-associative LRU TLB over pv pages (small; linear scan).
-    tlb: Vec<(u64, u64)>, // (pv page, stamp)
-    tick: u64,
+    /// Fully-associative TLB over pv pages with exact LRU replacement.
+    /// Occupied slots are dense (`0..len`) and threaded on a doubly
+    /// linked recency list from `mru` to `lru`; `index` finds a page's
+    /// slot. Hits, misses and evictions are O(1) at any TLB size.
+    tlb: Vec<TlbEntry>,
+    index: FxHashMap<u64, u32>,
+    mru: u32,
+    lru: u32,
     stats: PgTblStats,
-    /// Direct-mapped memo of recent TLB hits: (pv page, frame base, TLB
-    /// slot). A hit must still bump the slot's LRU stamp, so the slot
-    /// index is cached and re-validated against the TLB on use; any
-    /// mismatch (eviction, unmap, flush) falls through to the full path.
-    front: [(u64, u64, usize); FRONT_SLOTS],
     /// Optional deterministic corruption of cached entries.
     faults: Option<PgTblInjector>,
 }
@@ -81,19 +89,21 @@ pub struct PgTbl {
 impl PgTbl {
     /// Builds an empty controller page table. A zero-entry TLB request
     /// is clamped to one entry (the hardware minimum) rather than
-    /// rejected.
+    /// rejected; slot indices are 32-bit, so requests above `u32::MAX`
+    /// entries are clamped to that.
     pub fn new(cfg: PgTblConfig) -> Self {
         let cfg = PgTblConfig {
-            tlb_entries: cfg.tlb_entries.max(1),
+            tlb_entries: cfg.tlb_entries.clamp(1, NIL as usize),
             ..cfg
         };
         Self {
             cfg,
             map: FxHashMap::default(),
             tlb: Vec::new(),
-            tick: 0,
+            index: FxHashMap::default(),
+            mru: NIL,
+            lru: NIL,
             stats: PgTblStats::default(),
-            front: [(FRONT_EMPTY, 0, 0); FRONT_SLOTS],
             faults: None,
         }
     }
@@ -113,13 +123,77 @@ impl PgTbl {
             .unwrap_or_default()
     }
 
-    /// Drops any front-cache memo for one pv page (mapping or TLB slot
-    /// contents changed).
-    #[inline]
-    fn front_invalidate(&mut self, pv_page: u64) {
-        let slot = &mut self.front[(pv_page as usize) & (FRONT_SLOTS - 1)];
-        if slot.0 == pv_page {
-            slot.0 = FRONT_EMPTY;
+    /// Takes slot `s` off the recency list (it keeps its entry and its
+    /// index key).
+    fn unlink(&mut self, s: u32) {
+        let TlbEntry { newer, older, .. } = self.tlb[s as usize];
+        match newer {
+            NIL => self.mru = older,
+            n => self.tlb[n as usize].older = older,
+        }
+        match older {
+            NIL => self.lru = newer,
+            o => self.tlb[o as usize].newer = newer,
+        }
+    }
+
+    /// Links slot `s` in as the most recently used entry.
+    fn push_mru(&mut self, s: u32) {
+        let old_mru = self.mru;
+        let e = &mut self.tlb[s as usize];
+        e.newer = NIL;
+        e.older = old_mru;
+        match old_mru {
+            NIL => self.lru = s,
+            m => self.tlb[m as usize].newer = s,
+        }
+        self.mru = s;
+    }
+
+    /// Caches `page → frame` as the most recently used entry, evicting
+    /// the least recently used entry when the TLB is full.
+    fn install(&mut self, page: u64, frame: MAddr) {
+        let s = if self.tlb.len() < self.cfg.tlb_entries {
+            self.tlb.push(TlbEntry {
+                page,
+                frame,
+                newer: NIL,
+                older: NIL,
+            });
+            // `tlb_entries` is clamped to `NIL`, so the index fits.
+            (self.tlb.len() - 1) as u32
+        } else {
+            // The TLB is full (≥ 1 entry), so the list has a tail.
+            let victim = self.lru;
+            self.unlink(victim);
+            let e = &mut self.tlb[victim as usize];
+            self.index.remove(&e.page);
+            e.page = page;
+            e.frame = frame;
+            victim
+        };
+        self.index.insert(page, s);
+        self.push_mru(s);
+    }
+
+    /// Drops the cached translation of `page`, if any. The last slot
+    /// moves into the hole, so occupied slots stay dense.
+    fn evict(&mut self, page: u64) {
+        let Some(s) = self.index.remove(&page) else {
+            return;
+        };
+        self.unlink(s);
+        self.tlb.swap_remove(s as usize);
+        if let Some(&moved) = self.tlb.get(s as usize) {
+            match moved.newer {
+                NIL => self.mru = s,
+                n => self.tlb[n as usize].older = s,
+            }
+            match moved.older {
+                NIL => self.lru = s,
+                o => self.tlb[o as usize].newer = s,
+            }
+            self.index.insert(moved.page, s);
         }
     }
 
@@ -143,19 +217,18 @@ impl PgTbl {
             "page frames must be page-aligned: {frame:?}"
         );
         self.map.insert(pv_page, frame);
-        // A replaced mapping may still have a (now stale) frame memoized.
-        self.front_invalidate(pv_page);
+        // A TLB-resident page keeps its slot and recency; its next hit
+        // serves the new frame.
+        if let Some(&s) = self.index.get(&pv_page) {
+            self.tlb[s as usize].frame = frame;
+        }
     }
 
     /// Removes the mapping for a pseudo-virtual page and drops any cached
     /// translation.
     pub fn unmap_page(&mut self, pv_page: u64) {
         self.map.remove(&pv_page);
-        self.tlb.retain(|&(p, _)| p != pv_page);
-        // `retain` shifts TLB slots, so every memoized slot index is now
-        // suspect; the per-use revalidation catches survivors that moved,
-        // but the unmapped page itself must go now.
-        self.front_invalidate(pv_page);
+        self.evict(pv_page);
     }
 
     /// Number of installed page mappings.
@@ -199,49 +272,27 @@ impl PgTbl {
         // (the authoritative copy), charging the walk as recovery.
         let mut reloading_corrupt_entry = false;
         if let Some(f) = &mut self.faults {
-            if f.corrupts(now) && self.tlb.iter().any(|&(p, _)| p == pv_page) {
+            if f.corrupts(now) && self.index.contains_key(&pv_page) {
                 f.note_corruption();
-                self.tlb.retain(|&(p, _)| p != pv_page);
-                self.front_invalidate(pv_page);
                 reloading_corrupt_entry = true;
             }
         }
+        if reloading_corrupt_entry {
+            self.evict(pv_page);
+        }
 
-        // Front cache: a validated hit is a TLB hit without the map
-        // lookup or the linear scan. Stats and the LRU stamp advance
-        // exactly as on the full path, so cycle-level behavior (and thus
-        // every simulated result) is unchanged.
-        let fslot = (pv_page as usize) & (FRONT_SLOTS - 1);
-        let (tag, frame_base, tslot) = self.front[fslot];
-        if tag == pv_page {
-            if let Some(entry) = self.tlb.get_mut(tslot) {
-                if entry.0 == pv_page {
-                    self.tick += 1;
-                    entry.1 = self.tick;
-                    self.stats.tlb_hits += 1;
-                    return Ok((MAddr::new(frame_base).add(pv.page_offset()), now));
-                }
+        if let Some(&s) = self.index.get(&pv_page) {
+            self.stats.tlb_hits += 1;
+            if s != self.mru {
+                self.unlink(s);
+                self.push_mru(s);
             }
-            self.front[fslot].0 = FRONT_EMPTY;
+            return Ok((self.tlb[s as usize].frame.add(pv.page_offset()), now));
         }
 
         let Some(&frame) = self.map.get(&pv_page) else {
             return Err(McError::PvUnmapped(pv_page));
         };
-        let maddr = frame.add(pv.page_offset());
-
-        self.tick += 1;
-        if let Some((slot, entry)) = self
-            .tlb
-            .iter_mut()
-            .enumerate()
-            .find(|(_, (p, _))| *p == pv_page)
-        {
-            entry.1 = self.tick;
-            self.stats.tlb_hits += 1;
-            self.front[fslot] = (pv_page, frame.raw(), slot);
-            return Ok((maddr, now));
-        }
 
         // TLB miss: read the memory-resident table entry.
         self.stats.walks += 1;
@@ -255,36 +306,22 @@ impl PgTbl {
                 f.note_reload(ready - now);
             }
         }
-
-        let slot = if self.tlb.len() < self.cfg.tlb_entries {
-            self.tlb.push((pv_page, self.tick));
-            self.tlb.len() - 1
-        } else {
-            // The TLB is full (≥ 1 entry), so a minimum always exists.
-            let victim = self
-                .tlb
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(_, stamp))| stamp)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            self.tlb[victim] = (pv_page, self.tick);
-            victim
-        };
-        self.front[fslot] = (pv_page, frame.raw(), slot);
-        Ok((maddr, ready))
+        self.install(pv_page, frame);
+        Ok((frame.add(pv.page_offset()), ready))
     }
 
     /// Drops all cached translations (mappings stay installed).
     pub fn flush_tlb(&mut self) {
         self.tlb.clear();
-        self.front = [(FRONT_EMPTY, 0, 0); FRONT_SLOTS];
+        self.index.clear();
+        self.mru = NIL;
+        self.lru = NIL;
     }
 
     /// Serializes installed mappings (sorted by page for determinism),
-    /// the on-chip TLB verbatim (slot order carries front-cache memoized
-    /// indices), the LRU tick, the front cache, statistics, and any
-    /// fault-injector dynamic state.
+    /// the on-chip TLB's pages from most to least recently used,
+    /// statistics, and any fault-injector dynamic state. Cached frames
+    /// are not written: they always equal the installed mapping.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_PGTBL);
         let mut pages: Vec<(u64, u64)> = self.map.iter().map(|(&p, m)| (p, m.raw())).collect();
@@ -295,19 +332,15 @@ impl PgTbl {
             w.u64(m);
         }
         w.usize(self.tlb.len());
-        for &(p, stamp) in &self.tlb {
-            w.u64(p);
-            w.u64(stamp);
+        let mut s = self.mru;
+        while s != NIL {
+            let e = &self.tlb[s as usize];
+            w.u64(e.page);
+            s = e.older;
         }
-        w.u64(self.tick);
         w.u64(self.stats.lookups);
         w.u64(self.stats.tlb_hits);
         w.u64(self.stats.walks);
-        for &(tag, frame, slot) in &self.front {
-            w.u64(tag);
-            w.u64(frame);
-            w.usize(slot);
-        }
         w.bool(self.faults.is_some());
         if let Some(f) = &self.faults {
             f.snap_save(w);
@@ -329,21 +362,25 @@ impl PgTbl {
         if tlb_len > self.cfg.tlb_entries {
             return Err(SnapError::Geometry("MC-TLB entry count"));
         }
-        self.tlb.clear();
+        let mut recency = Vec::new();
         for _ in 0..tlb_len {
-            let p = r.u64()?;
-            let stamp = r.u64()?;
-            self.tlb.push((p, stamp));
+            recency.push(r.u64()?);
         }
-        self.tick = r.u64()?;
+        self.flush_tlb();
+        // Installing from least to most recently used rebuilds the saved
+        // recency order.
+        for &page in recency.iter().rev() {
+            let Some(&frame) = self.map.get(&page) else {
+                return Err(SnapError::Geometry("MC-TLB entry without a mapping"));
+            };
+            if self.index.contains_key(&page) {
+                return Err(SnapError::Geometry("duplicate MC-TLB entry"));
+            }
+            self.install(page, frame);
+        }
         self.stats.lookups = r.u64()?;
         self.stats.tlb_hits = r.u64()?;
         self.stats.walks = r.u64()?;
-        for slot in &mut self.front {
-            slot.0 = r.u64()?;
-            slot.1 = r.u64()?;
-            slot.2 = r.usize()?;
-        }
         let had_faults = r.bool()?;
         match (&mut self.faults, had_faults) {
             (Some(f), true) => f.snap_load(r)?,
@@ -379,13 +416,16 @@ mod tests {
     use super::*;
     use impulse_dram::DramConfig;
 
-    fn setup() -> (PgTbl, Dram) {
-        let cfg = PgTblConfig {
-            tlb_entries: 2,
+    fn cfg(tlb_entries: usize) -> PgTblConfig {
+        PgTblConfig {
+            tlb_entries,
             table_base: MAddr::new(0x1000_0000),
             walk_bytes: 8,
-        };
-        (PgTbl::new(cfg), Dram::new(DramConfig::default()))
+        }
+    }
+
+    fn setup() -> (PgTbl, Dram) {
+        (PgTbl::new(cfg(2)), Dram::new(DramConfig::default()))
     }
 
     #[test]
@@ -447,32 +487,33 @@ mod tests {
 
     #[test]
     fn remap_while_tlb_resident_serves_new_frame() {
-        // The front cache memoizes (page, frame); replacing the mapping
-        // must not let a memoized translation serve the old frame.
+        // TLB entries cache the frame; replacing the mapping must not
+        // let a cached translation serve the old frame.
         let (mut pt, mut dram) = setup();
         pt.map_page(3, MAddr::new(0x8000));
         pt.translate(PvAddr::new(3 * PAGE_SIZE), &mut dram, 0)
-            .unwrap(); // walk, memoize
+            .unwrap(); // walk, cache
         pt.translate(PvAddr::new(3 * PAGE_SIZE), &mut dram, 0)
-            .unwrap(); // front hit
+            .unwrap(); // hit
         pt.map_page(3, MAddr::new(0xa000));
         let (m, _) = pt
             .translate(PvAddr::new(3 * PAGE_SIZE + 4), &mut dram, 0)
             .unwrap();
         assert_eq!(m, MAddr::new(0xa004));
+        assert_eq!(pt.stats().walks, 1, "a remap keeps the entry resident");
     }
 
     #[test]
     fn unmap_then_remap_other_page_keeps_front_consistent() {
-        // unmap_page shifts TLB slots via retain; stale memoized slot
-        // indices must revalidate instead of serving wrong entries.
+        // Unmapping moves the last TLB slot into the hole; the moved
+        // entry must stay reachable and keep its frame.
         let (mut pt, mut dram) = setup();
         pt.map_page(1, MAddr::new(0x1000));
         pt.map_page(2, MAddr::new(0x2000));
         pt.translate(PvAddr::new(PAGE_SIZE), &mut dram, 0).unwrap();
         pt.translate(PvAddr::new(2 * PAGE_SIZE), &mut dram, 0)
             .unwrap();
-        pt.unmap_page(1); // page 2 shifts from slot 1 to slot 0
+        pt.unmap_page(1); // page 2 moves from slot 1 to slot 0
         let (m, _) = pt
             .translate(PvAddr::new(2 * PAGE_SIZE + 8), &mut dram, 0)
             .unwrap();
@@ -491,7 +532,7 @@ mod tests {
                 .translate(PvAddr::new(9 * PAGE_SIZE + i), &mut dram, 5)
                 .unwrap();
             assert_eq!(m, MAddr::new(0x9000 + i));
-            assert_eq!(ready, 5, "front hits are free, like TLB hits");
+            assert_eq!(ready, 5, "TLB hits are free");
         }
         assert_eq!(pt.stats().lookups, 11);
         assert_eq!(pt.stats().tlb_hits, 10);
@@ -535,6 +576,113 @@ mod tests {
         assert_eq!(f.reloads, 1);
         assert_eq!(f.recovery_cycles, t2 - t1);
         assert_eq!(pt.stats().walks, 2);
+    }
+
+    /// The reference MC-TLB: one LRU stamp per entry, found and evicted
+    /// by linear scan (the controller's implementation before the
+    /// recency list).
+    struct ScanLru {
+        cap: usize,
+        entries: Vec<(u64, u64)>,
+        tick: u64,
+    }
+
+    impl ScanLru {
+        /// Touches `page`; returns whether it hit. A miss installs it,
+        /// evicting the entry with the oldest stamp when full.
+        fn touch(&mut self, page: u64) -> bool {
+            self.tick += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+                e.1 = self.tick;
+                return true;
+            }
+            if self.entries.len() < self.cap {
+                self.entries.push((page, self.tick));
+            } else {
+                let victim = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .unwrap();
+                self.entries[victim] = (page, self.tick);
+            }
+            false
+        }
+    }
+
+    fn round_trip(pt: &PgTbl) -> PgTbl {
+        let mut w = SnapWriter::new();
+        pt.snap_save(&mut w);
+        let bytes = w.finish();
+        let mut fresh = PgTbl::new(pt.cfg);
+        let mut r = SnapReader::new(&bytes);
+        fresh.snap_load(&mut r).expect("load");
+        r.finish().expect("fully consumed");
+        fresh
+    }
+
+    #[test]
+    fn lru_matches_a_linear_scan_reference() {
+        // Seeded random translate / remap / unmap / flush / snapshot
+        // sequences over more pages than the TLB holds: every hit or
+        // walk, and every returned frame, must match the reference.
+        const PAGES: u64 = 96;
+        for cap in [1usize, 2, 3, 8, 64] {
+            let mut pt = PgTbl::new(cfg(cap));
+            let mut dram = Dram::new(DramConfig::default());
+            let mut reference = ScanLru {
+                cap,
+                entries: Vec::new(),
+                tick: 0,
+            };
+            for p in 0..PAGES {
+                pt.map_page(p, MAddr::new(p * PAGE_SIZE));
+            }
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ cap as u64;
+            for step in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let page = x % PAGES;
+                match (x >> 32) % 64 {
+                    0 => {
+                        pt.unmap_page(page);
+                        reference.entries.retain(|e| e.0 != page);
+                        pt.map_page(page, MAddr::new(page * PAGE_SIZE));
+                    }
+                    1 => {
+                        pt.flush_tlb();
+                        reference.entries.clear();
+                    }
+                    2 => pt.map_page(page, MAddr::new(((x >> 40) % 1024) * PAGE_SIZE)),
+                    3 => pt = round_trip(&pt),
+                    _ => {
+                        let pv = PvAddr::new(page * PAGE_SIZE + (x >> 52));
+                        let walks = pt.stats().walks;
+                        let (m, _) = pt.translate(pv, &mut dram, step).unwrap();
+                        assert_eq!(Some(m), pt.resolve(pv), "cap {cap} step {step}");
+                        let hit = reference.touch(page);
+                        assert_eq!(pt.stats().walks == walks, hit, "cap {cap} step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_tlb_entry_without_a_mapping() {
+        let (mut pt, mut dram) = setup();
+        pt.map_page(1, MAddr::new(0x1000));
+        pt.translate(PvAddr::new(PAGE_SIZE), &mut dram, 0).unwrap();
+        let mut w = SnapWriter::new();
+        pt.snap_save(&mut w);
+        let mut bytes = w.finish();
+        // Layout: tag, 1 mapping (count, page, frame), TLB count, page.
+        let tlb_page = 4 + 8 + 16 + 8;
+        bytes[tlb_page..tlb_page + 8].copy_from_slice(&7u64.to_le_bytes());
+        let mut fresh = PgTbl::new(pt.cfg);
+        assert_eq!(
+            fresh.snap_load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Geometry("MC-TLB entry without a mapping"))
+        );
     }
 
     #[test]

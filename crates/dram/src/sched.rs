@@ -13,7 +13,7 @@
 
 use impulse_types::{AccessKind, Cycle, MAddr};
 
-use crate::Dram;
+use crate::{Dram, DramConfig};
 
 /// How a batch of word-grained DRAM requests is ordered before issue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -87,15 +87,20 @@ impl BatchOutcome {
 /// assert_eq!(out.completions.len(), 16);
 /// assert!(out.done >= out.first_done());
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct Scheduler {
     policy: SchedulePolicy,
+    /// Issue-order scratch reused by [`Scheduler::issue`].
+    order: Vec<(u64, u64, usize)>,
 }
 
 impl Scheduler {
     /// Creates a scheduler with the given reordering policy.
     pub fn new(policy: SchedulePolicy) -> Self {
-        Self { policy }
+        Self {
+            policy,
+            order: Vec::new(),
+        }
     }
 
     /// The reordering policy in use.
@@ -131,49 +136,86 @@ impl Scheduler {
         kind: AccessKind,
         now: Cycle,
     ) -> BatchOutcome {
-        let addrs: Vec<MAddr> = reqs.iter().map(|&(a, _)| a).collect();
-        let order = self.issue_order(dram, &addrs);
         let mut completions = vec![0; reqs.len()];
-        for (slot, &idx) in order.iter().enumerate() {
-            let issue = now + slot as Cycle;
-            let (addr, bytes) = reqs[idx];
-            completions[idx] = dram.access(addr, kind, bytes, issue);
-        }
+        let mut order = Vec::new();
+        issue_batch(self.policy, dram, reqs, kind, now, &mut order, |i, c| {
+            completions[i] = c;
+        });
         let done = completions.iter().copied().max().unwrap_or(now);
         BatchOutcome { completions, done }
     }
 
-    /// Computes the issue order (indices into `reqs`) for this policy.
-    fn issue_order(&self, dram: &Dram, reqs: &[MAddr]) -> Vec<usize> {
-        let cfg = dram.config();
-        let mut order: Vec<usize> = (0..reqs.len()).collect();
-        match self.policy {
-            SchedulePolicy::InOrder => {}
-            SchedulePolicy::OpenRowFirst => {
-                order.sort_by_key(|&i| (cfg.bank_of(reqs[i]), cfg.row_of(reqs[i]), i));
-            }
-            SchedulePolicy::BankParallel => {
-                // Group by (bank, row) for locality, then round-robin the
-                // groups across banks so every bank starts working at once.
-                order.sort_by_key(|&i| (cfg.bank_of(reqs[i]), cfg.row_of(reqs[i]), i));
-                let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); cfg.banks as usize];
-                for i in order {
-                    per_bank[cfg.bank_of(reqs[i]) as usize].push(i);
-                }
-                let mut interleaved = Vec::with_capacity(reqs.len());
-                let mut cursor = 0;
-                while interleaved.len() < reqs.len() {
-                    for bank in per_bank.iter() {
-                        if let Some(&i) = bank.get(cursor) {
-                            interleaved.push(i);
-                        }
-                    }
-                    cursor += 1;
-                }
-                return interleaved;
-            }
+    /// Issues a batch exactly like [`Scheduler::run_batch_sized`] and
+    /// returns the cycle its last request completes. The issue order is
+    /// kept in a buffer this scheduler reuses, so a caller issuing one
+    /// batch per shadow-line gather allocates nothing in steady state.
+    pub fn issue(
+        &mut self,
+        dram: &mut Dram,
+        reqs: &[(MAddr, u64)],
+        kind: AccessKind,
+        now: Cycle,
+    ) -> Cycle {
+        let mut last = now;
+        let order = &mut self.order;
+        issue_batch(self.policy, dram, reqs, kind, now, order, |_, c| {
+            last = last.max(c);
+        });
+        last
+    }
+}
+
+/// Issues `reqs` in `policy`'s order, one command per cycle from `now`,
+/// reporting each request's input index and completion cycle to
+/// `on_done`. `order` is scratch for the issue order.
+fn issue_batch(
+    policy: SchedulePolicy,
+    dram: &mut Dram,
+    reqs: &[(MAddr, u64)],
+    kind: AccessKind,
+    now: Cycle,
+    order: &mut Vec<(u64, u64, usize)>,
+    mut on_done: impl FnMut(usize, Cycle),
+) {
+    fill_order(policy, dram.config(), reqs, order);
+    for (slot, &(_, _, idx)) in order.iter().enumerate() {
+        let (addr, bytes) = reqs[idx];
+        on_done(idx, dram.access(addr, kind, bytes, now + slot as Cycle));
+    }
+}
+
+/// Fills `order` with `policy`'s issue order: the last field of the
+/// *k*-th entry is the input index of the request issued *k*-th.
+fn fill_order(
+    policy: SchedulePolicy,
+    cfg: &DramConfig,
+    reqs: &[(MAddr, u64)],
+    order: &mut Vec<(u64, u64, usize)>,
+) {
+    order.clear();
+    if policy == SchedulePolicy::InOrder {
+        order.extend((0..reqs.len()).map(|i| (0, 0, i)));
+        return;
+    }
+    // Group by (bank, row) for locality, in arrival order within a group.
+    order.extend(
+        reqs.iter()
+            .enumerate()
+            .map(|(i, &(a, _))| (cfg.bank_of(a), cfg.row_of(a), i)),
+    );
+    order.sort_unstable();
+    if policy == SchedulePolicy::BankParallel {
+        // Then round-robin the groups across banks so every bank starts
+        // working at once: a bank's k-th request issues in round k, and
+        // banks go in ascending order within a round.
+        let mut prev_bank = None;
+        let mut rank = 0;
+        for e in order.iter_mut() {
+            rank = if prev_bank == Some(e.0) { rank + 1 } else { 0 };
+            prev_bank = Some(e.0);
+            *e = (rank, e.0, e.2);
         }
-        order
+        order.sort_unstable();
     }
 }
 
@@ -289,6 +331,39 @@ mod tests {
         );
         assert_eq!(out.completions.len(), 4);
         assert_eq!(dram.stats().bytes, 64 + 64 + 128 + 8);
+    }
+
+    #[test]
+    fn bank_parallel_matches_per_bank_queue_reference() {
+        // Reference: per-bank queues filled from the (bank, row)-sorted
+        // batch, drained one request per bank per round.
+        let cfg = DramConfig::default();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut order = Vec::new();
+        for _ in 0..200 {
+            let n = 1 + x % 40;
+            let reqs: Vec<(MAddr, u64)> = (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (MAddr::new(x % (1 << 20)), 8)
+                })
+                .collect();
+            let mut sorted: Vec<usize> = (0..reqs.len()).collect();
+            sorted.sort_by_key(|&i| (cfg.bank_of(reqs[i].0), cfg.row_of(reqs[i].0), i));
+            let mut queues = vec![Vec::new(); cfg.banks as usize];
+            for i in sorted {
+                queues[cfg.bank_of(reqs[i].0) as usize].push(i);
+            }
+            let queues = &queues;
+            let expected: Vec<usize> = (0..reqs.len())
+                .flat_map(|k| queues.iter().filter_map(move |q| q.get(k).copied()))
+                .collect();
+            fill_order(SchedulePolicy::BankParallel, &cfg, &reqs, &mut order);
+            let got: Vec<usize> = order.iter().map(|e| e.2).collect();
+            assert_eq!(got, expected);
+        }
     }
 
     #[test]

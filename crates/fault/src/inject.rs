@@ -213,7 +213,7 @@ pub struct PgTblFaultStats {
 }
 
 /// Injects corruption into the controller's cached translation state
-/// (MC-TLB and its front cache). The page table detects the corruption
+/// (the MC-TLB). The page table detects the corruption
 /// at use (parity), discards the entry, and reloads from the backing
 /// in-memory table — the authoritative copy — charging the walk.
 #[derive(Clone, Debug)]
