@@ -56,34 +56,58 @@ impl TlbStats {
     }
 }
 
+/// The pages one slot covers; meaningful only while the slot is occupied.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    valid: bool,
     /// First virtual page covered.
     base_vpage: u64,
     /// Pages covered (power of two; 1 for a normal entry).
     span: u64,
-    referenced: bool,
 }
 
 impl Entry {
-    const INVALID: Self = Self {
-        valid: false,
+    /// What a free slot holds (and what its snapshot bytes say).
+    const EMPTY: Self = Self {
         base_vpage: 0,
         span: 1,
-        referenced: false,
     };
 
     #[inline]
     fn covers(&self, vpage: u64) -> bool {
-        self.valid && vpage >= self.base_vpage && vpage < self.base_vpage + self.span
+        vpage >= self.base_vpage && vpage < self.base_vpage + self.span
     }
+}
+
+/// The bits of bitset word `w` that stand for one of `n` slots.
+#[inline]
+fn live_bits(n: usize, w: usize) -> u64 {
+    match n - 64 * w {
+        k if k >= 64 => !0,
+        k => (1 << k) - 1,
+    }
+}
+
+#[inline]
+fn bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] & (1 << (i % 64)) != 0
+}
+
+#[inline]
+fn set_bit(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
+
+#[inline]
+fn clear_bit(set: &mut [u64], i: usize) {
+    set[i / 64] &= !(1 << (i % 64));
 }
 
 /// A fully-associative, NRU-replaced TLB.
 ///
 /// Lookups are O(1): an index maps single-page entries by page number, and
-/// superpage entries (rare) live on a short side list.
+/// superpage entries (rare) live on a short side list. Replacement is O(1)
+/// in the entry count too: free and referenced slots are bitsets, so the
+/// NRU victim is a `trailing_zeros` over ⌈entries/64⌉ words.
 ///
 /// # Examples
 ///
@@ -101,6 +125,11 @@ impl Entry {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     entries: Vec<Entry>,
+    /// Bit `i` set: slot `i` is free. Bits at and above `entries.len()`
+    /// are always clear.
+    free: Vec<u64>,
+    /// Bit `i` set: slot `i` was referenced since the last NRU sweep.
+    referenced: Vec<u64>,
     /// vpage → slot, for span-1 entries only.
     index: FxHashMap<u64, usize>,
     /// Slots holding superpage entries (span > 1).
@@ -116,12 +145,30 @@ impl Tlb {
     /// Panics if `cfg.entries` is zero.
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.entries > 0, "TLB must have at least one entry");
-        Self {
-            entries: vec![Entry::INVALID; cfg.entries],
+        let words = cfg.entries.div_ceil(64);
+        let mut tlb = Self {
+            entries: vec![Entry::EMPTY; cfg.entries],
+            free: vec![0; words],
+            referenced: vec![0; words],
             index: FxHashMap::default(),
             super_slots: Vec::new(),
             stats: TlbStats::default(),
+        };
+        tlb.free_all();
+        tlb
+    }
+
+    /// Marks every slot free and unreferenced.
+    fn free_all(&mut self) {
+        let n = self.entries.len();
+        for (w, word) in self.free.iter_mut().enumerate() {
+            *word = live_bits(n, w);
         }
+        self.referenced.fill(0);
+    }
+
+    fn is_free(&self, i: usize) -> bool {
+        bit(&self.free, i)
     }
 
     fn slot_of(&self, vpage: u64) -> Option<usize> {
@@ -131,19 +178,40 @@ impl Tlb {
         self.super_slots
             .iter()
             .copied()
-            .find(|&i| self.entries[i].covers(vpage))
+            .find(|&i| !self.is_free(i) && self.entries[i].covers(vpage))
     }
 
     fn clear_slot(&mut self, i: usize) {
-        let e = self.entries[i];
-        if e.valid {
+        if !self.is_free(i) {
+            let e = self.entries[i];
             if e.span == 1 {
                 self.index.remove(&e.base_vpage);
             } else {
                 self.super_slots.retain(|&s| s != i);
             }
         }
-        self.entries[i] = Entry::INVALID;
+        self.entries[i] = Entry::EMPTY;
+        set_bit(&mut self.free, i);
+        clear_bit(&mut self.referenced, i);
+    }
+
+    /// The NRU victim: the lowest free slot; else the lowest unreferenced
+    /// slot; else every reference bit is cleared and slot 0 is taken.
+    fn victim(&mut self) -> usize {
+        if let Some(w) = self.free.iter().position(|&f| f != 0) {
+            return 64 * w + self.free[w].trailing_zeros() as usize;
+        }
+        // Every slot is occupied, so an unreferenced one is a clear bit
+        // below `entries.len()`.
+        let n = self.entries.len();
+        for (w, &r) in self.referenced.iter().enumerate() {
+            let unreferenced = !r & live_bits(n, w);
+            if unreferenced != 0 {
+                return 64 * w + unreferenced.trailing_zeros() as usize;
+            }
+        }
+        self.referenced.fill(0);
+        0
     }
 
     /// Accumulated statistics.
@@ -161,7 +229,7 @@ impl Tlb {
     pub fn lookup(&mut self, vpage: u64) -> bool {
         self.stats.lookups += 1;
         if let Some(i) = self.slot_of(vpage) {
-            self.entries[i].referenced = true;
+            set_bit(&mut self.referenced, i);
             self.stats.hits += 1;
             true
         } else {
@@ -184,31 +252,14 @@ impl Tlb {
         );
         self.stats.inserts += 1;
 
-        let victim = if let Some(i) = self.entries.iter().position(|e| !e.valid) {
-            i
-        } else {
-            // NRU: first unreferenced entry; if all are referenced, clear
-            // all reference bits and take entry 0.
-            match self.entries.iter().position(|e| !e.referenced) {
-                Some(i) => i,
-                None => {
-                    for e in &mut self.entries {
-                        e.referenced = false;
-                    }
-                    0
-                }
-            }
-        };
-        if self.entries[victim].valid {
+        let victim = self.victim();
+        if !self.is_free(victim) {
             self.stats.evictions += 1;
             self.clear_slot(victim);
         }
-        self.entries[victim] = Entry {
-            valid: true,
-            base_vpage,
-            span,
-            referenced: true,
-        };
+        self.entries[victim] = Entry { base_vpage, span };
+        clear_bit(&mut self.free, victim);
+        set_bit(&mut self.referenced, victim);
         if span == 1 {
             self.index.insert(base_vpage, victim);
         } else {
@@ -218,9 +269,8 @@ impl Tlb {
 
     /// Invalidates every entry.
     pub fn flush(&mut self) {
-        for e in &mut self.entries {
-            *e = Entry::INVALID;
-        }
+        self.entries.fill(Entry::EMPTY);
+        self.free_all();
         self.index.clear();
         self.super_slots.clear();
     }
@@ -237,7 +287,8 @@ impl Tlb {
 
     /// Number of valid entries.
     pub fn valid_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        let free: u32 = self.free.iter().map(|w| w.count_ones()).sum();
+        self.entries.len() - free as usize
     }
 
     /// Serializes the entry array verbatim (slot order is NRU-relevant
@@ -246,11 +297,11 @@ impl Tlb {
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_TLB);
         w.usize(self.entries.len());
-        for e in &self.entries {
-            w.bool(e.valid);
+        for (i, e) in self.entries.iter().enumerate() {
+            w.bool(!self.is_free(i));
             w.u64(e.base_vpage);
             w.u64(e.span);
-            w.bool(e.referenced);
+            w.bool(bit(&self.referenced, i));
         }
         w.usize(self.super_slots.len());
         for &s in &self.super_slots {
@@ -270,11 +321,19 @@ impl Tlb {
         if n != self.entries.len() {
             return Err(SnapError::Geometry("TLB entry count"));
         }
-        for e in &mut self.entries {
-            e.valid = r.bool()?;
-            e.base_vpage = r.u64()?;
-            e.span = r.u64()?;
-            e.referenced = r.bool()?;
+        self.free.fill(0);
+        self.referenced.fill(0);
+        for i in 0..n {
+            if !r.bool()? {
+                set_bit(&mut self.free, i);
+            }
+            self.entries[i] = Entry {
+                base_vpage: r.u64()?,
+                span: r.u64()?,
+            };
+            if r.bool()? {
+                set_bit(&mut self.referenced, i);
+            }
         }
         let supers = r.usize()?;
         self.super_slots.clear();
@@ -287,7 +346,7 @@ impl Tlb {
         }
         self.index.clear();
         for (i, e) in self.entries.iter().enumerate() {
-            if e.valid && e.span == 1 {
+            if !self.is_free(i) && e.span == 1 {
                 self.index.insert(e.base_vpage, i);
             }
         }
@@ -378,6 +437,204 @@ mod tests {
     #[test]
     fn hit_ratio_zero_when_unused() {
         assert_eq!(TlbStats::default().hit_ratio(), 0.0);
+    }
+
+    /// The reference TLB: a valid and a referenced flag per entry, and the
+    /// NRU victim found by linear scans (the implementation before the
+    /// bitsets).
+    struct ScanTlb {
+        entries: Vec<(bool, u64, u64, bool)>, // (valid, base, span, referenced)
+        index: FxHashMap<u64, usize>,
+        super_slots: Vec<usize>,
+        stats: TlbStats,
+    }
+
+    impl ScanTlb {
+        const INVALID: (bool, u64, u64, bool) = (false, 0, 1, false);
+
+        fn new(n: usize) -> Self {
+            Self {
+                entries: vec![Self::INVALID; n],
+                index: FxHashMap::default(),
+                super_slots: Vec::new(),
+                stats: TlbStats::default(),
+            }
+        }
+
+        fn slot_of(&self, vpage: u64) -> Option<usize> {
+            if let Some(&i) = self.index.get(&vpage) {
+                return Some(i);
+            }
+            self.super_slots.iter().copied().find(|&i| {
+                let (valid, base, span, _) = self.entries[i];
+                valid && vpage >= base && vpage < base + span
+            })
+        }
+
+        fn clear_slot(&mut self, i: usize) {
+            let (valid, base, span, _) = self.entries[i];
+            if valid {
+                if span == 1 {
+                    self.index.remove(&base);
+                } else {
+                    self.super_slots.retain(|&s| s != i);
+                }
+            }
+            self.entries[i] = Self::INVALID;
+        }
+
+        fn lookup(&mut self, vpage: u64) -> bool {
+            self.stats.lookups += 1;
+            let hit = self.slot_of(vpage);
+            if let Some(i) = hit {
+                self.entries[i].3 = true;
+                self.stats.hits += 1;
+            }
+            hit.is_some()
+        }
+
+        fn insert(&mut self, base: u64, span: u64) {
+            self.stats.inserts += 1;
+            let victim = match self.entries.iter().position(|e| !e.0) {
+                Some(i) => i,
+                None => match self.entries.iter().position(|e| !e.3) {
+                    Some(i) => i,
+                    None => {
+                        for e in &mut self.entries {
+                            e.3 = false;
+                        }
+                        0
+                    }
+                },
+            };
+            if self.entries[victim].0 {
+                self.stats.evictions += 1;
+                self.clear_slot(victim);
+            }
+            self.entries[victim] = (true, base, span, true);
+            if span == 1 {
+                self.index.insert(base, victim);
+            } else {
+                self.super_slots.push(victim);
+            }
+        }
+
+        fn flush(&mut self) {
+            self.entries.fill(Self::INVALID);
+            self.index.clear();
+            self.super_slots.clear();
+        }
+
+        fn flush_page(&mut self, vpage: u64) -> bool {
+            let hit = self.slot_of(vpage);
+            if let Some(i) = hit {
+                self.clear_slot(i);
+            }
+            hit.is_some()
+        }
+
+        fn valid_entries(&self) -> usize {
+            self.entries.iter().filter(|e| e.0).count()
+        }
+
+        /// A snapshot round trip: entries and side list are kept, the
+        /// single-page index is rebuilt in slot order.
+        fn reload(&mut self) {
+            self.index.clear();
+            for (i, &(valid, base, span, _)) in self.entries.iter().enumerate() {
+                if valid && span == 1 {
+                    self.index.insert(base, i);
+                }
+            }
+        }
+
+        /// The `TLB ` section as the scanning implementation wrote it.
+        fn snap_bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.tag(TAG_TLB);
+            w.usize(self.entries.len());
+            for &(valid, base, span, referenced) in &self.entries {
+                w.bool(valid);
+                w.u64(base);
+                w.u64(span);
+                w.bool(referenced);
+            }
+            w.usize(self.super_slots.len());
+            for &s in &self.super_slots {
+                w.usize(s);
+            }
+            w.u64(self.stats.lookups);
+            w.u64(self.stats.hits);
+            w.u64(self.stats.inserts);
+            w.u64(self.stats.evictions);
+            w.finish()
+        }
+    }
+
+    fn snap_bytes(t: &Tlb) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        t.snap_save(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn nru_matches_a_linear_scan_reference() {
+        // Seeded random lookup / insert / flush / snapshot sequences over
+        // more pages than the TLB holds, at sizes around the 64-slot word
+        // boundary: after every step the hit or miss, the statistics, the
+        // occupancy and the snapshot bytes must match the reference.
+        const PAGES: u64 = 512;
+        for n in [1usize, 2, 63, 64, 65, 120, 128, 130] {
+            let mut t = tlb(n);
+            let mut reference = ScanTlb::new(n);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+            for step in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Reuse a working set a little larger than the TLB most of
+                // the time, so hits, NRU sweeps and evictions all occur.
+                let page = if x & 3 == 0 {
+                    (x >> 8) % PAGES
+                } else {
+                    (x >> 8) % (n as u64 + n as u64 / 4 + 2)
+                };
+                let ctx = format!("entries {n} step {step}");
+                match (x >> 32) % 64 {
+                    0 => {
+                        t.flush();
+                        reference.flush();
+                    }
+                    1..=3 => assert_eq!(t.flush_page(page), reference.flush_page(page), "{ctx}"),
+                    4..=7 => {
+                        let span = 1 << ((x >> 40) % 5);
+                        let base = page & !(span - 1);
+                        t.insert(base, span);
+                        reference.insert(base, span);
+                    }
+                    8 => {
+                        let mut fresh = tlb(n);
+                        let bytes = snap_bytes(&t);
+                        let mut r = SnapReader::new(&bytes);
+                        fresh.snap_load(&mut r).expect("load");
+                        r.finish().expect("fully consumed");
+                        t = fresh;
+                        reference.reload();
+                    }
+                    _ => {
+                        let hit = t.lookup(page);
+                        assert_eq!(hit, reference.lookup(page), "{ctx}");
+                        if !hit {
+                            t.insert(page, 1);
+                            reference.insert(page, 1);
+                        }
+                    }
+                }
+                assert_eq!(t.stats(), reference.stats, "{ctx}");
+                assert_eq!(t.valid_entries(), reference.valid_entries(), "{ctx}");
+                assert_eq!(snap_bytes(&t), reference.snap_bytes(), "{ctx}");
+            }
+        }
     }
 
     #[test]

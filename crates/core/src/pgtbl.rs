@@ -53,15 +53,15 @@ pub struct PgTblStats {
     pub walks: u64,
 }
 
-/// Link value marking either end of the TLB's recency list.
+/// Link value marking either end of the TLB's recency list, and the slot
+/// of a page that is not TLB-resident.
 const NIL: u32 = u32::MAX;
 
-/// One on-chip TLB entry: a cached translation, threaded on the recency
-/// list by slot index.
+/// One on-chip TLB entry: the page whose translation is cached, threaded
+/// on the recency list by slot index.
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
     page: u64,
-    frame: MAddr,
     /// The next more recently used slot (`NIL` for the MRU entry).
     newer: u32,
     /// The next less recently used slot (`NIL` for the LRU entry).
@@ -72,13 +72,15 @@ struct TlbEntry {
 #[derive(Clone, Debug)]
 pub struct PgTbl {
     cfg: PgTblConfig,
-    map: FxHashMap<u64, MAddr>,
+    /// pv page → (frame, TLB slot), with slot `NIL` when the page is not
+    /// TLB-resident. A hit is one probe of this map; a miss is one more
+    /// for the victim's page.
+    map: FxHashMap<u64, (MAddr, u32)>,
     /// Fully-associative TLB over pv pages with exact LRU replacement.
     /// Occupied slots are dense (`0..len`) and threaded on a doubly
-    /// linked recency list from `mru` to `lru`; `index` finds a page's
-    /// slot. Hits, misses and evictions are O(1) at any TLB size.
+    /// linked recency list from `mru` to `lru`. Hits, misses and
+    /// evictions are O(1) at any TLB size.
     tlb: Vec<TlbEntry>,
-    index: FxHashMap<u64, u32>,
     mru: u32,
     lru: u32,
     stats: PgTblStats,
@@ -100,7 +102,6 @@ impl PgTbl {
             cfg,
             map: FxHashMap::default(),
             tlb: Vec::new(),
-            index: FxHashMap::default(),
             mru: NIL,
             lru: NIL,
             stats: PgTblStats::default(),
@@ -123,8 +124,8 @@ impl PgTbl {
             .unwrap_or_default()
     }
 
-    /// Takes slot `s` off the recency list (it keeps its entry and its
-    /// index key).
+    /// Takes slot `s` off the recency list (it keeps its page, and the
+    /// page keeps the slot).
     fn unlink(&mut self, s: u32) {
         let TlbEntry { newer, older, .. } = self.tlb[s as usize];
         match newer {
@@ -150,38 +151,35 @@ impl PgTbl {
         self.mru = s;
     }
 
-    /// Caches `page → frame` as the most recently used entry, evicting
-    /// the least recently used entry when the TLB is full.
-    fn install(&mut self, page: u64, frame: MAddr) {
-        let s = if self.tlb.len() < self.cfg.tlb_entries {
+    /// The slot of a mapped page (`NIL` when not TLB-resident).
+    fn slot_mut(&mut self, page: u64) -> &mut u32 {
+        &mut self.map.get_mut(&page).expect("TLB pages are mapped").1
+    }
+
+    /// Makes slot `s`, already recorded as `page`'s slot in `map`, the
+    /// most recently used entry for `page`. `s` is either the next free
+    /// slot, the LRU victim (whose page loses its slot), or `page`'s own
+    /// slot when a corrupted entry is reloaded.
+    fn fill(&mut self, s: u32, page: u64) {
+        if s as usize == self.tlb.len() {
             self.tlb.push(TlbEntry {
                 page,
-                frame,
                 newer: NIL,
                 older: NIL,
             });
-            // `tlb_entries` is clamped to `NIL`, so the index fits.
-            (self.tlb.len() - 1) as u32
         } else {
-            // The TLB is full (≥ 1 entry), so the list has a tail.
-            let victim = self.lru;
-            self.unlink(victim);
-            let e = &mut self.tlb[victim as usize];
-            self.index.remove(&e.page);
-            e.page = page;
-            e.frame = frame;
-            victim
-        };
-        self.index.insert(page, s);
+            self.unlink(s);
+            let old = std::mem::replace(&mut self.tlb[s as usize].page, page);
+            if old != page {
+                *self.slot_mut(old) = NIL;
+            }
+        }
         self.push_mru(s);
     }
 
-    /// Drops the cached translation of `page`, if any. The last slot
+    /// Drops TLB slot `s`, whose page was just unmapped. The last slot
     /// moves into the hole, so occupied slots stay dense.
-    fn evict(&mut self, page: u64) {
-        let Some(s) = self.index.remove(&page) else {
-            return;
-        };
+    fn evict(&mut self, s: u32) {
         self.unlink(s);
         self.tlb.swap_remove(s as usize);
         if let Some(&moved) = self.tlb.get(s as usize) {
@@ -193,7 +191,7 @@ impl PgTbl {
                 NIL => self.lru = s,
                 o => self.tlb[o as usize].newer = s,
             }
-            self.index.insert(moved.page, s);
+            *self.slot_mut(moved.page) = s;
         }
     }
 
@@ -216,19 +214,22 @@ impl PgTbl {
             frame.raw().is_multiple_of(PAGE_SIZE),
             "page frames must be page-aligned: {frame:?}"
         );
-        self.map.insert(pv_page, frame);
         // A TLB-resident page keeps its slot and recency; its next hit
         // serves the new frame.
-        if let Some(&s) = self.index.get(&pv_page) {
-            self.tlb[s as usize].frame = frame;
-        }
+        self.map
+            .entry(pv_page)
+            .and_modify(|e| e.0 = frame)
+            .or_insert((frame, NIL));
     }
 
     /// Removes the mapping for a pseudo-virtual page and drops any cached
     /// translation.
     pub fn unmap_page(&mut self, pv_page: u64) {
-        self.map.remove(&pv_page);
-        self.evict(pv_page);
+        if let Some((_, s)) = self.map.remove(&pv_page) {
+            if s != NIL {
+                self.evict(s);
+            }
+        }
     }
 
     /// Number of installed page mappings.
@@ -246,7 +247,7 @@ impl PgTbl {
     pub fn resolve(&self, pv: PvAddr) -> Option<MAddr> {
         self.map
             .get(&(pv.raw() >> PAGE_SHIFT))
-            .map(|frame| frame.add(pv.page_offset()))
+            .map(|(frame, _)| frame.add(pv.page_offset()))
     }
 
     /// Translates a pseudo-virtual address; returns the DRAM address and
@@ -270,28 +271,35 @@ impl PgTbl {
         // entry. The parity check detects it at use; the entry is
         // discarded and reloaded below from the memory-resident table
         // (the authoritative copy), charging the walk as recovery.
-        let mut reloading_corrupt_entry = false;
-        if let Some(f) = &mut self.faults {
-            if f.corrupts(now) && self.index.contains_key(&pv_page) {
-                f.note_corruption();
-                reloading_corrupt_entry = true;
-            }
-        }
-        if reloading_corrupt_entry {
-            self.evict(pv_page);
-        }
-
-        if let Some(&s) = self.index.get(&pv_page) {
-            self.stats.tlb_hits += 1;
-            if s != self.mru {
-                self.unlink(s);
-                self.push_mru(s);
-            }
-            return Ok((self.tlb[s as usize].frame.add(pv.page_offset()), now));
-        }
-
-        let Some(&frame) = self.map.get(&pv_page) else {
+        let corrupts = self.faults.as_mut().is_some_and(|f| f.corrupts(now));
+        let Some(entry) = self.map.get_mut(&pv_page) else {
             return Err(McError::PvUnmapped(pv_page));
+        };
+        let (frame, resident) = *entry;
+        if resident != NIL && !corrupts {
+            self.stats.tlb_hits += 1;
+            if resident != self.mru {
+                self.unlink(resident);
+                self.push_mru(resident);
+            }
+            return Ok((frame.add(pv.page_offset()), now));
+        }
+        let reloading_corrupt_entry = resident != NIL;
+        let s = if reloading_corrupt_entry {
+            if let Some(f) = &mut self.faults {
+                f.note_corruption();
+            }
+            resident
+        } else {
+            // Claim the slot the page will fill: the next free one, or
+            // the LRU victim's when the TLB is full (≥ 1 entry).
+            entry.1 = if self.tlb.len() < self.cfg.tlb_entries {
+                // `tlb_entries` is clamped to `NIL`, so the index fits.
+                self.tlb.len() as u32
+            } else {
+                self.lru
+            };
+            entry.1
         };
 
         // TLB miss: read the memory-resident table entry.
@@ -306,25 +314,26 @@ impl PgTbl {
                 f.note_reload(ready - now);
             }
         }
-        self.install(pv_page, frame);
+        self.fill(s, pv_page);
         Ok((frame.add(pv.page_offset()), ready))
     }
 
     /// Drops all cached translations (mappings stay installed).
     pub fn flush_tlb(&mut self) {
+        for e in &self.tlb {
+            self.map.get_mut(&e.page).expect("TLB pages are mapped").1 = NIL;
+        }
         self.tlb.clear();
-        self.index.clear();
         self.mru = NIL;
         self.lru = NIL;
     }
 
     /// Serializes installed mappings (sorted by page for determinism),
     /// the on-chip TLB's pages from most to least recently used,
-    /// statistics, and any fault-injector dynamic state. Cached frames
-    /// are not written: they always equal the installed mapping.
+    /// statistics, and any fault-injector dynamic state.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_PGTBL);
-        let mut pages: Vec<(u64, u64)> = self.map.iter().map(|(&p, m)| (p, m.raw())).collect();
+        let mut pages: Vec<(u64, u64)> = self.map.iter().map(|(&p, m)| (p, m.0.raw())).collect();
         pages.sort_unstable();
         w.usize(pages.len());
         for (p, m) in pages {
@@ -352,11 +361,14 @@ impl PgTbl {
     pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(TAG_PGTBL)?;
         let n = r.usize()?;
+        self.tlb.clear();
+        self.mru = NIL;
+        self.lru = NIL;
         self.map.clear();
         for _ in 0..n {
             let p = r.u64()?;
             let m = r.u64()?;
-            self.map.insert(p, MAddr::new(m));
+            self.map.insert(p, (MAddr::new(m), NIL));
         }
         let tlb_len = r.usize()?;
         if tlb_len > self.cfg.tlb_entries {
@@ -366,17 +378,18 @@ impl PgTbl {
         for _ in 0..tlb_len {
             recency.push(r.u64()?);
         }
-        self.flush_tlb();
-        // Installing from least to most recently used rebuilds the saved
+        // Filling from least to most recently used rebuilds the saved
         // recency order.
         for &page in recency.iter().rev() {
-            let Some(&frame) = self.map.get(&page) else {
-                return Err(SnapError::Geometry("MC-TLB entry without a mapping"));
-            };
-            if self.index.contains_key(&page) {
-                return Err(SnapError::Geometry("duplicate MC-TLB entry"));
+            let s = self.tlb.len() as u32;
+            match self.map.get_mut(&page) {
+                None => return Err(SnapError::Geometry("MC-TLB entry without a mapping")),
+                Some((_, slot)) if *slot != NIL => {
+                    return Err(SnapError::Geometry("duplicate MC-TLB entry"))
+                }
+                Some((_, slot)) => *slot = s,
             }
-            self.install(page, frame);
+            self.fill(s, page);
         }
         self.stats.lookups = r.u64()?;
         self.stats.tlb_hits = r.u64()?;
@@ -613,6 +626,7 @@ mod tests {
         pt.snap_save(&mut w);
         let bytes = w.finish();
         let mut fresh = PgTbl::new(pt.cfg);
+        fresh.faults = pt.faults.clone();
         let mut r = SnapReader::new(&bytes);
         fresh.snap_load(&mut r).expect("load");
         r.finish().expect("fully consumed");
@@ -622,11 +636,20 @@ mod tests {
     #[test]
     fn lru_matches_a_linear_scan_reference() {
         // Seeded random translate / remap / unmap / flush / snapshot
-        // sequences over more pages than the TLB holds: every hit or
-        // walk, and every returned frame, must match the reference.
+        // sequences over more pages than the TLB holds, with and without
+        // corrupted entries: every hit or walk, and every returned frame,
+        // must match the reference. A corrupted entry is reloaded by a
+        // walk but keeps the recency of a hit.
+        use impulse_fault::{FaultPlan, PgTblInjector, Trigger};
         const PAGES: u64 = 96;
-        for cap in [1usize, 2, 3, 8, 64] {
+        for (cap, faulty) in [1usize, 2, 3, 8, 64]
+            .into_iter()
+            .flat_map(|c| [(c, false), (c, true)])
+        {
             let mut pt = PgTbl::new(cfg(cap));
+            if faulty {
+                pt.set_fault_injector(PgTblInjector::new(FaultPlan::new(Trigger::Permille(50), 3)));
+            }
             let mut dram = Dram::new(DramConfig::default());
             let mut reference = ScanLru {
                 cap,
@@ -657,10 +680,17 @@ mod tests {
                     _ => {
                         let pv = PvAddr::new(page * PAGE_SIZE + (x >> 52));
                         let walks = pt.stats().walks;
+                        let corruptions = pt.fault_stats().corruptions;
                         let (m, _) = pt.translate(pv, &mut dram, step).unwrap();
                         assert_eq!(Some(m), pt.resolve(pv), "cap {cap} step {step}");
                         let hit = reference.touch(page);
-                        assert_eq!(pt.stats().walks == walks, hit, "cap {cap} step {step}");
+                        let corrupted = pt.fault_stats().corruptions != corruptions;
+                        assert!(hit || !corrupted, "cap {cap} step {step}");
+                        assert_eq!(
+                            pt.stats().walks == walks,
+                            hit && !corrupted,
+                            "cap {cap} step {step}"
+                        );
                     }
                 }
             }

@@ -32,6 +32,7 @@ impl Default for Histogram {
 }
 
 /// Bucket index for a sample: 0 for 0, otherwise `64 - leading_zeros`.
+#[inline]
 fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
@@ -60,6 +61,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;

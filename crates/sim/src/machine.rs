@@ -27,7 +27,11 @@ use crate::trace::{TraceEvent, Tracer};
 /// Entries in the simulator's internal translation memo (not an
 /// architectural structure — the architectural TLB lives in the memory
 /// system; this only avoids HashMap lookups on the simulator hot path).
-const XLAT_SLOTS: usize = 16;
+/// Direct-mapped, so it is sized to cover the 120-entry TLB's reach with
+/// room to spare: SMVP alone keeps ~40 pages live, which thrash a 16-slot
+/// memo, and every memo miss pays the kernel's page-table lookup. 256
+/// slots cost 4 KB.
+const XLAT_SLOTS: usize = 256;
 
 /// Snapshot section tag for [`Machine`] (`"MACH"`).
 const TAG_MACH: u32 = 0x4D41_4348;

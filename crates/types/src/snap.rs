@@ -47,8 +47,12 @@ use std::fmt;
 /// Magic bytes at the head of every snapshot image.
 pub const MAGIC: &[u8; 15] = b"impulse-snap-v1";
 
-/// Current snapshot format version.
-pub const VERSION: u32 = 1;
+/// Current snapshot format version. Bump it whenever any section's layout
+/// changes, so an image from an older build fails with
+/// [`SnapError::BadVersion`] instead of misparsing inside a section.
+/// Version 2: the `PGTB` section stores the MC-TLB as a recency-ordered
+/// page list (version 1 stored per-entry stamps and a front cache).
+pub const VERSION: u32 = 2;
 
 /// Everything that can go wrong while decoding a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -396,6 +400,11 @@ mod tests {
             open(&bad_version, 7),
             Err(SnapError::BadVersion(_))
         ));
+
+        // An image from a build with the version-1 `PGTB` layout.
+        let mut v1 = img.clone();
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(open(&v1, 7), Err(SnapError::BadVersion(1)));
 
         let mut flipped = img.clone();
         let body = MAGIC.len() + 4 + 8 + 8;
