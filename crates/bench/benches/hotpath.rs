@@ -1,6 +1,7 @@
 //! Regression guards for the simulator's host-side hot paths: the three
 //! translate layers (OS page table, CPU TLB index, controller PgTbl and
-//! its on-chip TLB) and the shadow-line gather's segment/merge pipeline.
+//! its on-chip TLB), the DRAM access, and the shadow-line gather's
+//! segment/translate/merge pipeline.
 //! These are the paths that run once (or more) per simulated access, so
 //! a regression here slows every experiment in the suite.
 
@@ -12,7 +13,7 @@ use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn};
 use impulse_dram::{Dram, DramConfig};
 use impulse_os::AddressSpace;
 use impulse_types::geom::PAGE_SIZE;
-use impulse_types::{MAddr, PAddr, PvAddr, VAddr};
+use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr};
 
 fn bench_pgtbl_translate() {
     let mut g = Group::new("pgtbl");
@@ -89,6 +90,28 @@ fn bench_os_vm() {
     });
 }
 
+fn bench_dram() {
+    let mut g = Group::new("dram");
+    // Three of four accesses walk on through the open row; the fourth
+    // jumps to a pseudo-random row and bank — the hit/miss mix of a
+    // gather's element reads over the default 4 banks × 2 KB rows.
+    let mut dram = Dram::new(DramConfig::default());
+    let (mut i, mut x, mut addr, mut now) = (0u64, 1u64, 0u64, 0u64);
+    g.bench("access_row_mix", || {
+        i = i.wrapping_add(1);
+        if i & 3 == 0 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            addr = (x >> 40) & !7;
+        } else {
+            addr = (addr + 64) & ((1 << 24) - 1);
+        }
+        now = dram.access(MAddr::new(addr), AccessKind::Load, 8, now);
+        now
+    });
+}
+
 fn bench_gather_merge() {
     let mut g = Group::new("gather");
     // Byte-granularity strided gather: 128 segments per shadow line, all
@@ -111,11 +134,34 @@ fn bench_gather_merge() {
         now = mc.read_line(p, now + 100);
         black_box(now)
     });
+
+    // A matrix column packed into shadow lines: 8-byte elements one
+    // 4 KB row apart, so each of a line's 16 elements sits on its own
+    // page. Lines cycle over 1024 pages, and every translation misses
+    // the 64-entry MC-TLB, as in the transposes.
+    let dram = Dram::new(DramConfig::default());
+    let mut mc = MemController::new(dram, McConfig::default());
+    let shadow = mc.shadow_base();
+    let region = impulse_types::PRange::new(shadow, 1 << 20);
+    mc.claim_descriptor(region, RemapFn::strided(PvAddr::new(0), 8, PAGE_SIZE))
+        .unwrap();
+    for page in 0..1024 {
+        mc.map_page(page, MAddr::new(page << 12));
+    }
+    let mut now = 0u64;
+    let mut line = 0u64;
+    g.bench("strided_column_line", || {
+        let p = PAddr::new(shadow.raw() + (line % 64) * 128);
+        line += 1;
+        now = mc.read_line(p, now + 100);
+        black_box(now)
+    });
 }
 
 fn main() {
     bench_pgtbl_translate();
     bench_cpu_tlb();
     bench_os_vm();
+    bench_dram();
     bench_gather_merge();
 }

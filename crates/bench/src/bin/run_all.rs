@@ -27,14 +27,10 @@
 //! and the demand-cycle attribution table whose stage totals sum to each
 //! epoch's demand-access cycles.
 //!
-//! `profile=1` turns on the host self-profiler for every experiment:
-//! each job's thread measures its component spans (`mc.translate`,
-//! `mc.gather`, `mc.prefetch`, `dram.access`) and the merged aggregates
-//! land in the BENCH record, so "where does host time go" is answered
-//! next to "how long did it take". Every run also appends one fsync'd
-//! rollup line (`impulse-bench-history-v2`, with the git revision and
-//! seed) to `BENCH_history.jsonl` (`history=<path>`) — the committed
-//! PR-over-PR perf trajectory.
+//! Every run also appends one fsync'd rollup line
+//! (`impulse-bench-history-v2`, with the git revision and seed) to
+//! `BENCH_history.jsonl` (`history=<path>`) — the committed PR-over-PR
+//! perf trajectory.
 //!
 //! `tier=flat|cache` re-organises every experiment's memory system
 //! under the given hybrid DRAM/SCM tier policy before it runs — the
@@ -56,13 +52,13 @@ use impulse_bench::experiments::{
     catalog_entries, csv_from_outcomes, document_from_outcomes, report_artifacts, DEFAULT_SEED,
 };
 use impulse_bench::journal;
-use impulse_bench::runner::{self, CommonArgs, SharedJob};
-use impulse_obs::{prof, Json};
+use impulse_bench::runner::{CommonArgs, SharedJob};
+use impulse_obs::Json;
 use impulse_sim::{Machine, Report};
 
 const USAGE: &str = "usage: run_all [out=results.csv] [json=results/run_all.json] \
 [bench=BENCH_run_all.json] [history=BENCH_history.jsonl] [journal=results/journal.jsonl] \
-[jobs=N] [seed=N] [tier=none|flat|cache] [profile=0|1] [watchdog_ms=N] [max_retries=K] \
+[jobs=N] [seed=N] [tier=none|flat|cache] [watchdog_ms=N] [max_retries=K] \
 [--resume]";
 
 fn main() -> ExitCode {
@@ -87,22 +83,11 @@ fn main() -> ExitCode {
     let resume = args.iter().any(|a| a == "--resume");
 
     let (jobs, seed, opts, tier) = (common.jobs, common.seed, common.supervise, common.tier);
-    let profile = match runner::u64_from_args(&args, "profile", 0) {
-        Ok(v) => v != 0,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
 
     // Wrap each job to record its wall time as it runs; resumed
     // (journal-reused) experiments never execute, so they are absent
-    // from the BENCH record by construction. With `profile=1` each job's
-    // thread also runs the component self-profiler, and the per-label
-    // span aggregates merge into one map across all workers.
+    // from the BENCH record by construction.
     let timings: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    type SpanMap = std::collections::BTreeMap<&'static str, (u64, u64, u64)>;
-    let spans: Arc<Mutex<SpanMap>> = Arc::new(Mutex::new(SpanMap::new()));
 
     // `tier=` re-organises every entry's memory system before it runs —
     // the whole catalog under one hybrid-tier policy (the grid's tier
@@ -114,25 +99,12 @@ fn main() -> ExitCode {
             let id = entry.name().to_string();
             let entry = Arc::new(entry.with_tier(tier));
             let timings = timings.clone();
-            let spans = spans.clone();
             let job: SharedJob<Report> = Arc::new(move || {
-                if profile {
-                    prof::enable();
-                }
                 let t0 = Instant::now();
                 let mut m = Machine::new(entry.config());
                 entry.drive(&mut m);
                 let r = m.report(entry.name().to_string());
                 let wall = t0.elapsed().as_nanos() as u64;
-                if profile {
-                    let mut merged = spans.lock().expect("spans lock");
-                    for t in prof::take() {
-                        let e = merged.entry(t.label).or_insert((0, 0, 0));
-                        e.0 += t.count;
-                        e.1 = e.1.saturating_add(t.total_ns);
-                        e.2 = e.2.max(t.max_ns);
-                    }
-                }
                 timings
                     .lock()
                     .expect("timings lock")
@@ -214,25 +186,6 @@ fn main() -> ExitCode {
                 .collect(),
         ),
     );
-    if profile {
-        let merged = spans.lock().expect("spans lock");
-        bench.set(
-            "profile",
-            Json::Arr(
-                merged
-                    .iter()
-                    .map(|(label, &(count, total_ns, max_ns))| {
-                        let mut s = Json::obj();
-                        s.set("span", Json::Str((*label).to_string()));
-                        s.set("count", Json::UInt(count));
-                        s.set("total_ns", Json::UInt(total_ns));
-                        s.set("max_ns", Json::UInt(max_ns));
-                        s
-                    })
-                    .collect(),
-            ),
-        );
-    }
     let mut bf = std::fs::File::create(&bench_path).expect("create bench record");
     writeln!(bf, "{bench:#}").expect("write bench record");
 

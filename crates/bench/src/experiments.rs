@@ -393,9 +393,15 @@ pub fn catalog_entries(seed: u64) -> Vec<CatalogEntry> {
             .with_prefetch(true, false)
             .with_tier(TierPolicy::Cache),
         move |m| {
-            let w =
-                DbScan::setup(m, 1 << 18, 64, 1 << 16, seed ^ 0xdb, DbVariant::ImpulseGather)
-                    .expect("db");
+            let w = DbScan::setup(
+                m,
+                1 << 18,
+                64,
+                1 << 16,
+                seed ^ 0xdb,
+                DbVariant::ImpulseGather,
+            )
+            .expect("db");
             m.reset_stats();
             w.fetch(m);
         },

@@ -215,7 +215,11 @@ pub fn tier_from_args(args: &[String]) -> Result<impulse_types::TierPolicy, ArgE
         .iter()
         .rev()
         .find_map(|a| a.strip_prefix("tier="))
-        .or_else(|| args.iter().rev().find_map(|a| a.strip_prefix("tier_policy=")));
+        .or_else(|| {
+            args.iter()
+                .rev()
+                .find_map(|a| a.strip_prefix("tier_policy="))
+        });
     match value {
         None => Ok(impulse_types::TierPolicy::None),
         Some(v) => impulse_types::TierPolicy::parse(v).ok_or_else(|| ArgError::UnknownTier {

@@ -193,14 +193,20 @@ mod tests {
     #[test]
     fn chaos_hooks_are_invisible_unless_enabled() {
         let plain = CatalogBackend::new();
-        assert_eq!(plain.config_digest("__chaos/flaky", 1, TierPolicy::None), None);
+        assert_eq!(
+            plain.config_digest("__chaos/flaky", 1, TierPolicy::None),
+            None
+        );
         assert_eq!(plain.names().len(), 28);
         let chaotic = CatalogBackend::with_chaos_hooks();
         assert!(chaotic
             .config_digest("__chaos/flaky", 1, TierPolicy::None)
             .is_some());
         assert_eq!(chaotic.names().len(), 31);
-        assert_eq!(chaotic.config_digest("__chaos/bogus", 1, TierPolicy::None), None);
+        assert_eq!(
+            chaotic.config_digest("__chaos/bogus", 1, TierPolicy::None),
+            None
+        );
     }
 
     #[test]

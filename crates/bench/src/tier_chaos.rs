@@ -177,7 +177,12 @@ fn small_dram_cfg() -> DramConfig {
 }
 
 /// A cache-mode engine over a 1 MB SCM with the given wear budget.
-fn cache_engine(seed: u64, wear_limit: u32, spare_lines: u64, faults: FaultConfig) -> (TierEngine, Dram) {
+fn cache_engine(
+    seed: u64,
+    wear_limit: u32,
+    spare_lines: u64,
+    faults: FaultConfig,
+) -> (TierEngine, Dram) {
     let dcfg = small_dram_cfg();
     let cfg = TierConfig {
         policy: TierPolicy::Cache,
@@ -252,7 +257,14 @@ pub fn run_cold_gather_storm(seed: u64) -> TierOutcome {
     // The cache is untouched: demand traffic still misses-then-hits.
     for (i, expect_hit) in [(0u64, false), (0u64, true)] {
         accesses += 1;
-        match eng.access(&mut dram, MAddr::new(i * LINE), AccessKind::Load, LINE, t, false) {
+        match eng.access(
+            &mut dram,
+            MAddr::new(i * LINE),
+            AccessKind::Load,
+            LINE,
+            t,
+            false,
+        ) {
             Ok(done) => t = done + 1,
             Err(e) => violations.push(format!("cold-gather-storm: demand load failed: {e:?}")),
         }
@@ -262,7 +274,14 @@ pub fn run_cold_gather_storm(seed: u64) -> TierOutcome {
         }
     }
 
-    collect(TierScenario::ColdGatherStorm, &eng, t, accesses, 0, violations)
+    collect(
+        TierScenario::ColdGatherStorm,
+        &eng,
+        t,
+        accesses,
+        0,
+        violations,
+    )
 }
 
 /// Scatter churn under a tiny wear budget (2 writes per line, 4
@@ -273,12 +292,7 @@ pub fn run_cold_gather_storm(seed: u64) -> TierOutcome {
 /// demand path as an error with a frozen message, on the writeback path
 /// as a counted lost dirty line. Nothing is silent, nothing hangs.
 pub fn run_wear_out_scatter_churn(seed: u64) -> TierOutcome {
-    let (mut eng, mut dram) = cache_engine(
-        seed,
-        2,
-        4,
-        FaultConfig::none(),
-    );
+    let (mut eng, mut dram) = cache_engine(seed, 2, 4, FaultConfig::none());
     let mut violations = Vec::new();
     let mut typed = 0u64;
     let mut accesses = 0u64;
@@ -290,7 +304,14 @@ pub fn run_wear_out_scatter_churn(seed: u64) -> TierOutcome {
         // dirty victim and writes it back to SCM.
         let line = (i % 3) * sets;
         accesses += 1;
-        match eng.access(&mut dram, MAddr::new(line * LINE), AccessKind::Store, LINE, t, false) {
+        match eng.access(
+            &mut dram,
+            MAddr::new(line * LINE),
+            AccessKind::Store,
+            LINE,
+            t,
+            false,
+        ) {
             Ok(done) => t = done,
             Err(McError::LineRetired { line: dead }) => {
                 typed += 1;
@@ -358,8 +379,14 @@ pub fn run_tag_corruption(seed: u64) -> TierOutcome {
         for line in 0..32u64 {
             accesses += 1;
             let _ = pass;
-            match eng.access(&mut dram, MAddr::new(line * LINE), AccessKind::Store, LINE, t, false)
-            {
+            match eng.access(
+                &mut dram,
+                MAddr::new(line * LINE),
+                AccessKind::Store,
+                LINE,
+                t,
+                false,
+            ) {
                 Ok(done) => t = done,
                 Err(e) => {
                     violations.push(format!("tag-corruption: store failed: {e:?}"));
@@ -383,7 +410,14 @@ pub fn run_tag_corruption(seed: u64) -> TierOutcome {
         violations.push("tag-corruption: corrupted sets were not refetched from SCM".into());
     }
 
-    collect(TierScenario::TagCorruption, &eng, t, accesses, 0, violations)
+    collect(
+        TierScenario::TagCorruption,
+        &eng,
+        t,
+        accesses,
+        0,
+        violations,
+    )
 }
 
 /// The tier-fail trigger fires mid-gather. Flat mode: the batch aborts
@@ -408,7 +442,12 @@ pub fn run_channel_kill_mid_gather(seed: u64) -> TierOutcome {
     let mut saw_reject = false;
     for batch in 0..32u64 {
         let reqs: Vec<(MAddr, u64)> = (0..16u64)
-            .map(|i| (MAddr::new(((batch * 16 + i) * dcfg.row_bytes) % (1 << 16)), 32))
+            .map(|i| {
+                (
+                    MAddr::new(((batch * 16 + i) * dcfg.row_bytes) % (1 << 16)),
+                    32,
+                )
+            })
             .collect();
         accesses += reqs.len() as u64;
         match flat.run_batch(&mut dram, &reqs, AccessKind::Load, t) {
@@ -436,7 +475,14 @@ pub fn run_channel_kill_mid_gather(seed: u64) -> TierOutcome {
     }
     // The SCM partition is unaffected by dead DRAM channels.
     accesses += 1;
-    if let Err(e) = flat.access(&mut dram, MAddr::new(1 << 16), AccessKind::Load, LINE, t, false) {
+    if let Err(e) = flat.access(
+        &mut dram,
+        MAddr::new(1 << 16),
+        AccessKind::Load,
+        LINE,
+        t,
+        false,
+    ) {
         violations.push(format!(
             "channel-kill-mid-gather: SCM partition died with the DRAM channel: {e:?}"
         ));
@@ -446,8 +492,9 @@ pub fn run_channel_kill_mid_gather(seed: u64) -> TierOutcome {
     let (mut eng, mut dram) = cache_engine(seed, 1 << 20, 64, faults);
     let mut tc = 0;
     for batch in 0..8u64 {
-        let reqs: Vec<(MAddr, u64)> =
-            (0..16u64).map(|i| (MAddr::new((batch * 16 + i) * LINE), 32)).collect();
+        let reqs: Vec<(MAddr, u64)> = (0..16u64)
+            .map(|i| (MAddr::new((batch * 16 + i) * LINE), 32))
+            .collect();
         accesses += reqs.len() as u64;
         match eng.run_batch(&mut dram, &reqs, AccessKind::Load, tc) {
             Ok(done) => tc = done,
@@ -483,7 +530,10 @@ pub fn run_degraded_snapshot_restore(seed: u64) -> TierOutcome {
     let faults = FaultConfig {
         seed,
         scm_flip: Trigger::EveryN { every: 5, phase: 0 },
-        tier_fail: Trigger::EveryN { every: 64, phase: 0 },
+        tier_fail: Trigger::EveryN {
+            every: 64,
+            phase: 0,
+        },
         ..FaultConfig::none()
     };
     let cfg = SystemConfig::paint_small()
@@ -508,7 +558,12 @@ pub fn run_degraded_snapshot_restore(seed: u64) -> TierOutcome {
     }
     let tier_probe = |mm: &Machine| {
         let eng = mm.memory().mc().tier().expect("tier attached");
-        (eng.stats(), eng.scm_stats(), eng.fault_stats(), eng.scm_ecc_stats().corrected)
+        (
+            eng.stats(),
+            eng.scm_stats(),
+            eng.fault_stats(),
+            eng.scm_ecc_stats().corrected,
+        )
     };
     let (_, _, f, corrected) = tier_probe(&m);
     if f.channel_kills == 0 {
@@ -709,9 +764,14 @@ pub fn run_bypass_mode_parity(seed: u64) -> TierOutcome {
         for line in 0..64u64 {
             let _ = pass;
             accesses += 2;
-            if let Err(e) =
-                eng.access(&mut dram, MAddr::new(line * LINE), AccessKind::Load, LINE, t, false)
-            {
+            if let Err(e) = eng.access(
+                &mut dram,
+                MAddr::new(line * LINE),
+                AccessKind::Load,
+                LINE,
+                t,
+                false,
+            ) {
                 violations.push(format!("bypass-mode-parity: bypass load failed: {e:?}"));
             }
             t += 1;
@@ -746,7 +806,14 @@ pub fn run_bypass_mode_parity(seed: u64) -> TierOutcome {
         ));
     }
 
-    collect(TierScenario::BypassModeParity, &eng, t + ft, accesses, 0, violations)
+    collect(
+        TierScenario::BypassModeParity,
+        &eng,
+        t + ft,
+        accesses,
+        0,
+        violations,
+    )
 }
 
 /// Runs one scenario under `seed`.

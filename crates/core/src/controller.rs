@@ -17,8 +17,8 @@ use core::fmt;
 
 use impulse_dram::{Dram, SchedulePolicy, Scheduler};
 use impulse_fault::{EccConfig, EccStats, FaultConfig};
-use impulse_obs::{prof, Histogram, HotSketch, Json, MetricsRegistry, Observe, SketchConfig};
-use impulse_types::geom::PAGE_SIZE;
+use impulse_obs::{Histogram, HotSketch, Json, MetricsRegistry, Observe, SketchConfig};
+use impulse_types::geom::{is_pow2, round_down, PAGE_SIZE};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange};
 
@@ -229,7 +229,6 @@ pub struct MemController {
     shadow_base: u64,
     stats: McStats,
     seg_scratch: Vec<Segment>,
-    req_scratch: Vec<(MAddr, u64)>,
     merge_scratch: Vec<(MAddr, u64)>,
     lat_direct: Histogram,
     lat_pf_hit: Histogram,
@@ -286,7 +285,23 @@ fn tier_route(
 impl MemController {
     /// Builds a controller in front of `dram`. Shadow space is every bus
     /// address at or above the installed DRAM capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size, burst (coalescing) granule and
+    /// indirection-vector block size are powers of two: the controller
+    /// aligns addresses to them with masks.
     pub fn new(dram: Dram, cfg: McConfig) -> Self {
+        for (what, v) in [
+            ("line size", cfg.line_bytes),
+            ("coalescing granule", cfg.coalesce_bytes),
+            ("vector block size", cfg.vector_block_bytes),
+        ] {
+            assert!(
+                is_pow2(v),
+                "controller {what} must be a power of two (got {v})"
+            );
+        }
         let shadow_base = dram.config().capacity;
         // Keep the memory-resident page table inside installed DRAM even
         // when simulating small memories.
@@ -303,7 +318,6 @@ impl MemController {
             shadow_base,
             stats: McStats::default(),
             seg_scratch: Vec::with_capacity(32),
-            req_scratch: Vec::with_capacity(32),
             merge_scratch: Vec::with_capacity(32),
             lat_direct: Histogram::new(),
             lat_pf_hit: Histogram::new(),
@@ -346,7 +360,10 @@ impl MemController {
 
     /// Tier engine counters (zeros on a single-tier machine).
     pub fn tier_stats(&self) -> TierStats {
-        self.tier.as_deref().map(TierEngine::stats).unwrap_or_default()
+        self.tier
+            .as_deref()
+            .map(TierEngine::stats)
+            .unwrap_or_default()
     }
 
     /// Tier fault counters (zeros when no tier or no tier faults).
@@ -374,7 +391,7 @@ impl MemController {
             f.record(at, addr, class, desc);
         }
         if let Some(h) = self.hot.as_deref_mut() {
-            h.observe(addr - addr % self.cfg.line_bytes);
+            h.observe(round_down(addr, self.cfg.line_bytes));
         }
     }
 
@@ -805,7 +822,6 @@ impl MemController {
     /// One-block-lookahead prefetch into the 2 KB SRAM. Speculative:
     /// silently abandoned when the tier rejects the access.
     fn obl_prefetch(&mut self, line: PAddr, start: Cycle) {
-        let _span = prof::span("mc.prefetch");
         if line.raw() + self.cfg.line_bytes > self.shadow_base {
             return; // next line is not backed by visible memory
         }
@@ -894,7 +910,6 @@ impl MemController {
     /// pseudo-virtual pages are not all mapped (e.g. the color-excluded
     /// holes of a recolored region).
     fn shadow_prefetch(&mut self, idx: usize, line: PAddr, start: Cycle) {
-        let _span = prof::span("mc.prefetch");
         let Some(desc) = self.descs.get(idx).and_then(Option::as_ref) else {
             return;
         };
@@ -952,14 +967,12 @@ impl MemController {
         kind: AccessKind,
         t0: Cycle,
     ) -> Result<(Cycle, McBreakdown), McError> {
-        let _span = prof::span("mc.gather");
         let Self {
             descs,
             pgtbl,
             dram,
             sched,
             seg_scratch,
-            req_scratch,
             merge_scratch,
             cfg,
             ecc,
@@ -999,8 +1012,15 @@ impl MemController {
         // 2. AddrCalc: expand the shadow line into pseudo-virtual segments.
         desc.remap().segments(soff, len, seg_scratch);
 
-        // 3. PgTbl: translate, splitting segments at page boundaries.
-        req_scratch.clear();
+        // 3. PgTbl: translate each segment, split at page boundaries,
+        // and coalesce in the same pass: consecutive pieces landing in
+        // the same aligned DRAM burst are one access (the DRAM returns
+        // whole bursts anyway; the descriptor extracts the useful
+        // bytes). The issue list is a reused scratch field: gathers run
+        // once per shadow line, and a fresh allocation here dominated
+        // the profile.
+        let granule = cfg.coalesce_bytes;
+        merge_scratch.clear();
         for seg in seg_scratch.iter() {
             let mut pv = seg.pv;
             let mut remaining = seg.bytes;
@@ -1009,29 +1029,16 @@ impl MemController {
                 let (m, ready) = pgtbl.translate(pv, dram, t)?;
                 bd.pgtbl += ready.max(t) - t;
                 t = t.max(ready);
-                req_scratch.push((m, take));
+                match merge_scratch.last_mut() {
+                    Some(last) if m.align_down(granule) == last.0.align_down(granule) => {
+                        let end = (m.raw() + take).max(last.0.raw() + last.1);
+                        last.1 = end - last.0.raw();
+                    }
+                    _ => merge_scratch.push((m, take)),
+                }
                 pv = pv.add(take);
                 remaining -= take;
             }
-        }
-
-        // 3.5 Burst coalescing: consecutive requests landing in the same
-        // aligned DRAM burst are one access (the DRAM returns whole
-        // bursts anyway; the descriptor extracts the useful bytes). The
-        // merge buffer is a reused scratch field: gathers run once per
-        // shadow line, and a fresh allocation here dominated the profile.
-        let granule = cfg.coalesce_bytes;
-        merge_scratch.clear();
-        for &(addr, bytes) in req_scratch.iter() {
-            if let Some(last) = merge_scratch.last_mut() {
-                let block = last.0.align_down(granule);
-                if addr.raw() >= block.raw() && addr.raw() < block.raw() + granule {
-                    let end = (addr.raw() + bytes).max(last.0.raw() + last.1);
-                    last.1 = end - last.0.raw();
-                    continue;
-                }
-            }
-            merge_scratch.push((addr, bytes));
         }
 
         // 4. Issue the batch: through the DRAM scheduler on a
@@ -1228,6 +1235,18 @@ mod tests {
         for i in 0..pages {
             mcc.map_page((pv_base >> 12) + i, MAddr::new(frame_base + i * PAGE_SIZE));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "controller coalescing granule must be a power of two")]
+    fn non_pow2_controller_geometry_rejected() {
+        let _ = MemController::new(
+            small_dram(),
+            McConfig {
+                coalesce_bytes: 48,
+                ..McConfig::default()
+            },
+        );
     }
 
     #[test]

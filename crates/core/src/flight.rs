@@ -33,6 +33,8 @@
 //! bench suite over the full experiment catalog — so a capture's
 //! [`digest`] identifies its event stream across processes and `jobs=N`.
 
+use impulse_dram::BankMap;
+use impulse_types::geom::is_pow2;
 use impulse_types::snap::fnv64;
 use impulse_types::varint;
 use impulse_types::Cycle;
@@ -107,15 +109,25 @@ pub struct FlightGeom {
 }
 
 impl FlightGeom {
-    /// The bank a line address maps to (same interleave as the DRAM
-    /// model: consecutive rows rotate across banks).
+    /// The bank a line address maps to (the DRAM model's own
+    /// [`BankMap`] split: consecutive rows rotate across banks).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `banks` and `row_bytes` are powers of two, as they
+    /// are in every geometry a controller records or
+    /// [`EventCursor::new`] accepts.
     pub fn bank_of(&self, addr: u64) -> u64 {
-        (addr / self.row_bytes) % self.banks
+        BankMap::new(self.banks, self.row_bytes).bank_of(addr)
     }
 
     /// The in-bank row a line address maps to.
+    ///
+    /// # Panics
+    ///
+    /// As for [`FlightGeom::bank_of`].
     pub fn row_of(&self, addr: u64) -> u64 {
-        (addr / self.row_bytes) / self.banks
+        BankMap::new(self.banks, self.row_bytes).row_of(addr)
     }
 }
 
@@ -157,7 +169,8 @@ pub enum TraceError {
     Truncated,
     /// A varint carried more payload bits than a `u64` can hold.
     OverlongVarint,
-    /// A geometry field was zero (captures always record real geometry).
+    /// A geometry field was zero or not a power of two (captures always
+    /// record a real controller's geometry).
     BadGeometry,
     /// An event carried an undefined hit-class nibble.
     BadClass(u8),
@@ -180,7 +193,9 @@ impl std::fmt::Display for TraceError {
             TraceError::BadMagic => write!(f, "not an impulse-trace-v1 capture"),
             TraceError::Truncated => write!(f, "capture is truncated"),
             TraceError::OverlongVarint => write!(f, "over-long LEB128 varint"),
-            TraceError::BadGeometry => write!(f, "capture header has zero geometry"),
+            TraceError::BadGeometry => {
+                write!(f, "capture header has zero or non-power-of-two geometry")
+            }
             TraceError::BadClass(v) => write!(f, "undefined hit class {v}"),
             TraceError::Underflow => write!(f, "delta stream underflowed"),
             TraceError::TrailingData => write!(f, "trailing bytes after final event"),
@@ -333,7 +348,8 @@ impl<'a> EventCursor<'a> {
     /// # Errors
     ///
     /// Any [`TraceError`] the header can exhibit (bad magic, truncation,
-    /// over-long varint, zero geometry); never panics.
+    /// over-long varint, zero or non-power-of-two geometry); never
+    /// panics.
     pub fn new(bytes: &'a [u8]) -> Result<Self, TraceError> {
         if bytes.len() < TRACE_MAGIC.len() || &bytes[..TRACE_MAGIC.len()] != TRACE_MAGIC {
             return Err(TraceError::BadMagic);
@@ -342,7 +358,7 @@ impl<'a> EventCursor<'a> {
         let line_bytes = get_varint(bytes, &mut pos)?;
         let banks = get_varint(bytes, &mut pos)?;
         let row_bytes = get_varint(bytes, &mut pos)?;
-        if line_bytes == 0 || banks == 0 || row_bytes == 0 {
+        if !(is_pow2(line_bytes) && is_pow2(banks) && is_pow2(row_bytes)) {
             return Err(TraceError::BadGeometry);
         }
         let recorded = get_varint(bytes, &mut pos)?;
@@ -682,6 +698,20 @@ mod tests {
         let mut zeroed = TRACE_MAGIC.to_vec();
         zeroed.extend_from_slice(&[0; 6]);
         assert_eq!(decode(&zeroed), Err(TraceError::BadGeometry));
+        // Non-power-of-two geometry is rejected with the same typed
+        // error, field by field, never a panic in the bank/row split.
+        let one_event = |geom: [u64; 3]| {
+            let mut bytes = TRACE_MAGIC.to_vec();
+            for v in geom.into_iter().chain([1, 0, 1]) {
+                put_varint(&mut bytes, v);
+            }
+            bytes.extend_from_slice(&[0x10, 2, 2]);
+            decode(&bytes)
+        };
+        assert!(one_event([128, 4, 2048]).is_ok());
+        for geom in [[96, 4, 2048], [128, 12, 2048], [128, 4, 1536]] {
+            assert_eq!(one_event(geom), Err(TraceError::BadGeometry), "{geom:?}");
+        }
         // Bad class nibble: craft one event with class 9.
         let mut fr = FlightRecorder::new(2, geom());
         fr.record(1, 0, HitClass::DirectDram, None);

@@ -58,9 +58,9 @@ pub mod remap;
 pub mod tier;
 
 pub use controller::{DescId, McBreakdown, McConfig, McError, McStats, MemController};
-pub use tier::{TierConfig, TierEngine, TierStats};
 pub use desc::{DescError, DescStats, ShadowDescriptor};
 pub use flight::{Capture, FlightEvent, FlightGeom, FlightRecorder, HitClass, TraceError};
 pub use pgtbl::{PgTbl, PgTblConfig, PgTblStats};
 pub use prefetch::{PrefetchCache, PrefetchStats};
 pub use remap::{RemapFn, Segment};
+pub use tier::{TierConfig, TierEngine, TierStats};

@@ -263,7 +263,6 @@ impl PgTbl {
         dram: &mut Dram,
         now: Cycle,
     ) -> Result<(MAddr, Cycle), McError> {
-        let _span = impulse_obs::prof::span("mc.translate");
         self.stats.lookups += 1;
         let pv_page = pv.raw() >> PAGE_SHIFT;
 

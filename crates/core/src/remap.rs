@@ -9,11 +9,18 @@
 //! * [`RemapFn::Strided`] — packs strided objects (matrix diagonals, tile
 //!   rows) into dense shadow lines. To keep the hardware divider-free, the
 //!   paper requires the strided *object size* to be a power of two; we
-//!   enforce the same restriction.
+//!   enforce the same restriction, and the AddrCalc here splits an
+//!   offset into object and byte-within-object with a shift and a mask,
+//!   as the hardware does.
 //! * [`RemapFn::Gather`] — scatter/gather through an indirection vector:
 //!   shadow element *k* maps to `pv_base + elem_size * vector[k]`. The
 //!   vector itself lives in memory and is read *by the controller*, not by
-//!   the CPU.
+//!   the CPU. The element size is a power of two too, so element index and
+//!   byte-within-element are again a shift and a mask.
+//!
+//! The shift/mask forms rely on the power-of-two sizes that
+//! [`ShadowDescriptor::new`](crate::ShadowDescriptor::new) enforces before
+//! a function can reach the access path.
 
 use std::sync::Arc;
 
@@ -182,9 +189,9 @@ impl RemapFn {
                 object_size,
                 stride,
             } => {
-                let object = soffset / object_size;
-                let within = soffset % object_size;
-                pv_base.add(object * stride + within)
+                let shift = object_size.trailing_zeros();
+                let within = soffset & (object_size - 1);
+                pv_base.add((soffset >> shift) * stride + within)
             }
             RemapFn::Gather {
                 pv_base,
@@ -192,8 +199,9 @@ impl RemapFn {
                 indices,
                 ..
             } => {
-                let elem = (soffset / elem_size) as usize;
-                let within = soffset % elem_size;
+                let shift = elem_size.trailing_zeros();
+                let elem = (soffset >> shift) as usize;
+                let within = soffset & (elem_size - 1);
                 debug_assert!(
                     elem < indices.len(),
                     "gather offset {soffset} beyond indirection vector"
@@ -201,7 +209,7 @@ impl RemapFn {
                 let Some(last) = indices.len().checked_sub(1) else {
                     return *pv_base;
                 };
-                pv_base.add(indices[elem.min(last)] * elem_size + within)
+                pv_base.add((indices[elem.min(last)] << shift) + within)
             }
         }
     }
@@ -226,14 +234,14 @@ impl RemapFn {
                 object_size,
                 stride,
             } => {
+                let shift = object_size.trailing_zeros();
                 let mut off = soffset;
                 let end = soffset + len;
                 while off < end {
-                    let object = off / object_size;
-                    let within = off % object_size;
+                    let within = off & (object_size - 1);
                     let take = (object_size - within).min(end - off);
                     out.push(Segment {
-                        pv: pv_base.add(object * stride + within),
+                        pv: pv_base.add((off >> shift) * stride + within),
                         bytes: take,
                     });
                     off += take;
@@ -248,14 +256,15 @@ impl RemapFn {
                 let Some(last) = (indices.len() as u64).checked_sub(1) else {
                     return; // empty vector: nothing addressable
                 };
+                let shift = elem_size.trailing_zeros();
                 let mut off = soffset;
                 let end = soffset + len;
                 while off < end {
-                    let elem = (off / elem_size).min(last);
-                    let within = off % elem_size;
+                    let elem = (off >> shift).min(last);
+                    let within = off & (elem_size - 1);
                     let take = (elem_size - within).min(end - off);
                     out.push(Segment {
-                        pv: pv_base.add(indices[elem as usize] * elem_size + within),
+                        pv: pv_base.add((indices[elem as usize] << shift) + within),
                         bytes: take,
                     });
                     off += take;
@@ -336,8 +345,9 @@ impl RemapFn {
                 ..
             } => {
                 let last = (indices.len() as u64).checked_sub(1)?;
-                let first_elem = (soffset / elem_size).min(last);
-                let last_elem = ((soffset + len - 1) / elem_size).min(last);
+                let shift = elem_size.trailing_zeros();
+                let first_elem = (soffset >> shift).min(last);
+                let last_elem = ((soffset + len - 1) >> shift).min(last);
                 Some(Segment {
                     pv: vec_pv_base.add(first_elem * index_bytes),
                     bytes: (last_elem - first_elem + 1) * index_bytes,
@@ -458,6 +468,49 @@ mod tests {
         assert_eq!(seg.pv, pv(0x8008));
         assert_eq!(seg.bytes, 16);
         assert!(RemapFn::direct(pv(0)).vector_segment(0, 8).is_none());
+    }
+
+    #[test]
+    fn shift_mask_addrcalc_matches_division_reference() {
+        let mut rng = impulse_fault::XorShift64::new(0x2545_F491_4F6C_DD1D);
+        let mut segs = Vec::new();
+        for size in (0..=12).map(|b| 1u64 << b) {
+            let idx: Vec<u64> = (0..64).map(|_| rng.below(4096)).collect();
+            let stride = size + rng.below(5000);
+            // The AddrCalc with divisions: object `o` of a strided map
+            // starts at `o * stride`, gather element `o` at `idx[o] * size`.
+            let gather = RemapFn::gather(pv(0x1000), size, Arc::new(idx.clone()), pv(0x8000), 4);
+            let strided = RemapFn::strided(pv(0x1000), size, stride);
+            let maps: [(RemapFn, &dyn Fn(u64) -> u64); 2] = [
+                (strided, &|o| o * stride),
+                (gather, &|o| idx[o as usize] * size),
+            ];
+            for (f, place) in &maps {
+                for _ in 0..64 {
+                    // Unaligned starts; lengths that cross objects.
+                    let soffset = rng.below(64 * size);
+                    let len = 1 + rng.below((3 * size).min(64 * size - soffset));
+                    let (mut expected, mut off) = (Vec::new(), soffset);
+                    while off < soffset + len {
+                        let take = (size - off % size).min(soffset + len - off);
+                        let at = pv(0x1000 + place(off / size) + off % size);
+                        expected.push(Segment {
+                            pv: at,
+                            bytes: take,
+                        });
+                        off += take;
+                    }
+                    f.segments(soffset, len, &mut segs);
+                    assert_eq!(segs, expected, "{f:?} @ {soffset}+{len}");
+                    assert_eq!(f.pv_of(soffset), expected[0].pv);
+                    if let Some(v) = f.vector_segment(soffset, len) {
+                        let (first, last) = (soffset / size, (soffset + len - 1) / size);
+                        let want = (pv(0x8000 + 4 * first), 4 * (last - first + 1));
+                        assert_eq!((v.pv, v.bytes), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ use std::collections::VecDeque;
 use impulse_dram::{Dram, DramConfig, Scm, ScmConfig, ScmError, ScmStats};
 use impulse_fault::{EccConfig, EccStats, FaultConfig, TierFaultStats, TierInjector};
 use impulse_obs::MetricsRegistry;
+use impulse_types::geom::{is_pow2, log2};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle, MAddr, TierPolicy};
 
@@ -122,6 +123,10 @@ pub struct TierStats {
 pub struct TierEngine {
     cfg: TierConfig,
     line_bytes: u64,
+    /// `log2(line_bytes)`: a visible address's line index is a shift.
+    line_shift: u32,
+    /// Cache mode: the set of a line is its low bits (`tags.len() - 1`).
+    set_mask: u64,
     dram_capacity: u64,
     /// Packed tag array, one entry per DRAM cache set (cache mode;
     /// empty in flat mode): `(scm_line << 2) | dirty << 1 | valid`.
@@ -152,23 +157,37 @@ impl TierEngine {
     /// # Panics
     ///
     /// Panics when the policy is [`TierPolicy::None`] (build no engine
-    /// instead), or in cache mode when the DRAM is not strictly smaller
-    /// than the SCM it caches.
+    /// instead), when `line_bytes` is not a power of two, or in cache
+    /// mode when the DRAM is not strictly smaller than the SCM it caches
+    /// or does not hold a power-of-two number of lines (the set index is
+    /// a mask).
     pub fn new(cfg: TierConfig, dram_cfg: &DramConfig, line_bytes: u64) -> Self {
         assert!(
             cfg.policy != TierPolicy::None,
             "tier engine requires a tier policy"
         );
+        assert!(
+            is_pow2(line_bytes),
+            "tier line size must be a power of two (got {line_bytes})"
+        );
+        let line_shift = log2(line_bytes);
         let tags = if cfg.policy == TierPolicy::Cache {
             assert!(
                 dram_cfg.capacity <= cfg.scm.capacity,
                 "cache mode needs DRAM no larger than the SCM it caches"
             );
-            vec![0u64; (dram_cfg.capacity / line_bytes) as usize]
+            let lines = dram_cfg.capacity >> line_shift;
+            assert!(
+                is_pow2(lines),
+                "tier cache line count must be a power of two (got {lines})"
+            );
+            vec![0u64; lines as usize]
         } else {
             Vec::new()
         };
         Self {
+            line_shift,
+            set_mask: (tags.len() as u64).saturating_sub(1),
             scm: Scm::new(cfg.scm.clone()),
             tags,
             fill: VecDeque::with_capacity(cfg.fill_lines),
@@ -267,7 +286,9 @@ impl TierEngine {
             return;
         }
         let banks = dram.config().banks.min(64);
-        let alive: Vec<u64> = (0..banks).filter(|b| self.dead_banks & (1 << b) == 0).collect();
+        let alive: Vec<u64> = (0..banks)
+            .filter(|b| self.dead_banks & (1 << b) == 0)
+            .collect();
         if alive.is_empty() {
             return;
         }
@@ -280,8 +301,7 @@ impl TierEngine {
                 if entry & 1 == 0 {
                     continue;
                 }
-                let dram_addr = MAddr::new(set as u64 * self.line_bytes);
-                if dram.config().bank_of(dram_addr) == ch {
+                if dram.bank_map().bank_of((set as u64) << self.line_shift) == ch {
                     if entry & 2 != 0 {
                         lost += 1;
                     }
@@ -349,7 +369,7 @@ impl TierEngine {
     ) -> Result<Cycle, McError> {
         let raw = addr.raw();
         if raw < self.dram_capacity {
-            let channel = dram.config().bank_of(addr);
+            let channel = dram.bank_map().bank_of(raw);
             if self.dead_banks & (1 << channel) != 0 {
                 self.stats.degraded_rejects += 1;
                 return Err(McError::TierDegraded { channel });
@@ -377,21 +397,20 @@ impl TierEngine {
         now: Cycle,
         gather: bool,
     ) -> Result<Cycle, McError> {
-        let raw = addr.raw();
-        let line = raw / self.line_bytes;
-        let num_sets = self.tags.len() as u64;
-        let set = (line % num_sets) as usize;
-        let dram_addr = MAddr::new(set as u64 * self.line_bytes);
+        let line = addr.raw() >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let dram_addr = MAddr::new((set as u64) << self.line_shift);
+        let line_addr = line << self.line_shift;
 
         // A dead channel takes its sets out of the cache: demand
         // traffic bypasses straight to SCM — slower, still correct.
-        if self.dead_banks & (1 << dram.config().bank_of(dram_addr)) != 0 {
+        if self.dead_banks & (1 << dram.bank_map().bank_of(dram_addr.raw())) != 0 {
             if let Some(inj) = &mut self.inj {
                 inj.note_bypass(kind == AccessKind::Store);
             }
             let done = self
                 .scm
-                .access(line * self.line_bytes, kind, bytes.max(1), now)
+                .access(line_addr, kind, bytes.max(1), now)
                 .map_err(|e| {
                     self.stats.degraded_rejects += 1;
                     McError::from(e)
@@ -436,7 +455,7 @@ impl TierEngine {
             }
             let done = self
                 .scm
-                .access(line * self.line_bytes, AccessKind::Load, self.line_bytes, t)
+                .access(line_addr, AccessKind::Load, self.line_bytes, t)
                 .map_err(|e| {
                     self.stats.degraded_rejects += 1;
                     McError::from(e)
@@ -456,7 +475,12 @@ impl TierEngine {
             self.stats.writebacks += 1;
             if self
                 .scm
-                .access(tag_line * self.line_bytes, AccessKind::Store, self.line_bytes, t)
+                .access(
+                    tag_line << self.line_shift,
+                    AccessKind::Store,
+                    self.line_bytes,
+                    t,
+                )
                 .is_err()
             {
                 // The victim's SCM line is dead: the dirty data is
@@ -467,7 +491,7 @@ impl TierEngine {
         }
         let fetched = self
             .scm
-            .access(line * self.line_bytes, AccessKind::Load, self.line_bytes, t)
+            .access(line_addr, AccessKind::Load, self.line_bytes, t)
             .map_err(|e| {
                 self.stats.degraded_rejects += 1;
                 McError::from(e)
@@ -622,10 +646,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "tier cache line count must be a power of two")]
+    fn non_pow2_cache_geometry_rejected() {
+        let dcfg = DramConfig {
+            capacity: 3 << 14,
+            ..DramConfig::default()
+        };
+        let cfg = TierConfig {
+            policy: TierPolicy::Cache,
+            ..TierConfig::default()
+        };
+        let _ = TierEngine::new(cfg, &dcfg, LINE);
+    }
+
+    #[test]
     fn cache_miss_then_hit() {
         let (mut eng, mut dram) = cache_engine();
         let a = MAddr::new(0x4000);
-        let t1 = eng.access(&mut dram, a, AccessKind::Load, LINE, 0, false).unwrap();
+        let t1 = eng
+            .access(&mut dram, a, AccessKind::Load, LINE, 0, false)
+            .unwrap();
         let t2 = eng
             .access(&mut dram, a, AccessKind::Load, LINE, t1 + 1000, false)
             .unwrap();
@@ -641,7 +681,8 @@ mod tests {
         let sets = 1 << 9; // 64 KB / 128 B
         let a = MAddr::new(0);
         let conflict = MAddr::new(sets * LINE); // same set, different line
-        eng.access(&mut dram, a, AccessKind::Store, LINE, 0, false).unwrap();
+        eng.access(&mut dram, a, AccessKind::Store, LINE, 0, false)
+            .unwrap();
         eng.access(&mut dram, conflict, AccessKind::Load, LINE, 10_000, false)
             .unwrap();
         let s = eng.stats();
@@ -653,7 +694,9 @@ mod tests {
     fn gather_misses_use_fill_buffer_without_installing() {
         let (mut eng, mut dram) = cache_engine();
         let a = MAddr::new(0x8000);
-        let t1 = eng.access(&mut dram, a, AccessKind::Load, 32, 0, true).unwrap();
+        let t1 = eng
+            .access(&mut dram, a, AccessKind::Load, 32, 0, true)
+            .unwrap();
         // Same line, still a gather: fill-buffer hit, near-free.
         let t2 = eng
             .access(&mut dram, a, AccessKind::Load, 32, t1, true)
@@ -678,10 +721,24 @@ mod tests {
         assert_eq!(cfg.visible_capacity(dcfg.capacity), (1 << 16) + (1 << 20));
         let mut eng = TierEngine::new(cfg, &dcfg, LINE);
         let mut dram = Dram::new(dcfg);
-        eng.access(&mut dram, MAddr::new(0x100), AccessKind::Load, LINE, 0, false)
-            .unwrap();
-        eng.access(&mut dram, MAddr::new(1 << 16), AccessKind::Load, LINE, 0, false)
-            .unwrap();
+        eng.access(
+            &mut dram,
+            MAddr::new(0x100),
+            AccessKind::Load,
+            LINE,
+            0,
+            false,
+        )
+        .unwrap();
+        eng.access(
+            &mut dram,
+            MAddr::new(1 << 16),
+            AccessKind::Load,
+            LINE,
+            0,
+            false,
+        )
+        .unwrap();
         let s = eng.stats();
         assert_eq!((s.flat_dram, s.flat_scm), (1, 1));
         assert_eq!(dram.stats().reads, 1);
@@ -713,7 +770,7 @@ mod tests {
             match eng.access(&mut dram, addr, AccessKind::Load, LINE, b, false) {
                 Ok(_) => {}
                 Err(McError::TierDegraded { channel }) => {
-                    assert_eq!(channel, dcfg.bank_of(addr));
+                    assert_eq!(channel, dram.bank_map().bank_of(addr.raw()));
                     saw_reject = true;
                 }
                 Err(e) => panic!("unexpected error {e:?}"),
@@ -736,8 +793,15 @@ mod tests {
         eng.set_faults(&faults);
         let mut dram = Dram::new(dcfg.clone());
         for i in 0..64u64 {
-            eng.access(&mut dram, MAddr::new(i * LINE), AccessKind::Load, LINE, i, false)
-                .expect("cache mode never errors on channel kill");
+            eng.access(
+                &mut dram,
+                MAddr::new(i * LINE),
+                AccessKind::Load,
+                LINE,
+                i,
+                false,
+            )
+            .expect("cache mode never errors on channel kill");
         }
         let f = eng.fault_stats();
         assert!(f.channel_kills >= 1);
@@ -751,14 +815,20 @@ mod tests {
         faults.tag_corrupt = Trigger::EveryN { every: 2, phase: 0 };
         eng.set_faults(&faults);
         let a = MAddr::new(0x2000);
-        let t = eng.access(&mut dram, a, AccessKind::Load, LINE, 0, false).unwrap();
+        let t = eng
+            .access(&mut dram, a, AccessKind::Load, LINE, 0, false)
+            .unwrap();
         // Re-access: the tag lookup is corrupted (every=2 fires on the
         // plan's next consultation), detected, and refetched from SCM.
-        eng.access(&mut dram, a, AccessKind::Load, LINE, t, false).unwrap();
+        eng.access(&mut dram, a, AccessKind::Load, LINE, t, false)
+            .unwrap();
         let f = eng.fault_stats();
         assert!(f.tag_corruptions >= 1);
         assert_eq!(f.tag_corruptions, f.tag_invalidations);
-        assert!(eng.scm_stats().reads >= 2, "corrupted set refetches from SCM");
+        assert!(
+            eng.scm_stats().reads >= 2,
+            "corrupted set refetches from SCM"
+        );
     }
 
     #[test]

@@ -36,14 +36,58 @@ pub use sched::{BatchOutcome, SchedulePolicy, Scheduler};
 pub use scm::{Scm, ScmConfig, ScmError, ScmStats};
 
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
-use impulse_obs::{prof, Histogram, MetricsRegistry, Observe};
+use impulse_obs::{Histogram, MetricsRegistry, Observe};
+use impulse_types::geom::{is_pow2, log2, shr_ceil};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle, MAddr};
 
 /// Snapshot section tag for [`Dram`] (`"DRAM"`).
 const TAG_DRAM: u32 = 0x4452_414D;
 
+/// The row-interleaved split of a DRAM address into bank and in-bank
+/// row, as a shift and a mask: the row index is the address above the
+/// row offset, its low bits pick the bank (consecutive rows rotate
+/// across banks), and the rest is the row within that bank.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BankMap {
+    row_shift: u32,
+    bank_mask: u64,
+    bank_row_shift: u32,
+}
+
+impl BankMap {
+    /// The split for `banks` banks of `row_bytes`-byte rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both are powers of two.
+    pub fn new(banks: u64, row_bytes: u64) -> Self {
+        let (bank_bits, row_shift) = (log2(banks), log2(row_bytes));
+        Self {
+            row_shift,
+            bank_mask: banks - 1,
+            bank_row_shift: row_shift + bank_bits,
+        }
+    }
+
+    /// Bank index of a byte address.
+    #[inline]
+    pub fn bank_of(self, addr: u64) -> u64 {
+        (addr >> self.row_shift) & self.bank_mask
+    }
+
+    /// Row within its bank of a byte address.
+    #[inline]
+    pub fn row_of(self, addr: u64) -> u64 {
+        addr >> self.bank_row_shift
+    }
+}
+
 /// Configuration of the DRAM array and its timing, in CPU cycles.
+///
+/// Bank count, row size and bus width must be powers of two, so the
+/// address split and transfer time are shifts, as in a controller's
+/// address decoder; [`Dram::new`] asserts it.
 ///
 /// Defaults are calibrated so that an isolated row-miss word read completes
 /// in ~30 cycles at the controller, which combined with the bus and
@@ -78,27 +122,6 @@ impl Default for DramConfig {
             t_bus_min: 2,
             capacity: 1 << 30, // 1 GB installed DRAM, as in the paper's example
         }
-    }
-}
-
-impl DramConfig {
-    /// Bank index for an address (row-interleaved: consecutive rows land in
-    /// consecutive banks).
-    #[inline]
-    pub fn bank_of(&self, addr: MAddr) -> u64 {
-        (addr.raw() / self.row_bytes) % self.banks
-    }
-
-    /// Row identifier within the bank for an address.
-    #[inline]
-    pub fn row_of(&self, addr: MAddr) -> u64 {
-        (addr.raw() / self.row_bytes) / self.banks
-    }
-
-    /// Data-bus occupancy for a transfer of `bytes`.
-    #[inline]
-    pub fn transfer_cycles(&self, bytes: u64) -> Cycle {
-        self.t_bus_min.max(bytes.div_ceil(self.bus_bytes_per_cycle))
     }
 }
 
@@ -156,6 +179,10 @@ pub struct BankHeat {
 #[derive(Clone, Debug)]
 pub struct Dram {
     cfg: DramConfig,
+    /// The configuration's address split and bus width, resolved to
+    /// shifts once at construction.
+    map: BankMap,
+    bus_shift: u32,
     banks: Vec<Bank>,
     /// Heat counters live apart from [`Bank`] so the per-access open-row
     /// state stays as small as possible.
@@ -172,12 +199,22 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero banks or a zero-byte row.
+    /// Panics if the configuration has zero banks or a zero-byte row, or
+    /// if the bank count, row size or bus width is not a power of two.
     pub fn new(cfg: DramConfig) -> Self {
         assert!(cfg.banks > 0, "DRAM must have at least one bank");
         assert!(cfg.row_bytes > 0, "DRAM rows must be non-empty");
+        for (what, v) in [
+            ("bank count", cfg.banks),
+            ("row size", cfg.row_bytes),
+            ("bus width", cfg.bus_bytes_per_cycle),
+        ] {
+            assert!(is_pow2(v), "DRAM {what} must be a power of two (got {v})");
+        }
         let banks = vec![Bank::default(); cfg.banks as usize];
         Self {
+            map: BankMap::new(cfg.banks, cfg.row_bytes),
+            bus_shift: log2(cfg.bus_bytes_per_cycle),
             heat: vec![BankHeat::default(); banks.len()],
             cfg,
             banks,
@@ -218,6 +255,17 @@ impl Dram {
         &self.cfg
     }
 
+    /// The array's bank/row split.
+    pub fn bank_map(&self) -> BankMap {
+        self.map
+    }
+
+    /// Data-bus occupancy for a transfer of `bytes`.
+    #[inline]
+    pub fn transfer_cycles(&self, bytes: u64) -> Cycle {
+        self.cfg.t_bus_min.max(shr_ceil(bytes, self.bus_shift))
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> DramStats {
         self.stats
@@ -253,7 +301,6 @@ impl Dram {
     /// The access waits for its bank, pays row-hit or row-miss latency,
     /// then occupies the shared data bus for the transfer.
     pub fn access(&mut self, addr: MAddr, kind: AccessKind, bytes: u64, now: Cycle) -> Cycle {
-        let _span = prof::span("dram.access");
         debug_assert!(
             addr.raw() < self.cfg.capacity,
             "DRAM access beyond installed capacity: {addr:?}"
@@ -261,8 +308,8 @@ impl Dram {
         if let Some(f) = &mut self.faults {
             f.on_access(addr.raw(), now);
         }
-        let bank_idx = self.cfg.bank_of(addr) as usize;
-        let row = self.cfg.row_of(addr);
+        let bank_idx = self.map.bank_of(addr.raw()) as usize;
+        let row = self.map.row_of(addr.raw());
         let bank = &mut self.banks[bank_idx];
 
         let start = now.max(bank.busy_until);
@@ -290,7 +337,7 @@ impl Dram {
         bank.busy_until = data_ready;
 
         let xfer_start = data_ready.max(self.data_bus_free);
-        let done = xfer_start + self.cfg.transfer_cycles(bytes);
+        let done = xfer_start + self.transfer_cycles(bytes);
         self.data_bus_free = done;
 
         match kind {
@@ -422,6 +469,7 @@ impl Observe for Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impulse_fault::XorShift64;
 
     fn dram() -> Dram {
         Dram::new(DramConfig::default())
@@ -459,10 +507,8 @@ mod tests {
     #[test]
     fn adjacent_rows_use_different_banks() {
         let cfg = DramConfig::default();
-        assert_ne!(
-            cfg.bank_of(MAddr::new(0)),
-            cfg.bank_of(MAddr::new(cfg.row_bytes))
-        );
+        let map = BankMap::new(cfg.banks, cfg.row_bytes);
+        assert_ne!(map.bank_of(0), map.bank_of(cfg.row_bytes));
     }
 
     #[test]
@@ -484,14 +530,15 @@ mod tests {
         // Same start time, different banks: banks overlap, bus serializes.
         let t1 = d.access(MAddr::new(0), AccessKind::Load, 128, 0);
         let t2 = d.access(MAddr::new(row), AccessKind::Load, 128, 0);
-        assert_eq!(t2 - t1, cfg.transfer_cycles(128));
+        assert_eq!(t2 - t1, d.transfer_cycles(128));
     }
 
     #[test]
     fn transfer_cycles_scale_with_bytes() {
         let cfg = DramConfig::default();
-        assert_eq!(cfg.transfer_cycles(8), cfg.t_bus_min);
-        assert_eq!(cfg.transfer_cycles(128), 128 / cfg.bus_bytes_per_cycle);
+        let d = Dram::new(cfg.clone());
+        assert_eq!(d.transfer_cycles(8), cfg.t_bus_min);
+        assert_eq!(d.transfer_cycles(128), 128 / cfg.bus_bytes_per_cycle);
     }
 
     #[test]
@@ -612,6 +659,40 @@ mod tests {
         fresh.snap_load(&mut r).expect("snapshot must load");
         assert_eq!(fresh.bank_heat(), d.bank_heat());
         assert_ne!(d.bank_heat()[0], BankHeat::default());
+    }
+
+    #[test]
+    fn shift_mask_geometry_matches_division_reference() {
+        let mut rng = XorShift64::new(0x9E37_79B9_7F4A_7C15);
+        let shapes =
+            (0..=6).flat_map(|b| (8..=13).flat_map(move |r| (0..=5).map(move |w| (b, r, w))));
+        for (b, r, w) in shapes {
+            let cfg = DramConfig {
+                banks: 1 << b,
+                row_bytes: 1 << r,
+                bus_bytes_per_cycle: 1 << w,
+                ..DramConfig::default()
+            };
+            let d = Dram::new(cfg.clone());
+            let map = d.bank_map();
+            for _ in 0..64 {
+                let (a, bytes) = (rng.next_u64() >> 24, rng.below(1024));
+                let rows = a / cfg.row_bytes;
+                let split = (rows % cfg.banks, rows / cfg.banks);
+                assert_eq!((map.bank_of(a), map.row_of(a)), split, "{cfg:?} @ {a:#x}");
+                let xfer = cfg.t_bus_min.max(bytes.div_ceil(cfg.bus_bytes_per_cycle));
+                assert_eq!(d.transfer_cycles(bytes), xfer, "{cfg:?}: {bytes} B");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM bank count must be a power of two")]
+    fn non_pow2_banks_rejected() {
+        let _ = Dram::new(DramConfig {
+            banks: 12,
+            ..DramConfig::default()
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use impulse_types::{AccessKind, Cycle, MAddr};
 
-use crate::{Dram, DramConfig};
+use crate::{BankMap, Dram};
 
 /// How a batch of word-grained DRAM requests is ordered before issue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -167,7 +167,8 @@ impl Scheduler {
 
 /// Issues `reqs` in `policy`'s order, one command per cycle from `now`,
 /// reporting each request's input index and completion cycle to
-/// `on_done`. `order` is scratch for the issue order.
+/// `on_done`. In-order issue walks `reqs` as given; the reordering
+/// policies sort into `order`, a scratch buffer.
 fn issue_batch(
     policy: SchedulePolicy,
     dram: &mut Dram,
@@ -177,31 +178,34 @@ fn issue_batch(
     order: &mut Vec<(u64, u64, usize)>,
     mut on_done: impl FnMut(usize, Cycle),
 ) {
-    fill_order(policy, dram.config(), reqs, order);
+    if policy == SchedulePolicy::InOrder {
+        for (slot, &(addr, bytes)) in reqs.iter().enumerate() {
+            on_done(slot, dram.access(addr, kind, bytes, now + slot as Cycle));
+        }
+        return;
+    }
+    fill_order(policy, dram.bank_map(), reqs, order);
     for (slot, &(_, _, idx)) in order.iter().enumerate() {
         let (addr, bytes) = reqs[idx];
         on_done(idx, dram.access(addr, kind, bytes, now + slot as Cycle));
     }
 }
 
-/// Fills `order` with `policy`'s issue order: the last field of the
-/// *k*-th entry is the input index of the request issued *k*-th.
+/// Fills `order` with a reordering `policy`'s issue order: the last
+/// field of the *k*-th entry is the input index of the request issued
+/// *k*-th.
 fn fill_order(
     policy: SchedulePolicy,
-    cfg: &DramConfig,
+    map: BankMap,
     reqs: &[(MAddr, u64)],
     order: &mut Vec<(u64, u64, usize)>,
 ) {
     order.clear();
-    if policy == SchedulePolicy::InOrder {
-        order.extend((0..reqs.len()).map(|i| (0, 0, i)));
-        return;
-    }
     // Group by (bank, row) for locality, in arrival order within a group.
     order.extend(
         reqs.iter()
             .enumerate()
-            .map(|(i, &(a, _))| (cfg.bank_of(a), cfg.row_of(a), i)),
+            .map(|(i, &(a, _))| (map.bank_of(a.raw()), map.row_of(a.raw()), i)),
     );
     order.sort_unstable();
     if policy == SchedulePolicy::BankParallel {
@@ -338,6 +342,7 @@ mod tests {
         // Reference: per-bank queues filled from the (bank, row)-sorted
         // batch, drained one request per bank per round.
         let cfg = DramConfig::default();
+        let map = BankMap::new(cfg.banks, cfg.row_bytes);
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         let mut order = Vec::new();
         for _ in 0..200 {
@@ -351,16 +356,16 @@ mod tests {
                 })
                 .collect();
             let mut sorted: Vec<usize> = (0..reqs.len()).collect();
-            sorted.sort_by_key(|&i| (cfg.bank_of(reqs[i].0), cfg.row_of(reqs[i].0), i));
+            sorted.sort_by_key(|&i| (map.bank_of(reqs[i].0.raw()), map.row_of(reqs[i].0.raw()), i));
             let mut queues = vec![Vec::new(); cfg.banks as usize];
             for i in sorted {
-                queues[cfg.bank_of(reqs[i].0) as usize].push(i);
+                queues[map.bank_of(reqs[i].0.raw()) as usize].push(i);
             }
             let queues = &queues;
             let expected: Vec<usize> = (0..reqs.len())
                 .flat_map(|k| queues.iter().filter_map(move |q| q.get(k).copied()))
                 .collect();
-            fill_order(SchedulePolicy::BankParallel, &cfg, &reqs, &mut order);
+            fill_order(SchedulePolicy::BankParallel, map, &reqs, &mut order);
             let got: Vec<usize> = order.iter().map(|e| e.2).collect();
             assert_eq!(got, expected);
         }

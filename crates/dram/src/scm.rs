@@ -26,6 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
+use impulse_types::geom::{is_pow2, log2, shr_ceil};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle};
 
@@ -33,6 +34,10 @@ use impulse_types::{AccessKind, Cycle};
 const TAG_SCM: u32 = 0x5343_4D30;
 
 /// Configuration of the SCM part and its timing, in CPU cycles.
+///
+/// Channel count, line size and link width must be powers of two, so
+/// the line/channel split and transfer time are shifts; [`Scm::new`]
+/// asserts it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScmConfig {
     /// Independent channels; lines interleave across them.
@@ -74,26 +79,6 @@ impl Default for ScmConfig {
     }
 }
 
-impl ScmConfig {
-    /// Channel index serving an SCM-relative byte offset.
-    #[inline]
-    pub fn channel_of(&self, offset: u64) -> u64 {
-        (offset / self.line_bytes) % self.channels
-    }
-
-    /// Line index of an SCM-relative byte offset.
-    #[inline]
-    pub fn line_of(&self, offset: u64) -> u64 {
-        offset / self.line_bytes
-    }
-
-    /// Link occupancy for a transfer of `bytes`.
-    #[inline]
-    pub fn transfer_cycles(&self, bytes: u64) -> Cycle {
-        self.t_bus_min.max(bytes.div_ceil(self.bus_bytes_per_cycle))
-    }
-}
-
 /// Counters maintained by the SCM model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScmStats {
@@ -131,6 +116,11 @@ pub enum ScmError {
 #[derive(Clone, Debug)]
 pub struct Scm {
     cfg: ScmConfig,
+    /// The configuration's line size, channel count and link width,
+    /// resolved to shifts and a mask once at construction.
+    line_shift: u32,
+    channel_mask: u64,
+    bus_shift: u32,
     /// Per-channel link-free times.
     channels: Vec<Cycle>,
     /// Write counts per line, kept sparse (ordered for deterministic
@@ -151,11 +141,23 @@ impl Scm {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero channels or zero-byte lines.
+    /// Panics if the configuration has zero channels or zero-byte lines,
+    /// or if the channel count, line size or link width is not a power
+    /// of two.
     pub fn new(cfg: ScmConfig) -> Self {
         assert!(cfg.channels > 0, "SCM must have at least one channel");
         assert!(cfg.line_bytes > 0, "SCM lines must be non-empty");
+        for (what, v) in [
+            ("channel count", cfg.channels),
+            ("line size", cfg.line_bytes),
+            ("link width", cfg.bus_bytes_per_cycle),
+        ] {
+            assert!(is_pow2(v), "SCM {what} must be a power of two (got {v})");
+        }
         Self {
+            line_shift: log2(cfg.line_bytes),
+            channel_mask: cfg.channels - 1,
+            bus_shift: log2(cfg.bus_bytes_per_cycle),
             channels: vec![0; cfg.channels as usize],
             wear: BTreeMap::new(),
             retired: BTreeSet::new(),
@@ -193,6 +195,25 @@ impl Scm {
     /// The configuration this part was built with.
     pub fn config(&self) -> &ScmConfig {
         &self.cfg
+    }
+
+    /// Line index of an SCM-relative byte offset.
+    #[inline]
+    pub fn line_of(&self, offset: u64) -> u64 {
+        offset >> self.line_shift
+    }
+
+    /// Channel index serving an SCM-relative byte offset (lines
+    /// interleave across channels).
+    #[inline]
+    pub fn channel_of(&self, offset: u64) -> u64 {
+        self.line_of(offset) & self.channel_mask
+    }
+
+    /// Link occupancy for a transfer of `bytes`.
+    #[inline]
+    pub fn transfer_cycles(&self, bytes: u64) -> Cycle {
+        self.cfg.t_bus_min.max(shr_ceil(bytes, self.bus_shift))
     }
 
     /// Accumulated statistics.
@@ -239,8 +260,8 @@ impl Scm {
             offset + bytes.max(1) <= self.cfg.capacity,
             "SCM access beyond capacity: {offset:#x}+{bytes}"
         );
-        let first = self.cfg.line_of(offset);
-        let last = self.cfg.line_of(offset + bytes.saturating_sub(1));
+        let first = self.line_of(offset);
+        let last = self.line_of(offset + bytes.saturating_sub(1));
         // Dead-line check up front: rejected accesses consume no timing
         // or fault-stream state, so the schedule stays deterministic.
         for line in first..=last {
@@ -252,7 +273,7 @@ impl Scm {
         if let Some(f) = &mut self.faults {
             f.on_access(offset, now);
         }
-        let ch = self.cfg.channel_of(offset) as usize;
+        let ch = self.channel_of(offset) as usize;
         let start = now.max(self.channels[ch]);
         self.stats.channel_wait += start - now;
         let latency = match kind {
@@ -265,7 +286,7 @@ impl Scm {
                 self.cfg.t_write
             }
         };
-        let mut done = start + latency + self.cfg.transfer_cycles(bytes);
+        let mut done = start + latency + self.transfer_cycles(bytes);
         self.stats.bytes += bytes;
 
         let mut newly_dead = None;
@@ -392,6 +413,7 @@ impl Scm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impulse_fault::XorShift64;
 
     fn scm(wear_limit: u32, spares: u64) -> Scm {
         Scm::new(ScmConfig {
@@ -408,8 +430,7 @@ mod tests {
         let mut s2 = scm(0, 0);
         let w = s2.access(0, AccessKind::Store, 128, 0).unwrap();
         assert!(w > r, "media programming is slower than reading");
-        let cfg = ScmConfig::default();
-        assert_eq!(r, cfg.t_read + cfg.transfer_cycles(128));
+        assert_eq!(r, ScmConfig::default().t_read + s.transfer_cycles(128));
     }
 
     #[test]
@@ -444,7 +465,8 @@ mod tests {
         assert!(before >= 2000 + ScmConfig::default().t_retire);
         // Wear the spare out too: no spare left, the line dies.
         for t in 0..2 {
-            s.access(0, AccessKind::Store, 128, 10_000 + t * 1000).unwrap();
+            s.access(0, AccessKind::Store, 128, 10_000 + t * 1000)
+                .unwrap();
         }
         let err = s.access(0, AccessKind::Store, 128, 20_000).unwrap_err();
         assert_eq!(err, ScmError::LineRetired { line: 0 });
@@ -479,6 +501,36 @@ mod tests {
         let a = s.access(256, AccessKind::Store, 128, 5000);
         let b = fresh.access(256, AccessKind::Store, 128, 5000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shift_mask_geometry_matches_division_reference() {
+        let mut rng = XorShift64::new(0x2545_F491_4F6C_DD1D);
+        for (c, l) in (0..=4).flat_map(|c| (5..=9).map(move |l| (c, l))) {
+            let cfg = ScmConfig {
+                channels: 1 << c,
+                line_bytes: 1 << l,
+                ..ScmConfig::default()
+            };
+            let s = Scm::new(cfg.clone());
+            for _ in 0..256 {
+                let (off, bytes) = (rng.next_u64() >> 24, rng.below(1024));
+                let line = off / cfg.line_bytes;
+                let split = (line, line % cfg.channels);
+                assert_eq!((s.line_of(off), s.channel_of(off)), split, "{cfg:?}");
+                let xfer = cfg.t_bus_min.max(bytes.div_ceil(cfg.bus_bytes_per_cycle));
+                assert_eq!(s.transfer_cycles(bytes), xfer, "{cfg:?}: {bytes} B");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SCM channel count must be a power of two")]
+    fn non_pow2_channels_rejected() {
+        let _ = Scm::new(ScmConfig {
+            channels: 3,
+            ..ScmConfig::default()
+        });
     }
 
     #[test]

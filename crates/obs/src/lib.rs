@@ -19,8 +19,6 @@
 //!   backing the report and Chrome-trace exporters.
 //! * [`HotSketch`] — a deterministic count-min sketch with epoch decay
 //!   for online "which lines are hot" telemetry at the controller.
-//! * [`prof`] — a host self-profiler of scoped wall-clock spans over
-//!   simulator components, zero-cost when disabled.
 //!
 //! The crate deliberately depends on nothing, not even other workspace
 //! crates, so every layer of the simulator can use it.
@@ -30,7 +28,6 @@
 pub mod attribution;
 pub mod histogram;
 pub mod json;
-pub mod prof;
 pub mod registry;
 pub mod sketch;
 

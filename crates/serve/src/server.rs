@@ -465,7 +465,10 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: UnixStream) {
 
 fn handle_run(inner: &Arc<Inner>, req: &RunRequest) -> Response {
     inner.counters.lock().expect("counters lock").requests += 1;
-    let Some(config) = inner.backend.config_digest(&req.experiment, req.seed, req.tier) else {
+    let Some(config) = inner
+        .backend
+        .config_digest(&req.experiment, req.seed, req.tier)
+    else {
         return Response::Error(ServerError::new(
             ServerErrorKind::UnknownExperiment,
             format!("no catalog entry named `{}`", req.experiment),

@@ -169,8 +169,8 @@ impl SystemConfig {
             }
             TierPolicy::Cache => {
                 self.tier.scm.capacity = self.dram.capacity;
-                self.dram.capacity = (self.dram.capacity / 16)
-                    .max(self.dram.banks * self.dram.row_bytes);
+                self.dram.capacity =
+                    (self.dram.capacity / 16).max(self.dram.banks * self.dram.row_bytes);
             }
         }
         self.kernel.dram_capacity = self.tier.visible_capacity(self.dram.capacity);

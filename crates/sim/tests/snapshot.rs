@@ -384,7 +384,10 @@ fn tier_channel_kill_resumes_bit_exactly() {
         },
         ..FaultConfig::none()
     };
-    for policy in [impulse_types::TierPolicy::Flat, impulse_types::TierPolicy::Cache] {
+    for policy in [
+        impulse_types::TierPolicy::Flat,
+        impulse_types::TierPolicy::Cache,
+    ] {
         let cfg = SystemConfig::paint_small()
             .with_tier(policy)
             .with_faults(faults.clone());
@@ -462,6 +465,3 @@ fn snapshot_is_deterministic() {
         "two snapshots of the same machine must be byte-identical"
     );
 }
-
-
-

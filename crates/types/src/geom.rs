@@ -48,6 +48,13 @@ pub const fn blocks_for(bytes: u64, unit: u64) -> u64 {
     bytes.div_ceil(unit)
 }
 
+/// `x / 2^shift` rounded up: [`blocks_for`] for a power-of-two unit,
+/// without a divider.
+#[inline]
+pub const fn shr_ceil(x: u64, shift: u32) -> u64 {
+    (x >> shift) + ((x & ((1 << shift) - 1)) != 0) as u64
+}
+
 /// log2 of a power-of-two value.
 ///
 /// # Panics
@@ -93,6 +100,15 @@ mod tests {
         assert_eq!(blocks_for(1, 32), 1);
         assert_eq!(blocks_for(32, 32), 1);
         assert_eq!(blocks_for(33, 32), 2);
+        for x in 0..300 {
+            for shift in 0..9 {
+                assert_eq!(
+                    shr_ceil(x, shift),
+                    blocks_for(x, 1 << shift),
+                    "{x} >> {shift}"
+                );
+            }
+        }
     }
 
     #[test]
