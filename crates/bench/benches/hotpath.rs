@@ -1,19 +1,60 @@
-//! Regression guards for the simulator's host-side hot paths: the three
-//! translate layers (OS page table, CPU TLB index, controller PgTbl and
-//! its on-chip TLB), the DRAM access, and the shadow-line gather's
-//! segment/translate/merge pipeline.
+//! Regression guards for the simulator's host-side hot paths: a demand
+//! load that hits the CPU TLB and the L1, the three translate layers (OS
+//! page table, CPU TLB index, controller PgTbl and its on-chip TLB), the
+//! DRAM access, and the shadow-line gather's segment/translate/merge
+//! pipeline.
 //! These are the paths that run once (or more) per simulated access, so
 //! a regression here slows every experiment in the suite.
 
 use std::hint::black_box;
 
 use impulse_bench::harness::Group;
-use impulse_cache::{Tlb, TlbConfig};
+use impulse_cache::{Cache, CacheConfig, Tlb, TlbConfig};
 use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn};
 use impulse_dram::{Dram, DramConfig};
 use impulse_os::AddressSpace;
+use impulse_sim::{Machine, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
 use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr};
+
+/// The `i`-th word of a walk that rotates over three pages, one word per
+/// page in turn: the A, B, C operands of a tiled matrix product.
+fn three_page_word(i: u64) -> u64 {
+    (i % 3) * PAGE_SIZE + (i / 3 * 8) % PAGE_SIZE
+}
+
+fn bench_l1_hit_path() {
+    // Three L1-resident pages, as in a tile product's inner loop: every
+    // load hits the translation memo, the CPU TLB and the L1.
+    let mut g = Group::new("machine");
+    let mut m = Machine::new(&SystemConfig::paint_small());
+    let r = m.alloc_region(3 * PAGE_SIZE, PAGE_SIZE).expect("region");
+    for i in 0..3 * PAGE_SIZE / 8 {
+        m.load(r.start().add(three_page_word(i)));
+    }
+    let mut i = 0u64;
+    g.bench("load_l1_hit_3page", || {
+        i = i.wrapping_add(1);
+        m.load(r.start().add(three_page_word(i)));
+    });
+
+    let mut g = Group::new("cache");
+    let mut l1 = Cache::new(CacheConfig::paint_l1());
+    let addr = |i: u64| {
+        let a = 0x40_0000 + three_page_word(i);
+        (VAddr::new(a), PAddr::new(a))
+    };
+    for i in 0..3 * PAGE_SIZE / 8 {
+        let (v, p) = addr(i);
+        l1.access(v, p, AccessKind::Load);
+    }
+    let mut i = 0u64;
+    g.bench("l1_hit", || {
+        i = i.wrapping_add(1);
+        let (v, p) = addr(i);
+        l1.access(v, p, AccessKind::Load)
+    });
+}
 
 fn bench_pgtbl_translate() {
     let mut g = Group::new("pgtbl");
@@ -59,6 +100,11 @@ fn bench_cpu_tlb() {
     g.bench("lookup_hit", || {
         i = i.wrapping_add(1);
         tlb.lookup((i * 13) % 120)
+    });
+    let mut i = 0u64;
+    g.bench("lookup_hit_3page", || {
+        i = i.wrapping_add(1);
+        tlb.lookup(three_page_word(i) / PAGE_SIZE * 41)
     });
     let mut tlb = Tlb::new(TlbConfig::default());
     let mut i = 0u64;
@@ -159,6 +205,7 @@ fn bench_gather_merge() {
 }
 
 fn main() {
+    bench_l1_hit_path();
     bench_pgtbl_translate();
     bench_cpu_tlb();
     bench_os_vm();

@@ -175,17 +175,9 @@ pub enum FlushOutcome {
     Dirty,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    /// Physical line base address (the tag, kept unhashed for clarity).
-    ptag: u64,
-    /// LRU stamp or NRU reference bit (0/1).
-    stamp: u64,
-    /// Set when the line was filled by a prefetch and not yet demanded.
-    prefetched: bool,
-}
+/// Tag-word bit marking a valid way; the bits below it hold the physical
+/// line number (`ptag`).
+const VALID: u64 = 1 << 63;
 
 /// A set-associative cache.
 ///
@@ -206,7 +198,18 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>, // sets * ways, way-major within a set
+    /// One word per way, `VALID | ptag`, sets × ways, way-major within a
+    /// set: a hit probe compares one word per way. Invalidation clears
+    /// only `VALID`, so an invalid way keeps its last ptag (the snapshot
+    /// bytes carry it).
+    tags: Vec<u64>,
+    /// Per way: LRU stamp, or NRU reference mark (0 = unreferenced).
+    stamps: Vec<u64>,
+    /// Per way: holds data newer than memory.
+    dirty: Vec<bool>,
+    /// Per way: filled by a prefetch and not yet demanded.
+    prefetched: Vec<bool>,
+    ways: usize,
     set_mask: u64,
     line_shift: u32,
     tick: u64,
@@ -223,12 +226,15 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
         let sets = cfg.sets();
-        let lines = vec![Line::default(); (sets * cfg.ways) as usize];
-        let line_shift = log2(cfg.line);
+        let n = (sets * cfg.ways) as usize;
         Self {
+            tags: vec![0; n],
+            stamps: vec![0; n],
+            dirty: vec![false; n],
+            prefetched: vec![false; n],
+            ways: cfg.ways as usize,
             set_mask: sets - 1,
-            line_shift,
-            lines,
+            line_shift: log2(cfg.line),
             tick: 0,
             stats: CacheStats::default(),
             cfg,
@@ -256,67 +262,77 @@ impl Cache {
         p.align_down(self.cfg.line)
     }
 
+    /// Index of the first way of the set `(v, p)` maps to.
     #[inline]
-    fn set_of(&self, v: VAddr, p: PAddr) -> usize {
+    fn set_base(&self, v: VAddr, p: PAddr) -> usize {
         let idx_addr = match self.cfg.indexing {
             Indexing::Virtual => v.raw(),
             Indexing::Physical => p.raw(),
         };
-        ((idx_addr >> self.line_shift) & self.set_mask) as usize
+        ((idx_addr >> self.line_shift) & self.set_mask) as usize * self.ways
     }
 
     #[inline]
     fn ptag_of(&self, p: PAddr) -> u64 {
-        p.raw() >> self.line_shift
+        let ptag = p.raw() >> self.line_shift;
+        debug_assert_eq!(
+            ptag & VALID,
+            0,
+            "physical line number overflows the tag word"
+        );
+        ptag
     }
 
-    fn set_range(&self, set: usize) -> core::ops::Range<usize> {
-        let ways = self.cfg.ways as usize;
-        set * ways..(set + 1) * ways
+    /// The way of the set at `base` holding `ptag`, if it is present.
+    #[inline]
+    fn find(&self, base: usize, ptag: u64) -> Option<usize> {
+        let want = VALID | ptag;
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == want)
+            .map(|w| base + w)
     }
 
     /// Whether the line containing `(v, p)` is present (no state change).
+    #[inline]
     pub fn probe(&self, v: VAddr, p: PAddr) -> bool {
-        let set = self.set_of(v, p);
-        let ptag = self.ptag_of(p);
-        self.lines[self.set_range(set)]
-            .iter()
-            .any(|l| l.valid && l.ptag == ptag)
+        self.find(self.set_base(v, p), self.ptag_of(p)).is_some()
     }
 
     /// Performs a demand access; updates replacement state, allocates on
     /// miss per the write policy, and reports any dirty victim.
+    #[inline]
     pub fn access(&mut self, v: VAddr, p: PAddr, kind: AccessKind) -> Outcome {
         self.tick += 1;
-        let set = self.set_of(v, p);
+        let base = self.set_base(v, p);
         let ptag = self.ptag_of(p);
-        let range = self.set_range(set);
-        let tick = self.tick;
-
-        if let Some(line) = self.lines[range.clone()]
-            .iter_mut()
-            .find(|l| l.valid && l.ptag == ptag)
-        {
-            if line.prefetched {
-                line.prefetched = false;
-                self.stats.prefetch_useful += 1;
-            }
-            line.stamp = tick;
-            match kind {
-                AccessKind::Load => {
-                    self.stats.loads += 1;
-                    self.stats.load_hits += 1;
-                }
-                AccessKind::Store => {
-                    self.stats.stores += 1;
-                    self.stats.store_hits += 1;
-                    line.dirty = true;
-                }
-            }
-            return Outcome::Hit;
+        let Some(i) = self.find(base, ptag) else {
+            return self.access_miss(base, ptag, kind);
+        };
+        if self.prefetched[i] {
+            self.prefetched[i] = false;
+            self.stats.prefetch_useful += 1;
         }
+        self.stamps[i] = self.tick;
+        match kind {
+            AccessKind::Load => {
+                self.stats.loads += 1;
+                self.stats.load_hits += 1;
+            }
+            AccessKind::Store => {
+                self.stats.stores += 1;
+                self.stats.store_hits += 1;
+                self.dirty[i] = true;
+            }
+        }
+        Outcome::Hit
+    }
 
-        // Miss.
+    /// The miss half of [`Cache::access`]: counts the access, then
+    /// bypasses or fills per the write policy.
+    #[cold]
+    #[inline(never)]
+    fn access_miss(&mut self, base: usize, ptag: u64, kind: AccessKind) -> Outcome {
         match kind {
             AccessKind::Load => self.stats.loads += 1,
             AccessKind::Store => {
@@ -327,8 +343,7 @@ impl Cache {
                 }
             }
         }
-
-        let writeback = self.fill_at(set, ptag, kind.is_store(), false);
+        let writeback = self.fill_at(base, ptag, kind.is_store(), false);
         self.stats.fills += 1;
         Outcome::Miss { writeback }
     }
@@ -342,139 +357,120 @@ impl Cache {
             return None;
         }
         self.tick += 1;
-        let set = self.set_of(v, p);
-        let ptag = self.ptag_of(p);
-        let wb = self.fill_at(set, ptag, false, true);
+        let wb = self.fill_at(self.set_base(v, p), self.ptag_of(p), false, true);
         self.stats.prefetch_fills += 1;
         wb
     }
 
-    /// Chooses a victim in `set`, evicts it, installs `ptag`; returns the
-    /// dirty victim's physical line address if one was displaced.
-    fn fill_at(&mut self, set: usize, ptag: u64, dirty: bool, prefetched: bool) -> Option<PAddr> {
-        let range = self.set_range(set);
-        let victim_idx = self.choose_victim(range.clone());
-        let line_shift = self.line_shift;
-        let tick = self.tick;
-
-        let line = &mut self.lines[victim_idx];
+    /// Chooses a victim in the set at `base`, evicts it, installs `ptag`;
+    /// returns the dirty victim's physical line address if one was
+    /// displaced.
+    fn fill_at(&mut self, base: usize, ptag: u64, dirty: bool, prefetched: bool) -> Option<PAddr> {
+        let set = base..base + self.ways;
+        let i = self.choose_victim(set.clone());
         let mut writeback = None;
-        if line.valid {
+        if self.tags[i] & VALID != 0 {
             self.stats.evictions += 1;
-            if line.dirty {
+            if self.dirty[i] {
                 self.stats.writebacks += 1;
-                writeback = Some(PAddr::new(line.ptag << line_shift));
+                writeback = Some(PAddr::new((self.tags[i] & !VALID) << self.line_shift));
             }
         }
-        *line = Line {
-            valid: true,
-            dirty,
-            ptag,
-            stamp: tick,
-            prefetched,
-        };
+        self.tags[i] = VALID | ptag;
+        self.dirty[i] = dirty;
+        self.stamps[i] = self.tick;
+        self.prefetched[i] = prefetched;
         if self.cfg.replacement == Replacement::Nru {
-            self.normalize_nru(range, victim_idx);
+            self.normalize_nru(set, i);
         }
         writeback
     }
 
-    fn choose_victim(&self, range: core::ops::Range<usize>) -> usize {
+    fn choose_victim(&self, set: core::ops::Range<usize>) -> usize {
         // Prefer an invalid way.
-        if let Some(i) = range.clone().find(|&i| !self.lines[i].valid) {
-            return i;
+        if let Some(w) = self.tags[set.clone()].iter().position(|&t| t & VALID == 0) {
+            return set.start + w;
         }
-        match self.cfg.replacement {
-            Replacement::Lru => range
-                .clone()
-                .min_by_key(|&i| self.lines[i].stamp)
+        let stamps = &self.stamps[set.clone()];
+        let w = match self.cfg.replacement {
+            Replacement::Lru => stamps
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &s)| s)
+                .map(|(w, _)| w)
                 .expect("cache sets are never empty"),
-            Replacement::Nru => {
-                // First way whose reference stamp is "old" (not the current
-                // generation); fall back to the first way.
-                range
-                    .clone()
-                    .find(|&i| self.lines[i].stamp == 0)
-                    .unwrap_or(range.start)
-            }
-        }
+            // First way whose reference stamp is "old" (not the current
+            // generation); fall back to the first way.
+            Replacement::Nru => stamps.iter().position(|&s| s == 0).unwrap_or(0),
+        };
+        set.start + w
     }
 
     /// For NRU: when every line in the set has been referenced, clear all
     /// reference marks except the just-installed line.
-    fn normalize_nru(&mut self, range: core::ops::Range<usize>, keep: usize) {
-        if range.clone().all(|i| self.lines[i].stamp != 0) {
-            for i in range {
+    fn normalize_nru(&mut self, set: core::ops::Range<usize>, keep: usize) {
+        if self.stamps[set.clone()].iter().all(|&s| s != 0) {
+            for i in set {
                 if i != keep {
-                    self.lines[i].stamp = 0;
+                    self.stamps[i] = 0;
                 }
             }
         }
     }
 
+    /// Invalidates the line containing `(v, p)`; returns whether it was
+    /// present and whether it was dirty.
+    #[inline]
+    fn invalidate(&mut self, v: VAddr, p: PAddr) -> Option<bool> {
+        let i = self.find(self.set_base(v, p), self.ptag_of(p))?;
+        self.tags[i] &= !VALID;
+        Some(core::mem::take(&mut self.dirty[i]))
+    }
+
     /// Flushes (writes back and invalidates) the line containing `(v, p)`.
     pub fn flush_line(&mut self, v: VAddr, p: PAddr) -> FlushOutcome {
-        let set = self.set_of(v, p);
-        let ptag = self.ptag_of(p);
-        let range = self.set_range(set);
-        for i in range {
-            let line = &mut self.lines[i];
-            if line.valid && line.ptag == ptag {
-                line.valid = false;
-                let was_dirty = line.dirty;
-                line.dirty = false;
-                if was_dirty {
-                    self.stats.writebacks += 1;
-                    return FlushOutcome::Dirty;
-                }
-                return FlushOutcome::Clean;
+        match self.invalidate(v, p) {
+            None => FlushOutcome::NotPresent,
+            Some(false) => FlushOutcome::Clean,
+            Some(true) => {
+                self.stats.writebacks += 1;
+                FlushOutcome::Dirty
             }
         }
-        FlushOutcome::NotPresent
     }
 
     /// Purges (invalidates *without* writeback) the line containing
     /// `(v, p)` — used for remapped input tiles whose contents are clean
     /// copies of other memory.
     pub fn purge_line(&mut self, v: VAddr, p: PAddr) -> bool {
-        let set = self.set_of(v, p);
-        let ptag = self.ptag_of(p);
-        let range = self.set_range(set);
-        for i in range {
-            let line = &mut self.lines[i];
-            if line.valid && line.ptag == ptag {
-                line.valid = false;
-                line.dirty = false;
-                return true;
-            }
-        }
-        false
+        self.invalidate(v, p).is_some()
     }
 
     /// Invalidates everything (no writebacks); statistics are preserved.
     pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-            line.dirty = false;
+        for t in &mut self.tags {
+            *t &= !VALID;
         }
+        self.dirty.fill(false);
     }
 
     /// Number of valid lines currently cached (for tests/diagnostics).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t & VALID != 0).count()
     }
 
-    /// Serializes the cache contents (every line verbatim), replacement
-    /// tick, and statistics. Geometry is configuration and is rebuilt.
+    /// Serializes the cache contents (every way verbatim, as valid, dirty,
+    /// ptag, stamp, prefetched), replacement tick, and statistics.
+    /// Geometry is configuration and is rebuilt.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_CACHE);
-        w.usize(self.lines.len());
-        for l in &self.lines {
-            w.bool(l.valid);
-            w.bool(l.dirty);
-            w.u64(l.ptag);
-            w.u64(l.stamp);
-            w.bool(l.prefetched);
+        w.usize(self.tags.len());
+        for i in 0..self.tags.len() {
+            w.bool(self.tags[i] & VALID != 0);
+            w.bool(self.dirty[i]);
+            w.u64(self.tags[i] & !VALID);
+            w.u64(self.stamps[i]);
+            w.bool(self.prefetched[i]);
         }
         w.u64(self.tick);
         let s = &self.stats;
@@ -499,15 +495,19 @@ impl Cache {
     pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(TAG_CACHE)?;
         let n = r.usize()?;
-        if n != self.lines.len() {
+        if n != self.tags.len() {
             return Err(SnapError::Geometry("cache line count"));
         }
-        for l in &mut self.lines {
-            l.valid = r.bool()?;
-            l.dirty = r.bool()?;
-            l.ptag = r.u64()?;
-            l.stamp = r.u64()?;
-            l.prefetched = r.bool()?;
+        for i in 0..n {
+            let valid = r.bool()?;
+            self.dirty[i] = r.bool()?;
+            let ptag = r.u64()?;
+            if ptag & VALID != 0 {
+                return Err(SnapError::Geometry("cache tag out of range"));
+            }
+            self.tags[i] = if valid { VALID | ptag } else { ptag };
+            self.stamps[i] = r.u64()?;
+            self.prefetched[i] = r.bool()?;
         }
         self.tick = r.u64()?;
         let s = &mut self.stats;
@@ -731,6 +731,323 @@ mod tests {
         // not the most recently installed one.
         c.access(va(4 * 32), pa(4 * 32), AccessKind::Load);
         assert!(c.probe(va(3 * 32), pa(3 * 32)));
+    }
+
+    /// The reference cache: one `Line` struct per way and linear scans
+    /// (the layout before the packed tag words).
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        valid: bool,
+        dirty: bool,
+        ptag: u64,
+        stamp: u64,
+        prefetched: bool,
+    }
+
+    struct LineCache {
+        cfg: CacheConfig,
+        lines: Vec<Line>,
+        set_mask: u64,
+        line_shift: u32,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl LineCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.sets();
+            Self {
+                lines: vec![Line::default(); (sets * cfg.ways) as usize],
+                set_mask: sets - 1,
+                line_shift: log2(cfg.line),
+                tick: 0,
+                stats: CacheStats::default(),
+                cfg,
+            }
+        }
+
+        fn set_of(&self, v: VAddr, p: PAddr) -> usize {
+            let idx_addr = match self.cfg.indexing {
+                Indexing::Virtual => v.raw(),
+                Indexing::Physical => p.raw(),
+            };
+            ((idx_addr >> self.line_shift) & self.set_mask) as usize
+        }
+
+        fn set_range(&self, set: usize) -> core::ops::Range<usize> {
+            let ways = self.cfg.ways as usize;
+            set * ways..(set + 1) * ways
+        }
+
+        fn find(&self, v: VAddr, p: PAddr) -> Option<usize> {
+            let ptag = p.raw() >> self.line_shift;
+            self.set_range(self.set_of(v, p))
+                .find(|&i| self.lines[i].valid && self.lines[i].ptag == ptag)
+        }
+
+        fn access(&mut self, v: VAddr, p: PAddr, kind: AccessKind) -> Outcome {
+            self.tick += 1;
+            if let Some(i) = self.find(v, p) {
+                let line = &mut self.lines[i];
+                if line.prefetched {
+                    line.prefetched = false;
+                    self.stats.prefetch_useful += 1;
+                }
+                line.stamp = self.tick;
+                match kind {
+                    AccessKind::Load => {
+                        self.stats.loads += 1;
+                        self.stats.load_hits += 1;
+                    }
+                    AccessKind::Store => {
+                        self.stats.stores += 1;
+                        self.stats.store_hits += 1;
+                        line.dirty = true;
+                    }
+                }
+                return Outcome::Hit;
+            }
+            match kind {
+                AccessKind::Load => self.stats.loads += 1,
+                AccessKind::Store => {
+                    self.stats.stores += 1;
+                    if !self.cfg.write_allocate {
+                        self.stats.store_bypasses += 1;
+                        return Outcome::Bypass;
+                    }
+                }
+            }
+            let writeback = self.fill_at(v, p, kind.is_store(), false);
+            self.stats.fills += 1;
+            Outcome::Miss { writeback }
+        }
+
+        fn prefetch_fill(&mut self, v: VAddr, p: PAddr) -> Option<PAddr> {
+            if self.find(v, p).is_some() {
+                return None;
+            }
+            self.tick += 1;
+            let wb = self.fill_at(v, p, false, true);
+            self.stats.prefetch_fills += 1;
+            wb
+        }
+
+        fn fill_at(&mut self, v: VAddr, p: PAddr, dirty: bool, prefetched: bool) -> Option<PAddr> {
+            let range = self.set_range(self.set_of(v, p));
+            let victim = match range.clone().find(|&i| !self.lines[i].valid) {
+                Some(i) => i,
+                None => match self.cfg.replacement {
+                    Replacement::Lru => range.clone().min_by_key(|&i| self.lines[i].stamp).unwrap(),
+                    Replacement::Nru => range
+                        .clone()
+                        .find(|&i| self.lines[i].stamp == 0)
+                        .unwrap_or(range.start),
+                },
+            };
+            let line = &mut self.lines[victim];
+            let mut writeback = None;
+            if line.valid {
+                self.stats.evictions += 1;
+                if line.dirty {
+                    self.stats.writebacks += 1;
+                    writeback = Some(PAddr::new(line.ptag << self.line_shift));
+                }
+            }
+            *line = Line {
+                valid: true,
+                dirty,
+                ptag: p.raw() >> self.line_shift,
+                stamp: self.tick,
+                prefetched,
+            };
+            if self.cfg.replacement == Replacement::Nru
+                && range.clone().all(|i| self.lines[i].stamp != 0)
+            {
+                for i in range {
+                    if i != victim {
+                        self.lines[i].stamp = 0;
+                    }
+                }
+            }
+            writeback
+        }
+
+        fn flush_line(&mut self, v: VAddr, p: PAddr) -> FlushOutcome {
+            let Some(i) = self.find(v, p) else {
+                return FlushOutcome::NotPresent;
+            };
+            let line = &mut self.lines[i];
+            line.valid = false;
+            if core::mem::take(&mut line.dirty) {
+                self.stats.writebacks += 1;
+                FlushOutcome::Dirty
+            } else {
+                FlushOutcome::Clean
+            }
+        }
+
+        fn purge_line(&mut self, v: VAddr, p: PAddr) -> bool {
+            let Some(i) = self.find(v, p) else {
+                return false;
+            };
+            self.lines[i].valid = false;
+            self.lines[i].dirty = false;
+            true
+        }
+
+        fn invalidate_all(&mut self) {
+            for line in &mut self.lines {
+                line.valid = false;
+                line.dirty = false;
+            }
+        }
+
+        fn valid_lines(&self) -> usize {
+            self.lines.iter().filter(|l| l.valid).count()
+        }
+
+        /// The `CACH` section as the `Line`-array cache wrote it.
+        fn snap_bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.tag(TAG_CACHE);
+            w.usize(self.lines.len());
+            for l in &self.lines {
+                w.bool(l.valid);
+                w.bool(l.dirty);
+                w.u64(l.ptag);
+                w.u64(l.stamp);
+                w.bool(l.prefetched);
+            }
+            w.u64(self.tick);
+            let s = &self.stats;
+            for v in [
+                s.loads,
+                s.load_hits,
+                s.stores,
+                s.store_hits,
+                s.store_bypasses,
+                s.fills,
+                s.prefetch_fills,
+                s.prefetch_useful,
+                s.writebacks,
+                s.evictions,
+            ] {
+                w.u64(v);
+            }
+            w.finish()
+        }
+    }
+
+    fn snap_bytes(c: &Cache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.snap_save(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn packed_tags_match_a_line_array_reference() {
+        // Seeded random demand loads and stores, prefetch fills, flushes,
+        // purges, invalidations, statistics resets and snapshot round
+        // trips over every associativity, replacement policy, indexing
+        // and write policy: after every step each outcome, the
+        // statistics, the occupancy and the snapshot bytes must match the
+        // reference.
+        const SETS: u64 = 8;
+        for ways in [1u64, 2, 4, 8] {
+            for replacement in [Replacement::Lru, Replacement::Nru] {
+                for indexing in [Indexing::Virtual, Indexing::Physical] {
+                    for write_allocate in [false, true] {
+                        let cfg = CacheConfig {
+                            name: "R",
+                            size: 32 * ways * SETS,
+                            line: 32,
+                            ways,
+                            indexing,
+                            write_allocate,
+                            replacement,
+                        };
+                        let mut c = Cache::new(cfg.clone());
+                        let mut reference = LineCache::new(cfg);
+                        let mut x = 0x2545_F491_4F6C_DD1Du64 ^ (ways << 8);
+                        for step in 0..6_000u64 {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            // A working set about twice the capacity, so
+                            // hits, conflicts and evictions all occur; the
+                            // virtual address is an alias of the physical
+                            // one with its own set bits.
+                            let lines = 2 * ways * SETS;
+                            let p = pa(((x >> 8) % lines) * 32 + (x >> 20) % 32);
+                            let v = va(p.raw() ^ (((x >> 30) % 4) << 5));
+                            let ctx = format!(
+                                "ways {ways} {replacement:?} {indexing:?} \
+                                 allocate {write_allocate} step {step}"
+                            );
+                            match (x >> 40) % 64 {
+                                0 => {
+                                    c.invalidate_all();
+                                    reference.invalidate_all();
+                                }
+                                1 => {
+                                    c.reset_stats();
+                                    reference.stats = CacheStats::default();
+                                }
+                                2..=4 => assert_eq!(
+                                    c.flush_line(v, p),
+                                    reference.flush_line(v, p),
+                                    "{ctx}"
+                                ),
+                                5..=6 => assert_eq!(
+                                    c.purge_line(v, p),
+                                    reference.purge_line(v, p),
+                                    "{ctx}"
+                                ),
+                                7..=12 => assert_eq!(
+                                    c.prefetch_fill(v, p),
+                                    reference.prefetch_fill(v, p),
+                                    "{ctx}"
+                                ),
+                                13 => {
+                                    let mut fresh = Cache::new(c.config().clone());
+                                    let bytes = snap_bytes(&c);
+                                    let mut r = SnapReader::new(&bytes);
+                                    fresh.snap_load(&mut r).expect("load");
+                                    r.finish().expect("fully consumed");
+                                    c = fresh;
+                                }
+                                14..=29 => assert_eq!(
+                                    c.access(v, p, AccessKind::Store),
+                                    reference.access(v, p, AccessKind::Store),
+                                    "{ctx}"
+                                ),
+                                _ => assert_eq!(
+                                    c.access(v, p, AccessKind::Load),
+                                    reference.access(v, p, AccessKind::Load),
+                                    "{ctx}"
+                                ),
+                            }
+                            assert_eq!(c.probe(v, p), reference.find(v, p).is_some(), "{ctx}");
+                            assert_eq!(c.stats(), reference.stats, "{ctx}");
+                            assert_eq!(c.valid_lines(), reference.valid_lines(), "{ctx}");
+                            assert_eq!(snap_bytes(&c), reference.snap_bytes(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_tag_that_overflows_the_tag_word_is_rejected() {
+        let mut reference = LineCache::new(CacheConfig::paint_l1());
+        reference.lines[3].ptag = VALID | 7;
+        let bytes = reference.snap_bytes();
+        let mut c = Cache::new(CacheConfig::paint_l1());
+        assert_eq!(
+            c.snap_load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Geometry("cache tag out of range"))
+        );
     }
 
     #[test]

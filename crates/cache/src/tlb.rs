@@ -87,6 +87,16 @@ fn live_bits(n: usize, w: usize) -> u64 {
     }
 }
 
+/// Slots in the direct-mapped lookaside in front of the page index.
+const LOOKASIDE: usize = 64;
+
+/// What lookaside slot `k` holds when empty: page `k ^ 1`, which maps to
+/// slot `k ^ 1` and so can never be looked up in slot `k`.
+#[inline]
+fn empty_lookaside(k: usize) -> (u64, usize) {
+    (k as u64 ^ 1, 0)
+}
+
 #[inline]
 fn bit(set: &[u64], i: usize) -> bool {
     set[i / 64] & (1 << (i % 64)) != 0
@@ -105,9 +115,11 @@ fn clear_bit(set: &mut [u64], i: usize) {
 /// A fully-associative, NRU-replaced TLB.
 ///
 /// Lookups are O(1): an index maps single-page entries by page number, and
-/// superpage entries (rare) live on a short side list. Replacement is O(1)
-/// in the entry count too: free and referenced slots are bitsets, so the
-/// NRU victim is a `trailing_zeros` over ⌈entries/64⌉ words.
+/// superpage entries (rare) live on a short side list. A 64-slot
+/// direct-mapped lookaside of `(vpage, slot)` pairs sits in front of the
+/// index, so a hit on a recently used page is one compare. Replacement is
+/// O(1) in the entry count too: free and referenced slots are bitsets, so
+/// the NRU victim is a `trailing_zeros` over ⌈entries/64⌉ words.
 ///
 /// # Examples
 ///
@@ -134,6 +146,14 @@ pub struct Tlb {
     index: FxHashMap<u64, usize>,
     /// Slots holding superpage entries (span > 1).
     super_slots: Vec<usize>,
+    /// `(vpage, slot)` at `vpage % LOOKASIDE`, a cache of `index`: each
+    /// non-empty pair is an entry `index` holds. It is filled on an index
+    /// hit and cleared by *page* whenever `index` drops or re-points that
+    /// page. Clearing by slot would not do: a duplicate span-1 insert
+    /// re-points the page to a new slot, and clearing the old slot later
+    /// removes the page from `index` although the new slot still holds
+    /// it. Not serialized; reset on load.
+    lookaside: [(u64, usize); LOOKASIDE],
     stats: TlbStats,
 }
 
@@ -152,10 +172,24 @@ impl Tlb {
             referenced: vec![0; words],
             index: FxHashMap::default(),
             super_slots: Vec::new(),
+            lookaside: std::array::from_fn(empty_lookaside),
             stats: TlbStats::default(),
         };
         tlb.free_all();
         tlb
+    }
+
+    fn reset_lookaside(&mut self) {
+        self.lookaside = std::array::from_fn(empty_lookaside);
+    }
+
+    /// Drops `vpage` from the lookaside, whichever slot it points at.
+    #[inline]
+    fn forget(&mut self, vpage: u64) {
+        let k = vpage as usize % LOOKASIDE;
+        if self.lookaside[k].0 == vpage {
+            self.lookaside[k] = empty_lookaside(k);
+        }
     }
 
     /// Marks every slot free and unreferenced.
@@ -172,9 +206,13 @@ impl Tlb {
     }
 
     fn slot_of(&self, vpage: u64) -> Option<usize> {
-        if let Some(&i) = self.index.get(&vpage) {
-            return Some(i);
+        match self.index.get(&vpage) {
+            Some(&i) => Some(i),
+            None => self.super_slot_of(vpage),
         }
+    }
+
+    fn super_slot_of(&self, vpage: u64) -> Option<usize> {
         self.super_slots
             .iter()
             .copied()
@@ -186,6 +224,7 @@ impl Tlb {
             let e = self.entries[i];
             if e.span == 1 {
                 self.index.remove(&e.base_vpage);
+                self.forget(e.base_vpage);
             } else {
                 self.super_slots.retain(|&s| s != i);
             }
@@ -226,15 +265,33 @@ impl Tlb {
 
     /// Looks up a virtual page; returns `true` on a hit and marks the
     /// entry referenced.
+    #[inline]
     pub fn lookup(&mut self, vpage: u64) -> bool {
         self.stats.lookups += 1;
-        if let Some(i) = self.slot_of(vpage) {
+        let (page, i) = self.lookaside[vpage as usize % LOOKASIDE];
+        if page == vpage {
             set_bit(&mut self.referenced, i);
             self.stats.hits += 1;
-            true
-        } else {
-            false
+            return true;
         }
+        self.lookup_indexed(vpage)
+    }
+
+    /// [`Tlb::lookup`] past a lookaside miss: the index, then the
+    /// superpage list. A span-1 hit fills the lookaside.
+    #[inline(never)]
+    fn lookup_indexed(&mut self, vpage: u64) -> bool {
+        let i = if let Some(&i) = self.index.get(&vpage) {
+            self.lookaside[vpage as usize % LOOKASIDE] = (vpage, i);
+            i
+        } else if let Some(i) = self.super_slot_of(vpage) {
+            i
+        } else {
+            return false;
+        };
+        set_bit(&mut self.referenced, i);
+        self.stats.hits += 1;
+        true
     }
 
     /// Inserts a (super)page entry covering `span` pages starting at
@@ -262,6 +319,7 @@ impl Tlb {
         set_bit(&mut self.referenced, victim);
         if span == 1 {
             self.index.insert(base_vpage, victim);
+            self.forget(base_vpage);
         } else {
             self.super_slots.push(victim);
         }
@@ -273,6 +331,7 @@ impl Tlb {
         self.free_all();
         self.index.clear();
         self.super_slots.clear();
+        self.reset_lookaside();
     }
 
     /// Invalidates any entry covering `vpage`; returns whether one existed.
@@ -345,6 +404,7 @@ impl Tlb {
             self.super_slots.push(s);
         }
         self.index.clear();
+        self.reset_lookaside();
         for (i, e) in self.entries.iter().enumerate() {
             if !self.is_free(i) && e.span == 1 {
                 self.index.insert(e.base_vpage, i);
@@ -582,57 +642,70 @@ mod tests {
         // Seeded random lookup / insert / flush / snapshot sequences over
         // more pages than the TLB holds, at sizes around the 64-slot word
         // boundary: after every step the hit or miss, the statistics, the
-        // occupancy and the snapshot bytes must match the reference.
+        // occupancy and the snapshot bytes must match the reference. The
+        // `hot` mix biases lookups to three pages (the A, B, C of a tiled
+        // product), so lookaside hits dominate, and re-inserts resident
+        // pages with span 1, which re-points their index entries.
         const PAGES: u64 = 512;
-        for n in [1usize, 2, 63, 64, 65, 120, 128, 130] {
-            let mut t = tlb(n);
-            let mut reference = ScanTlb::new(n);
-            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
-            for step in 0..20_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // Reuse a working set a little larger than the TLB most of
-                // the time, so hits, NRU sweeps and evictions all occur.
-                let page = if x & 3 == 0 {
-                    (x >> 8) % PAGES
-                } else {
-                    (x >> 8) % (n as u64 + n as u64 / 4 + 2)
-                };
-                let ctx = format!("entries {n} step {step}");
-                match (x >> 32) % 64 {
-                    0 => {
-                        t.flush();
-                        reference.flush();
-                    }
-                    1..=3 => assert_eq!(t.flush_page(page), reference.flush_page(page), "{ctx}"),
-                    4..=7 => {
-                        let span = 1 << ((x >> 40) % 5);
-                        let base = page & !(span - 1);
-                        t.insert(base, span);
-                        reference.insert(base, span);
-                    }
-                    8 => {
-                        let mut fresh = tlb(n);
-                        let bytes = snap_bytes(&t);
-                        let mut r = SnapReader::new(&bytes);
-                        fresh.snap_load(&mut r).expect("load");
-                        r.finish().expect("fully consumed");
-                        t = fresh;
-                        reference.reload();
-                    }
-                    _ => {
-                        let hit = t.lookup(page);
-                        assert_eq!(hit, reference.lookup(page), "{ctx}");
-                        if !hit {
+        for hot in [false, true] {
+            for n in [1usize, 2, 63, 64, 65, 120, 128, 130] {
+                let mut t = tlb(n);
+                let mut reference = ScanTlb::new(n);
+                let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64 ^ u64::from(hot) << 40;
+                for step in 0..20_000u64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Reuse a working set a little larger than the TLB most of
+                    // the time, so hits, NRU sweeps and evictions all occur.
+                    let page = if hot && (x >> 4) & 3 != 0 {
+                        [7, 64 + 7, 2 * 64 + 9][(x >> 48) as usize % 3]
+                    } else if x & 3 == 0 {
+                        (x >> 8) % PAGES
+                    } else {
+                        (x >> 8) % (n as u64 + n as u64 / 4 + 2)
+                    };
+                    let ctx = format!("hot {hot} entries {n} step {step}");
+                    match (x >> 32) % 64 {
+                        9..=11 if hot => {
                             t.insert(page, 1);
                             reference.insert(page, 1);
                         }
+                        0 => {
+                            t.flush();
+                            reference.flush();
+                        }
+                        1..=3 => {
+                            assert_eq!(t.flush_page(page), reference.flush_page(page), "{ctx}")
+                        }
+                        4..=7 => {
+                            let span = 1 << ((x >> 40) % 5);
+                            let base = page & !(span - 1);
+                            t.insert(base, span);
+                            reference.insert(base, span);
+                        }
+                        8 => {
+                            let mut fresh = tlb(n);
+                            let bytes = snap_bytes(&t);
+                            let mut r = SnapReader::new(&bytes);
+                            fresh.snap_load(&mut r).expect("load");
+                            r.finish().expect("fully consumed");
+                            t = fresh;
+                            reference.reload();
+                        }
+                        _ => {
+                            let hit = t.lookup(page);
+                            assert_eq!(hit, reference.lookup(page), "{ctx}");
+                            if !hit {
+                                t.insert(page, 1);
+                                reference.insert(page, 1);
+                            }
+                        }
                     }
+                    assert_eq!(t.stats(), reference.stats, "{ctx}");
+                    assert_eq!(t.valid_entries(), reference.valid_entries(), "{ctx}");
+                    assert_eq!(snap_bytes(&t), reference.snap_bytes(), "{ctx}");
                 }
-                assert_eq!(t.stats(), reference.stats, "{ctx}");
-                assert_eq!(t.valid_entries(), reference.valid_entries(), "{ctx}");
-                assert_eq!(snap_bytes(&t), reference.snap_bytes(), "{ctx}");
             }
         }
     }

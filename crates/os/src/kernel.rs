@@ -1238,6 +1238,7 @@ impl Kernel {
     /// TLB reach for a virtual page: its superpage `(base_vpage, span)` if
     /// one covers it, else `(vpage, 1)`. The system model uses this when
     /// refilling its TLB.
+    #[inline]
     pub fn tlb_span(&self, vpage: u64) -> (u64, u64) {
         for &(base, span) in &self.procs[self.current].superpages {
             if vpage >= base && vpage < base + span {

@@ -30,8 +30,32 @@ use crate::trace::{TraceEvent, Tracer};
 /// Direct-mapped, so it is sized to cover the 120-entry TLB's reach with
 /// room to spare: SMVP alone keeps ~40 pages live, which thrash a 16-slot
 /// memo, and every memo miss pays the kernel's page-table lookup. 256
-/// slots cost 4 KB.
+/// slots cost 8 KB.
 const XLAT_SLOTS: usize = 256;
+
+/// One translation memo slot: a virtual page, its page base bus address,
+/// and its TLB reach `(base vpage, span)` from [`Kernel::tlb_span`].
+///
+/// Caching the span is safe for the same reason caching the translation
+/// is: superpages, like mappings, change only inside system calls, and
+/// every system call clears the memo — `charge_syscall` on success,
+/// `fail_syscall` on failure — as does [`Machine::restore`], which starts
+/// from an empty memo. So a hit never serves a span older than the
+/// current superpage list.
+#[derive(Clone, Copy, Debug)]
+struct Xlat {
+    vpage: u64,
+    base: u64,
+    span: (u64, u64),
+}
+
+impl Xlat {
+    const EMPTY: Self = Self {
+        vpage: u64::MAX,
+        base: 0,
+        span: (0, 1),
+    };
+}
 
 /// Snapshot section tag for [`Machine`] (`"MACH"`).
 const TAG_MACH: u32 = 0x4D41_4348;
@@ -46,7 +70,7 @@ pub struct Machine {
     syscall_cycles: u64,
     syscall_failures: u64,
     instructions: u64,
-    xlat: [(u64, u64); XLAT_SLOTS], // (vpage, page base bus address)
+    xlat: [Xlat; XLAT_SLOTS],
     tracer: Option<Tracer>,
     /// Completion times of overlapped (non-blocking) load misses.
     inflight: std::collections::VecDeque<Cycle>,
@@ -79,7 +103,7 @@ impl Machine {
             syscall_cycles: 0,
             syscall_failures: 0,
             instructions: 0,
-            xlat: [(u64::MAX, 0); XLAT_SLOTS],
+            xlat: [Xlat::EMPTY; XLAT_SLOTS],
             tracer: None,
             inflight: std::collections::VecDeque::with_capacity(cfg.mshr),
             mshr: cfg.mshr,
@@ -160,24 +184,38 @@ impl Machine {
         self.instructions
     }
 
+    /// The bus address of `v` and the TLB reach of its page, through the
+    /// memo.
     #[inline]
-    fn translate_fast(&mut self, v: VAddr) -> PAddr {
+    fn translate_fast(&mut self, v: VAddr) -> (PAddr, (u64, u64)) {
         let vpage = v.page_number();
-        let slot = (vpage as usize) & (XLAT_SLOTS - 1);
-        let (tag, base) = self.xlat[slot];
-        if tag == vpage {
-            return PAddr::new(base + v.page_offset());
+        let x = self.xlat[(vpage as usize) & (XLAT_SLOTS - 1)];
+        if x.vpage == vpage {
+            return (PAddr::new(x.base + v.page_offset()), x.span);
         }
+        self.translate_miss(v)
+    }
+
+    /// A memo miss: asks the kernel for the translation and the span, and
+    /// memoizes both.
+    #[inline(never)]
+    fn translate_miss(&mut self, v: VAddr) -> (PAddr, (u64, u64)) {
+        let vpage = v.page_number();
         let p = self
             .kernel
             .translate(v)
             .unwrap_or_else(|e| panic!("segfault: demand access to {v:?}: {e}"));
-        self.xlat[slot] = (vpage, p.page_base().raw());
-        p
+        let span = self.kernel.tlb_span(vpage);
+        self.xlat[(vpage as usize) & (XLAT_SLOTS - 1)] = Xlat {
+            vpage,
+            base: p.page_base().raw(),
+            span,
+        };
+        (p, span)
     }
 
     fn invalidate_xlat(&mut self) {
-        self.xlat = [(u64::MAX, 0); XLAT_SLOTS];
+        self.xlat = [Xlat::EMPTY; XLAT_SLOTS];
     }
 
     /// Executes a load of the word at `v`; the clock advances to
@@ -187,8 +225,7 @@ impl Machine {
         if self.mshr > 1 {
             self.make_mshr_slot();
         }
-        let p = self.translate_fast(v);
-        let span = self.kernel.tlb_span(v.page_number());
+        let (p, span) = self.translate_fast(v);
         let start = self.now;
         let penalties = self.ms.stats().tlb_penalties;
         let done = self.ms.load(v, p, span, start);
@@ -218,8 +255,7 @@ impl Machine {
     /// Executes a store to the word at `v`.
     #[inline]
     pub fn store(&mut self, v: VAddr) {
-        let p = self.translate_fast(v);
-        let span = self.kernel.tlb_span(v.page_number());
+        let (p, span) = self.translate_fast(v);
         let start = self.now;
         self.now = self.ms.store(v, p, span, start);
         self.instructions += 1;
@@ -295,7 +331,7 @@ impl Machine {
     /// callers re-program per page, which is exactly the limitation the
     /// paper contrasts Impulse against.
     pub fn program_stream(&mut self, v: VAddr, stride: i64) {
-        let p = self.translate_fast(v);
+        let (p, _) = self.translate_fast(v);
         self.now += 1; // one instruction to arm the stream
         self.ms.program_stream(p, stride, self.now);
     }
@@ -320,6 +356,10 @@ impl Machine {
         self.now += cost;
         self.syscall_cycles += cost;
         self.syscall_failures += 1;
+        // A call can fail after changing kernel state (a superpage
+        // release that drops the registration, then fails to free the
+        // descriptor), so the memo goes too.
+        self.invalidate_xlat();
         e
     }
 
@@ -1051,6 +1091,45 @@ mod tests {
         let restored = last_paddr(&mut m);
         assert_eq!(restored, m.translate(r.start()));
         assert!(!m.memory().mc().is_shadow(restored));
+    }
+
+    #[test]
+    fn first_access_after_superpage_syscalls_inserts_the_new_span() {
+        // The memo caches each page's TLB span next to its translation.
+        // Every page is memoized with span 1 before the superpage is
+        // built, and with span 16 before it is released: a stale span
+        // would insert the old reach into the TLB and show up in the
+        // penalty and insert counts.
+        let mut m = machine();
+        let pages = 16u64;
+        let r = m
+            .alloc_region(pages * PAGE_SIZE, pages * PAGE_SIZE)
+            .unwrap();
+        let sweep = |m: &mut Machine| {
+            let (penalties, inserts) = (
+                m.memory().stats().tlb_penalties,
+                m.memory().tlb().stats().inserts,
+            );
+            for i in 0..pages {
+                m.load(r.start().add(i * PAGE_SIZE));
+            }
+            (
+                m.memory().stats().tlb_penalties - penalties,
+                m.memory().tlb().stats().inserts - inserts,
+            )
+        };
+        assert_eq!(sweep(&mut m), (pages, pages), "one span-1 entry per page");
+
+        let grant = m.sys_superpage(r).unwrap();
+        assert_eq!(sweep(&mut m), (1, 1), "one entry spans the superpage");
+        assert_eq!(sweep(&mut m), (0, 0));
+
+        m.sys_release(&grant).unwrap();
+        assert_eq!(
+            sweep(&mut m),
+            (pages, pages),
+            "the released pages are span-1 again"
+        );
     }
 
     #[test]

@@ -253,6 +253,7 @@ impl MemorySystem {
     /// Performs a demand load of the word at `(v, p)`; `span` is the TLB
     /// reach of the page (from the OS, to support superpages). Returns the
     /// completion cycle.
+    #[inline]
     pub fn load(&mut self, v: VAddr, p: PAddr, span: (u64, u64), now: Cycle) -> Cycle {
         self.stats.loads += 1;
         let t = self.tlb_check(v, span, now);
@@ -287,6 +288,7 @@ impl MemorySystem {
     /// L1 miss with stream buffers configured: a head match serves the
     /// line from the buffer; otherwise the miss takes the normal path and
     /// allocates a new next-line stream.
+    #[inline(never)]
     fn miss_via_streams(&mut self, v: VAddr, p: PAddr, t: Cycle) -> Cycle {
         let streams = self.streams.as_mut().expect("streams configured");
         match streams.lookup(p, t) {
@@ -354,6 +356,7 @@ impl MemorySystem {
     /// Performs a demand store; returns the completion cycle (stores
     /// retire through the write path, so allocations happen in the
     /// background).
+    #[inline]
     pub fn store(&mut self, v: VAddr, p: PAddr, span: (u64, u64), now: Cycle) -> Cycle {
         self.stats.stores += 1;
         let t = self.tlb_check(v, span, now);
@@ -383,6 +386,7 @@ impl MemorySystem {
         done
     }
 
+    #[inline]
     fn tlb_check(&mut self, v: VAddr, span: (u64, u64), now: Cycle) -> Cycle {
         if self.tlb.lookup(v.page_number()) {
             now
@@ -396,6 +400,7 @@ impl MemorySystem {
     }
 
     /// Load path below the L1: L2 lookup, then memory on a miss.
+    #[inline(never)]
     fn fill_from_l2(&mut self, v: VAddr, p: PAddr, t: Cycle) -> Cycle {
         match self.l2.access(v, p, AccessKind::Load) {
             Outcome::Hit => {
@@ -443,6 +448,7 @@ impl MemorySystem {
 
     /// Store that bypassed the write-around L1 and lands in the
     /// write-allocate L2.
+    #[inline(never)]
     fn store_to_l2(&mut self, v: VAddr, p: PAddr, t: Cycle) -> Cycle {
         // Every branch retires the store in `t_l2_hit` cycles (write
         // allocation runs in the background), so the demand cost is L2 time.
