@@ -7,10 +7,7 @@
 //! fan across `jobs=<N>` worker threads (default: every hardware
 //! thread; `jobs=1` forces the old serial path). Results are gathered in
 //! submission order, so the CSV and JSON outputs are byte-identical at
-//! any job count — only the wall clock changes. Host-side wall-clock
-//! timings land in `BENCH_run_all.json` (or `bench=<path>`): per
-//! experiment, the serial sum, and the elapsed total, so the perf
-//! trajectory is machine-readable PR over PR.
+//! any job count — only the wall clock changes.
 //!
 //! The run is **crash-safe and self-healing**: every completed
 //! experiment is appended (and fsync'd) to `results/journal.jsonl`
@@ -27,11 +24,6 @@
 //! and the demand-cycle attribution table whose stage totals sum to each
 //! epoch's demand-access cycles.
 //!
-//! Every run also appends one fsync'd rollup line
-//! (`impulse-bench-history-v2`, with the git revision and seed) to
-//! `BENCH_history.jsonl` (`history=<path>`) — the committed PR-over-PR
-//! perf trajectory.
-//!
 //! `tier=flat|cache` re-organises every experiment's memory system
 //! under the given hybrid DRAM/SCM tier policy before it runs — the
 //! grid's tier axis. The default catalog already carries dedicated
@@ -45,7 +37,7 @@
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use impulse_bench::experiments::{
@@ -53,13 +45,11 @@ use impulse_bench::experiments::{
 };
 use impulse_bench::journal;
 use impulse_bench::runner::{CommonArgs, SharedJob};
-use impulse_obs::Json;
 use impulse_sim::{Machine, Report};
 
 const USAGE: &str = "usage: run_all [out=results.csv] [json=results/run_all.json] \
-[bench=BENCH_run_all.json] [history=BENCH_history.jsonl] [journal=results/journal.jsonl] \
-[jobs=N] [seed=N] [tier=none|flat|cache] [watchdog_ms=N] [max_retries=K] \
-[--resume]";
+[journal=results/journal.jsonl] [jobs=N] [seed=N] [tier=none|flat|cache] \
+[watchdog_ms=N] [max_retries=K] [--resume]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,17 +67,10 @@ fn main() -> ExitCode {
     };
     let path = arg("out=", "results.csv");
     let json_path = arg("json=", "results/run_all.json");
-    let bench_path = arg("bench=", "BENCH_run_all.json");
-    let history_path = arg("history=", "BENCH_history.jsonl");
     let journal_path = arg("journal=", "results/journal.jsonl");
     let resume = args.iter().any(|a| a == "--resume");
 
     let (jobs, seed, opts, tier) = (common.jobs, common.seed, common.supervise, common.tier);
-
-    // Wrap each job to record its wall time as it runs; resumed
-    // (journal-reused) experiments never execute, so they are absent
-    // from the BENCH record by construction.
-    let timings: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
 
     // `tier=` re-organises every entry's memory system before it runs —
     // the whole catalog under one hybrid-tier policy (the grid's tier
@@ -98,18 +81,10 @@ fn main() -> ExitCode {
         .map(|entry| {
             let id = entry.name().to_string();
             let entry = Arc::new(entry.with_tier(tier));
-            let timings = timings.clone();
             let job: SharedJob<Report> = Arc::new(move || {
-                let t0 = Instant::now();
                 let mut m = Machine::new(entry.config());
                 entry.drive(&mut m);
-                let r = m.report(entry.name().to_string());
-                let wall = t0.elapsed().as_nanos() as u64;
-                timings
-                    .lock()
-                    .expect("timings lock")
-                    .push((entry.name().to_string(), wall));
-                r
+                m.report(entry.name().to_string())
             });
             (id, job)
         })
@@ -147,70 +122,12 @@ fn main() -> ExitCode {
     let mut jf = std::fs::File::create(&json_path).expect("create JSON report");
     writeln!(jf, "{doc:#}").expect("write JSON report");
 
-    // Host-side perf record: per-experiment wall clock, their serial sum,
-    // and the elapsed (parallel) total. serial_sum / total ≈ the speedup
-    // the job pool delivered on this host. Only freshly-executed
-    // experiments appear (a resumed run times just what it reran).
-    let mut timings = Arc::try_unwrap(timings)
-        .expect("workers exited")
-        .into_inner()
-        .expect("timings lock");
-    let position: std::collections::HashMap<&str, usize> = outcomes
-        .iter()
-        .enumerate()
-        .map(|(i, (id, _))| (id.as_str(), i))
-        .collect();
-    timings.sort_by_key(|(name, _)| position.get(name.as_str()).copied().unwrap_or(usize::MAX));
-    let mut bench = Json::obj();
-    bench.set("schema", Json::Str("impulse-bench-run-all-v1".into()));
-    bench.set("tier", Json::Str(tier.name().to_string()));
-    bench.set("jobs", Json::UInt(jobs as u64));
-    bench.set("seed", Json::UInt(seed));
-    bench.set("experiments_run", Json::UInt(timings.len() as u64));
-    bench.set("total_wall_ns", Json::UInt(total_wall.as_nanos() as u64));
-    bench.set(
-        "serial_sum_wall_ns",
-        Json::UInt(timings.iter().map(|(_, ns)| ns).sum()),
-    );
-    bench.set(
-        "experiments",
-        Json::Arr(
-            timings
-                .iter()
-                .map(|(name, ns)| {
-                    let mut e = Json::obj();
-                    e.set("name", Json::Str(name.clone()));
-                    e.set("wall_ns", Json::UInt(*ns));
-                    e
-                })
-                .collect(),
-        ),
-    );
-    let mut bf = std::fs::File::create(&bench_path).expect("create bench record");
-    writeln!(bf, "{bench:#}").expect("write bench record");
-
-    let failed_count = (outcomes.len() - ok_count) as u64;
-    let serial_sum: u64 = timings.iter().map(|(_, ns)| ns).sum();
-    let (git, git_dirty) = impulse_bench::git_stamp();
-    let mut hist = impulse_bench::history_record(
-        &git,
-        git_dirty,
-        seed,
-        jobs,
-        timings.len() as u64,
-        failed_count,
-        total_wall.as_nanos() as u64,
-        serial_sum,
-    );
-    hist.set("tier", Json::Str(tier.name().to_string()));
-    impulse_bench::append_history(Path::new(&history_path), &hist).expect("append history rollup");
-
     println!(
         "wrote {ok_count} experiment rows to {path} and full reports to {json_path} \
-         ({jobs} jobs, {:.2}s wall, timings in {bench_path})",
+         ({jobs} jobs, {:.2}s wall)",
         total_wall.as_secs_f64(),
     );
-    impulse_bench::print_artifacts(&[&path, &json_path, &bench_path, &history_path, &journal_path]);
+    impulse_bench::print_artifacts(&[&path, &json_path, &journal_path]);
 
     let failures: Vec<&(String, Result<journal::RunArtifacts, String>)> =
         outcomes.iter().filter(|(_, o)| o.is_err()).collect();

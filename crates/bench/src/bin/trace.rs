@@ -119,8 +119,8 @@ fn cmd_record(args: &[String]) -> ExitCode {
         .map(|t| {
             let (id, job) = t.into_job();
             // Capture files carry the experiment identity digest (the
-            // same ExperimentKey discipline the journal and the result
-            // server use), so captures from different seeds can coexist
+            // same ExperimentKey discipline the journal uses), so
+            // captures from different seeds can coexist
             // and artifacts are joinable by key across subsystems.
             let key = ExperimentKey::from_id(&id, seed);
             let file: PathBuf =

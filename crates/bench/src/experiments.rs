@@ -571,4 +571,38 @@ mod tests {
         assert_eq!(out.heatmap, Json::Null);
         assert_eq!(out.report.name, ipc.name());
     }
+
+    fn run_entry(name_prefix: &str, tier: TierPolicy) -> Report {
+        let entry = catalog_entries(DEFAULT_SEED)
+            .into_iter()
+            .find(|e| e.name().starts_with(name_prefix))
+            .expect("catalog entry present")
+            .with_tier(tier);
+        let mut m = Machine::new(entry.config());
+        entry.drive(&mut m);
+        m.report(entry.name().to_string())
+    }
+
+    fn counter(r: &Report, name: &str) -> u64 {
+        r.metrics.counter_value(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn with_tier_reorganises_plain_cells_and_keeps_tiered_ones() {
+        let cached = run_entry("ipc/impulse", TierPolicy::Cache);
+        assert!(counter(&cached, "mc.tier.fill_loads") > 0);
+
+        let plain = run_entry("ipc/impulse", TierPolicy::None);
+        assert!(
+            plain
+                .metrics
+                .iter()
+                .all(|(k, _)| !k.starts_with("mc.tier.")),
+            "an untiered cell exports no tier counters"
+        );
+
+        let flat = run_entry("tier/flat/", TierPolicy::Cache);
+        assert!(counter(&flat, "mc.tier.flat_scm") > 0);
+        assert_eq!(counter(&flat, "mc.tier.fill_loads"), 0, "stays flat");
+    }
 }

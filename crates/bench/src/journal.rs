@@ -53,9 +53,8 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     /// The stable experiment identity for this record — the same
-    /// `(config, seed)` digest the serve-mode result cache and the
-    /// trace-capture file names use, so one hex key cross-references an
-    /// experiment across all three artifacts.
+    /// `(config, seed)` digest the trace-capture file names use, so one
+    /// hex key cross-references an experiment across both artifacts.
     pub fn key(&self) -> ExperimentKey {
         ExperimentKey::from_id(&self.id, self.seed)
     }

@@ -23,11 +23,8 @@ pub mod experiments;
 pub mod harness;
 pub mod journal;
 pub mod runner;
-#[cfg(unix)]
-pub mod serve_support;
 pub mod tier_chaos;
 
-use impulse_obs::Json;
 use impulse_sim::Report;
 
 /// Prints the paths of every artifact a binary wrote, one per line, as
@@ -37,85 +34,6 @@ pub fn print_artifacts(paths: &[&str]) {
     for p in paths {
         println!("  {p}");
     }
-}
-
-/// Schema identifier for [`history_record`] lines. v2 records the clean
-/// `git describe` of HEAD in `git` and a separate `dirty` boolean; v1
-/// baked a `-dirty` suffix into the id, which made revision ids
-/// unjoinable against the history.
-pub const HISTORY_SCHEMA: &str = "impulse-bench-history-v2";
-
-/// Clean `git describe --always --tags` of HEAD plus a working-tree
-/// dirtiness flag (from `git status --porcelain`), for stamping history
-/// records. `("unknown", false)` when git (or the repository) is
-/// unavailable.
-pub fn git_stamp() -> (String, bool) {
-    let describe = std::process::Command::new("git")
-        .args(["describe", "--always", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let dirty = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.iter().all(|b| b.is_ascii_whitespace()));
-    (describe, dirty)
-}
-
-/// Builds one `impulse-bench-history-v2` rollup record: a single compact
-/// JSON line capturing how a `run_all` invocation went — the revision
-/// (clean id + dirty flag), seed, job count, and wall-clock totals.
-/// Appended (fsync'd) to `BENCH_history.jsonl`, these lines are the
-/// PR-over-PR perf trajectory.
-#[allow(clippy::too_many_arguments)]
-pub fn history_record(
-    git: &str,
-    dirty: bool,
-    seed: u64,
-    jobs: usize,
-    experiments_run: u64,
-    failed: u64,
-    total_wall_ns: u64,
-    serial_sum_wall_ns: u64,
-) -> Json {
-    let mut r = Json::obj();
-    r.set("schema", Json::Str(HISTORY_SCHEMA.into()));
-    r.set("git", Json::Str(git.into()));
-    r.set("dirty", Json::Bool(dirty));
-    r.set("seed", Json::UInt(seed));
-    r.set("jobs", Json::UInt(jobs as u64));
-    r.set("experiments_run", Json::UInt(experiments_run));
-    r.set("failed", Json::UInt(failed));
-    r.set("total_wall_ns", Json::UInt(total_wall_ns));
-    r.set("serial_sum_wall_ns", Json::UInt(serial_sum_wall_ns));
-    r
-}
-
-/// Appends `record` as one compact JSONL line to `path` and flushes it
-/// to stable storage before returning (the same crash-safety contract as
-/// the run journal), creating parent directories as needed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn append_history(path: &std::path::Path, record: &Json) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(format!("{record}\n").as_bytes())?;
-    f.sync_data()
 }
 
 /// The four prefetch configurations every table sweeps: the paper's
@@ -313,36 +231,6 @@ mod tests {
         };
         assert_eq!(a.get("rows", 5), 200, "last override wins");
         assert_eq!(a.get("cols", 7), 7);
-    }
-
-    #[test]
-    fn history_record_round_trips_and_appends() {
-        let rec = history_record("v1.2-3-gabc", true, 7, 4, 24, 1, 1_000, 3_000);
-        assert_eq!(
-            rec.get("schema").and_then(Json::as_str),
-            Some(HISTORY_SCHEMA)
-        );
-        assert_eq!(rec.get("seed").and_then(Json::as_u64), Some(7));
-        assert_eq!(rec.get("dirty").and_then(Json::as_bool), Some(true));
-        assert!(
-            !rec.get("git")
-                .and_then(Json::as_str)
-                .unwrap()
-                .contains("-dirty"),
-            "dirtiness travels in its own field, not baked into the id"
-        );
-        let mut p = std::env::temp_dir();
-        p.push(format!("impulse-history-test-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        append_history(&p, &rec).expect("append");
-        append_history(&p, &rec).expect("append again");
-        let text = std::fs::read_to_string(&p).expect("read");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "one line per run");
-        let back = Json::parse(lines[1]).expect("valid JSON line");
-        assert_eq!(back.get("git").and_then(Json::as_str), Some("v1.2-3-gabc"));
-        assert_eq!(back.get("experiments_run").and_then(Json::as_u64), Some(24));
-        std::fs::remove_file(&p).expect("cleanup");
     }
 
     #[test]

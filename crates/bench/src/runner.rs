@@ -28,7 +28,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default worker count: every hardware thread the host offers.
 pub fn default_jobs() -> usize {
@@ -266,27 +266,6 @@ impl CommonArgs {
     }
 }
 
-/// Like [`run_ordered`], but wraps each result with the wall-clock time
-/// its job took (for `BENCH_*.json` trajectories).
-pub fn run_ordered_timed<T, F>(jobs: Vec<F>, workers: usize) -> Vec<(T, Duration)>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_ordered(
-        jobs.into_iter()
-            .map(|f| {
-                move || {
-                    let t0 = Instant::now();
-                    let out = f();
-                    (out, t0.elapsed())
-                }
-            })
-            .collect(),
-        workers,
-    )
-}
-
 /// A supervised job: shared (not consumed) so the watchdog can retry it
 /// after a panic or timeout without rebuilding the catalog.
 pub type SharedJob<T> = Arc<dyn Fn() -> T + Send + Sync>;
@@ -502,16 +481,6 @@ mod tests {
     fn oversubscribed_workers_are_clamped() {
         let jobs: Vec<_> = (0..3u64).map(|i| move || i).collect();
         assert_eq!(run_ordered(jobs, 64), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn timed_results_carry_durations() {
-        let jobs: Vec<_> = (0..4u64).map(|i| move || i).collect();
-        let out = run_ordered_timed(jobs, 2);
-        assert_eq!(
-            out.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
     }
 
     #[test]

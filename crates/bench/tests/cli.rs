@@ -34,10 +34,43 @@ fn exit_code(bin: &str, name: &str, outputs: &[&str], arg: &str) -> Option<i32> 
 #[test]
 fn run_all_rejects_zero_retries_and_bad_seed() {
     let bin = env!("CARGO_BIN_EXE_run_all");
-    let outputs = ["out", "json", "bench", "history", "journal"];
+    let outputs = ["out", "json", "journal"];
     for arg in ["max_retries=0", "seed=abc"] {
         assert_eq!(exit_code(bin, "run_all", &outputs, arg), Some(2), "{arg}");
     }
+}
+
+/// `run_all` writes the artifacts it is pointed at and nothing else: no
+/// stray ledger or timing file lands in its working directory.
+#[test]
+fn run_all_writes_only_its_three_artifacts() {
+    let dir = std::env::temp_dir().join(format!("impulse-cli-artifacts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let outputs = ["out", "json", "journal"];
+    let status = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(
+            outputs
+                .iter()
+                .map(|key| format!("{key}={}", dir.join(key).display())),
+        )
+        .current_dir(&dir)
+        .output()
+        .expect("spawn run_all")
+        .status;
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list scratch dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    written.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(status.success(), "run_all exited with {status}");
+    assert_eq!(written, ["journal", "json", "out"]);
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! The pieces:
 //!
 //! - [`DomainId`]: a protection domain. The kernel creates one per
-//!   process; `impulse-serve` creates one per tenant.
+//!   process.
 //! - [`CapId`]: a handle — table slot plus the generation the slot had
 //!   when granted. Slots are recycled, generations only grow, so a stale
 //!   handle is detected structurally ([`CapError::Revoked`]).
@@ -49,7 +49,7 @@ use impulse_types::{Cycle, FxHashMap};
 /// Snapshot section tag for [`CapEngine`] (`"CAPS"`).
 const TAG_CAPS: u32 = 0x4341_5053;
 
-/// A protection domain (one per process or tenant).
+/// A protection domain (one per process).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub u32);
 

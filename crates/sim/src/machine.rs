@@ -764,8 +764,8 @@ impl Machine {
     /// The configuration fingerprint stamped into snapshot headers — the
     /// shared [`impulse_types::ident`] digest of the full `SystemConfig`,
     /// so an image can never be restored into a machine with different
-    /// geometry or timing, and so every keyed artifact (snapshots, the
-    /// experiment server's result cache) derives identity from the same
+    /// geometry or timing, and so every keyed artifact (snapshots, run
+    /// journal records, capture names) derives identity from the same
     /// hash discipline.
     pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
         digest64(format!("{cfg:?}").as_bytes())

@@ -4,11 +4,11 @@
 //! An experiment is identified by **what it runs** (its name and the
 //! full system configuration it runs under) and **what it is fed** (the
 //! master seed). Several subsystems need that identity as a compact
-//! key — the crash-safe run journal, flight capture file names, and
-//! the experiment server's result cache — and before this module
-//! each invented its own keying (id strings, raw FNV of a `Debug`
-//! string, `(name, seed)` tuples). [`ExperimentKey`] replaces those
-//! ad-hoc schemes with one stable, well-mixed 64-bit digest:
+//! key — the crash-safe run journal and flight capture file names —
+//! and before this module each invented its own keying (id strings,
+//! raw FNV of a `Debug` string, `(name, seed)` tuples).
+//! [`ExperimentKey`] replaces those ad-hoc schemes with one stable,
+//! well-mixed 64-bit digest:
 //!
 //! * [`digest64`] — FNV-1a over the bytes, finished with the
 //!   SplitMix64 avalanche so short or similar inputs still spread over
@@ -16,7 +16,7 @@
 //! * [`mix`] — order-sensitive combination of two digests.
 //! * [`ExperimentKey`] — `(config digest, seed)` with a combined
 //!   64-bit form and a fixed-width hex rendering for file names and
-//!   wire messages.
+//!   journal records.
 //!
 //! The digests are deliberately *not* cryptographic: they defend
 //! against accidental collisions and torn bytes, not adversaries, the
@@ -87,7 +87,7 @@ impl ExperimentKey {
     }
 
     /// Fixed-width (16 hex digit) rendering of [`ExperimentKey::combined`],
-    /// used in capture file names and server responses.
+    /// used in capture file names and journal records.
     pub fn hex(self) -> String {
         format!("{:016x}", self.combined())
     }

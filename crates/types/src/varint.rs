@@ -1,12 +1,11 @@
 //! LEB128 varints and zigzag mapping — the integer encoding every
 //! Impulse binary codec shares.
 //!
-//! The flight-recorder trace codec (`impulse-trace-v1`) and the
-//! experiment server's result journal (`impulse-result-v1`) both frame
-//! their integers the same way: unsigned values as little-endian
-//! base-128 varints, signed deltas zigzag-mapped onto the unsigned space
-//! first. Keeping the primitive here (rather than per-codec copies)
-//! means one set of boundary-condition tests covers every format.
+//! The flight-recorder trace codec (`impulse-trace-v1`) frames its
+//! integers this way: unsigned values as little-endian base-128
+//! varints, signed deltas zigzag-mapped onto the unsigned space first.
+//! Keeping the primitive here (rather than inside the codec) means one
+//! set of boundary-condition tests covers any format that adopts it.
 //!
 //! # Examples
 //!

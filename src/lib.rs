@@ -12,7 +12,6 @@ pub use impulse_dram as dram;
 pub use impulse_fault as fault;
 pub use impulse_obs as obs;
 pub use impulse_os as os;
-pub use impulse_serve as serve;
 pub use impulse_sim as sim;
 pub use impulse_types as types;
 pub use impulse_workloads as workloads;
