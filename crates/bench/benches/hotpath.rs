@@ -4,7 +4,9 @@
 //! DRAM access, and the shadow-line gather's segment/translate/merge
 //! pipeline.
 //! These are the paths that run once (or more) per simulated access, so
-//! a regression here slows every experiment in the suite.
+//! a regression here slows every experiment in the suite. The `setup`
+//! group guards what every cell pays once before it measures: booting
+//! the fragmented frame pool and the flushes of a remap system call.
 
 use std::hint::black_box;
 
@@ -12,7 +14,7 @@ use impulse_bench::harness::Group;
 use impulse_cache::{Cache, CacheConfig, Tlb, TlbConfig};
 use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn};
 use impulse_dram::{Dram, DramConfig};
-use impulse_os::AddressSpace;
+use impulse_os::{AddressSpace, PhysMem};
 use impulse_sim::{Machine, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
 use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr};
@@ -204,7 +206,44 @@ fn bench_gather_merge() {
     });
 }
 
+fn bench_setup() {
+    // Set-up paths that run once per cell rather than once per access,
+    // but in every cell: booting the Paint machine's fragmented frame
+    // pool, and the flushes a remap system call does before the
+    // controller gathers fresh data.
+    let mut g = Group::new("setup");
+    let kcfg = SystemConfig::paint().kernel;
+    g.bench("phys_pool_paint", || {
+        let mut phys = PhysMem::new(kcfg.dram_capacity, kcfg.reserved_top, kcfg.policy);
+        for _ in 0..1024 {
+            black_box(phys.alloc().expect("free frame"));
+        }
+        phys
+    });
+
+    let mut m = Machine::new(&SystemConfig::paint_small());
+    let r = m.alloc_region(2 << 20, PAGE_SIZE).expect("region");
+    g.bench("flush_region_2mb", || {
+        m.flush_region(r);
+        m.now()
+    });
+
+    // The media cell's channel remap: 1-byte objects 4 bytes apart, so
+    // eight objects share each L1 block. Released each time to free its
+    // descriptor and shadow space.
+    let pixels = 16 * 1024;
+    let image = m.alloc_region(pixels * 4, 128).expect("image");
+    g.bench("remap_strided_1b", || {
+        let grant = m
+            .sys_remap_strided(image.start().add(1), 1, 4, pixels, PAGE_SIZE)
+            .expect("strided remap");
+        m.sys_release(&grant).expect("release");
+        m.now()
+    });
+}
+
 fn main() {
+    bench_setup();
     bench_l1_hit_path();
     bench_pgtbl_translate();
     bench_cpu_tlb();

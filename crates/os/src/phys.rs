@@ -7,9 +7,11 @@
 //! It also supports *colored* allocation, used by tests and by the
 //! software-copying baselines.
 
+use std::collections::VecDeque;
+
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
-use impulse_types::MAddr;
+use impulse_types::{FxHashMap, MAddr};
 
 /// Snapshot section tag for [`PhysMem`] (`"PHYS"`).
 const TAG_PHYS: u32 = 0x5048_5953;
@@ -42,6 +44,23 @@ impl std::error::Error for PhysError {}
 
 /// The physical frame allocator.
 ///
+/// The free list is a stack of frame numbers: [`alloc`] pops from the
+/// back and [`free`] pushes there. Under [`AllocPolicy::Random`] its
+/// initial order is a seeded Fisher–Yates shuffle of the descending
+/// frame numbers, taken lazily: step *i* of the shuffle fixes position
+/// *i* for good, and steps run from the top down, so only the positions
+/// a caller reaches are ever shuffled. Positions below that point stay
+/// implicit: each holds its unshuffled frame unless an earlier step
+/// displaced another one into it, and only the displaced ones are
+/// stored. A machine that touches a few thousand frames of a 1 GB pool
+/// never builds the pool's list. [`snap_save`] writes the list the eager
+/// shuffle would have built, so the image does not depend on how far
+/// the shuffle has got.
+///
+/// [`alloc`]: Self::alloc
+/// [`free`]: Self::free
+/// [`snap_save`]: Self::snap_save
+///
 /// # Examples
 ///
 /// ```
@@ -56,8 +75,18 @@ impl std::error::Error for PhysError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct PhysMem {
-    /// Free frame numbers, popped from the back.
-    free: Vec<u64>,
+    /// The settled top of the free list, in list order (popped from the
+    /// back): the shuffle's finished positions plus every freed frame.
+    free: VecDeque<u64>,
+    /// Positions `0..pending` of the free list, below `free`, that the
+    /// shuffle has not reached yet.
+    pending: u64,
+    /// The pending positions whose frame is not their unshuffled
+    /// `total_frames - 1 - position`, keyed by position.
+    displaced: FxHashMap<u64, u64>,
+    /// The shuffle's xorshift state; `None` under `Sequential`, whose
+    /// list is never shuffled.
+    rng: Option<u64>,
     total_frames: u64,
     allocated: u64,
 }
@@ -76,12 +105,14 @@ impl PhysMem {
     pub fn new(capacity: u64, reserved_top: u64, policy: AllocPolicy) -> Self {
         let usable = capacity.saturating_sub(reserved_top);
         let frames = usable / PAGE_SIZE;
-        let mut free: Vec<u64> = (0..frames).rev().collect();
-        if let AllocPolicy::Random(seed) = policy {
-            shuffle(&mut free, seed);
-        }
         Self {
-            free,
+            free: VecDeque::new(),
+            pending: frames,
+            displaced: FxHashMap::default(),
+            rng: match policy {
+                AllocPolicy::Sequential => None,
+                AllocPolicy::Random(seed) => Some(rng_seed(seed)),
+            },
             total_frames: frames,
             allocated: 0,
         }
@@ -97,32 +128,71 @@ impl PhysMem {
         self.total_frames - self.allocated
     }
 
+    /// Runs the shuffle step for the top pending position, which fixes
+    /// it, and returns its frame; `None` once nothing is pending.
+    fn settle_next(&mut self) -> Option<u64> {
+        let i = self.pending.checked_sub(1)?;
+        self.pending = i;
+        let top = self.total_frames - 1;
+        let at_i = self.displaced.remove(&i).unwrap_or(top - i);
+        // Fisher–Yates has no step for position 0: it is whatever the
+        // step for position 1 left there.
+        let Some(state) = self.rng.as_mut().filter(|_| i > 0) else {
+            return Some(at_i);
+        };
+        let j = xorshift(state) % (i + 1);
+        if j == i {
+            return Some(at_i);
+        }
+        Some(self.displaced.insert(j, at_i).unwrap_or(top - j))
+    }
+
     /// Allocates one frame.
     ///
     /// # Errors
     ///
     /// Returns [`PhysError::OutOfMemory`] when the pool is exhausted.
     pub fn alloc(&mut self) -> Result<MAddr, PhysError> {
-        let frame = self.free.pop().ok_or(PhysError::OutOfMemory)?;
+        let frame = match self.free.pop_back() {
+            Some(frame) => frame,
+            None => self.settle_next().ok_or(PhysError::OutOfMemory)?,
+        };
         self.allocated += 1;
         Ok(MAddr::new(frame << PAGE_SHIFT))
     }
 
     /// Allocates a frame whose *page color* (frame number modulo
-    /// `num_colors`) is in `colors`. Used by copy-based baselines that pay
-    /// for color control with data movement.
+    /// `num_colors`) is in `colors`: the one nearest the top of the free
+    /// list, whose place the list's top frame then takes. Used by
+    /// copy-based baselines that pay for color control with data
+    /// movement.
     ///
     /// # Errors
     ///
     /// Returns [`PhysError::OutOfMemory`] if no free frame has an
     /// acceptable color.
     pub fn alloc_colored(&mut self, colors: &[u64], num_colors: u64) -> Result<MAddr, PhysError> {
-        let pos = self
+        let wanted = |f: &u64| colors.contains(&(f % num_colors));
+        let settled = self
             .free
             .iter()
-            .rposition(|f| colors.contains(&(f % num_colors)))
-            .ok_or(PhysError::OutOfMemory)?;
-        let frame = self.free.swap_remove(pos);
+            .rposition(wanted)
+            .and_then(|pos| self.free.swap_remove_back(pos));
+        let frame = match settled {
+            Some(frame) => frame,
+            None => loop {
+                // Settle pending positions downward; each one passed over
+                // joins the bottom of the settled list, in list order.
+                let frame = self.settle_next().ok_or(PhysError::OutOfMemory)?;
+                if wanted(&frame) {
+                    if let Some(top) = self.free.pop_back() {
+                        self.free.push_front(top);
+                    }
+                    break frame;
+                }
+                self.free.push_front(frame);
+            },
+        };
         self.allocated += 1;
         Ok(MAddr::new(frame << PAGE_SHIFT))
     }
@@ -136,51 +206,84 @@ impl PhysMem {
             frame.raw().is_multiple_of(PAGE_SIZE),
             "freeing a non-page-aligned frame: {frame:?}"
         );
-        self.free.push(frame.raw() >> PAGE_SHIFT);
+        self.free.push_back(frame.raw() >> PAGE_SHIFT);
         self.allocated = self.allocated.saturating_sub(1);
     }
 
-    /// Serializes the free list verbatim (its order is the allocation
-    /// order, so it must survive bit-exactly) plus the frame counters.
+    /// Serializes the free list (its order is the allocation order, so it
+    /// must survive bit-exactly) plus the frame counters. The pending
+    /// positions are written as the eager shuffle would have left them,
+    /// by running the remaining steps on a scratch copy.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_PHYS);
         w.u64(self.total_frames);
         w.u64(self.allocated);
-        w.u64_slice(&self.free);
+        let mut scratch = Self {
+            free: VecDeque::new(),
+            displaced: self.displaced.clone(),
+            ..*self
+        };
+        // Settled top-down: the reverse of list order.
+        let mut pending: Vec<u64> = std::iter::from_fn(|| scratch.settle_next()).collect();
+        pending.reverse();
+        w.usize(pending.len() + self.free.len());
+        for &frame in pending.iter().chain(&self.free) {
+            w.u64(frame);
+        }
     }
 
     /// Restores the state saved by [`PhysMem::snap_save`] into an
-    /// allocator built over the same capacity and reservation.
+    /// allocator built over the same capacity and reservation. The
+    /// restored list is fully settled.
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] if the image is malformed or the frame
-    /// pool sizes disagree.
+    /// Returns a [`SnapError`] if the image is malformed, the frame pool
+    /// sizes disagree, or the image's counter or free list does not fit
+    /// the pool: more frames allocated or free than the pool holds, or a
+    /// free frame beyond it.
     pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(TAG_PHYS)?;
         if r.u64()? != self.total_frames {
             return Err(SnapError::Geometry("physical frame pool size"));
         }
-        self.allocated = r.u64()?;
-        self.free = r.u64_vec()?;
+        let allocated = r.u64()?;
+        if allocated > self.total_frames {
+            return Err(SnapError::Geometry("allocated frames exceed the pool"));
+        }
+        let n = r.usize()?;
+        if n as u64 > self.total_frames {
+            return Err(SnapError::Geometry("free list longer than the pool"));
+        }
+        let mut free = VecDeque::with_capacity(n);
+        for _ in 0..n {
+            let frame = r.u64()?;
+            if frame >= self.total_frames {
+                return Err(SnapError::Geometry("free frame beyond the pool"));
+            }
+            free.push_back(frame);
+        }
+        self.allocated = allocated;
+        self.free = free;
+        self.pending = 0;
+        self.displaced.clear();
         Ok(())
     }
 }
 
-/// Fisher–Yates with an xorshift generator (keeps this crate free of a
-/// rand dependency; determinism is all the simulator needs).
-fn shuffle(v: &mut [u64], seed: u64) {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for i in (1..v.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        v.swap(i, j);
-    }
+/// The shuffle generator's state for `seed`: an xorshift generator
+/// (keeps this crate free of a rand dependency; determinism is all the
+/// simulator needs).
+fn rng_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+}
+
+/// Advances the xorshift generator and returns its next value.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
 }
 
 #[cfg(test)]
@@ -254,6 +357,195 @@ mod tests {
     fn free_rejects_unaligned() {
         let mut p = PhysMem::new(2 * PAGE_SIZE, 0, AllocPolicy::Sequential);
         p.free(MAddr::new(1));
+    }
+
+    /// The eager allocator the lazy one must match step for step: the
+    /// whole descending list built and shuffled up front.
+    struct EagerPhys {
+        free: Vec<u64>,
+        total_frames: u64,
+        allocated: u64,
+    }
+
+    impl EagerPhys {
+        fn new(frames: u64, policy: AllocPolicy) -> Self {
+            let mut free: Vec<u64> = (0..frames).rev().collect();
+            if let AllocPolicy::Random(seed) = policy {
+                shuffle(&mut free, seed);
+            }
+            Self {
+                free,
+                total_frames: frames,
+                allocated: 0,
+            }
+        }
+
+        fn alloc(&mut self) -> Result<MAddr, PhysError> {
+            let frame = self.free.pop().ok_or(PhysError::OutOfMemory)?;
+            self.allocated += 1;
+            Ok(MAddr::new(frame << PAGE_SHIFT))
+        }
+
+        fn alloc_colored(&mut self, colors: &[u64], num_colors: u64) -> Result<MAddr, PhysError> {
+            let pos = self
+                .free
+                .iter()
+                .rposition(|f| colors.contains(&(f % num_colors)))
+                .ok_or(PhysError::OutOfMemory)?;
+            let frame = self.free.swap_remove(pos);
+            self.allocated += 1;
+            Ok(MAddr::new(frame << PAGE_SHIFT))
+        }
+
+        fn free(&mut self, frame: MAddr) {
+            self.free.push(frame.raw() >> PAGE_SHIFT);
+            self.allocated = self.allocated.saturating_sub(1);
+        }
+
+        fn snap_save(&self, w: &mut SnapWriter) {
+            w.tag(TAG_PHYS);
+            w.u64(self.total_frames);
+            w.u64(self.allocated);
+            w.u64_slice(&self.free);
+        }
+
+        fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            r.tag(TAG_PHYS)?;
+            if r.u64()? != self.total_frames {
+                return Err(SnapError::Geometry("physical frame pool size"));
+            }
+            self.allocated = r.u64()?;
+            self.free = r.u64_vec()?;
+            Ok(())
+        }
+    }
+
+    /// The original eager Fisher–Yates with its own xorshift generator.
+    fn shuffle(v: &mut [u64], seed: u64) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in (1..v.len()).rev() {
+            let j = (next() % (i as u64 + 1)) as usize;
+            v.swap(i, j);
+        }
+    }
+
+    fn phys_bytes(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        save(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn lazy_shuffle_matches_the_eager_allocator() {
+        // A seeded op stream drives both allocators over every pool size
+        // up to 300 frames under both policies; after every step the
+        // frame handed out, the free count and the PHYS bytes agree.
+        let mut x = 0x5EED_u64;
+        let mut rand = move |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        for frames in 0..=300u64 {
+            for policy in [
+                AllocPolicy::Sequential,
+                AllocPolicy::Random(frames * 31 + 7),
+            ] {
+                let capacity = frames * PAGE_SIZE;
+                let mut lazy = PhysMem::new(capacity + 2 * PAGE_SIZE, 2 * PAGE_SIZE, policy);
+                let mut eager = EagerPhys::new(frames, policy);
+                let mut held: Vec<MAddr> = Vec::new();
+                for step in 0..120 {
+                    let ctx = format!("{frames} frames, {policy:?}, step {step}");
+                    match rand(20) {
+                        0..=7 => {
+                            let got = lazy.alloc();
+                            assert_eq!(got, eager.alloc(), "alloc: {ctx}");
+                            held.extend(got);
+                        }
+                        8..=11 => {
+                            let num_colors = [1, 2, 4, 8, 32][rand(5) as usize];
+                            let colors: Vec<u64> =
+                                (0..num_colors).filter(|_| rand(3) == 0).collect();
+                            let got = lazy.alloc_colored(&colors, num_colors);
+                            assert_eq!(
+                                got,
+                                eager.alloc_colored(&colors, num_colors),
+                                "colored: {ctx}"
+                            );
+                            held.extend(got);
+                        }
+                        12..=16 if !held.is_empty() => {
+                            let f = held.swap_remove(rand(held.len() as u64) as usize);
+                            lazy.free(f);
+                            eager.free(f);
+                        }
+                        17 => {
+                            let image = phys_bytes(|w| eager.snap_save(w));
+                            lazy = PhysMem::new(capacity + 2 * PAGE_SIZE, 2 * PAGE_SIZE, policy);
+                            lazy.snap_load(&mut SnapReader::new(&image)).unwrap();
+                            eager = EagerPhys::new(frames, policy);
+                            eager.snap_load(&mut SnapReader::new(&image)).unwrap();
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(
+                        lazy.free_frames(),
+                        eager.total_frames - eager.allocated,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        phys_bytes(|w| lazy.snap_save(w)),
+                        phys_bytes(|w| eager.snap_save(w)),
+                        "PHYS bytes: {ctx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snap_load_rejects_free_lists_beyond_the_pool() {
+        let mut p = PhysMem::new(8 * PAGE_SIZE, 0, AllocPolicy::Random(3));
+        let image = |allocated: u64, free: &[u64]| {
+            phys_bytes(|w| {
+                w.tag(TAG_PHYS);
+                w.u64(8);
+                w.u64(allocated);
+                w.u64_slice(free);
+            })
+        };
+        let load = |p: &mut PhysMem, bytes: &[u8]| p.snap_load(&mut SnapReader::new(bytes));
+        assert!(matches!(
+            load(&mut p, &image(0, &[0, 1, 8])),
+            Err(SnapError::Geometry(_))
+        ));
+        assert!(matches!(
+            load(&mut p, &image(0, &[0; 9])),
+            Err(SnapError::Geometry(_))
+        ));
+        assert!(matches!(
+            load(&mut p, &image(9, &[])),
+            Err(SnapError::Geometry(_))
+        ));
+        // The rejected images left the fresh pool alone.
+        assert_eq!(p.free_frames(), 8);
+        let fresh = PhysMem::new(8 * PAGE_SIZE, 0, AllocPolicy::Random(3));
+        assert_eq!(
+            phys_bytes(|w| p.snap_save(w)),
+            phys_bytes(|w| fresh.snap_save(w))
+        );
+        // A full pool listed in any order loads, and hands out what it lists.
+        load(&mut p, &image(1, &[7, 6, 5, 4, 3, 2, 1])).unwrap();
+        assert_eq!(p.alloc().unwrap(), MAddr::new(PAGE_SIZE));
+        assert_eq!(p.free_frames(), 6);
     }
 
     #[test]

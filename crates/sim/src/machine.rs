@@ -57,6 +57,15 @@ impl Xlat {
     };
 }
 
+/// What [`Machine::walk_region`] does to each mapped block it visits.
+#[derive(Clone, Copy, Debug)]
+enum LineOp {
+    /// Write back if dirty, then invalidate, in both caches.
+    Flush,
+    /// Invalidate without writeback, in both caches.
+    Purge,
+}
+
 /// Snapshot section tag for [`Machine`] (`"MACH"`).
 const TAG_MACH: u32 = 0x4D41_4348;
 
@@ -407,33 +416,57 @@ impl Machine {
     /// charging the per-line flush cost.
     pub fn flush_region(&mut self, r: VRange) {
         self.drain_loads();
-        let costs = self.kernel.config().costs;
-        let line = self.ms.l1().config().line;
-        let mut flushed = 0;
-        for v in r.blocks(line) {
-            if let Some(p) = self.kernel.aspace().try_translate(v) {
-                self.ms.flush_line(v, p, self.now);
-                flushed += 1;
-            }
-        }
-        self.now += flushed * costs.t_per_flush_line;
-        self.syscall_cycles += flushed * costs.t_per_flush_line;
+        self.walk_region(r.start(), r.len(), 0, 1, LineOp::Flush);
     }
 
     /// Purges a virtual range (invalidates without writeback) — used for
     /// remapped input tiles whose cached copies are clean.
     pub fn purge_region(&mut self, r: VRange) {
-        let costs = self.kernel.config().costs;
+        self.walk_region(r.start(), r.len(), 0, 1, LineOp::Purge);
+    }
+
+    /// The region walker behind [`Machine::flush_region`],
+    /// [`Machine::purge_region`] and [`Machine::sys_remap_strided`]:
+    /// applies `op` to every mapped L1 block of `count` objects of `size`
+    /// bytes, `stride` bytes apart, and charges `t_per_flush_line` per
+    /// (object, block) pair. The blocks of one object all see the same
+    /// `now`; its charge lands after its last block.
+    ///
+    /// It translates once per page rather than once per block, and when
+    /// an object starts in the block just processed it does not process
+    /// that block again: nothing touched it in between, so a second flush
+    /// or purge would find it in neither cache. The charge still counts
+    /// the block.
+    fn walk_region(&mut self, base: VAddr, size: u64, stride: u64, count: u64, op: LineOp) {
+        let t = self.kernel.config().costs.t_per_flush_line;
         let line = self.ms.l1().config().line;
-        let mut purged = 0;
-        for v in r.blocks(line) {
-            if let Some(p) = self.kernel.aspace().try_translate(v) {
-                self.ms.purge_line(v, p);
-                purged += 1;
+        // The page last translated and its bus base (`None`: unmapped).
+        let (mut vpage, mut pbase) = (u64::MAX, None);
+        let mut last = u64::MAX;
+        for i in 0..count {
+            let mut lines = 0;
+            for v in VRange::new(base.add(i * stride), size).blocks(line) {
+                if v.page_number() != vpage {
+                    vpage = v.page_number();
+                    pbase = self.kernel.aspace().try_translate(v.page_base());
+                }
+                let Some(pbase) = pbase else { continue };
+                lines += 1;
+                if v.raw() == last {
+                    continue;
+                }
+                last = v.raw();
+                let p = pbase.add(v.page_offset());
+                match op {
+                    LineOp::Flush => {
+                        self.ms.flush_line(v, p, self.now);
+                    }
+                    LineOp::Purge => self.ms.purge_line(v, p),
+                }
             }
+            self.now += lines * t;
+            self.syscall_cycles += lines * t;
         }
-        self.now += purged * costs.t_per_flush_line;
-        self.syscall_cycles += purged * costs.t_per_flush_line;
     }
 
     /// System call: scatter/gather remap (see
@@ -533,9 +566,8 @@ impl Machine {
         self.charge_syscall(grant.pages_installed);
         // Only the strided objects themselves need flushing — not the
         // (possibly huge) span between them.
-        for i in 0..count {
-            self.flush_region(VRange::new(base.add(i * stride), object_size));
-        }
+        self.drain_loads();
+        self.walk_region(base, object_size, stride, count, LineOp::Flush);
         Ok(grant)
     }
 
@@ -1245,6 +1277,162 @@ mod tests {
             m.sys_revoke(&grant),
             Err(OsError::RevokedCapability { .. })
         ));
+    }
+
+    /// The per-line flush loop the region walker replaced: one
+    /// translation and one flush per L1 block.
+    fn flush_region_per_line(m: &mut Machine, r: VRange) {
+        m.drain_loads();
+        let costs = m.kernel.config().costs;
+        let line = m.ms.l1().config().line;
+        let mut flushed = 0;
+        for v in r.blocks(line) {
+            if let Some(p) = m.kernel.aspace().try_translate(v) {
+                m.ms.flush_line(v, p, m.now);
+                flushed += 1;
+            }
+        }
+        m.now += flushed * costs.t_per_flush_line;
+        m.syscall_cycles += flushed * costs.t_per_flush_line;
+    }
+
+    /// The per-line purge loop the region walker replaced.
+    fn purge_region_per_line(m: &mut Machine, r: VRange) {
+        let costs = m.kernel.config().costs;
+        let line = m.ms.l1().config().line;
+        let mut purged = 0;
+        for v in r.blocks(line) {
+            if let Some(p) = m.kernel.aspace().try_translate(v) {
+                m.ms.purge_line(v, p);
+                purged += 1;
+            }
+        }
+        m.now += purged * costs.t_per_flush_line;
+        m.syscall_cycles += purged * costs.t_per_flush_line;
+    }
+
+    /// The strided remap with one per-line flush per object.
+    fn remap_strided_per_line(
+        m: &mut Machine,
+        base: VAddr,
+        object_size: u64,
+        stride: u64,
+        count: u64,
+    ) -> RemapGrant {
+        let grant = m
+            .kernel
+            .remap_strided(m.ms.mc_mut(), base, object_size, stride, count, PAGE_SIZE)
+            .unwrap();
+        m.charge_syscall(grant.pages_installed);
+        for i in 0..count {
+            flush_region_per_line(m, VRange::new(base.add(i * stride), object_size));
+        }
+        grant
+    }
+
+    #[test]
+    fn region_walker_matches_the_per_line_loops() {
+        let cfg = SystemConfig::paint_small().with_mshr(4);
+        let build = || {
+            let mut m = Machine::new(&cfg);
+            let a = m.alloc_region(8 * PAGE_SIZE, PAGE_SIZE).unwrap();
+            let b = m.alloc_region(4 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();
+            let image = m.alloc_region(4096 * 4, 128).unwrap();
+            (m, a, b, image)
+        };
+        let (mut old, a, b, image) = build();
+        let (mut new, ..) = build();
+        let hole = a.end().add(PAGE_SIZE);
+        assert!(hole < b.start(), "an unmapped gap separates a and b");
+        assert!(new.kernel.aspace().try_translate(hole).is_none());
+
+        // Dirty lines in both caches, then overlapped misses that the
+        // flush must drain first.
+        let dirty = |m: &mut Machine, round: u64| {
+            for r in [a, b, image] {
+                for off in (round * 8..r.len()).step_by(40) {
+                    m.store(r.start().add(off));
+                }
+            }
+            for off in (0..a.len()).step_by(520) {
+                m.load(a.start().add(off));
+            }
+        };
+        let same = |old: &Machine, new: &Machine, what: &str| {
+            assert_eq!(old.now(), new.now(), "now after {what}");
+            assert_eq!(
+                old.syscall_cycles, new.syscall_cycles,
+                "syscall cycles after {what}"
+            );
+            assert_eq!(
+                old.ms.l1().stats(),
+                new.ms.l1().stats(),
+                "L1 stats after {what}"
+            );
+            assert_eq!(
+                old.ms.l2().stats(),
+                new.ms.l2().stats(),
+                "L2 stats after {what}"
+            );
+            assert!(
+                old.snapshot(&cfg) == new.snapshot(&cfg),
+                "snapshot after {what}"
+            );
+        };
+
+        let ranges = [
+            // Unaligned at both ends, across pages.
+            VRange::new(a.start().add(5), 3 * PAGE_SIZE + 77),
+            // Zero bytes at an unaligned address still names one block.
+            VRange::new(a.start().add(13), 0),
+            // From the end of a through the hole into b.
+            VRange::new(
+                a.end().sub(PAGE_SIZE + 100),
+                b.end().raw() - a.end().raw() + 90,
+            ),
+            // Wholly unmapped.
+            VRange::new(hole, 2 * PAGE_SIZE),
+            b,
+        ];
+        for (round, r) in ranges.into_iter().enumerate() {
+            let round = round as u64;
+            dirty(&mut old, round);
+            dirty(&mut new, round);
+            same(&old, &new, &format!("dirtying {round}"));
+            flush_region_per_line(&mut old, r);
+            new.flush_region(r);
+            same(&old, &new, &format!("flush of {r:?}"));
+            dirty(&mut old, round + 1);
+            dirty(&mut new, round + 1);
+            purge_region_per_line(&mut old, r);
+            new.purge_region(r);
+            same(&old, &new, &format!("purge of {r:?}"));
+        }
+        let (l1, l2) = (new.ms.l1().stats(), new.ms.l2().stats());
+        assert!(
+            l1.writebacks > 0 && l2.writebacks > 0,
+            "flushes wrote back from both caches"
+        );
+
+        // Media-shaped: 1-byte objects 4 bytes apart, eight per L1 block;
+        // then overlapping objects that straddle blocks and pages.
+        for (base, size, stride, count) in [
+            (image.start().add(1), 1, 4, 4096),
+            (a.start().add(3), 16, 20, 900),
+        ] {
+            dirty(&mut old, 2);
+            dirty(&mut new, 2);
+            let g_old = remap_strided_per_line(&mut old, base, size, stride, count);
+            let g_new = new
+                .sys_remap_strided(base, size, stride, count, PAGE_SIZE)
+                .unwrap();
+            assert_eq!(g_old.alias, g_new.alias);
+            same(
+                &old,
+                &new,
+                &format!("strided remap of {size} B every {stride} B"),
+            );
+        }
     }
 
     #[test]
