@@ -1,8 +1,8 @@
 //! Regression guards for the simulator's host-side hot paths: a demand
-//! load that hits the CPU TLB and the L1, the three translate layers (OS
-//! page table, CPU TLB index, controller PgTbl and its on-chip TLB), the
-//! DRAM access, and the shadow-line gather's segment/translate/merge
-//! pipeline.
+//! load or store that hits the CPU TLB and the L1, the three translate
+//! layers (OS page table, CPU TLB index, controller PgTbl and its on-chip
+//! TLB), the DRAM access, and the shadow-line gather's
+//! segment/translate/merge pipeline.
 //! These are the paths that run once (or more) per simulated access, so
 //! a regression here slows every experiment in the suite. The `setup`
 //! group guards what every cell pays once before it measures: booting
@@ -38,6 +38,13 @@ fn bench_l1_hit_path() {
     g.bench("load_l1_hit_3page", || {
         i = i.wrapping_add(1);
         m.load(r.start().add(three_page_word(i)));
+    });
+    // Stores to the same L1-resident lines: the write-around L1 keeps
+    // them, so every store hits too.
+    let mut i = 0u64;
+    g.bench("store_l1_hit_3page", || {
+        i = i.wrapping_add(1);
+        m.store(r.start().add(three_page_word(i)));
     });
 
     let mut g = Group::new("cache");

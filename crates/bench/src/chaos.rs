@@ -358,6 +358,16 @@ fn collect(
         ms.attribution().total() == stats.load_cycles + stats.store_cycles,
         "attribution total != demand cycles",
     );
+    // So must the demand-latency histograms, L1 hits folded in.
+    let (load_lat, store_lat) = (ms.load_latency(), ms.store_latency());
+    check(
+        load_lat.count() == stats.loads && load_lat.sum() == stats.load_cycles,
+        "load latency histogram != demand loads and cycles",
+    );
+    check(
+        store_lat.count() == stats.stores && store_lat.sum() == stats.store_cycles,
+        "store latency histogram != demand stores and cycles",
+    );
     // No silent data corruption while ECC is on.
     if faults.ecc.mode == EccMode::Secded {
         check(ecc.silent == 0, "silent corruption with SECDED enabled");

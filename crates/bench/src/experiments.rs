@@ -453,7 +453,8 @@ pub fn run_all_experiments_obs(seed: u64, obs: ObsSpec) -> Vec<TracedExperiment>
 /// # Panics
 ///
 /// Panics if the report's attribution stages do not sum to its demand
-/// cycles.
+/// cycles, or if its `mem.lat_load`/`mem.lat_store` histograms do not
+/// hold one sample per demand access summing to the demand cycles.
 pub fn report_artifacts(r: &Report) -> RunArtifacts {
     let demand = r.mem.load_cycles + r.mem.store_cycles;
     assert_eq!(
@@ -463,6 +464,21 @@ pub fn report_artifacts(r: &Report) -> RunArtifacts {
         r.name,
         r.attr.total(),
     );
+    for (name, accesses, cycles) in [
+        ("mem.lat_load", r.mem.loads, r.mem.load_cycles),
+        ("mem.lat_store", r.mem.stores, r.mem.store_cycles),
+    ] {
+        let h = r
+            .metrics
+            .histogram_value(name)
+            .unwrap_or_else(|| panic!("{}: no {name} histogram", r.name));
+        assert_eq!(
+            (h.count(), h.sum()),
+            (accesses, cycles),
+            "{}: {name} (count, sum) disagrees with the demand (accesses, cycles)",
+            r.name,
+        );
+    }
     RunArtifacts {
         csv: r.csv_row(),
         json: r.to_json(),

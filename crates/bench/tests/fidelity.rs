@@ -6,11 +6,12 @@
 //! re-serialized compactly, the same reading the `perf` benchmark's
 //! checker applies. A simulator change that is meant to move cycles
 //! regenerates `results/` in the same change; any other drift fails here
-//! by entry name.
+//! by entry name. Each report is serialized through `report_artifacts`,
+//! so its attribution and demand-latency invariants are asserted too.
 
 use std::collections::BTreeMap;
 
-use impulse_bench::experiments::{run_all_experiments, DEFAULT_SEED};
+use impulse_bench::experiments::{report_artifacts, run_all_experiments, DEFAULT_SEED};
 use impulse_bench::runner;
 use impulse_obs::Json;
 
@@ -50,7 +51,7 @@ fn catalog_reproduces_run_all_json_exactly() {
     let mut failures = Vec::new();
     for r in runner::run_ordered(jobs, workers) {
         match expected.remove(&r.name) {
-            Some(want) if want == r.to_json().to_string() => {}
+            Some(want) if want == report_artifacts(&r).json.to_string() => {}
             Some(_) => failures.push(format!("{}: differs from the reference", r.name)),
             None => failures.push(format!("{}: no entry in the reference", r.name)),
         }

@@ -116,13 +116,30 @@ pub struct MemorySystem {
     /// attributed — it never stalls the CPU, so `attr.total()` equals
     /// `load_cycles + store_cycles` exactly.
     attr: Attribution,
-    lat_l1_hit: Histogram,
-    lat_l2_hit: Histogram,
     lat_stream_hit: Histogram,
     lat_mem: Histogram,
-    lat_tlb_walk: Histogram,
+    /// Demand-load latencies, except the L1 hits since the last reset
+    /// or restore: those are in `l1_hits` until a read folds them in.
     lat_load: Histogram,
+    /// Demand-store latencies, with the same exception as `lat_load`.
     lat_store: Histogram,
+    /// L1 hits not yet in `lat_load`/`lat_store`, by `[kind][walked]`
+    /// (kind [`LOAD`] or [`STORE`]; walked when the access took a TLB
+    /// walk). Each one is a sample of `t_l1_hit`, plus `t_tlb_miss` if
+    /// walked, so the hit path counts instead of recording.
+    l1_hits: [[u64; 2]; 2],
+}
+
+/// `l1_hits` row of demand loads.
+const LOAD: usize = 0;
+/// `l1_hits` row of demand stores.
+const STORE: usize = 1;
+
+/// A histogram of `n` samples of the constant `v`.
+fn constant_histogram(v: Cycle, n: u64) -> Histogram {
+    let mut h = Histogram::new();
+    h.record_n(v, n);
+    h
 }
 
 impl MemorySystem {
@@ -164,13 +181,11 @@ impl MemorySystem {
             l2_line: cfg.l2.line,
             stats: MemStats::default(),
             attr: Attribution::new(),
-            lat_l1_hit: Histogram::new(),
-            lat_l2_hit: Histogram::new(),
             lat_stream_hit: Histogram::new(),
             lat_mem: Histogram::new(),
-            lat_tlb_walk: Histogram::new(),
             lat_load: Histogram::new(),
             lat_store: Histogram::new(),
+            l1_hits: [[0; 2]; 2],
         }
     }
 
@@ -220,13 +235,11 @@ impl MemorySystem {
         self.bus.reset_stats();
         self.mc.dram_mut().reset_stats();
         self.attr.reset();
-        self.lat_l1_hit = Histogram::new();
-        self.lat_l2_hit = Histogram::new();
         self.lat_stream_hit = Histogram::new();
         self.lat_mem = Histogram::new();
-        self.lat_tlb_walk = Histogram::new();
         self.lat_load = Histogram::new();
         self.lat_store = Histogram::new();
+        self.l1_hits = [[0; 2]; 2];
     }
 
     /// Per-stage breakdown of where demand-access cycles went this epoch.
@@ -235,13 +248,39 @@ impl MemorySystem {
     }
 
     /// Latency distribution of demand loads (end to end, incl. TLB).
-    pub fn load_latency(&self) -> &Histogram {
-        &self.lat_load
+    pub fn load_latency(&self) -> Histogram {
+        self.fold_l1_hits(&self.lat_load, LOAD)
     }
 
     /// Latency distribution of demand stores (end to end, incl. TLB).
-    pub fn store_latency(&self) -> &Histogram {
-        &self.lat_store
+    pub fn store_latency(&self) -> Histogram {
+        self.fold_l1_hits(&self.lat_store, STORE)
+    }
+
+    /// A copy of `base` with the tallied L1 hits of `kind` recorded.
+    fn fold_l1_hits(&self, base: &Histogram, kind: usize) -> Histogram {
+        let [plain, walked] = self.l1_hits[kind];
+        let mut h = base.clone();
+        h.record_n(self.t_l1_hit, plain);
+        h.record_n(self.t_l1_hit + self.t_tlb_miss, walked);
+        h
+    }
+
+    /// Latency distribution of L1 hits: `t_l1_hit` for each, so built
+    /// from the hit counters.
+    fn l1_hit_latency(&self) -> Histogram {
+        let s = &self.stats;
+        constant_histogram(self.t_l1_hit, s.l1_load_hits + s.store_l1_hits)
+    }
+
+    /// Latency distribution of L2 load hits: `t_l2_hit` for each.
+    fn l2_hit_latency(&self) -> Histogram {
+        constant_histogram(self.t_l2_hit, self.stats.l2_load_hits)
+    }
+
+    /// Latency distribution of TLB walks: `t_tlb_miss` for each.
+    fn tlb_walk_latency(&self) -> Histogram {
+        constant_histogram(self.t_tlb_miss, self.stats.tlb_penalties)
     }
 
     /// Latency distribution of loads that went to the memory controller
@@ -261,7 +300,7 @@ impl MemorySystem {
             Outcome::Hit => {
                 self.stats.l1_load_hits += 1;
                 self.attr.charge(Stage::L1, self.t_l1_hit);
-                self.lat_l1_hit.record(self.t_l1_hit);
+                self.l1_hits[LOAD][usize::from(t != now)] += 1;
                 t + self.t_l1_hit
             }
             Outcome::Miss { writeback } => {
@@ -276,12 +315,12 @@ impl MemorySystem {
                 if self.l1_prefetch {
                     self.prefetch_next_l1_line(v, p, d);
                 }
+                self.lat_load.record(d - now);
                 d
             }
             Outcome::Bypass => unreachable!("loads never bypass"),
         };
         self.stats.load_cycles += done - now;
-        self.lat_load.record(done - now);
         done
     }
 
@@ -367,22 +406,26 @@ impl MemorySystem {
             Outcome::Hit => {
                 self.stats.store_l1_hits += 1;
                 self.attr.charge(Stage::L1, self.t_l1_hit);
-                self.lat_l1_hit.record(self.t_l1_hit);
+                self.l1_hits[STORE][usize::from(t != now)] += 1;
                 t + self.t_l1_hit
             }
             // Write-around L1: the store proceeds to the L2.
-            Outcome::Bypass => self.store_to_l2(v, p, t),
+            Outcome::Bypass => {
+                let d = self.store_to_l2(v, p, t);
+                self.lat_store.record(d - now);
+                d
+            }
             // A write-allocate L1 (non-Paint configuration): fill, dirty.
             Outcome::Miss { writeback } => {
                 let d = self.fill_from_l2(v, p, t);
                 if let Some(wb) = writeback {
                     self.writeback_to_l2(wb, d);
                 }
+                self.lat_store.record(d - now);
                 d
             }
         };
         self.stats.store_cycles += done - now;
-        self.lat_store.record(done - now);
         done
     }
 
@@ -394,7 +437,6 @@ impl MemorySystem {
             self.tlb.insert(span.0, span.1);
             self.stats.tlb_penalties += 1;
             self.attr.charge(Stage::Mmu, self.t_tlb_miss);
-            self.lat_tlb_walk.record(self.t_tlb_miss);
             now + self.t_tlb_miss
         }
     }
@@ -406,7 +448,6 @@ impl MemorySystem {
             Outcome::Hit => {
                 self.stats.l2_load_hits += 1;
                 self.attr.charge(Stage::L2, self.t_l2_hit);
-                self.lat_l2_hit.record(self.t_l2_hit);
                 t + self.t_l2_hit
             }
             Outcome::Miss { writeback } => {
@@ -618,13 +659,13 @@ impl MemorySystem {
             w.u64(self.attr.get(stage));
         }
         for h in [
-            &self.lat_l1_hit,
-            &self.lat_l2_hit,
+            &self.l1_hit_latency(),
+            &self.l2_hit_latency(),
             &self.lat_stream_hit,
             &self.lat_mem,
-            &self.lat_tlb_walk,
-            &self.lat_load,
-            &self.lat_store,
+            &self.tlb_walk_latency(),
+            &self.load_latency(),
+            &self.store_latency(),
         ] {
             w.u64_slice(&h.state_words());
         }
@@ -674,17 +715,26 @@ impl MemorySystem {
         for stage in Stage::ALL {
             self.attr.charge(stage, r.u64()?);
         }
-        for h in [
-            &mut self.lat_l1_hit,
-            &mut self.lat_l2_hit,
-            &mut self.lat_stream_hit,
-            &mut self.lat_mem,
-            &mut self.lat_tlb_walk,
-            &mut self.lat_load,
-            &mut self.lat_store,
-        ] {
-            *h = Histogram::from_state_words(&r.u64_vec()?)
-                .ok_or(SnapError::Geometry("memory-system latency histogram"))?;
+        let mut read_histogram = || {
+            Histogram::from_state_words(&r.u64_vec()?)
+                .ok_or(SnapError::Geometry("memory-system latency histogram"))
+        };
+        let l1_hit = read_histogram()?;
+        let l2_hit = read_histogram()?;
+        self.lat_stream_hit = read_histogram()?;
+        self.lat_mem = read_histogram()?;
+        let tlb_walk = read_histogram()?;
+        // The folded histograms become the base of an empty tally.
+        self.lat_load = read_histogram()?;
+        self.lat_store = read_histogram()?;
+        self.l1_hits = [[0; 2]; 2];
+        if l1_hit != self.l1_hit_latency()
+            || l2_hit != self.l2_hit_latency()
+            || tlb_walk != self.tlb_walk_latency()
+        {
+            return Err(SnapError::Geometry(
+                "memory-system latency histogram disagrees with its counters",
+            ));
         }
         Ok(())
     }
@@ -709,13 +759,13 @@ impl Observe for MemorySystem {
         m.counter("mem.remap_faults", s.remap_faults);
         m.counter("mem.tier_faults", s.tier_faults);
         m.gauge("mem.avg_load_time", s.avg_load_time());
-        m.histogram("mem.lat_l1_hit", &self.lat_l1_hit);
-        m.histogram("mem.lat_l2_hit", &self.lat_l2_hit);
+        m.histogram("mem.lat_l1_hit", &self.l1_hit_latency());
+        m.histogram("mem.lat_l2_hit", &self.l2_hit_latency());
         m.histogram("mem.lat_stream_hit", &self.lat_stream_hit);
         m.histogram("mem.lat_mem", &self.lat_mem);
-        m.histogram("mem.lat_tlb_walk", &self.lat_tlb_walk);
-        m.histogram("mem.lat_load", &self.lat_load);
-        m.histogram("mem.lat_store", &self.lat_store);
+        m.histogram("mem.lat_tlb_walk", &self.tlb_walk_latency());
+        m.histogram("mem.lat_load", &self.load_latency());
+        m.histogram("mem.lat_store", &self.store_latency());
         for (stage, cycles) in self.attr.entries() {
             m.counter(&format!("attr.{}", stage.name()), cycles);
         }
@@ -1144,6 +1194,232 @@ mod tests {
             Some(s.load_cycles + s.store_cycles)
         );
         assert!(reg.histogram_value("mem.lat_load").unwrap().count() > 0);
+    }
+
+    /// The seven `mem.lat_*` histograms, recorded eagerly: one sample per
+    /// access, classified from the [`MemStats`] it moved.
+    #[derive(Default)]
+    struct EagerLatencies {
+        l1_hit: Histogram,
+        l2_hit: Histogram,
+        stream_hit: Histogram,
+        mem: Histogram,
+        tlb_walk: Histogram,
+        load: Histogram,
+        store: Histogram,
+    }
+
+    impl EagerLatencies {
+        fn record(
+            &mut self,
+            cfg: &SystemConfig,
+            before: MemStats,
+            after: MemStats,
+            is_load: bool,
+            latency: Cycle,
+        ) {
+            let walk = if after.tlb_penalties > before.tlb_penalties {
+                self.tlb_walk.record(cfg.t_tlb_miss);
+                cfg.t_tlb_miss
+            } else {
+                0
+            };
+            let l1_hits = |s: MemStats| s.l1_load_hits + s.store_l1_hits;
+            if l1_hits(after) > l1_hits(before) {
+                self.l1_hit.record(cfg.t_l1_hit);
+            }
+            if after.l2_load_hits > before.l2_load_hits {
+                self.l2_hit.record(cfg.t_l2_hit);
+            }
+            if after.mem_loads > before.mem_loads {
+                self.mem.record(latency - walk);
+            }
+            if after.stream_loads > before.stream_loads {
+                self.stream_hit.record(latency - walk);
+            }
+            if is_load {
+                self.load.record(latency);
+            } else {
+                self.store.record(latency);
+            }
+        }
+
+        fn assert_matches(&self, ms: &MemorySystem, step: &str) {
+            let reg = ms.observe_all();
+            for (name, want) in [
+                ("mem.lat_l1_hit", &self.l1_hit),
+                ("mem.lat_l2_hit", &self.l2_hit),
+                ("mem.lat_stream_hit", &self.stream_hit),
+                ("mem.lat_mem", &self.mem),
+                ("mem.lat_tlb_walk", &self.tlb_walk),
+                ("mem.lat_load", &self.load),
+                ("mem.lat_store", &self.store),
+            ] {
+                assert_eq!(reg.histogram_value(name), Some(want), "{name} at {step}");
+            }
+            assert_eq!(ms.load_latency(), self.load, "load_latency at {step}");
+            assert_eq!(ms.store_latency(), self.store, "store_latency at {step}");
+        }
+    }
+
+    /// Saves `ms` and restores the image into `into`; the restored system
+    /// must save the same bytes.
+    fn snap_round_trip(ms: &MemorySystem, into: &mut MemorySystem) {
+        let mut w = SnapWriter::new();
+        ms.snap_save(&mut w);
+        let image = w.finish();
+        let mut r = SnapReader::new(&image);
+        into.snap_load(&mut r).expect("image restores");
+        r.finish().expect("image fully consumed");
+        let mut again = SnapWriter::new();
+        into.snap_save(&mut again);
+        assert!(again.finish() == image, "restored system saves other bytes");
+    }
+
+    #[test]
+    fn tallied_and_counter_built_histograms_match_eager_recording() {
+        use impulse_types::ident::splitmix64;
+
+        for (n, (l1pf, mcpf, streams)) in [
+            (false, false, false),
+            (true, true, false),
+            (false, false, true),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut cfg = SystemConfig::paint_small().with_prefetch(mcpf, l1pf);
+            if streams {
+                cfg = cfg.with_stream_buffers();
+            }
+            let mut ms = MemorySystem::new(&cfg);
+            let mut want = EagerLatencies::default();
+            // Every sample of the run, across resets.
+            let mut seen = EagerLatencies::default();
+            let mut rng = splitmix64(n as u64);
+            let mut next = move || {
+                rng = splitmix64(rng);
+                rng
+            };
+            let (mut t, mut cursor) = (0, 0x100000);
+            let (mut walked_l1_hits, mut resets, mut restores) = (0, 0, 0);
+            for i in 0..4000u64 {
+                let step = format!("config {n}, step {i}");
+                let r = next();
+                match r % 100 {
+                    // A context switch: the next hits on L1-resident
+                    // lines take a TLB walk first.
+                    0..=2 => ms.tlb_flush(),
+                    3 => {
+                        ms.reset_stats();
+                        want = EagerLatencies::default();
+                        resets += 1;
+                    }
+                    // Restore into the running system (its tally is
+                    // non-zero) or into a fresh one.
+                    4 | 5 => {
+                        if r % 2 == 0 {
+                            snap_round_trip(&ms.clone(), &mut ms);
+                        } else {
+                            let mut fresh = MemorySystem::new(&cfg);
+                            snap_round_trip(&ms, &mut fresh);
+                            ms = fresh;
+                        }
+                        restores += 1;
+                    }
+                    _ => {}
+                }
+                // Two L1-resident pages, 64 pages that fit the L2, 512 that
+                // fit neither, and a sequential walk for the streams.
+                let x = next();
+                let a = match x % 10 {
+                    0..=5 => 0x100000 + x % (2 << 12),
+                    6 | 7 => 0x200000 + x % (64 << 12),
+                    8 => 0x400000 + x % (512 << 12),
+                    _ => {
+                        cursor += 32;
+                        cursor
+                    }
+                } & !7;
+                let (v, p) = (va(a), pa(a));
+                let before = ms.stats();
+                let is_load = x % 4 != 0;
+                let done = if is_load {
+                    ms.load(v, p, span_of(v), t)
+                } else {
+                    ms.store(v, p, span_of(v), t)
+                };
+                let after = ms.stats();
+                if after.tlb_penalties > before.tlb_penalties
+                    && after.l1_load_hits + after.store_l1_hits
+                        > before.l1_load_hits + before.store_l1_hits
+                {
+                    walked_l1_hits += 1;
+                }
+                want.record(&cfg, before, after, is_load, done - t);
+                seen.record(&cfg, before, after, is_load, done - t);
+                t = done;
+                want.assert_matches(&ms, &step);
+            }
+            assert!(
+                walked_l1_hits > 20 && resets > 20 && restores > 40,
+                "config {n} exercises too little: {walked_l1_hits} walked L1 hits, \
+                 {resets} resets, {restores} restores"
+            );
+            for (name, h) in [
+                ("L1 hits", &seen.l1_hit),
+                ("L2 hits", &seen.l2_hit),
+                ("memory loads", &seen.mem),
+                ("stores", &seen.store),
+            ] {
+                assert!(h.count() > 100, "config {n} has {} {name}", h.count());
+            }
+            if streams {
+                assert!(seen.stream_hit.count() > 0, "config {n} has no stream hits");
+            }
+        }
+    }
+
+    #[test]
+    fn snap_load_rejects_constant_histograms_that_disagree_with_counters() {
+        let cfg = SystemConfig::paint_small();
+        let mut ms = MemorySystem::new(&cfg);
+        let mut t = 0;
+        for i in 0..64u64 {
+            let a = 0x100000 + (i % 8) * 4096 + (i % 3) * 40;
+            t = ms.load(va(a), pa(a), span_of(va(a)), t);
+        }
+        let s = ms.stats();
+        assert!(s.l1_load_hits > 0 && s.l2_load_hits > 0 && s.tlb_penalties > 0);
+        let mut w = SnapWriter::new();
+        ms.snap_save(&mut w);
+        let image = w.finish();
+
+        // The section ends with seven length-prefixed histograms of 69
+        // words: l1-hit, l2-hit, stream-hit, mem, tlb-walk, load, store.
+        let slice_bytes = 8 * (1 + impulse_obs::histogram::BUCKETS + 4);
+        let restore = |image: &[u8]| {
+            let mut fresh = MemorySystem::new(&cfg);
+            fresh.snap_load(&mut SnapReader::new(image))
+        };
+        assert!(restore(&image).is_ok());
+        for (slot, value, n) in [
+            (0, cfg.t_l1_hit, s.l1_load_hits + s.store_l1_hits),
+            (1, cfg.t_l2_hit, s.l2_load_hits),
+            (4, cfg.t_tlb_miss, s.tlb_penalties),
+        ] {
+            // A well-formed histogram, one sample off its counter.
+            let words = constant_histogram(value, n + 1).state_words();
+            let mut bad = image.clone();
+            let start = image.len() - (7 - slot) * slice_bytes + 8;
+            for (j, word) in words.iter().enumerate() {
+                bad[start + 8 * j..start + 8 * j + 8].copy_from_slice(&word.to_le_bytes());
+            }
+            assert!(
+                matches!(restore(&bad), Err(SnapError::Geometry(_))),
+                "histogram {slot} one sample off its counter must be rejected"
+            );
+        }
     }
 
     #[test]
