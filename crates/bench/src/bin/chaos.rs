@@ -2,27 +2,21 @@
 //! generated fault schedules, asserts the robustness invariants, and
 //! writes `results/chaos.json` (schema `impulse-chaos-v1`).
 //!
-//! Usage: `chaos [seed=<N>] [jobs=<N>] [out=<path>]
-//! [journal=<path>] [watchdog_ms=<N>] [max_retries=<K>] [--resume]`
+//! Usage: `chaos [seed=<N>] [jobs=<N>] [out=<path>]`
 //!
 //! Cases fan across `jobs=<N>` worker threads; results are gathered in
 //! submission order and every fault is drawn from a seeded per-site
 //! stream, so the JSON output is byte-identical for a fixed seed at any
-//! worker count. Completed cases are journaled (fsync'd) as they finish;
-//! after a crash, `--resume` reruns only what is missing and emits the
-//! same bytes as an uninterrupted run. Exits nonzero if any invariant
-//! was violated or any case failed to run.
+//! worker count. Exits nonzero if any invariant was violated; a case
+//! that panics fails the run before anything is written.
 
 use std::io::Write;
-use std::path::Path;
 use std::process::ExitCode;
 
-use impulse_bench::chaos::{chaos_document, chaos_jobs, cross_case_violations, ChaosOutcome};
-use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::runner::CommonArgs;
+use impulse_bench::chaos::{chaos_document, chaos_jobs, cross_case_violations};
+use impulse_bench::runner::{self, CommonArgs};
 
-const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out=results/chaos.json] \
-[journal=results/chaos-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
+const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out=results/chaos.json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,51 +26,15 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| default.to_string())
     };
     let path = arg("out=", "results/chaos.json");
-    let journal_path = arg("journal=", "results/chaos-journal.jsonl");
-    let resume = args.iter().any(|a| a == "--resume");
-
-    let common = match CommonArgs::parse(&args, 1999) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let (jobs, seed, opts) = (common.jobs, common.seed, common.supervise);
-
-    let results = match journal::run_resumable(
-        chaos_jobs(seed),
-        seed,
-        jobs,
-        &opts,
-        Path::new(&journal_path),
-        resume,
-        &|o: &ChaosOutcome| RunArtifacts {
-            csv: String::new(),
-            json: o.to_json(),
-        },
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: journal I/O failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Rebuild the outcome list (submission order) from the artifacts;
-    // journaled and freshly-run cases are indistinguishable here, which
-    // is what keeps resumed chaos.json byte-identical.
-    let mut outcomes: Vec<ChaosOutcome> = Vec::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    for (id, res) in &results {
-        match res {
-            Ok(a) => match ChaosOutcome::from_json(&a.json) {
-                Some(o) => outcomes.push(o),
-                None => failures.push((id.clone(), "journaled case failed to decode".into())),
-            },
-            Err(e) => failures.push((id.clone(), e.clone())),
-        }
-    }
+    let CommonArgs { jobs, seed, .. } =
+        match CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="]) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("error: {e}\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        };
+    let outcomes = runner::run_ordered(chaos_jobs(seed), jobs);
 
     println!(
         "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
@@ -102,7 +60,7 @@ fn main() -> ExitCode {
     let mut f = std::fs::File::create(&path).expect("create chaos.json");
     writeln!(f, "{doc:#}").expect("write chaos.json");
     println!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
-    impulse_bench::print_artifacts(&[&path, &journal_path]);
+    impulse_bench::print_artifacts(&[&path]);
 
     let violations: Vec<String> = outcomes
         .iter()
@@ -110,27 +68,14 @@ fn main() -> ExitCode {
         .chain(cross_case_violations(&outcomes))
         .collect();
 
-    let mut failed = false;
-    if !failures.is_empty() {
-        failed = true;
-        eprintln!("{} case(s) failed to run:", failures.len());
-        for (id, e) in &failures {
-            eprintln!("  {id}: {e}");
-        }
-        eprintln!("(recorded in {journal_path}; rerun with --resume)");
-    }
     if violations.is_empty() {
         println!("all invariants held");
+        ExitCode::SUCCESS
     } else {
-        failed = true;
         eprintln!("{} invariant violation(s):", violations.len());
         for v in &violations {
             eprintln!("  {v}");
         }
-    }
-    if failed {
         ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }

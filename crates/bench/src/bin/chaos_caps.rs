@@ -2,27 +2,21 @@
 //! grant/share/revoke scenarios, asserts the capability invariants, and
 //! writes `results/chaos_caps.json` (schema `impulse-caps-chaos-v1`).
 //!
-//! Usage: `chaos_caps [seed=<N>] [jobs=<N>] [out=<path>]
-//! [journal=<path>] [watchdog_ms=<N>] [max_retries=<K>] [--resume]`
+//! Usage: `chaos_caps [seed=<N>] [jobs=<N>] [out=<path>]`
 //!
 //! Cases fan across `jobs=<N>` worker threads; results are gathered in
 //! submission order and every scenario draws only from the seed, so the
 //! JSON output is byte-identical for a fixed seed at any worker count.
-//! Completed cases are journaled (fsync'd) as they finish; after a
-//! crash, `--resume` reruns only what is missing and emits the same
-//! bytes as an uninterrupted run. Exits nonzero if any invariant was
-//! violated or any case failed to run.
+//! Exits nonzero if any invariant was violated; a case that panics
+//! fails the run before anything is written.
 
 use std::io::Write;
-use std::path::Path;
 use std::process::ExitCode;
 
-use impulse_bench::caps_chaos::{caps_chaos_document, caps_chaos_jobs, CapsOutcome};
-use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::runner::CommonArgs;
+use impulse_bench::caps_chaos::{caps_chaos_document, caps_chaos_jobs};
+use impulse_bench::runner::{self, CommonArgs};
 
-const USAGE: &str = "usage: chaos_caps [seed=N] [jobs=N] [out=results/chaos_caps.json] \
-[journal=results/chaos-caps-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
+const USAGE: &str = "usage: chaos_caps [seed=N] [jobs=N] [out=results/chaos_caps.json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,51 +26,15 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| default.to_string())
     };
     let path = arg("out=", "results/chaos_caps.json");
-    let journal_path = arg("journal=", "results/chaos-caps-journal.jsonl");
-    let resume = args.iter().any(|a| a == "--resume");
-
-    let common = match CommonArgs::parse(&args, 1999) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let (jobs, seed, opts) = (common.jobs, common.seed, common.supervise);
-
-    let results = match journal::run_resumable(
-        caps_chaos_jobs(seed),
-        seed,
-        jobs,
-        &opts,
-        Path::new(&journal_path),
-        resume,
-        &|o: &CapsOutcome| RunArtifacts {
-            csv: String::new(),
-            json: o.to_json(),
-        },
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: journal I/O failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Rebuild the outcome list (submission order) from the artifacts;
-    // journaled and freshly-run cases are indistinguishable here, which
-    // is what keeps resumed chaos_caps.json byte-identical.
-    let mut outcomes: Vec<CapsOutcome> = Vec::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    for (id, res) in &results {
-        match res {
-            Ok(a) => match CapsOutcome::from_json(&a.json) {
-                Some(o) => outcomes.push(o),
-                None => failures.push((id.clone(), "journaled case failed to decode".into())),
-            },
-            Err(e) => failures.push((id.clone(), e.clone())),
-        }
-    }
+    let CommonArgs { jobs, seed, .. } =
+        match CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="]) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("error: {e}\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        };
+    let outcomes = runner::run_ordered(caps_chaos_jobs(seed), jobs);
 
     println!(
         "{:<20} {:>10} {:>8} {:>8} {:>9} {:>8} {:>8}",
@@ -102,29 +60,19 @@ fn main() -> ExitCode {
     let mut f = std::fs::File::create(&path).expect("create chaos_caps.json");
     writeln!(f, "{doc:#}").expect("write chaos_caps.json");
     println!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
-    impulse_bench::print_artifacts(&[&path, &journal_path]);
+    impulse_bench::print_artifacts(&[&path]);
 
     let violations: Vec<String> = outcomes
         .iter()
         .flat_map(|o| o.violations.iter().cloned())
         .collect();
 
-    let mut failed = false;
-    if !failures.is_empty() {
-        failed = true;
-        for (id, e) in &failures {
-            eprintln!("case failed: {id}: {e}");
-        }
-    }
-    if !violations.is_empty() {
-        failed = true;
+    if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
         for v in &violations {
             eprintln!("invariant violated: {v}");
         }
-    }
-    if failed {
         ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }

@@ -8,35 +8,25 @@
 //! Sweeps: per-descriptor prefetch buffer size, non-shadow prefetch SRAM
 //! size, controller TLB entries, DRAM banks, the DRAM scheduling policy,
 //! and the hybrid memory tier (none / flat / DRAM-cache-over-SCM).
-//! Overrides: `rows=`, `nnz=`, `seed=`, `jobs=` (worker threads; default
-//! all hardware threads, `jobs=1` for the serial path), plus the
-//! crash-recovery knobs `journal=`, `watchdog_ms=`, `max_retries=` (the
-//! older `timeout_ms=`/`attempts=` spellings still work), and `--resume`.
-//! A malformed shared argument exits 2 with a usage message.
+//! Overrides: `--paper`, `rows=`, `nnz=`, `seed=`, `jobs=` (worker
+//! threads; default all hardware threads, `jobs=1` for the serial path).
+//! An argument off the usage line, or a malformed value, exits 2 with a
+//! usage message.
 //!
 //! Every grid point builds its own `Machine`, so the whole grid fans
 //! across a job pool; rows are gathered and printed in grid order, making
-//! the output identical at any `jobs=` value. Finished points are
-//! journaled (fsync'd) as they complete: each sweep row stores its fully
-//! rendered table line, each tile-sweep point its raw cycle count (the
-//! tile lines need cross-point math), so `--resume` after a crash reruns
-//! only the missing points and prints identical tables.
+//! the output identical at any `jobs=` value. The binary writes no file.
 
-use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::runner::{CommonArgs, SharedJob};
-use impulse_bench::Args;
+use impulse_bench::runner::{self, u64_from_args, CommonArgs};
 use impulse_dram::SchedulePolicy;
-use impulse_obs::Json;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
 use impulse_workloads::{Mmp, MmpParams, MmpVariant, Smvp, SmvpVariant, SparsePattern};
 
-const USAGE: &str = "usage: sweep [--paper] [rows=N] [nnz=N] [seed=N] [jobs=N] \
-[journal=results/sweep-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
+const USAGE: &str = "usage: sweep [--paper] [rows=N] [nnz=N] [seed=N] [jobs=N]";
 
 fn run(cfg: &SystemConfig, pattern: &Arc<SparsePattern>) -> Report {
     let mut m = Machine::new(cfg);
@@ -53,8 +43,7 @@ fn header(title: &str) {
     );
 }
 
-/// One fully rendered sweep-table line — exactly what the journal stores,
-/// so resumed output is byte-identical (no float re-rounding).
+/// One fully rendered sweep-table line.
 fn render_row(label: &str, r: &Report) -> String {
     format!(
         "{:<22}{:>14}{:>12.2}{:>14}",
@@ -66,22 +55,21 @@ fn render_row(label: &str, r: &Report) -> String {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = match CommonArgs::parse(&raw, 0x5eed) {
-        Ok(c) => c,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = ["--paper", "rows=", "nnz=", "seed=", "jobs="];
+    let parsed = CommonArgs::parse(&args, 0x5eed, &known).and_then(|common| {
+        let paper = args.iter().any(|a| a == "--paper");
+        let rows = u64_from_args(&args, "rows", 14_000)?;
+        let nnz = u64_from_args(&args, "nnz", if paper { 156 } else { 24 })?;
+        Ok((common, rows, nnz))
+    });
+    let (CommonArgs { jobs, seed, .. }, rows, nnz) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let args = Args::parse();
-    let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
-    let (seed, jobs, opts) = (common.seed, common.jobs, common.supervise);
-    let journal_path = args
-        .journal
-        .clone()
-        .unwrap_or_else(|| "results/sweep-journal.jsonl".to_string());
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, seed));
 
     println!("================================================================");
@@ -175,79 +163,21 @@ fn main() -> ExitCode {
             .collect(),
     ));
 
-    // One catalog for the whole binary: the sweep grid followed by the
-    // tile-size points, each under a stable journal id.
-    let mut catalog: Vec<(String, SharedJob<RunArtifacts>)> = Vec::new();
-    for (si, (_, rows)) in sections.iter().enumerate() {
-        for (label, cfg) in rows {
-            let id = format!("sweep/{si}/{label}");
-            let cfg = cfg.clone();
-            let pattern = pattern.clone();
-            let label = label.clone();
-            catalog.push((
-                id,
-                Arc::new(move || {
-                    let r = run(&cfg, &pattern);
-                    RunArtifacts {
-                        csv: render_row(&label, &r),
-                        json: Json::obj(),
-                    }
-                }),
-            ));
-        }
-    }
-    let tiles = [16u64, 32, 64];
-    for &tile in &tiles {
-        for &variant in MmpVariant::ALL.iter() {
-            let id = format!("mmp/{tile}/{}", variant.name());
-            catalog.push((
-                id,
-                Arc::new(move || {
-                    let n = 256;
-                    let mut m = Machine::new(&SystemConfig::paint());
-                    let mut w = Mmp::setup(&mut m, MmpParams { n, tile }, variant).expect("mmp");
-                    w.run(&mut m).expect("mmp run");
-                    let mut j = Json::obj();
-                    j.set("cycles", Json::UInt(m.report("t").cycles));
-                    RunArtifacts {
-                        csv: String::new(),
-                        json: j,
-                    }
-                }),
-            ));
-        }
-    }
-    let grid_points: usize = sections.iter().map(|(_, rows)| rows.len()).sum();
-
-    let results = match journal::run_resumable(
-        catalog,
-        seed,
-        jobs,
-        &opts,
-        Path::new(&journal_path),
-        args.resume,
-        &|a: &RunArtifacts| a.clone(),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: journal I/O failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut failures: Vec<(String, String)> = Vec::new();
-    let mut outcomes = results.iter();
-
+    // The sweep grid and the tile-size points run as two pools; each
+    // returns its results in submission order.
+    let grid: Vec<_> = sections
+        .iter()
+        .flat_map(|(_, rows)| rows)
+        .map(|(label, cfg)| {
+            let (label, cfg, pattern) = (label.clone(), cfg.clone(), pattern.clone());
+            move || render_row(&label, &run(&cfg, &pattern))
+        })
+        .collect();
+    let mut lines = runner::run_ordered(grid, jobs).into_iter();
     for (title, rows) in &sections {
         header(title);
-        for (label, _) in rows {
-            let (id, outcome) = outcomes.next().expect("one outcome per grid point");
-            match outcome {
-                Ok(a) => println!("{}", a.csv),
-                Err(e) => {
-                    println!("{label:<22}  [FAILED]");
-                    failures.push((id.clone(), e.clone()));
-                }
-            }
+        for _ in rows {
+            println!("{}", lines.next().expect("one line per grid point"));
         }
     }
 
@@ -264,27 +194,21 @@ fn main() -> ExitCode {
         "{:<12}{:>16}{:>18}{:>18}",
         "tile", "conv (Mcyc)", "copy ovh (Mcyc)", "remap ovh (Mcyc)"
     );
-    let mmp_outcomes = &results[grid_points..];
-    for (t, &tile) in tiles.iter().enumerate() {
-        let per_tile = &mmp_outcomes[t * MmpVariant::ALL.len()..(t + 1) * MmpVariant::ALL.len()];
-        let cycles: Option<Vec<u64>> = per_tile
-            .iter()
-            .map(|(_, o)| {
-                o.as_ref()
-                    .ok()
-                    .and_then(|a| a.json.get("cycles"))
-                    .and_then(Json::as_u64)
-            })
-            .collect();
-        for (id, o) in per_tile {
-            if let Err(e) = o {
-                failures.push((id.clone(), e.clone()));
+    let tiles = [16u64, 32, 64];
+    let points: Vec<_> = tiles
+        .iter()
+        .flat_map(|&tile| MmpVariant::ALL.map(|variant| (tile, variant)))
+        .map(|(tile, variant)| {
+            move || {
+                let mut m = Machine::new(&SystemConfig::paint());
+                let mut w = Mmp::setup(&mut m, MmpParams { n: 256, tile }, variant).expect("mmp");
+                w.run(&mut m).expect("mmp run");
+                m.report("t").cycles
             }
-        }
-        let Some(cycles) = cycles else {
-            println!("{:<12}  [FAILED]", format!("{tile}x{tile}"));
-            continue;
-        };
+        })
+        .collect();
+    let tile_cycles = runner::run_ordered(points, jobs);
+    for (&tile, cycles) in tiles.iter().zip(tile_cycles.chunks(MmpVariant::ALL.len())) {
         // Overhead = extra instructions + syscalls relative to the pure
         // kernel, measured as time above the (fast, conflict-free) remap
         // compute floor. Copy overhead grows with tile²; remap overhead
@@ -299,16 +223,5 @@ fn main() -> ExitCode {
         );
     }
     println!();
-    impulse_bench::print_artifacts(&[&journal_path]);
-
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("{} grid point(s) failed:", failures.len());
-        for (id, e) in &failures {
-            eprintln!("  {id}: {e}");
-        }
-        eprintln!("(recorded in {journal_path}; rerun with --resume)");
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }

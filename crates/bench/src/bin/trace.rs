@@ -1,14 +1,14 @@
 //! Flight-recorder capture tooling over the `run_all` catalog.
 //!
-//! `trace record` reruns the full 24-experiment catalog with the MC
+//! `trace record` reruns the full 28-experiment catalog with the MC
 //! flight recorder and hotness sketch enabled, writes one
-//! `impulse-trace-v1` capture per experiment plus a summary document and
-//! combined heatmap export, and round-trip-verifies every capture
-//! (decode → re-encode must be bit-exact) before it is accepted. The
-//! grid fans over `jobs=N` workers and is journaled/`--resume`-aware
-//! like `run_all`; none of the written artifacts contain wall-clock
-//! times, so they are byte-identical at any job count and across
-//! resumed runs.
+//! `impulse-trace-v1` capture per experiment (`<experiment>.trace`) plus
+//! a summary document and combined heatmap export, and
+//! round-trip-verifies every capture (decode → re-encode must be
+//! bit-exact) before it is accepted. The grid fans over `jobs=N`
+//! workers like `run_all`; none of the written artifacts contain
+//! wall-clock times, so they are byte-identical at any job count. The
+//! run's `dir=` and the seed stamped in `summary.json` identify it.
 //!
 //! The other subcommands work on capture files offline:
 //!
@@ -20,25 +20,21 @@
 //!
 //! ```text
 //! trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] [top=N]
-//!              [watchdog_ms=N] [max_retries=K] [--resume]
 //! trace dump <capture.trace> [limit=N]
 //! trace diff <a.trace> <b.trace>
 //! trace top <capture.trace> [k=N]
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use impulse_bench::experiments::{run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
-use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::runner::{self, SharedJob, SuperviseOpts};
+use impulse_bench::runner::{self, u64_from_args, CommonArgs};
 use impulse_core::flight::{self, Capture};
 use impulse_obs::{Json, SketchConfig};
-use impulse_types::ExperimentKey;
 
 const USAGE: &str = "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] \
-[top=N] [watchdog_ms=N] [max_retries=K] [--resume]\n\
+[top=N]\n\
        trace dump <capture.trace> [limit=N]\n\
        trace diff <a.trace> <b.trace>\n\
        trace top <capture.trace> [k=N]";
@@ -86,17 +82,15 @@ fn cmd_record(args: &[String]) -> ExitCode {
             .unwrap_or_else(|| default.to_string())
     };
     let dir = arg("dir=", "results/trace");
-    let resume = args.iter().any(|a| a == "--resume");
-    let typed = || -> Result<(usize, u64, u64, u64, SuperviseOpts), runner::ArgError> {
+    let known = ["dir=", "seed=", "jobs=", "flight=", "top="];
+    let parsed = CommonArgs::parse(args, DEFAULT_SEED, &known).and_then(|common| {
         Ok((
-            runner::jobs_from_args(args)?,
-            runner::u64_from_args(args, "seed", DEFAULT_SEED)?,
-            runner::u64_from_args(args, "flight", 1 << 20)?,
-            runner::u64_from_args(args, "top", 32)?,
-            runner::supervise_from_args(args)?,
+            common,
+            u64_from_args(args, "flight", 1 << 20)?,
+            u64_from_args(args, "top", 32)?,
         ))
-    };
-    let (jobs, seed, flight_cap, top_k, opts) = match typed() {
+    });
+    let (CommonArgs { jobs, seed, .. }, flight_cap, top_k) = match parsed {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -111,23 +105,15 @@ fn cmd_record(args: &[String]) -> ExitCode {
     let obs = ObsSpec::recording(flight_cap as usize, sketch, top_k as usize);
     std::fs::create_dir_all(&dir).expect("create trace directory");
 
-    // Each job writes its own capture file *before* the outcome is
-    // journaled, so a resumed run either reuses a file that is already
-    // on disk or rewrites it with identical bytes — never neither.
-    let catalog: Vec<(String, SharedJob<RunArtifacts>)> = run_all_experiments_obs(seed, obs)
+    // Each job verifies and writes its own capture, then hands back its
+    // summary entry and heatmap for the two documents.
+    let catalog: Vec<_> = run_all_experiments_obs(seed, obs)
         .into_iter()
         .map(|t| {
-            let (id, job) = t.into_job();
-            // Capture files carry the experiment identity digest (the
-            // same ExperimentKey discipline the journal uses), so
-            // captures from different seeds can coexist
-            // and artifacts are joinable by key across subsystems.
-            let key = ExperimentKey::from_id(&id, seed);
-            let file: PathBuf =
-                Path::new(&dir).join(format!("{}-{}.trace", sanitize(&id), key.hex()));
-            let name = id.clone();
-            let wrapped: SharedJob<RunArtifacts> = Arc::new(move || {
-                let out = job();
+            let file = Path::new(&dir).join(format!("{}.trace", sanitize(t.name())));
+            move || {
+                let out = t.run();
+                let name = t.name();
                 let cap = flight::decode(&out.capture).expect("own capture decodes");
                 assert_eq!(
                     cap.encode(),
@@ -135,81 +121,31 @@ fn cmd_record(args: &[String]) -> ExitCode {
                     "{name}: capture round-trip must be bit-exact"
                 );
                 std::fs::write(&file, &out.capture).expect("write capture");
-                let mut j = Json::obj();
-                j.set("name", Json::Str(name.clone()));
-                j.set("file", Json::Str(file.display().to_string()));
-                j.set("bytes", Json::UInt(out.capture.len() as u64));
-                j.set("events", Json::UInt(cap.events.len() as u64));
-                j.set("recorded", Json::UInt(cap.recorded));
-                j.set("overwritten", Json::UInt(cap.overwritten));
-                j.set("digest", Json::UInt(flight::digest(&out.capture)));
-                j.set("heatmap", out.heatmap.clone());
-                RunArtifacts {
-                    csv: String::new(),
-                    json: j,
-                }
-            });
-            (id, wrapped)
+                let mut entry = Json::obj();
+                entry.set("name", Json::Str(name.to_string()));
+                entry.set("file", Json::Str(file.display().to_string()));
+                entry.set("bytes", Json::UInt(out.capture.len() as u64));
+                entry.set("events", Json::UInt(cap.events.len() as u64));
+                entry.set("recorded", Json::UInt(cap.recorded));
+                entry.set("overwritten", Json::UInt(cap.overwritten));
+                entry.set("digest", Json::UInt(flight::digest(&out.capture)));
+                let mut heat = Json::obj();
+                heat.set("name", Json::Str(name.to_string()));
+                heat.set("heatmap", out.heatmap);
+                (entry, heat)
+            }
         })
         .collect();
-
-    let journal_path = Path::new(&dir).join("journal.jsonl");
-    let outcomes = match journal::run_resumable(
-        catalog,
-        seed,
-        jobs,
-        &opts,
-        &journal_path,
-        resume,
-        &|a: &RunArtifacts| a.clone(),
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: journal I/O failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (entries, heatmaps): (Vec<Json>, Vec<Json>) =
+        runner::run_ordered(catalog, jobs).into_iter().unzip();
 
     // Assemble the two documents in catalog order. Neither contains a
     // wall-clock time, so bytes match at any jobs= value.
-    let mut entries = Vec::new();
-    let mut heatmaps = Vec::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    let mut artifact_paths: Vec<String> = Vec::new();
-    for (id, outcome) in &outcomes {
-        match outcome {
-            Ok(a) => {
-                // Rebuild the entry without its heatmap (heatmaps get
-                // their own document; `Json::set` appends, so stripping
-                // a field means copying the ones we keep).
-                let mut entry = Json::obj();
-                for key in [
-                    "name",
-                    "file",
-                    "bytes",
-                    "events",
-                    "recorded",
-                    "overwritten",
-                    "digest",
-                ] {
-                    if let Some(v) = a.json.get(key) {
-                        entry.set(key, v.clone());
-                    }
-                }
-                let heat = a.json.get("heatmap").cloned().unwrap_or(Json::Null);
-                entries.push(entry);
-                let mut h = Json::obj();
-                h.set("name", Json::Str(id.clone()));
-                h.set("heatmap", heat);
-                heatmaps.push(h);
-                if let Some(f) = a.json.get("file").and_then(Json::as_str) {
-                    artifact_paths.push(f.to_string());
-                }
-            }
-            Err(e) => failures.push((id.clone(), e.clone())),
-        }
-    }
-
+    let artifact_paths: Vec<String> = entries
+        .iter()
+        .filter_map(|e| e.get("file").and_then(Json::as_str).map(String::from))
+        .collect();
+    let captures = entries.len();
     let mut summary = Json::obj();
     summary.set("schema", Json::Str(SUMMARY_SCHEMA.into()));
     summary.set("seed", Json::UInt(seed));
@@ -222,20 +158,9 @@ fn cmd_record(args: &[String]) -> ExitCode {
     summary.set("sketch", sk);
     summary.set("top_k", Json::UInt(top_k));
     summary.set("captures", Json::Arr(entries));
-    summary.set(
-        "failed",
-        Json::Arr(
-            failures
-                .iter()
-                .map(|(id, e)| {
-                    let mut f = Json::obj();
-                    f.set("name", Json::Str(id.clone()));
-                    f.set("error", Json::Str(e.clone()));
-                    f
-                })
-                .collect(),
-        ),
-    );
+    // Always empty: a failing experiment fails the run. The key stays so
+    // the document's layout is unchanged for its readers.
+    summary.set("failed", Json::Arr(Vec::new()));
     let summary_path = Path::new(&dir).join("summary.json");
     std::fs::write(&summary_path, format!("{summary:#}\n")).expect("write summary");
 
@@ -247,32 +172,15 @@ fn cmd_record(args: &[String]) -> ExitCode {
     std::fs::write(&heatmap_path, format!("{heat_doc:#}\n")).expect("write heatmap");
 
     println!(
-        "recorded {} of {} captures to {dir} (seed={seed:#x}, flight={flight_cap}, {jobs} jobs)",
-        outcomes.len() - failures.len(),
-        outcomes.len(),
+        "recorded {captures} captures to {dir} (seed={seed:#x}, flight={flight_cap}, {jobs} jobs)"
     );
     let mut all: Vec<&str> = artifact_paths.iter().map(String::as_str).collect();
     let summary_s = summary_path.display().to_string();
     let heatmap_s = heatmap_path.display().to_string();
-    let journal_s = journal_path.display().to_string();
     all.push(&summary_s);
     all.push(&heatmap_s);
-    all.push(&journal_s);
     impulse_bench::print_artifacts(&all);
-
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        for (id, e) in &failures {
-            eprintln!("FAILED: {id}: {e}");
-        }
-        eprintln!(
-            "{} of {} experiments failed (rerun with --resume)",
-            failures.len(),
-            outcomes.len()
-        );
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }
 
 fn cmd_dump(args: &[String]) -> ExitCode {

@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use crate::runner::SharedJob;
 use impulse_core::McError;
 use impulse_fault::{CapsFaultStats, FaultConfig, Trigger};
 use impulse_obs::Json;
@@ -86,7 +85,7 @@ impl CapsScenario {
         CapsScenario::SnapshotMidShare,
     ];
 
-    /// Label used in reports and journal ids.
+    /// Label used in reports.
     pub fn name(self) -> &'static str {
         match self {
             CapsScenario::Churn => "churn",
@@ -759,62 +758,12 @@ pub fn run_caps_case(s: CapsScenario, seed: u64) -> CapsOutcome {
     }
 }
 
-/// A shared capability-suite job for the supervised runner.
-pub type CapsJob = SharedJob<CapsOutcome>;
-
-/// Every scenario paired with its stable journal id, in deterministic
-/// submission order.
-pub fn caps_chaos_jobs(seed: u64) -> Vec<(String, CapsJob)> {
+/// One job per scenario, in deterministic submission order.
+pub fn caps_chaos_jobs(seed: u64) -> Vec<impl FnOnce() -> CapsOutcome + Send> {
     CapsScenario::ALL
         .iter()
-        .map(|&s| {
-            let id = s.name().to_string();
-            let job: CapsJob = Arc::new(move || run_caps_case(s, seed));
-            (id, job)
-        })
+        .map(|&s| move || run_caps_case(s, seed))
         .collect()
-}
-
-impl CapsOutcome {
-    /// Serializes this case for `chaos_caps.json` and the run journal.
-    pub fn to_json(&self) -> Json {
-        case_json(self)
-    }
-
-    /// Rebuilds a case from [`CapsOutcome::to_json`] output (the resume
-    /// path); `None` if the shape is wrong.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let u = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_u64);
-        let caps = v.get("caps")?;
-        let violations = match v.get("violations")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            scenario: v.get("scenario")?.as_str()?.to_string(),
-            cycles: u(v, "cycles")?,
-            instructions: u(v, "instructions")?,
-            grants: u(v, "grants")?,
-            derives: u(v, "derives")?,
-            coalesced: u(v, "coalesced")?,
-            revocations: u(v, "revocations")?,
-            revoked_caps: u(v, "revoked_caps")?,
-            validations: u(v, "validations")?,
-            stale_denials: u(v, "stale_denials")?,
-            typed_faults: u(v, "typed_faults")?,
-            syscall_failures: u(v, "syscall_failures")?,
-            caps: CapsFaultStats {
-                corruptions: u(caps, "corruptions")?,
-                reloads: u(caps, "reloads")?,
-                recovery_cycles: u(caps, "recovery_cycles")?,
-                unrecoverable: u(caps, "unrecoverable")?,
-            },
-            violations,
-        })
-    }
 }
 
 /// JSON for one capability case.
@@ -942,20 +891,9 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_round_trip_through_json() {
-        let o = run_release_leak(3);
-        let back = CapsOutcome::from_json(&o.to_json()).expect("decode");
-        assert_eq!(o, back);
-    }
-
-    #[test]
     fn caps_suite_is_deterministic_across_worker_counts() {
         let run = |workers| {
-            let jobs: Vec<_> = caps_chaos_jobs(1999)
-                .into_iter()
-                .map(|(_, j)| move || j())
-                .collect();
-            let outcomes = runner::run_ordered(jobs, workers);
+            let outcomes = runner::run_ordered(caps_chaos_jobs(1999), workers);
             format!("{:#}\n", caps_chaos_document(1999, &outcomes))
         };
         let serial = run(1);

@@ -19,7 +19,6 @@
 
 use std::sync::Arc;
 
-use crate::runner::SharedJob;
 use impulse_fault::{
     BusFaultStats, CapsFaultStats, EccConfig, EccMode, EccStats, FaultConfig, PgTblFaultStats,
     Trigger,
@@ -522,26 +521,16 @@ pub fn run_misuse_probe(seed: u64) -> ChaosOutcome {
     out
 }
 
-/// A shared chaos job for the supervised runner (retryable, so `Fn`).
-pub type ChaosJob = SharedJob<ChaosOutcome>;
-
 /// The full chaos grid: every workload × every fault scenario, plus the
-/// syscall-misuse probe — in a deterministic submission order, each
-/// paired with its stable journal id (`<workload>/<scenario>`).
-pub fn chaos_jobs(seed: u64) -> Vec<(String, ChaosJob)> {
-    let mut jobs: Vec<(String, ChaosJob)> = Vec::new();
+/// syscall-misuse probe — in a deterministic submission order.
+pub fn chaos_jobs(seed: u64) -> Vec<Box<dyn FnOnce() -> ChaosOutcome + Send>> {
+    let mut jobs: Vec<Box<dyn FnOnce() -> ChaosOutcome + Send>> = Vec::new();
     for w in ChaosWorkload::ALL {
         for s in FaultScenario::ALL {
-            jobs.push((
-                format!("{}/{}", w.name(), s.name()),
-                Arc::new(move || run_case(w, s, seed)),
-            ));
+            jobs.push(Box::new(move || run_case(w, s, seed)));
         }
     }
-    jobs.push((
-        "misuse-probe".into(),
-        Arc::new(move || run_misuse_probe(seed)),
-    ));
+    jobs.push(Box::new(move || run_misuse_probe(seed)));
     jobs
 }
 
@@ -576,64 +565,6 @@ pub fn cross_case_violations(outcomes: &[ChaosOutcome]) -> Vec<String> {
         }
     }
     v
-}
-
-impl ChaosOutcome {
-    /// Serializes this case for `chaos.json` and the run journal.
-    pub fn to_json(&self) -> Json {
-        case_json(self)
-    }
-
-    /// Rebuilds a case from [`ChaosOutcome::to_json`] output (the resume
-    /// path); `None` if the shape is wrong.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let u = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_u64);
-        let ecc = v.get("ecc")?;
-        let bus = v.get("bus")?;
-        let pgtbl = v.get("pgtbl")?;
-        let caps = v.get("caps")?;
-        let violations = match v.get("violations")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            workload: v.get("workload")?.as_str()?.to_string(),
-            scenario: v.get("scenario")?.as_str()?.to_string(),
-            cycles: u(v, "cycles")?,
-            instructions: u(v, "instructions")?,
-            ecc: EccStats {
-                corrected: u(ecc, "corrected")?,
-                detected_double: u(ecc, "detected_double")?,
-                silent: u(ecc, "silent")?,
-                corrupt_sig: u(ecc, "corrupt_sig")?,
-                recovery_cycles: u(ecc, "recovery_cycles")?,
-            },
-            bus: BusFaultStats {
-                timeouts: u(bus, "timeouts")?,
-                retries: u(bus, "retries")?,
-                recovery_cycles: u(bus, "recovery_cycles")?,
-            },
-            pgtbl: PgTblFaultStats {
-                corruptions: u(pgtbl, "corruptions")?,
-                reloads: u(pgtbl, "reloads")?,
-                recovery_cycles: u(pgtbl, "recovery_cycles")?,
-            },
-            caps: CapsFaultStats {
-                corruptions: u(caps, "corruptions")?,
-                reloads: u(caps, "reloads")?,
-                recovery_cycles: u(caps, "recovery_cycles")?,
-                unrecoverable: u(caps, "unrecoverable")?,
-            },
-            remap_faults: u(v, "remap_faults")?,
-            rejected_reads: u(v, "rejected_reads")?,
-            rejected_writes: u(v, "rejected_writes")?,
-            syscall_failures: u(v, "syscall_failures")?,
-            violations,
-        })
-    }
 }
 
 /// JSON for one chaos case.
@@ -810,11 +741,7 @@ mod tests {
     #[test]
     fn chaos_grid_is_deterministic_across_worker_counts() {
         let run = |workers| {
-            let jobs: Vec<_> = chaos_jobs(1999)
-                .into_iter()
-                .map(|(_, j)| move || j())
-                .collect();
-            let outcomes = runner::run_ordered(jobs, workers);
+            let outcomes = runner::run_ordered(chaos_jobs(1999), workers);
             format!("{:#}\n", chaos_document(1999, &outcomes))
         };
         let serial = run(1);

@@ -11,9 +11,6 @@
 
 use std::sync::Arc;
 
-use crate::journal::RunArtifacts;
-use crate::runner::SharedJob;
-
 use impulse_obs::{Json, SketchConfig};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
@@ -24,18 +21,16 @@ use impulse_workloads::{
 };
 
 /// One independent experiment: a name and a job producing its report.
-/// The job is shared (`Fn`, not `FnOnce`) so the supervised runner can
-/// retry it after a panic or timeout.
 pub struct Experiment {
     name: String,
-    job: SharedJob<Report>,
+    job: Box<dyn Fn() -> Report + Send + Sync>,
 }
 
 impl Experiment {
     fn new(name: String, job: impl Fn() -> Report + Send + Sync + 'static) -> Self {
         Self {
             name,
-            job: Arc::new(job),
+            job: Box::new(job),
         }
     }
 
@@ -48,12 +43,6 @@ impl Experiment {
     /// Runs the experiment to completion.
     pub fn run(&self) -> Report {
         (self.job)()
-    }
-
-    /// Decomposes into the (id, shared job) pair the resumable grid
-    /// driver consumes.
-    pub fn into_job(self) -> (String, SharedJob<Report>) {
-        (self.name, self.job)
     }
 }
 
@@ -132,14 +121,14 @@ pub struct TraceOutcome {
 /// this (dropping capture and heatmap).
 pub struct TracedExperiment {
     name: String,
-    job: SharedJob<TraceOutcome>,
+    job: Box<dyn Fn() -> TraceOutcome + Send + Sync>,
 }
 
 impl TracedExperiment {
     fn new(name: String, job: impl Fn() -> TraceOutcome + Send + Sync + 'static) -> Self {
         Self {
             name,
-            job: Arc::new(job),
+            job: Box::new(job),
         }
     }
 
@@ -151,12 +140,6 @@ impl TracedExperiment {
     /// Runs the experiment to completion.
     pub fn run(&self) -> TraceOutcome {
         (self.job)()
-    }
-
-    /// Decomposes into the (id, shared job) pair the resumable grid
-    /// driver consumes.
-    pub fn into_job(self) -> (String, SharedJob<TraceOutcome>) {
-        (self.name, self.job)
     }
 }
 
@@ -417,10 +400,7 @@ pub fn catalog_entries(seed: u64) -> Vec<CatalogEntry> {
 pub fn run_all_experiments(seed: u64) -> Vec<Experiment> {
     run_all_experiments_obs(seed, ObsSpec::off())
         .into_iter()
-        .map(|t| {
-            let (name, job) = t.into_job();
-            Experiment::new(name, move || job().report)
-        })
+        .map(|t| Experiment::new(t.name.clone(), move || t.run().report))
         .collect()
 }
 
@@ -445,17 +425,25 @@ pub fn run_all_experiments_obs(seed: u64, obs: ObsSpec) -> Vec<TracedExperiment>
         .collect()
 }
 
-/// The journal artifacts for one report: its exact CSV row and compact
-/// JSON fragment — precisely the strings the final documents are
-/// assembled from, so resumed and uninterrupted runs emit identical
-/// bytes. Asserts the attribution invariant before anything is recorded.
+/// One report as the `run_all` artifacts carry it: its CSV row and its
+/// JSON fragment.
+#[derive(Debug)]
+pub struct ReportArtifacts {
+    /// The report's CSV row (no trailing newline).
+    pub csv: String,
+    /// The report's `impulse-report-v1` JSON fragment.
+    pub json: Json,
+}
+
+/// Renders one report for the `run_all` artifacts, asserting its
+/// invariants first, so no artifact carries a report that breaks them.
 ///
 /// # Panics
 ///
 /// Panics if the report's attribution stages do not sum to its demand
 /// cycles, or if its `mem.lat_load`/`mem.lat_store` histograms do not
 /// hold one sample per demand access summing to the demand cycles.
-pub fn report_artifacts(r: &Report) -> RunArtifacts {
+pub fn report_artifacts(r: &Report) -> ReportArtifacts {
     let demand = r.mem.load_cycles + r.mem.store_cycles;
     assert_eq!(
         r.attr.total(),
@@ -479,70 +467,45 @@ pub fn report_artifacts(r: &Report) -> RunArtifacts {
             r.name,
         );
     }
-    RunArtifacts {
+    ReportArtifacts {
         csv: r.csv_row(),
         json: r.to_json(),
     }
 }
 
-/// Assembles the final CSV text (header plus one row per successful
-/// experiment, in catalog order) from resumable-run outcomes. Failed
-/// experiments contribute no row.
-pub fn csv_from_outcomes(outcomes: &[(String, Result<RunArtifacts, String>)]) -> String {
+/// The `run_all` CSV text: the header plus one row per report, in order.
+///
+/// # Panics
+///
+/// Panics as [`report_artifacts`] does.
+pub fn csv_document(reports: &[Report]) -> String {
     let mut csv = String::from(Report::csv_header());
     csv.push('\n');
-    for (_, outcome) in outcomes {
-        if let Ok(a) = outcome {
-            csv.push_str(&a.csv);
-            csv.push('\n');
-        }
+    for r in reports {
+        csv.push_str(&report_artifacts(r).csv);
+        csv.push('\n');
     }
     csv
 }
 
-/// Assembles the `impulse-run-all-v1` JSON document from resumable-run
-/// outcomes: report fragments in catalog order, the master seed, and a
-/// `failed` array of `{name, error}` for experiments that produced no
-/// report.
-pub fn document_from_outcomes(
-    seed: u64,
-    outcomes: &[(String, Result<RunArtifacts, String>)],
-) -> Json {
-    let mut reports = Vec::with_capacity(outcomes.len());
-    let mut failed = Vec::new();
-    for (id, outcome) in outcomes {
-        match outcome {
-            Ok(a) => reports.push(a.json.clone()),
-            Err(e) => {
-                let mut f = Json::obj();
-                f.set("name", Json::Str(id.clone()));
-                f.set("error", Json::Str(e.clone()));
-                failed.push(f);
-            }
-        }
-    }
-    let mut root = Json::obj();
-    root.set("schema", Json::Str("impulse-run-all-v1".into()));
-    root.set("seed", Json::UInt(seed));
-    root.set("reports", Json::Arr(reports));
-    root.set("failed", Json::Arr(failed));
-    root
-}
-
 /// Bundles experiment reports into one JSON document (schema
-/// `impulse-run-all-v1`) stamped with the master seed — the
-/// all-successful special case of [`document_from_outcomes`].
+/// `impulse-run-all-v1`) stamped with the master seed. The `failed`
+/// array is always empty, because a failing experiment fails the run;
+/// the key stays so the document's layout is unchanged for its readers.
 ///
 /// # Panics
 ///
-/// Panics if any report's attribution stages do not sum to its demand
-/// cycles.
+/// Panics as [`report_artifacts`] does.
 pub fn json_document(seed: u64, reports: &[Report]) -> Json {
-    let outcomes: Vec<(String, Result<RunArtifacts, String>)> = reports
-        .iter()
-        .map(|r| (r.name.clone(), Ok(report_artifacts(r))))
-        .collect();
-    document_from_outcomes(seed, &outcomes)
+    let mut root = Json::obj();
+    root.set("schema", Json::Str("impulse-run-all-v1".into()));
+    root.set("seed", Json::UInt(seed));
+    root.set(
+        "reports",
+        Json::Arr(reports.iter().map(|r| report_artifacts(r).json).collect()),
+    );
+    root.set("failed", Json::Arr(Vec::new()));
+    root
 }
 
 #[cfg(test)]

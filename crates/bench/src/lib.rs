@@ -21,7 +21,6 @@ pub mod caps_chaos;
 pub mod chaos;
 pub mod experiments;
 pub mod harness;
-pub mod journal;
 pub mod runner;
 pub mod tier_chaos;
 
@@ -141,17 +140,12 @@ pub fn print_table(title: &str, sections: &[TableSection], baseline: &Report) {
     println!();
 }
 
-/// Minimal command-line handling shared by the regenerator binaries:
-/// recognizes `--paper`, `--resume`, `journal=<path>`, and integer
-/// `key=value` overrides.
+/// Minimal command-line handling shared by the table and figure
+/// binaries: recognizes `--paper` and integer `key=value` overrides.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     /// Run the paper's full problem size.
     pub paper: bool,
-    /// Resume from the run journal instead of starting fresh.
-    pub resume: bool,
-    /// `journal=<path>` override for the run journal location.
-    pub journal: Option<String>,
     /// `key=value` overrides.
     pub overrides: Vec<(String, u64)>,
     /// Raw `jobs=` value; validated (typed) by [`Args::jobs`].
@@ -169,10 +163,6 @@ impl Args {
         for a in std::env::args().skip(1) {
             if a == "--paper" {
                 out.paper = true;
-            } else if a == "--resume" {
-                out.resume = true;
-            } else if let Some(v) = a.strip_prefix("journal=") {
-                out.journal = Some(v.to_string());
             } else if let Some(v) = a.strip_prefix("jobs=") {
                 out.jobs_raw = Some(v.to_string());
             } else if let Some((k, v)) = a.split_once('=') {
@@ -182,7 +172,7 @@ impl Args {
                 out.overrides
                     .push((k.trim_start_matches('-').to_string(), v));
             } else {
-                panic!("unrecognized argument `{a}` (use --paper, --resume, or key=value)");
+                panic!("unrecognized argument `{a}` (use --paper or key=value)");
             }
         }
         out

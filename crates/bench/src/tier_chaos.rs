@@ -14,9 +14,6 @@
 //! `results/chaos_tier.json` is byte-identical for a fixed seed at any
 //! worker count.
 
-use std::sync::Arc;
-
-use crate::runner::SharedJob;
 use impulse_core::{McError, TierConfig, TierEngine, TierStats};
 use impulse_dram::{Dram, DramConfig, ScmConfig, ScmStats};
 use impulse_fault::{FaultConfig, TierFaultStats, Trigger};
@@ -66,7 +63,7 @@ impl TierScenario {
         TierScenario::BypassModeParity,
     ];
 
-    /// Label used in reports and journal ids.
+    /// Label used in reports.
     pub fn name(self) -> &'static str {
         match self {
             TierScenario::ColdGatherStorm => "cold-gather-storm",
@@ -829,83 +826,12 @@ pub fn run_tier_case(s: TierScenario, seed: u64) -> TierOutcome {
     }
 }
 
-/// A shared tier-suite job for the supervised runner.
-pub type TierJob = SharedJob<TierOutcome>;
-
-/// Every scenario paired with its stable journal id, in deterministic
-/// submission order.
-pub fn tier_chaos_jobs(seed: u64) -> Vec<(String, TierJob)> {
+/// One job per scenario, in deterministic submission order.
+pub fn tier_chaos_jobs(seed: u64) -> Vec<impl FnOnce() -> TierOutcome + Send> {
     TierScenario::ALL
         .iter()
-        .map(|&s| {
-            let id = s.name().to_string();
-            let job: TierJob = Arc::new(move || run_tier_case(s, seed));
-            (id, job)
-        })
+        .map(|&s| move || run_tier_case(s, seed))
         .collect()
-}
-
-impl TierOutcome {
-    /// Serializes this case for `chaos_tier.json` and the run journal.
-    pub fn to_json(&self) -> Json {
-        case_json(self)
-    }
-
-    /// Rebuilds a case from [`TierOutcome::to_json`] output (the resume
-    /// path); `None` if the shape is wrong.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let u = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_u64);
-        let tier = v.get("tier")?;
-        let scm = v.get("scm")?;
-        let fault = v.get("fault")?;
-        let ecc = v.get("ecc")?;
-        let violations = match v.get("violations")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            scenario: v.get("scenario")?.as_str()?.to_string(),
-            cycles: u(v, "cycles")?,
-            accesses: u(v, "accesses")?,
-            typed_faults: u(v, "typed_faults")?,
-            tier: TierStats {
-                dram_hits: u(tier, "dram_hits")?,
-                dram_misses: u(tier, "dram_misses")?,
-                writebacks: u(tier, "writebacks")?,
-                lost_writebacks: u(tier, "lost_writebacks")?,
-                fill_hits: u(tier, "fill_hits")?,
-                fill_loads: u(tier, "fill_loads")?,
-                flat_dram: u(tier, "flat_dram")?,
-                flat_scm: u(tier, "flat_scm")?,
-                degraded_rejects: u(tier, "degraded_rejects")?,
-            },
-            scm: ScmStats {
-                reads: u(scm, "reads")?,
-                writes: u(scm, "writes")?,
-                bytes: u(scm, "bytes")?,
-                channel_wait: u(scm, "channel_wait")?,
-                wear_retirements: u(scm, "wear_retirements")?,
-                dead_rejects: u(scm, "dead_rejects")?,
-            },
-            fault: TierFaultStats {
-                tag_corruptions: u(fault, "tag_corruptions")?,
-                tag_invalidations: u(fault, "tag_invalidations")?,
-                channel_kills: u(fault, "channel_kills")?,
-                bypass_reads: u(fault, "bypass_reads")?,
-                bypass_writes: u(fault, "bypass_writes")?,
-                lost_dirty_lines: u(fault, "lost_dirty_lines")?,
-                recovery_cycles: u(fault, "recovery_cycles")?,
-            },
-            ecc_corrected: u(ecc, "corrected")?,
-            ecc_detected_double: u(ecc, "detected_double")?,
-            ecc_silent: u(ecc, "silent")?,
-            ecc_recovery_cycles: u(ecc, "recovery_cycles")?,
-            violations,
-        })
-    }
 }
 
 /// JSON for one tier case.
@@ -1079,20 +1005,9 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_round_trip_through_json() {
-        let o = run_wear_out_scatter_churn(3);
-        let back = TierOutcome::from_json(&o.to_json()).expect("decode");
-        assert_eq!(o, back);
-    }
-
-    #[test]
     fn tier_suite_is_deterministic_across_worker_counts() {
         let run = |workers| {
-            let jobs: Vec<_> = tier_chaos_jobs(1999)
-                .into_iter()
-                .map(|(_, j)| move || j())
-                .collect();
-            let outcomes = runner::run_ordered(jobs, workers);
+            let outcomes = runner::run_ordered(tier_chaos_jobs(1999), workers);
             format!("{:#}\n", tier_chaos_document(1999, &outcomes))
         };
         let serial = run(1);

@@ -1,11 +1,11 @@
-//! Exit codes of the grid binaries on malformed shared arguments.
+//! Exit codes of the grid binaries on malformed arguments.
 //!
-//! `run_all` and `sweep` parse the shared vocabulary (`jobs=`, `seed=`,
-//! `watchdog_ms=`, `max_retries=`, ...) through `runner::CommonArgs`, so
-//! a bad value is a usage error with exit code 2 — never a silently
-//! ignored knob, and never a panic. Every run points its outputs into a
-//! scratch directory so a binary that wrongly accepts the argument
-//! cannot write into the source tree.
+//! `run_all` and `sweep` parse their arguments once, through
+//! `runner::CommonArgs`, so a bad value or a key off the usage line is a
+//! usage error with exit code 2 — never a silently ignored knob, and
+//! never a panic. Every run points its outputs into a scratch directory
+//! so a binary that wrongly accepts the argument cannot write into the
+//! source tree.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -34,20 +34,34 @@ fn exit_code(bin: &str, name: &str, outputs: &[&str], arg: &str) -> Option<i32> 
 #[test]
 fn run_all_rejects_zero_retries_and_bad_seed() {
     let bin = env!("CARGO_BIN_EXE_run_all");
-    let outputs = ["out", "json", "journal"];
+    let outputs = ["out", "json"];
     for arg in ["max_retries=0", "seed=abc"] {
         assert_eq!(exit_code(bin, "run_all", &outputs, arg), Some(2), "{arg}");
     }
 }
 
-/// `run_all` writes the artifacts it is pointed at and nothing else: no
-/// stray ledger or timing file lands in its working directory.
+/// A misspelt key and a retired flag are usage errors, not a run of the
+/// defaults.
 #[test]
-fn run_all_writes_only_its_three_artifacts() {
+fn run_all_rejects_unknown_keys() {
+    let bin = env!("CARGO_BIN_EXE_run_all");
+    for arg in ["jbos=1", "--resume"] {
+        assert_eq!(
+            exit_code(bin, "run_all", &["out", "json"], arg),
+            Some(2),
+            "{arg}"
+        );
+    }
+}
+
+/// `run_all` writes the artifacts it is pointed at and nothing else: no
+/// stray ledger, journal or timing file lands in its working directory.
+#[test]
+fn run_all_writes_only_its_two_artifacts() {
     let dir = std::env::temp_dir().join(format!("impulse-cli-artifacts-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let outputs = ["out", "json", "journal"];
+    let outputs = ["out", "json"];
     let status = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args(
             outputs
@@ -70,13 +84,21 @@ fn run_all_writes_only_its_three_artifacts() {
     written.sort();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(status.success(), "run_all exited with {status}");
-    assert_eq!(written, ["journal", "json", "out"]);
+    assert_eq!(written, ["json", "out"]);
 }
 
 #[test]
 fn sweep_rejects_zero_retries_and_bad_seed() {
     let bin = env!("CARGO_BIN_EXE_sweep");
     for arg in ["max_retries=0", "seed=abc"] {
-        assert_eq!(exit_code(bin, "sweep", &["journal"], arg), Some(2), "{arg}");
+        assert_eq!(exit_code(bin, "sweep", &[], arg), Some(2), "{arg}");
     }
+}
+
+/// `tier=` is not on `sweep`'s usage line (its tier sweep is a grid
+/// section): a usage error, not a panic.
+#[test]
+fn sweep_rejects_tier() {
+    let bin = env!("CARGO_BIN_EXE_sweep");
+    assert_eq!(exit_code(bin, "sweep", &[], "tier=flat"), Some(2));
 }

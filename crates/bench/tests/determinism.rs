@@ -4,20 +4,14 @@
 //! lets `results.csv` / `results/run_all.json` regenerate reproducibly
 //! on any host at any worker count.
 
-use impulse_bench::experiments::{json_document, run_all_experiments, DEFAULT_SEED};
+use impulse_bench::experiments::{csv_document, json_document, run_all_experiments, DEFAULT_SEED};
 use impulse_bench::runner;
 use impulse_sim::Report;
 
-/// Serializes reports exactly as the `run_all` binary does.
+/// Serializes reports with the builders the `run_all` binary uses.
 fn serialize(reports: &[Report]) -> (String, String) {
-    let mut csv = String::from(Report::csv_header());
-    csv.push('\n');
-    for r in reports {
-        csv.push_str(&r.csv_row());
-        csv.push('\n');
-    }
     let json = format!("{:#}\n", json_document(DEFAULT_SEED, reports));
-    (csv, json)
+    (csv_document(reports), json)
 }
 
 /// A reduced experiment list (the quick half of the catalog) run at

@@ -794,11 +794,9 @@ impl Machine {
     // ---- checkpoint/restore ---------------------------------------------
 
     /// The configuration fingerprint stamped into snapshot headers — the
-    /// shared [`impulse_types::ident`] digest of the full `SystemConfig`,
-    /// so an image can never be restored into a machine with different
-    /// geometry or timing, and so every keyed artifact (snapshots, run
-    /// journal records, capture names) derives identity from the same
-    /// hash discipline.
+    /// [`impulse_types::ident`] digest of the full `SystemConfig`, so an
+    /// image can never be restored into a machine with different
+    /// geometry or timing.
     pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
         digest64(format!("{cfg:?}").as_bytes())
     }

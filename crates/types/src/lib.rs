@@ -46,7 +46,6 @@ pub mod varint;
 pub use access::{Access, AccessKind};
 pub use addr::{MAddr, PAddr, PvAddr, VAddr};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ident::ExperimentKey;
 pub use range::{PRange, VRange};
 pub use tier::TierPolicy;
 
