@@ -81,19 +81,19 @@ fn run(policy: SchedulePolicy, batches: &[Vec<MAddr>]) -> (u64, f64) {
     (now, dram.stats().row_hit_ratio())
 }
 
+const USAGE: &str =
+    "usage: ablation_dram [--paper] [words=N] [batches=N] [streams=N] [seed=N] [jobs=N]";
+
 fn main() -> std::process::ExitCode {
-    let args = Args::parse();
+    let known = [
+        "--paper", "words=", "batches=", "streams=", "seed=", "jobs=",
+    ];
+    let parsed = Args::parse(&known).and_then(|args| Ok((args.jobs()?, args)));
+    let (jobs, args) = parsed.unwrap_or_else(|e| runner::usage_exit(e, USAGE));
     let words = args.get("words", 64);
     let n_batches = args.get("batches", if args.paper { 20_000 } else { 4_000 });
     let streams = args.get("streams", 4);
     let seed = args.get("seed", 42);
-    let jobs = match args.jobs() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}\nusage: ablation_dram [--paper] [words=N] [batches=N] [streams=N] [seed=N] [jobs=N]");
-            return std::process::ExitCode::from(2);
-        }
-    };
 
     let dram_cfg = DramConfig::default();
     let mut rng = Rng(seed | 1);

@@ -14,7 +14,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use impulse_bench::caps_chaos::{caps_chaos_document, caps_chaos_jobs};
-use impulse_bench::runner::{self, CommonArgs};
+use impulse_bench::runner::{self, usage_exit, CommonArgs};
 
 const USAGE: &str = "usage: chaos_caps [seed=N] [jobs=N] [out=results/chaos_caps.json]";
 
@@ -26,14 +26,8 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| default.to_string())
     };
     let path = arg("out=", "results/chaos_caps.json");
-    let CommonArgs { jobs, seed, .. } =
-        match CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="]) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        };
+    let CommonArgs { jobs, seed, .. } = CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="])
+        .unwrap_or_else(|e| usage_exit(e, USAGE));
     let outcomes = runner::run_ordered(caps_chaos_jobs(seed), jobs);
 
     println!(

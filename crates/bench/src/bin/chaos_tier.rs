@@ -13,7 +13,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use impulse_bench::runner::{self, CommonArgs};
+use impulse_bench::runner::{self, usage_exit, CommonArgs};
 use impulse_bench::tier_chaos::{tier_chaos_document, tier_chaos_jobs};
 
 const USAGE: &str = "usage: chaos_tier [seed=N] [jobs=N] [out=results/chaos_tier.json]";
@@ -26,14 +26,8 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| default.to_string())
     };
     let path = arg("out=", "results/chaos_tier.json");
-    let CommonArgs { jobs, seed, .. } =
-        match CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="]) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        };
+    let CommonArgs { jobs, seed, .. } = CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="])
+        .unwrap_or_else(|e| usage_exit(e, USAGE));
     let outcomes = runner::run_ordered(tier_chaos_jobs(seed), jobs);
 
     println!(

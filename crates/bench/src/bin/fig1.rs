@@ -6,7 +6,7 @@
 //! Prints cycles, bus traffic, useful-byte fraction, and hit ratios for
 //! both systems. Overrides: `n=`, `passes=`.
 
-use impulse_bench::Args;
+use impulse_bench::{runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Diagonal, DiagonalVariant};
 
@@ -23,8 +23,11 @@ fn run(n: u64, passes: u64, variant: DiagonalVariant) -> Report {
     r
 }
 
+const USAGE: &str = "usage: fig1 [--paper] [n=N] [passes=N]";
+
 fn main() {
-    let args = Args::parse();
+    let known = ["--paper", "n=", "passes="];
+    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
     let n = args.get("n", if args.paper { 4096 } else { 2048 });
     let passes = args.get("passes", 4);
 

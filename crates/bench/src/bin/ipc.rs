@@ -4,7 +4,7 @@
 //!
 //! Overrides: `buffers=`, `bytes=` (per buffer), `messages=`.
 
-use impulse_bench::Args;
+use impulse_bench::{runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{IpcGather, IpcVariant};
 
@@ -18,8 +18,11 @@ fn run(buffers: u64, bytes: u64, messages: u64, variant: IpcVariant) -> Report {
     m.report(variant.name())
 }
 
+const USAGE: &str = "usage: ipc [--paper] [buffers=N] [bytes=N] [messages=N]";
+
 fn main() {
-    let args = Args::parse();
+    let known = ["--paper", "buffers=", "bytes=", "messages="];
+    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
     let buffers = args.get("buffers", 8);
     let bytes = args.get("bytes", 4096);
     let messages = args.get("messages", if args.paper { 256 } else { 64 });

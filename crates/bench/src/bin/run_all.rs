@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use impulse_bench::experiments::{catalog_entries, csv_document, json_document, DEFAULT_SEED};
-use impulse_bench::runner::{self, CommonArgs};
+use impulse_bench::runner::{self, usage_exit, CommonArgs};
 use impulse_sim::Machine;
 
 const USAGE: &str = "usage: run_all [out=results.csv] [json=results/run_all.json] [jobs=N] \
@@ -47,15 +47,21 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| default.to_string())
     };
     let known = ["out=", "json=", "jobs=", "seed=", "tier="];
-    let CommonArgs { jobs, seed, tier } = match CommonArgs::parse(&args, DEFAULT_SEED, &known) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let CommonArgs { jobs, seed, tier } =
+        CommonArgs::parse(&args, DEFAULT_SEED, &known).unwrap_or_else(|e| usage_exit(e, USAGE));
     let path = arg("out=", "results.csv");
     let json_path = arg("json=", "results/run_all.json");
+    // Both output directories exist before the grid runs, so a bad path
+    // fails the run up front and leaves neither file behind.
+    for file in [&path, &json_path] {
+        let Some(dir) = std::path::Path::new(file).parent() else {
+            continue;
+        };
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("error: create directory for {file}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
 
     // `tier=` re-organises every entry's memory system before it runs —
     // the whole catalog under one hybrid-tier policy (the grid's tier
@@ -82,11 +88,6 @@ fn main() -> ExitCode {
     let csv = csv_document(&reports);
     let doc = json_document(seed, &reports);
     std::fs::write(&path, csv).expect("write results file");
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results directory");
-        }
-    }
     let mut jf = std::fs::File::create(&json_path).expect("create JSON report");
     writeln!(jf, "{doc:#}").expect("write JSON report");
 

@@ -5,7 +5,7 @@
 //!
 //! Overrides: `regions=`, `pages=`, `rounds=`.
 
-use impulse_bench::Args;
+use impulse_bench::{runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{TlbStress, TlbVariant};
 
@@ -29,8 +29,11 @@ fn run_auto(regions: u64, pages: u64, rounds: u64, threshold: u64) -> Report {
     m.report("online promotion")
 }
 
+const USAGE: &str = "usage: superpage [--paper] [regions=N] [pages=N] [rounds=N]";
+
 fn main() {
-    let args = Args::parse();
+    let known = ["--paper", "regions=", "pages=", "rounds="];
+    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
     let regions = args.get("regions", 8);
     let pages = args.get("pages", if args.paper { 256 } else { 64 });
     let rounds = args.get("rounds", 64);

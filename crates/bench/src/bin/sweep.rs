@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use impulse_bench::runner::{self, u64_from_args, CommonArgs};
+use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
 use impulse_dram::SchedulePolicy;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
@@ -63,13 +63,8 @@ fn main() -> ExitCode {
         let nnz = u64_from_args(&args, "nnz", if paper { 156 } else { 24 })?;
         Ok((common, rows, nnz))
     });
-    let (CommonArgs { jobs, seed, .. }, rows, nnz) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let (CommonArgs { jobs, seed, .. }, rows, nnz) =
+        parsed.unwrap_or_else(|e| usage_exit(e, USAGE));
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, seed));
 
     println!("================================================================");

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use impulse_bench::{print_table, Args, PaperRow, TableSection, PREFETCH_COLUMNS};
+use impulse_bench::{
+    print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
+};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{CgBenchmark, Smvp, SmvpVariant, SparsePattern};
 
@@ -138,8 +140,14 @@ const PAPER_RECOLORING: [PaperRow; 4] = [
     },
 ];
 
+const USAGE: &str = "usage: table1 [--paper] [rows=N] [nnz=N] [passes=N] [seed=N] [cg=0|1] \
+[mesh=SIDE]";
+
 fn main() {
-    let args = Args::parse();
+    let known = [
+        "--paper", "rows=", "nnz=", "passes=", "seed=", "cg=", "mesh=",
+    ];
+    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
     let rows = args.get("rows", 14_000);
     let nnz = args.get("nnz", if args.paper { 156 } else { 40 });
     let passes = args.get("passes", if args.paper { 3 } else { 1 });

@@ -1,9 +1,10 @@
 //! Flight-recorder capture tooling over the `run_all` catalog.
 //!
 //! `trace record` reruns the full 28-experiment catalog with the MC
-//! flight recorder and hotness sketch enabled, writes one
-//! `impulse-trace-v1` capture per experiment (`<experiment>.trace`) plus
-//! a summary document and combined heatmap export, and
+//! flight recorder enabled, writes one `impulse-trace-v1` capture per
+//! experiment (`<experiment>.trace`) plus a summary document and combined
+//! heatmap export (each experiment's hottest lines ranked by exact count
+//! from its ring, as `trace top` ranks them), and
 //! round-trip-verifies every capture (decode → re-encode must be
 //! bit-exact) before it is accepted. The grid fans over `jobs=N`
 //! workers like `run_all`; none of the written artifacts contain
@@ -29,9 +30,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use impulse_bench::experiments::{run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
-use impulse_bench::runner::{self, u64_from_args, CommonArgs};
+use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
 use impulse_core::flight::{self, Capture};
-use impulse_obs::{Json, SketchConfig};
+use impulse_obs::Json;
 
 const USAGE: &str = "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] \
 [top=N]\n\
@@ -40,7 +41,7 @@ const USAGE: &str = "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [
        trace top <capture.trace> [k=N]";
 
 /// Summary document schema identifier.
-const SUMMARY_SCHEMA: &str = "impulse-trace-summary-v1";
+const SUMMARY_SCHEMA: &str = "impulse-trace-summary-v2";
 /// Combined heatmap document schema identifier.
 const HEATMAPS_SCHEMA: &str = "impulse-trace-heatmaps-v1";
 
@@ -63,16 +64,23 @@ fn load_capture(path: &str) -> Result<Capture, String> {
     flight::decode(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Exact per-line access counts from a capture's events, hottest first
-/// (count desc, line asc — the same order the sketch's `top` uses).
-fn exact_top(cap: &Capture) -> Vec<(u64, u64)> {
-    let mut counts = std::collections::HashMap::new();
-    for e in &cap.events {
-        *counts.entry(e.line).or_insert(0u64) += 1;
-    }
-    let mut out: Vec<(u64, u64)> = counts.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
+/// Parses `<capture.trace> [key=N]` for `cmd` into the capture path and
+/// the typed value of `key` (`default` when absent). Any other argument
+/// is a usage error (exit 2), reported before the capture is read.
+fn path_and_count<'a>(
+    cmd: &str,
+    args: &'a [String],
+    key: &'static str,
+    default: u64,
+) -> (&'a str, usize) {
+    let Some((path, rest)) = args.split_first().filter(|(p, _)| !p.contains('=')) else {
+        usage_exit(format!("{cmd} needs a capture file"), USAGE);
+    };
+    let known = format!("{key}=");
+    let n = runner::check_usage(rest, &[known.as_str()])
+        .and_then(|()| u64_from_args(rest, key, default))
+        .unwrap_or_else(|e| usage_exit(e, USAGE));
+    (path, n as usize)
 }
 
 fn cmd_record(args: &[String]) -> ExitCode {
@@ -90,19 +98,12 @@ fn cmd_record(args: &[String]) -> ExitCode {
             u64_from_args(args, "top", 32)?,
         ))
     });
-    let (CommonArgs { jobs, seed, .. }, flight_cap, top_k) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let (CommonArgs { jobs, seed, .. }, flight_cap, top_k) =
+        parsed.unwrap_or_else(|e| usage_exit(e, USAGE));
     if flight_cap == 0 {
-        eprintln!("error: flight=0 records nothing; pick a ring capacity\n{USAGE}");
-        return ExitCode::from(2);
+        usage_exit("flight=0 records nothing; pick a ring capacity", USAGE);
     }
-    let sketch = SketchConfig::default();
-    let obs = ObsSpec::recording(flight_cap as usize, sketch, top_k as usize);
+    let obs = ObsSpec::recording(flight_cap as usize, top_k as usize);
     std::fs::create_dir_all(&dir).expect("create trace directory");
 
     // Each job verifies and writes its own capture, then hands back its
@@ -150,12 +151,6 @@ fn cmd_record(args: &[String]) -> ExitCode {
     summary.set("schema", Json::Str(SUMMARY_SCHEMA.into()));
     summary.set("seed", Json::UInt(seed));
     summary.set("flight_capacity", Json::UInt(flight_cap));
-    let mut sk = Json::obj();
-    sk.set("width_log2", Json::UInt(sketch.width_log2 as u64));
-    sk.set("depth", Json::UInt(sketch.depth as u64));
-    sk.set("candidates", Json::UInt(sketch.candidates as u64));
-    sk.set("epoch_ops", Json::UInt(sketch.epoch_ops));
-    summary.set("sketch", sk);
     summary.set("top_k", Json::UInt(top_k));
     summary.set("captures", Json::Arr(entries));
     // Always empty: a failing experiment fails the run. The key stays so
@@ -184,15 +179,7 @@ fn cmd_record(args: &[String]) -> ExitCode {
 }
 
 fn cmd_dump(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.contains('=')) else {
-        eprintln!("error: dump needs a capture file\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let limit = args
-        .iter()
-        .find_map(|a| a.strip_prefix("limit="))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(32);
+    let (path, limit) = path_and_count("dump", args, "limit", 32);
     let cap = match load_capture(path) {
         Ok(c) => c,
         Err(e) => {
@@ -235,10 +222,8 @@ fn cmd_dump(args: &[String]) -> ExitCode {
 }
 
 fn cmd_diff(args: &[String]) -> ExitCode {
-    let files: Vec<&String> = args.iter().filter(|a| !a.contains('=')).collect();
-    let [a_path, b_path] = files.as_slice() else {
-        eprintln!("error: diff needs exactly two capture files\n{USAGE}");
-        return ExitCode::from(2);
+    let [a_path, b_path] = args else {
+        usage_exit("diff needs exactly two capture files", USAGE);
     };
     let (a, b) = match (load_capture(a_path), load_capture(b_path)) {
         (Ok(a), Ok(b)) => (a, b),
@@ -286,15 +271,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 }
 
 fn cmd_top(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.contains('=')) else {
-        eprintln!("error: top needs a capture file\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let k = args
-        .iter()
-        .find_map(|a| a.strip_prefix("k="))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(16);
+    let (path, k) = path_and_count("top", args, "k", 16);
     let cap = match load_capture(path) {
         Ok(c) => c,
         Err(e) => {
@@ -302,7 +279,7 @@ fn cmd_top(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let top = exact_top(&cap);
+    let top = flight::exact_top(&cap.events);
     println!(
         "top {} of {} unique lines ({} events held)",
         k.min(top.len()),

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use impulse_obs::{Json, SketchConfig};
+use impulse_obs::Json;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
 use impulse_workloads::{
@@ -51,8 +51,8 @@ impl Experiment {
 pub const DEFAULT_SEED: u64 = 0x00c9_a15e;
 
 /// Observability switches applied uniformly to every catalog
-/// experiment: the MC flight-recorder capacity, the optional hotness
-/// sketch, and how many hottest lines each heatmap export carries.
+/// experiment: the MC flight-recorder capacity and how many hottest
+/// lines each heatmap export carries.
 ///
 /// [`ObsSpec::off`] is the zero-cost default used by the plain
 /// [`run_all_experiments`] catalog; the `trace` binary turns recording
@@ -61,8 +61,6 @@ pub const DEFAULT_SEED: u64 = 0x00c9_a15e;
 pub struct ObsSpec {
     /// Flight-recorder ring capacity in events (0 disables recording).
     pub flight_capacity: usize,
-    /// Hotness-sketch configuration (`None` disables the sketch).
-    pub sketch: Option<SketchConfig>,
     /// Entries per heatmap `hot.entries` export.
     pub top_k: usize,
 }
@@ -73,16 +71,15 @@ impl ObsSpec {
     pub fn off() -> Self {
         Self {
             flight_capacity: 0,
-            sketch: None,
             top_k: 32,
         }
     }
 
-    /// Flight recording plus hotness telemetry enabled.
-    pub fn recording(flight_capacity: usize, sketch: SketchConfig, top_k: usize) -> Self {
+    /// Flight recording enabled; each heatmap ranks its `top_k` hottest
+    /// lines from the ring.
+    pub fn recording(flight_capacity: usize, top_k: usize) -> Self {
         Self {
             flight_capacity,
-            sketch: Some(sketch),
             top_k,
         }
     }
@@ -90,21 +87,13 @@ impl ObsSpec {
     /// Whether any recording is on (controls whether jobs export
     /// captures and heatmaps).
     pub fn enabled(&self) -> bool {
-        self.flight_capacity > 0 || self.sketch.is_some()
-    }
-
-    fn apply(self, cfg: SystemConfig) -> SystemConfig {
-        let cfg = cfg.with_flight(self.flight_capacity);
-        match self.sketch {
-            Some(s) => cfg.with_hotness(s),
-            None => cfg,
-        }
+        self.flight_capacity > 0
     }
 }
 
 /// Everything one observed experiment produces: the usual [`Report`]
 /// plus the encoded `impulse-trace-v1` capture and the
-/// `impulse-heatmap-v1` export (both empty/null when the job ran with
+/// `impulse-heatmap-v2` export (both empty/null when the job ran with
 /// [`ObsSpec::off`]).
 #[derive(Clone, Debug)]
 pub struct TraceOutcome {
@@ -416,7 +405,7 @@ pub fn run_all_experiments_obs(seed: u64, obs: ObsSpec) -> Vec<TracedExperiment>
         .map(|entry| {
             let name = entry.name().to_string();
             TracedExperiment::new(name.clone(), move || {
-                let cfg = obs.apply(entry.config().clone());
+                let cfg = entry.config().clone().with_flight(obs.flight_capacity);
                 let mut m = Machine::new(&cfg);
                 entry.drive(&mut m);
                 finish(&m, &name, obs)
@@ -533,7 +522,7 @@ mod tests {
             assert_eq!(p.name(), t.name());
         }
         assert!(!ObsSpec::off().enabled());
-        assert!(ObsSpec::recording(1 << 16, SketchConfig::default(), 32).enabled());
+        assert!(ObsSpec::recording(1 << 16, 32).enabled());
     }
 
     #[test]

@@ -141,7 +141,8 @@ pub fn print_table(title: &str, sections: &[TableSection], baseline: &Report) {
 }
 
 /// Minimal command-line handling shared by the table and figure
-/// binaries: recognizes `--paper` and integer `key=value` overrides.
+/// binaries: `--paper` and integer `key=value` overrides, checked
+/// against the binary's usage line.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     /// Run the paper's full problem size.
@@ -153,29 +154,37 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args` against the binary's usage line: `known`
+    /// lists every `key=` and `--flag` it accepts, as for
+    /// [`runner::CommonArgs::parse`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse() -> Self {
+    /// An argument off the usage line is [`runner::ArgError::Unknown`]
+    /// and a non-integer value [`runner::ArgError::NotANumber`], so the
+    /// binary can print its usage and exit 2.
+    pub fn parse(known: &[&'static str]) -> Result<Self, runner::ArgError> {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        runner::check_usage(&args, known)?;
         let mut out = Args::default();
-        for a in std::env::args().skip(1) {
+        for a in &args {
             if a == "--paper" {
                 out.paper = true;
             } else if let Some(v) = a.strip_prefix("jobs=") {
                 out.jobs_raw = Some(v.to_string());
             } else if let Some((k, v)) = a.split_once('=') {
-                let v = v
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("expected integer in `{a}`"));
-                out.overrides
-                    .push((k.trim_start_matches('-').to_string(), v));
-            } else {
-                panic!("unrecognized argument `{a}` (use --paper or key=value)");
+                let key = known
+                    .iter()
+                    .find_map(|n| n.strip_suffix('=').filter(|&n| n == k))
+                    .expect("checked against the usage line");
+                let v = v.parse::<u64>().map_err(|_| runner::ArgError::NotANumber {
+                    key,
+                    value: v.to_string(),
+                })?;
+                out.overrides.push((k.to_string(), v));
             }
         }
-        out
+        Ok(out)
     }
 
     /// Fetches an override or the default.

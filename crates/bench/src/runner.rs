@@ -199,6 +199,36 @@ pub fn tier_from_args(args: &[String]) -> Result<impulse_types::TierPolicy, ArgE
     }
 }
 
+/// Checks raw arguments against a binary's usage line: `known` lists
+/// every `key=` prefix and `--flag` it accepts.
+///
+/// # Errors
+///
+/// The first argument not in `known` is [`ArgError::Unknown`], so a
+/// misspelt or retired option never runs the defaults in silence.
+pub fn check_usage(args: &[String], known: &[&str]) -> Result<(), ArgError> {
+    let accepted = |a: &String| {
+        known.iter().any(|k| {
+            if k.ends_with('=') {
+                a.starts_with(k)
+            } else {
+                a == k
+            }
+        })
+    };
+    match args.iter().find(|a| !accepted(a)) {
+        Some(arg) => Err(ArgError::Unknown { arg: arg.clone() }),
+        None => Ok(()),
+    }
+}
+
+/// Prints `error: {e}` and the binary's usage text to stderr and exits
+/// with status 2, the usage-error code of every bench binary.
+pub fn usage_exit(e: impl fmt::Display, usage: &str) -> ! {
+    eprintln!("error: {e}\n{usage}");
+    std::process::exit(2)
+}
+
 /// The `key=value` arguments every grid binary shares, parsed once and
 /// typed once: `jobs=` (worker count), `seed=` (master seed) and
 /// `tier=none|flat|cache`.
@@ -220,22 +250,11 @@ impl CommonArgs {
     ///
     /// # Errors
     ///
-    /// An argument not in `known` is [`ArgError::Unknown`], so a
-    /// misspelt or retired option never runs the defaults in silence;
-    /// a malformed shared value is rejected with its typed [`ArgError`].
+    /// An argument not in `known` is [`ArgError::Unknown`] (see
+    /// [`check_usage`]); a malformed shared value is rejected with its
+    /// typed [`ArgError`].
     pub fn parse(args: &[String], default_seed: u64, known: &[&str]) -> Result<Self, ArgError> {
-        let accepted = |a: &String| {
-            known.iter().any(|k| {
-                if k.ends_with('=') {
-                    a.starts_with(k)
-                } else {
-                    a == k
-                }
-            })
-        };
-        if let Some(arg) = args.iter().find(|a| !accepted(a)) {
-            return Err(ArgError::Unknown { arg: arg.clone() });
-        }
+        check_usage(args, known)?;
         Ok(Self {
             jobs: jobs_from_args(args)?,
             seed: u64_from_args(args, "seed", default_seed)?,

@@ -1,14 +1,12 @@
 //! Observability acceptance tests over the full `run_all` catalog:
 //! every experiment's flight capture round-trips bit-exactly, and the
-//! hotness sketch's top-K agrees with exact per-line counts derived
-//! from the capture (the recorder and the sketch observe the same
-//! stream, so the capture *is* the ground truth).
-
-use std::collections::HashMap;
+//! heatmap's `hot` list is exactly [`flight::exact_top`] over the
+//! decoded capture (the list is built from the same ring the capture
+//! encodes, so the capture *is* the ground truth).
 
 use impulse_bench::experiments::{run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
 use impulse_core::flight;
-use impulse_obs::{Json, SketchConfig};
+use impulse_obs::Json;
 
 /// Large enough that no catalog experiment wraps the ring (the biggest
 /// capture at quick scale is the transpose walk at 2^18 events).
@@ -16,22 +14,11 @@ const FLIGHT_CAPACITY: usize = 1 << 19;
 const TOP_K: usize = 32;
 
 #[test]
-fn captures_round_trip_and_sketch_topk_agrees_with_exact_counts() {
-    // No epoch decay: with the sketch observing every access exactly
-    // once, estimates must dominate exact counts (count-min only ever
-    // over-counts). Width is sized to the stream: the catalog's widest
-    // working sets touch ~100k unique lines, so 2^18 counters per row
-    // keep collision inflation below the top-K admission threshold
-    // (narrower sketches inflate count-3 lines past the tie boundary
-    // in the dbscan and table1 streams).
-    let sketch = SketchConfig {
-        width_log2: 18,
-        epoch_ops: 0,
-        ..SketchConfig::default()
-    };
-    let obs = ObsSpec::recording(FLIGHT_CAPACITY, sketch, TOP_K);
-
-    for exp in run_all_experiments_obs(DEFAULT_SEED, obs) {
+fn captures_round_trip_and_hot_list_is_the_exact_ranking() {
+    let obs = ObsSpec::recording(FLIGHT_CAPACITY, TOP_K);
+    let catalog = run_all_experiments_obs(DEFAULT_SEED, obs);
+    assert_eq!(catalog.len(), 28);
+    for exp in catalog {
         let name = exp.name().to_string();
         let out = exp.run();
 
@@ -47,54 +34,32 @@ fn captures_round_trip_and_sketch_topk_agrees_with_exact_counts() {
             "{name}: capture round-trip must be bit-exact"
         );
 
-        // Ground truth: exact per-line counts from the capture events.
-        let mut exact: HashMap<u64, u64> = HashMap::new();
-        for e in &cap.events {
-            *exact.entry(e.line).or_insert(0) += 1;
-        }
-
         let hot = out
             .heatmap
             .get("hot")
             .unwrap_or_else(|| panic!("{name}: heatmap has no hot section"));
         assert_eq!(
-            hot.get("observed").and_then(Json::as_u64),
+            hot.get("recorded").and_then(Json::as_u64),
             Some(cap.recorded),
-            "{name}: sketch and recorder see the same stream"
+            "{name}"
         );
-        assert_eq!(hot.get("decays").and_then(Json::as_u64), Some(0), "{name}");
-        let entries = hot
+        assert_eq!(
+            hot.get("overwritten").and_then(Json::as_u64),
+            Some(0),
+            "{name}"
+        );
+        let entries: Vec<(u64, u64)> = hot
             .get("entries")
             .and_then(Json::items)
-            .unwrap_or_else(|| panic!("{name}: hot.entries missing"));
-        let k_eff = TOP_K.min(exact.len());
-        assert_eq!(entries.len(), k_eff, "{name}: top-K size");
-
-        // The tie-robust agreement criterion: the exact k-th largest
-        // count is the admission threshold, and a reported entry agrees
-        // if its true count meets it (any line tied at the boundary is
-        // a legitimate top-K member). Require >= 95% agreement.
-        let mut counts: Vec<u64> = exact.values().copied().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let threshold = counts[k_eff - 1];
-        let mut agree = 0usize;
-        for e in entries {
-            let line = e.get("line").and_then(Json::as_u64).expect("line");
-            let estimate = e.get("estimate").and_then(Json::as_u64).expect("estimate");
-            let truth = exact.get(&line).copied().unwrap_or(0);
-            assert!(
-                estimate >= truth,
-                "{name}: line {line:#x} estimate {estimate} under-counts {truth}"
-            );
-            if truth >= threshold {
-                agree += 1;
-            }
-        }
-        assert!(
-            agree * 20 >= entries.len() * 19,
-            "{name}: only {agree}/{} top-{k_eff} entries are true heavy hitters",
-            entries.len()
-        );
+            .unwrap_or_else(|| panic!("{name}: hot.entries missing"))
+            .iter()
+            .map(|e| {
+                let field = |k| e.get(k).and_then(Json::as_u64).expect(k);
+                (field("line"), field("count"))
+            })
+            .collect();
+        let exact = flight::exact_top(&cap.events);
+        assert_eq!(entries, exact[..TOP_K.min(exact.len())], "{name}");
 
         // The bank heatmap saw the same DRAM traffic the capture did.
         let banks = out
@@ -116,13 +81,10 @@ fn captures_round_trip_and_sketch_topk_agrees_with_exact_counts() {
 #[test]
 fn recording_does_not_perturb_simulated_results() {
     // The observability acceptance bar that matters most: a machine
-    // with the recorder and sketch attached reports *identical*
-    // simulated cycles. Compare one shadow-heavy experiment both ways.
+    // with the recorder attached reports *identical* simulated cycles.
+    // Compare one shadow-heavy experiment both ways.
     let plain = run_all_experiments_obs(DEFAULT_SEED, ObsSpec::off());
-    let recorded = run_all_experiments_obs(
-        DEFAULT_SEED,
-        ObsSpec::recording(1 << 16, SketchConfig::default(), 8),
-    );
+    let recorded = run_all_experiments_obs(DEFAULT_SEED, ObsSpec::recording(1 << 16, 8));
     for (p, r) in plain.iter().zip(&recorded).take(4) {
         assert_eq!(p.name(), r.name());
         let a = p.run().report;

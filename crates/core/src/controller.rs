@@ -17,13 +17,13 @@ use core::fmt;
 
 use impulse_dram::{Dram, SchedulePolicy, Scheduler};
 use impulse_fault::{EccConfig, EccStats, FaultConfig};
-use impulse_obs::{Histogram, HotSketch, Json, MetricsRegistry, Observe, SketchConfig};
-use impulse_types::geom::{is_pow2, round_down, PAGE_SIZE};
+use impulse_obs::{Histogram, Json, MetricsRegistry, Observe};
+use impulse_types::geom::{is_pow2, PAGE_SIZE};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange};
 
 use crate::desc::{DescError, DescStats, ShadowDescriptor};
-use crate::flight::{FlightGeom, FlightRecorder, HitClass};
+use crate::flight::{self, FlightGeom, FlightRecorder, HitClass};
 use crate::pgtbl::{PgTbl, PgTblConfig, PgTblStats};
 use crate::prefetch::{PrefetchCache, PrefetchStats};
 use crate::remap::{RemapFn, Segment};
@@ -142,9 +142,6 @@ pub struct McConfig {
     /// (the default) disables recording entirely — no ring is allocated
     /// and the per-access cost is one `Option` check.
     pub flight_capacity: usize,
-    /// Hotness-sketch configuration; `None` (the default) disables line
-    /// hotness telemetry.
-    pub hotness: Option<SketchConfig>,
 }
 
 impl Default for McConfig {
@@ -163,7 +160,6 @@ impl Default for McConfig {
             vector_block_bytes: 32,
             coalesce_bytes: 32,
             flight_capacity: 0,
-            hotness: None,
         }
     }
 }
@@ -236,10 +232,9 @@ pub struct MemController {
     lat_shadow_hit: Histogram,
     ecc: EccConfig,
     ecc_stats: EccStats,
-    /// Boxed so the (large, rarely enabled) observability state costs the
-    /// common path one pointer each.
+    /// Boxed so the (large, rarely enabled) flight ring costs the common
+    /// path one pointer.
     flight: Option<Box<FlightRecorder>>,
-    hot: Option<Box<HotSketch>>,
     /// The hybrid-memory tier engine (SCM + policy state); `None` on a
     /// classic single-tier machine, which keeps the direct DRAM path.
     tier: Option<Box<TierEngine>>,
@@ -335,7 +330,6 @@ impl MemController {
                     },
                 ))
             }),
-            hot: cfg.hotness.map(|s| Box::new(HotSketch::new(s))),
             tier: None,
             dram,
             cfg,
@@ -383,15 +377,11 @@ impl MemController {
             .unwrap_or_default()
     }
 
-    /// Feeds one classified transaction to the flight recorder and the
-    /// hotness sketch (both optional; both see the line-aligned address).
+    /// Feeds one classified transaction to the flight recorder, if any.
     #[inline]
     fn note_access(&mut self, at: Cycle, addr: u64, class: HitClass, desc: Option<u8>) {
         if let Some(f) = self.flight.as_deref_mut() {
             f.record(at, addr, class, desc);
-        }
-        if let Some(h) = self.hot.as_deref_mut() {
-            h.observe(round_down(addr, self.cfg.line_bytes));
         }
     }
 
@@ -465,9 +455,6 @@ impl MemController {
         if let Some(f) = self.flight.as_deref_mut() {
             f.clear();
         }
-        if let Some(h) = self.hot.as_deref_mut() {
-            h.clear();
-        }
     }
 
     /// The MC transaction flight recorder, when
@@ -476,18 +463,15 @@ impl MemController {
         self.flight.as_deref()
     }
 
-    /// The line-hotness sketch, when [`McConfig::hotness`] is configured.
-    pub fn hot(&self) -> Option<&HotSketch> {
-        self.hot.as_deref()
-    }
-
-    /// Exports the controller's heat picture as an `impulse-heatmap-v1`
-    /// document: per-bank row-buffer hit/miss/conflict counters plus (when
-    /// hotness telemetry is enabled; `"hot"` is `null` otherwise) the
-    /// sketch's current top-`k` hottest lines.
+    /// Exports the controller's heat picture as an `impulse-heatmap-v2`
+    /// document: per-bank row-buffer hit/miss/conflict counters plus the
+    /// `k` lines the flight ring holds most often, with their exact
+    /// counts ([`flight::exact_top`]). `"hot"` is `null` when recording
+    /// is off; once the ring has wrapped (`overwritten > 0`) the counts
+    /// cover only the events it still holds.
     pub fn heatmap_json(&self, k: usize) -> Json {
         let mut doc = Json::obj();
-        doc.set("schema", Json::Str("impulse-heatmap-v1".into()));
+        doc.set("schema", Json::Str("impulse-heatmap-v2".into()));
         doc.set("line_bytes", Json::UInt(self.cfg.line_bytes));
         doc.set("row_bytes", Json::UInt(self.dram.config().row_bytes));
         let banks = self
@@ -505,19 +489,19 @@ impl MemController {
             })
             .collect();
         doc.set("banks", Json::Arr(banks));
-        let hot = match &self.hot {
+        let hot = match &self.flight {
             None => Json::Null,
-            Some(h) => {
+            Some(f) => {
                 let mut o = Json::obj();
-                o.set("observed", Json::UInt(h.observed()));
-                o.set("decays", Json::UInt(h.decays()));
-                let entries = h
-                    .top(k)
-                    .iter()
-                    .map(|e| {
+                o.set("recorded", Json::UInt(f.recorded()));
+                o.set("overwritten", Json::UInt(f.overwritten()));
+                let entries = flight::exact_top(&f.events())
+                    .into_iter()
+                    .take(k)
+                    .map(|(line, count)| {
                         let mut ent = Json::obj();
-                        ent.set("line", Json::UInt(e.line));
-                        ent.set("estimate", Json::UInt(e.estimate));
+                        ent.set("line", Json::UInt(line));
+                        ent.set("count", Json::UInt(count));
                         ent
                     })
                     .collect();
@@ -1148,15 +1132,12 @@ impl MemController {
             (None, false) => {}
             _ => return Err(SnapError::Geometry("tier engine presence")),
         }
-        // Observability state (flight ring, hotness sketch) is
-        // deliberately not part of the image: captures describe one
-        // process's execution, not the checkpointed machine. Clear both
-        // so a restored run records only what happens after the restore.
+        // The flight ring is deliberately not part of the image: captures
+        // describe one process's execution, not the checkpointed machine.
+        // Clear it so a restored run records only what happens after the
+        // restore.
         if let Some(f) = self.flight.as_deref_mut() {
             f.clear();
-        }
-        if let Some(h) = self.hot.as_deref_mut() {
-            h.clear();
         }
         Ok(())
     }
@@ -1190,11 +1171,6 @@ impl Observe for MemController {
             m.counter("mc.flight.recorded", f.recorded());
             m.counter("mc.flight.overwritten", f.overwritten());
             m.counter("mc.flight.held", f.len() as u64);
-        }
-        if let Some(h) = &self.hot {
-            m.counter("mc.hot.observed", h.observed());
-            m.counter("mc.hot.decays", h.decays());
-            m.counter("mc.hot.candidates", h.candidates_len() as u64);
         }
         if let Some(t) = &self.tier {
             t.observe_into(m);
@@ -1709,7 +1685,6 @@ mod tests {
                 prefetch_nonshadow: true,
                 prefetch_shadow: true,
                 flight_capacity: 1 << 12,
-                hotness: Some(SketchConfig::default()),
                 ..McConfig::default()
             },
         )
@@ -1769,15 +1744,12 @@ mod tests {
         let cap = crate::flight::decode(&bytes).unwrap();
         assert_eq!(cap.events, events);
         assert_eq!(cap.encode(), bytes);
-        // The sketch observed exactly the recorded transactions.
-        let h = m.hot().expect("sketch is enabled");
-        assert_eq!(h.observed(), f.recorded());
 
         // Heatmap export carries the schema, per-bank heat, and hot set.
         let doc = m.heatmap_json(8);
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some("impulse-heatmap-v1")
+            Some("impulse-heatmap-v2")
         );
         let banks = doc.get("banks").and_then(Json::items).unwrap();
         assert_eq!(banks.len() as u64, m.dram().config().banks);
@@ -1786,21 +1758,31 @@ mod tests {
             .map(|b| b.get("row_hits").and_then(Json::as_u64).unwrap())
             .sum();
         assert_eq!(hits, m.dram().stats().row_hits);
-        let entries = doc
-            .get("hot")
-            .and_then(|h| h.get("entries"))
+        let hot = doc.get("hot").unwrap();
+        assert_eq!(
+            hot.get("recorded").and_then(Json::as_u64),
+            Some(f.recorded())
+        );
+        assert_eq!(hot.get("overwritten").and_then(Json::as_u64), Some(0));
+        let entries: Vec<(u64, u64)> = hot
+            .get("entries")
             .and_then(Json::items)
-            .unwrap();
-        assert!(!entries.is_empty());
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let field = |k| e.get(k).and_then(Json::as_u64).unwrap();
+                (field("line"), field("count"))
+            })
+            .collect();
+        let exact = flight::exact_top(&events);
+        assert_eq!(entries, exact[..8.min(exact.len())]);
 
         // Registry export and reset.
         let mut reg = MetricsRegistry::new();
         m.observe(&mut reg);
         assert_eq!(reg.counter_value("mc.flight.recorded"), Some(f.recorded()));
-        assert_eq!(reg.counter_value("mc.hot.observed"), Some(h.observed()));
         m.reset_stats();
         assert!(m.flight().unwrap().is_empty());
-        assert_eq!(m.hot().unwrap().observed(), 0);
     }
 
     #[test]
@@ -1808,7 +1790,6 @@ mod tests {
         let mut m = mc(false, false);
         m.read_line(PAddr::new(0), 0);
         assert!(m.flight().is_none());
-        assert!(m.hot().is_none());
         let doc = m.heatmap_json(8);
         assert_eq!(doc.get("hot"), Some(&Json::Null));
         assert!(doc.get("banks").and_then(Json::items).is_some());

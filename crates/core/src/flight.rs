@@ -7,6 +7,8 @@
 //! opt-in via [`McConfig::flight_capacity`](crate::McConfig) and costs
 //! nothing when disabled; when the ring fills, the oldest events are
 //! overwritten and counted, so a recorder can fly on a run of any length.
+//! [`exact_top`] ranks the lines of a set of events by exact access count;
+//! it backs both the controller's heatmap `hot` list and `trace top`.
 //!
 //! # Wire format (`impulse-trace-v1`)
 //!
@@ -480,6 +482,23 @@ pub fn digest(bytes: &[u8]) -> u64 {
     fnv64(bytes)
 }
 
+/// Exact per-line access counts over `events` as `(line, count)` pairs,
+/// hottest first: count descending, then line ascending, so the order is
+/// total and does not depend on the order of the events.
+pub fn exact_top(events: &[FlightEvent]) -> Vec<(u64, u64)> {
+    let mut lines: Vec<u64> = events.iter().map(|e| e.line).collect();
+    lines.sort_unstable();
+    let mut counts: Vec<(u64, u64)> = Vec::new();
+    for line in lines {
+        match counts.last_mut() {
+            Some((l, c)) if *l == line => *c += 1,
+            _ => counts.push((line, 1)),
+        }
+    }
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    counts
+}
+
 /// The bounded MC transaction ring buffer.
 ///
 /// Storage is allocated lazily (short runs with a huge `capacity` only
@@ -834,6 +853,20 @@ mod tests {
         assert_eq!(fr.overwritten(), 0);
         let cap = decode(&fr.encode()).unwrap();
         assert!(cap.events.is_empty());
+    }
+
+    #[test]
+    fn exact_top_counts_lines_and_breaks_ties_by_address() {
+        let mut fr = FlightRecorder::new(16, geom());
+        for line in [3, 1, 2, 3, 1, 3, 5] {
+            fr.record(0, line * 128, HitClass::DirectDram, None);
+        }
+        let top = exact_top(&fr.events());
+        assert_eq!(top, [(384, 3), (128, 2), (256, 1), (640, 1)]);
+        let mut reversed = fr.events();
+        reversed.reverse();
+        assert_eq!(exact_top(&reversed), top, "order-independent");
+        assert!(exact_top(&[]).is_empty());
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl DramStats {
 }
 
 /// Per-bank row-buffer heat counters, the DRAM half of the
-/// `impulse-heatmap-v1` export: which banks are being hammered and how
+/// `impulse-heatmap-v2` export: which banks are being hammered and how
 /// much of their traffic is open-row reuse versus row churn.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BankHeat {

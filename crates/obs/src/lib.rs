@@ -17,8 +17,6 @@
 //!   support.
 //! * [`Json`] — a dependency-free JSON value with writer and parser,
 //!   backing the report and Chrome-trace exporters.
-//! * [`HotSketch`] — a deterministic count-min sketch with epoch decay
-//!   for online "which lines are hot" telemetry at the controller.
 //!
 //! The crate deliberately depends on nothing, not even other workspace
 //! crates, so every layer of the simulator can use it.
@@ -29,10 +27,8 @@ pub mod attribution;
 pub mod histogram;
 pub mod json;
 pub mod registry;
-pub mod sketch;
 
 pub use attribution::{Attribution, Stage};
 pub use histogram::Histogram;
 pub use json::Json;
 pub use registry::{MetricValue, MetricsRegistry, Observe};
-pub use sketch::{HotLine, HotSketch, SketchConfig};

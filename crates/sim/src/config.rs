@@ -187,15 +187,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns this configuration with MC line-hotness telemetry enabled
-    /// (a deterministic count-min sketch with epoch decay; see
-    /// [`impulse_obs::SketchConfig`]).
-    #[must_use]
-    pub fn with_hotness(mut self, sketch: impulse_obs::SketchConfig) -> Self {
-        self.mc.hotness = Some(sketch);
-        self
-    }
-
     /// Number of L2 page colors implied by the L2 geometry
     /// (`size / ways / page`).
     pub fn l2_colors(&self) -> u64 {
