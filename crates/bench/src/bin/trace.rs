@@ -26,6 +26,7 @@
 //! trace top <capture.trace> [k=N]
 //! ```
 
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -34,11 +35,12 @@ use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
 use impulse_core::flight::{self, Capture};
 use impulse_obs::Json;
 
-const USAGE: &str = "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] \
-[top=N]\n\
-       trace dump <capture.trace> [limit=N]\n\
-       trace diff <a.trace> <b.trace>\n\
-       trace top <capture.trace> [k=N]";
+const USAGE: &str = concat!(
+    "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] [top=N]\n",
+    "       trace dump <capture.trace> [limit=N]\n",
+    "       trace diff <a.trace> <b.trace>\n",
+    "       trace top <capture.trace> [k=N]",
+);
 
 /// Summary document schema identifier.
 const SUMMARY_SCHEMA: &str = "impulse-trace-summary-v2";
@@ -57,6 +59,21 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
+}
+
+/// Runs `body` against a locked stdout. A reader that closes the pipe
+/// early (`trace dump <capture> | head`) ends the command quietly with
+/// success; any other write error fails it.
+fn with_stdout(body: impl FnOnce(&mut io::StdoutLock<'_>) -> io::Result<ExitCode>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match body(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn load_capture(path: &str) -> Result<Capture, String> {
@@ -104,7 +121,10 @@ fn cmd_record(args: &[String]) -> ExitCode {
         usage_exit("flight=0 records nothing; pick a ring capacity", USAGE);
     }
     let obs = ObsSpec::recording(flight_cap as usize, top_k as usize);
-    std::fs::create_dir_all(&dir).expect("create trace directory");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("error: create trace directory {dir}: {e}");
+        return ExitCode::FAILURE;
+    }
 
     // Each job verifies and writes its own capture, then hands back its
     // summary entry and heatmap for the two documents.
@@ -188,37 +208,43 @@ fn cmd_dump(args: &[String]) -> ExitCode {
         }
     };
     let bytes = std::fs::read(path).expect("file read once already");
-    println!("capture {path}");
-    println!(
-        "  geometry: line={} B, banks={}, row={} B",
-        cap.geom.line_bytes, cap.geom.banks, cap.geom.row_bytes
-    );
-    println!(
-        "  events: {} held, {} recorded, {} overwritten",
-        cap.events.len(),
-        cap.recorded,
-        cap.overwritten
-    );
-    println!("  digest: {:#018x}", flight::digest(&bytes));
-    println!(
-        "\n{:>12}  {:>14}  {:>5}  {:>8}  {:<16}  {:>4}",
-        "cycle", "line", "bank", "row", "class", "desc"
-    );
-    for e in cap.events.iter().take(limit) {
-        println!(
-            "{:>12}  {:>#14x}  {:>5}  {:>8}  {:<16}  {:>4}",
-            e.cycle,
-            e.line,
-            e.bank,
-            e.row,
-            e.class.name(),
-            e.desc.map_or("-".to_string(), |d| d.to_string()),
-        );
-    }
-    if cap.events.len() > limit {
-        println!("... {} more (limit={limit})", cap.events.len() - limit);
-    }
-    ExitCode::SUCCESS
+    with_stdout(|out| {
+        writeln!(out, "capture {path}")?;
+        writeln!(
+            out,
+            "  geometry: line={} B, banks={}, row={} B",
+            cap.geom.line_bytes, cap.geom.banks, cap.geom.row_bytes
+        )?;
+        writeln!(
+            out,
+            "  events: {} held, {} recorded, {} overwritten",
+            cap.events.len(),
+            cap.recorded,
+            cap.overwritten
+        )?;
+        writeln!(out, "  digest: {:#018x}", flight::digest(&bytes))?;
+        writeln!(
+            out,
+            "\n{:>12}  {:>14}  {:>5}  {:>8}  {:<16}  {:>4}",
+            "cycle", "line", "bank", "row", "class", "desc"
+        )?;
+        for e in cap.events.iter().take(limit) {
+            writeln!(
+                out,
+                "{:>12}  {:>#14x}  {:>5}  {:>8}  {:<16}  {:>4}",
+                e.cycle,
+                e.line,
+                e.bank,
+                e.row,
+                e.class.name(),
+                e.desc.map_or("-".to_string(), |d| d.to_string()),
+            )?;
+        }
+        if cap.events.len() > limit {
+            writeln!(out, "... {} more (limit={limit})", cap.events.len() - limit)?;
+        }
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 fn cmd_diff(args: &[String]) -> ExitCode {
@@ -254,20 +280,22 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             b.events.len()
         ));
     }
-    if diffs.is_empty() {
-        println!(
-            "identical: {} events, digest {:#018x}",
-            a.events.len(),
-            flight::digest(&a.encode())
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!("captures differ:");
-        for d in &diffs {
-            println!("  {d}");
+    with_stdout(|out| {
+        if diffs.is_empty() {
+            writeln!(
+                out,
+                "identical: {} events, digest {:#018x}",
+                a.events.len(),
+                flight::digest(&a.encode())
+            )?;
+            return Ok(ExitCode::SUCCESS);
         }
-        ExitCode::FAILURE
-    }
+        writeln!(out, "captures differ:")?;
+        for d in &diffs {
+            writeln!(out, "  {d}")?;
+        }
+        Ok(ExitCode::FAILURE)
+    })
 }
 
 fn cmd_top(args: &[String]) -> ExitCode {
@@ -280,26 +308,31 @@ fn cmd_top(args: &[String]) -> ExitCode {
         }
     };
     let top = flight::exact_top(&cap.events);
-    println!(
-        "top {} of {} unique lines ({} events held)",
-        k.min(top.len()),
-        top.len(),
-        cap.events.len()
-    );
-    println!(
-        "{:>14}  {:>8}  {:>5}  {:>8}",
-        "line", "count", "bank", "row"
-    );
-    for &(line, count) in top.iter().take(k) {
-        println!(
-            "{:>#14x}  {:>8}  {:>5}  {:>8}",
-            line,
-            count,
-            cap.geom.bank_of(line),
-            cap.geom.row_of(line)
-        );
-    }
-    ExitCode::SUCCESS
+    with_stdout(|out| {
+        writeln!(
+            out,
+            "top {} of {} unique lines ({} events held)",
+            k.min(top.len()),
+            top.len(),
+            cap.events.len()
+        )?;
+        writeln!(
+            out,
+            "{:>14}  {:>8}  {:>5}  {:>8}",
+            "line", "count", "bank", "row"
+        )?;
+        for &(line, count) in top.iter().take(k) {
+            writeln!(
+                out,
+                "{:>#14x}  {:>8}  {:>5}  {:>8}",
+                line,
+                count,
+                cap.geom.bank_of(line),
+                cap.geom.row_of(line)
+            )?;
+        }
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 fn main() -> ExitCode {

@@ -20,8 +20,7 @@
 use std::sync::Arc;
 
 use impulse_fault::{
-    BusFaultStats, CapsFaultStats, EccConfig, EccMode, EccStats, FaultConfig, PgTblFaultStats,
-    Trigger,
+    BusFaultStats, EccConfig, EccMode, EccStats, FaultConfig, PgTblFaultStats, Trigger,
 };
 use impulse_obs::Json;
 use impulse_os::OsError;
@@ -103,7 +102,7 @@ pub struct FaultClass {
 }
 
 /// The chaos fault-class registry, in stable document order.
-pub const FAULT_CLASSES: [FaultClass; 4] = [
+pub const FAULT_CLASSES: [FaultClass; 3] = [
     FaultClass {
         key: "dram_ecc",
         scenarios: &[
@@ -166,23 +165,6 @@ pub const FAULT_CLASSES: [FaultClass; 4] = [
             pgtbl
         },
     },
-    FaultClass {
-        key: "caps",
-        scenarios: &[FaultScenario::Caps],
-        storm: |f| f.caps_corrupt = Trigger::EveryN { every: 3, phase: 1 },
-        totals: |outcomes| {
-            let sum = |g: fn(&ChaosOutcome) -> u64| outcomes.iter().map(g).sum::<u64>();
-            let mut caps = Json::obj();
-            caps.set("corruptions", Json::UInt(sum(|o| o.caps.corruptions)));
-            caps.set("reloads", Json::UInt(sum(|o| o.caps.reloads)));
-            caps.set(
-                "recovery_cycles",
-                Json::UInt(sum(|o| o.caps.recovery_cycles)),
-            );
-            caps.set("unrecoverable", Json::UInt(sum(|o| o.caps.unrecoverable)));
-            caps
-        },
-    },
 ];
 
 /// Fault scenarios the grid crosses with each workload.
@@ -203,22 +185,19 @@ pub enum FaultScenario {
     BusTimeout,
     /// MC-TLB/page-table entry corruption with detect-and-reload.
     PgTbl,
-    /// Capability-table entry corruption with mirror-reload recovery.
-    Caps,
     /// Every fault class at once.
     Storm,
 }
 
 impl FaultScenario {
     /// Every scenario in the grid.
-    pub const ALL: [FaultScenario; 8] = [
+    pub const ALL: [FaultScenario; 7] = [
         FaultScenario::Control,
         FaultScenario::DramEcc,
         FaultScenario::DramDouble,
         FaultScenario::DramNoEcc,
         FaultScenario::BusTimeout,
         FaultScenario::PgTbl,
-        FaultScenario::Caps,
         FaultScenario::Storm,
     ];
 
@@ -231,7 +210,6 @@ impl FaultScenario {
             FaultScenario::DramNoEcc => "dram-noecc",
             FaultScenario::BusTimeout => "bus-timeout",
             FaultScenario::PgTbl => "pgtbl-corrupt",
-            FaultScenario::Caps => "caps-corrupt",
             FaultScenario::Storm => "storm",
         }
     }
@@ -268,10 +246,6 @@ impl FaultScenario {
             },
             FaultScenario::PgTbl => FaultConfig {
                 pgtbl_corrupt: Trigger::Permille(20),
-                ..base
-            },
-            FaultScenario::Caps => FaultConfig {
-                caps_corrupt: Trigger::EveryN { every: 2, phase: 0 },
                 ..base
             },
             FaultScenario::Storm => {
@@ -316,8 +290,6 @@ pub struct ChaosOutcome {
     pub bus: BusFaultStats,
     /// MC page-table corruption/reload bookkeeping.
     pub pgtbl: PgTblFaultStats,
-    /// Kernel capability-table corruption/reload bookkeeping.
-    pub caps: CapsFaultStats,
     /// Shadow accesses that degraded to the non-remapped NACK path.
     pub remap_faults: u64,
     /// Controller-side NACKed reads.
@@ -343,7 +315,6 @@ fn collect(
     let ecc = ms.mc().ecc_stats();
     let bus = ms.bus().fault_stats();
     let pgtbl = ms.mc().pgtbl_fault_stats();
-    let caps = m.kernel().caps().fault_stats();
 
     let mut violations = Vec::new();
     let mut check = |ok: bool, what: &str| {
@@ -384,24 +355,12 @@ fn collect(
         pgtbl.reloads == pgtbl.corruptions,
         "pgtbl corruption without a matching reload",
     );
-    // Injected capability-table corruption is shallow: every corruption
-    // is either reloaded from the mirror or (never, without a damaged
-    // mirror) quarantined as a typed error — nothing slips through.
-    check(
-        caps.reloads + caps.unrecoverable == caps.corruptions,
-        "caps corruption neither reloaded nor quarantined",
-    );
-    check(
-        caps.unrecoverable == 0,
-        "mirror-recoverable caps corruption went unrecoverable",
-    );
     // A fault-free schedule must observe zero fault activity.
     if faults.is_none() {
         check(
             ecc.corrected + ecc.detected_double + ecc.silent == 0
                 && bus.timeouts == 0
-                && pgtbl.corruptions == 0
-                && caps.corruptions == 0,
+                && pgtbl.corruptions == 0,
             "fault counters nonzero on a fault-free schedule",
         );
     }
@@ -414,7 +373,6 @@ fn collect(
         ecc,
         bus,
         pgtbl,
-        caps,
         remap_faults: stats.remap_faults,
         rejected_reads: mc.rejected_reads,
         rejected_writes: mc.rejected_writes,
@@ -423,32 +381,11 @@ fn collect(
     }
 }
 
-/// Gives the capability injector validations to corrupt: the catalog
-/// workloads grant remappings but never share, retarget, or revoke, so
-/// their capability handles are never re-validated — and validation is
-/// where corruption is detected and repaired. Scenarios that schedule
-/// capability-table corruption run this short grant/share/revoke churn
-/// before the workload.
-fn caps_preamble(m: &mut Machine) {
-    let buf = m
-        .alloc_region(2 * PAGE_SIZE, PAGE_SIZE)
-        .expect("caps preamble buffer");
-    let receiver = m.sys_spawn();
-    for _ in 0..8 {
-        let g = m.sys_recolor(buf, &[0]).expect("caps preamble grant");
-        m.sys_share(&g, receiver).expect("caps preamble share");
-        m.sys_revoke(&g).expect("caps preamble revoke");
-    }
-}
-
 /// Runs one (workload × scenario) cell under `seed`.
 pub fn run_case(w: ChaosWorkload, s: FaultScenario, seed: u64) -> ChaosOutcome {
     let faults = s.config(seed);
     let cfg = SystemConfig::paint_small().with_faults(faults.clone());
     let mut m = Machine::new(&cfg);
-    if !faults.caps_corrupt.is_never() {
-        caps_preamble(&mut m);
-    }
     w.drive(&mut m);
     collect(w.name(), s, &faults, &m)
 }
@@ -595,13 +532,6 @@ fn case_json(o: &ChaosOutcome) -> Json {
     pgtbl.set("recovery_cycles", Json::UInt(o.pgtbl.recovery_cycles));
     c.set("pgtbl", pgtbl);
 
-    let mut caps = Json::obj();
-    caps.set("corruptions", Json::UInt(o.caps.corruptions));
-    caps.set("reloads", Json::UInt(o.caps.reloads));
-    caps.set("recovery_cycles", Json::UInt(o.caps.recovery_cycles));
-    caps.set("unrecoverable", Json::UInt(o.caps.unrecoverable));
-    c.set("caps", caps);
-
     c.set("remap_faults", Json::UInt(o.remap_faults));
     c.set("rejected_reads", Json::UInt(o.rejected_reads));
     c.set("rejected_writes", Json::UInt(o.rejected_writes));
@@ -613,12 +543,12 @@ fn case_json(o: &ChaosOutcome) -> Json {
     c
 }
 
-/// Serializes a chaos run: schema `impulse-chaos-v1`, per-case counts,
+/// Serializes a chaos run: schema `impulse-chaos-v2`, per-case counts,
 /// per-fault-class totals with recovery-cycle attribution, and the
 /// flattened violation list (`ok` is true iff it is empty).
 pub fn chaos_document(seed: u64, outcomes: &[ChaosOutcome]) -> Json {
     let mut doc = Json::obj();
-    doc.set("schema", Json::Str("impulse-chaos-v1".into()));
+    doc.set("schema", Json::Str("impulse-chaos-v2".into()));
     doc.set("seed", Json::UInt(seed));
     doc.set("cases", Json::Arr(outcomes.iter().map(case_json).collect()));
 
@@ -672,21 +602,6 @@ mod tests {
         assert_ne!(o.ecc.corrupt_sig, 0, "corruption leaves a signature");
         assert_eq!(o.ecc.recovery_cycles, 0, "no ECC, no datapath penalty");
         assert!(o.violations.is_empty(), "{:?}", o.violations);
-    }
-
-    #[test]
-    fn caps_scenario_recovers_every_corruption() {
-        for w in ChaosWorkload::ALL {
-            let o = run_case(w, FaultScenario::Caps, 1999);
-            assert!(o.violations.is_empty(), "{:?}", o.violations);
-            assert!(
-                o.caps.corruptions > 0,
-                "the caps preamble must give the injector validations to hit"
-            );
-            assert_eq!(o.caps.reloads, o.caps.corruptions);
-            assert_eq!(o.caps.unrecoverable, 0);
-            assert_eq!(o.ecc.corrupt_sig, 0, "caps faults never touch data");
-        }
     }
 
     #[test]
@@ -747,7 +662,7 @@ mod tests {
         let serial = run(1);
         let parallel = run(4);
         assert_eq!(serial, parallel, "chaos.json must not depend on workers");
-        assert!(serial.contains("impulse-chaos-v1"));
+        assert!(serial.contains("impulse-chaos-v2"));
         assert!(serial.contains("\"ok\": true"), "grid is violation-free");
     }
 }

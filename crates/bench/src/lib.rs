@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod caps_chaos;
 pub mod chaos;
 pub mod experiments;
 pub mod harness;

@@ -8,9 +8,9 @@
 //!
 //! Every scenario asserts the graceful-degradation contract end to end:
 //! a tier fault is *corrected, typed, or counted — never silent, never a
-//! hang*. Like the fault-schedule grid in [`crate::chaos`] and the
-//! capability suite in [`crate::caps_chaos`], every case draws only
-//! from the seed and the runner gathers results in submission order, so
+//! hang*. Like the fault-schedule grid in [`crate::chaos`], every case
+//! draws only from the seed and the runner gathers results in
+//! submission order, so
 //! `results/chaos_tier.json` is byte-identical for a fixed seed at any
 //! worker count.
 

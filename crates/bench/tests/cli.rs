@@ -8,13 +8,22 @@
 //! its outputs into a scratch directory so a binary that wrongly accepts
 //! the argument cannot write into the source tree.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+
+use impulse_core::flight::{FlightGeom, FlightRecorder};
+use impulse_core::HitClass;
 
 /// Runs `bin` with `args` plus `outputs` (the binary's output-path keys)
 /// pointed into a fresh scratch directory, which is also its working
 /// directory; returns the exit code (`None` if killed by a signal).
 fn exit_code(bin: &str, name: &str, outputs: &[&str], args: &[&str]) -> Option<i32> {
+    run(bin, name, outputs, args).status.code()
+}
+
+/// [`exit_code`], returning the whole output.
+fn run(bin: &str, name: &str, outputs: &[&str], args: &[&str]) -> Output {
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "impulse-cli-{name}-{}-{}",
         args.join("_").replace(['=', '/', '.'], "_"),
@@ -29,7 +38,7 @@ fn exit_code(bin: &str, name: &str, outputs: &[&str], args: &[&str]) -> Option<i
         .output()
         .expect("spawn binary");
     let _ = std::fs::remove_dir_all(&dir);
-    out.status.code()
+    out
 }
 
 #[test]
@@ -157,4 +166,90 @@ fn trace_dump_top_and_diff_reject_bad_arguments() {
     ] {
         assert_eq!(exit_code(trace, "trace", &[], args), Some(2), "{args:?}");
     }
+    // The usage text keeps every subcommand aligned under the first.
+    let out = run(trace, "trace", &[], &["top", "missing.trace", "k=3", "zz"]);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 usage text");
+    for line in [
+        "usage: trace record ",
+        "       trace dump ",
+        "       trace diff ",
+    ] {
+        assert!(
+            stderr.lines().any(|l| l.starts_with(line)),
+            "no line starts with {line:?} in:\n{stderr}"
+        );
+    }
+    assert!(stderr
+        .lines()
+        .any(|l| l == "       trace top <capture.trace> [k=N]"));
+}
+
+/// `trace record` reports a directory it cannot create as an error
+/// (exit 1), as `run_all` does, instead of panicking.
+#[test]
+fn trace_record_bad_dir_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("impulse-cli-tracedir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("file"), b"").expect("create regular file");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .arg("record")
+        .arg(format!("dir={}", dir.join("file/x").display()))
+        .current_dir(&dir)
+        .output()
+        .expect("spawn trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+}
+
+/// A reader that closes the pipe early (`trace dump <capture> | head -1`)
+/// ends `trace dump` quietly with success, not a panic.
+#[test]
+fn trace_dump_ends_quietly_on_a_closed_pipe() {
+    let dir = std::env::temp_dir().join(format!("impulse-cli-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let geom = FlightGeom {
+        line_bytes: 128,
+        banks: 4,
+        row_bytes: 2048,
+    };
+    // Far more table than a pipe buffers, so the dump is still writing
+    // when the reader goes away.
+    let mut fr = FlightRecorder::new(100_000, geom);
+    for i in 0..100_000u64 {
+        fr.record(i, i * 128, HitClass::DirectDram, None);
+    }
+    let capture = dir.join("big.trace");
+    std::fs::write(&capture, fr.encode()).expect("write capture");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .arg("dump")
+        .arg(&capture)
+        .arg("limit=100000")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn trace");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    // The reader is dropped here: the pipe is closed.
+    let out = child.wait_with_output().expect("wait for trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(first.starts_with("capture "), "{first}");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -67,10 +67,6 @@ fn exemplars() -> Vec<(ImpulseError, &'static str)> {
             "capability slot 3 has been revoked: generation 2 is stale (current 4)",
         ),
         (
-            ImpulseError::CapTableCorrupt { slot: 5 },
-            "capability table entry 5 failed its integrity check and could not be recovered",
-        ),
-        (
             ImpulseError::Mc(McError::TierDegraded { channel: 2 }),
             "memory controller error: tier degraded: DRAM channel 2 is offline",
         ),
@@ -86,7 +82,7 @@ fn every_variant_has_a_stable_display_string() {
     let cases = exemplars();
     // One exemplar per variant (Vm gets both of its inner shapes; Mc
     // additionally freezes both hybrid-tier degradation errors).
-    assert_eq!(cases.len(), 15);
+    assert_eq!(cases.len(), 14);
     for (err, expected) in &cases {
         assert_eq!(&err.to_string(), expected, "{err:?} rendering drifted");
         // The alias renders identically, of course — it IS the type.

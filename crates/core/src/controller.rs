@@ -38,6 +38,12 @@ impl DescId {
     pub fn index(self) -> usize {
         self.0
     }
+
+    /// The id of slot `index`, as [`DescId::index`] reported it (for
+    /// restoring saved state; the controller checks the slot on use).
+    pub fn from_index(index: usize) -> Self {
+        Self(index)
+    }
 }
 
 /// Errors from descriptor management and the remapped datapath.

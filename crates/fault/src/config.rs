@@ -3,7 +3,7 @@
 use impulse_types::Cycle;
 
 use crate::ecc::EccConfig;
-use crate::inject::{CapsInjector, FlipInjector, PgTblInjector, TierInjector, TimeoutInjector};
+use crate::inject::{FlipInjector, PgTblInjector, TierInjector, TimeoutInjector};
 use crate::plan::{FaultPlan, Trigger};
 
 // Per-site seed salts: each injection site derives an independent
@@ -12,7 +12,6 @@ use crate::plan::{FaultPlan, Trigger};
 const SALT_DRAM: u64 = 0xD12A_0001;
 const SALT_BUS: u64 = 0xB005_0002;
 const SALT_PGTBL: u64 = 0x967B_0003;
-const SALT_CAPS: u64 = 0xCA95_0004;
 const SALT_SCM: u64 = 0x5C4D_0005;
 const SALT_TAG: u64 = 0x7A60_0006;
 const SALT_TIER: u64 = 0x71E4_0007;
@@ -41,9 +40,6 @@ pub struct FaultConfig {
     pub bus_backoff: Cycle,
     /// When MC-TLB/page-table entry corruption fires (per translation).
     pub pgtbl_corrupt: Trigger,
-    /// When kernel capability-table corruption fires (per capability
-    /// validation; the plan's clock is the validation ordinal).
-    pub caps_corrupt: Trigger,
     /// When SCM bit flips fire (per SCM media access). SCM's raw
     /// bit-error rate is typically set well above DRAM's.
     pub scm_flip: Trigger,
@@ -68,7 +64,6 @@ impl FaultConfig {
             bus_max_retries: 3,
             bus_backoff: 16,
             pgtbl_corrupt: Trigger::Never,
-            caps_corrupt: Trigger::Never,
             scm_flip: Trigger::Never,
             scm_double_permille: 0,
             tag_corrupt: Trigger::Never,
@@ -81,7 +76,6 @@ impl FaultConfig {
         self.dram_flip.is_never()
             && self.bus_timeout.is_never()
             && self.pgtbl_corrupt.is_never()
-            && self.caps_corrupt.is_never()
             && self.scm_flip.is_never()
             && self.tag_corrupt.is_never()
             && self.tier_fail.is_never()
@@ -113,13 +107,6 @@ impl FaultConfig {
     pub fn pgtbl_injector(&self) -> Option<PgTblInjector> {
         (!self.pgtbl_corrupt.is_never())
             .then(|| PgTblInjector::new(FaultPlan::new(self.pgtbl_corrupt, self.seed ^ SALT_PGTBL)))
-    }
-
-    /// The capability-table corruption injector, or `None` when the
-    /// class is off.
-    pub fn caps_injector(&self) -> Option<CapsInjector> {
-        (!self.caps_corrupt.is_never())
-            .then(|| CapsInjector::new(FaultPlan::new(self.caps_corrupt, self.seed ^ SALT_CAPS)))
     }
 
     /// The SCM bit-flip injector, or `None` when the class is off.
@@ -162,7 +149,6 @@ mod tests {
         assert!(c.flip_injector().is_none());
         assert!(c.timeout_injector().is_none());
         assert!(c.pgtbl_injector().is_none());
-        assert!(c.caps_injector().is_none());
         assert!(c.scm_flip_injector().is_none());
         assert!(c.tier_injector().is_none());
     }
@@ -218,18 +204,6 @@ mod tests {
         assert!(c.flip_injector().is_none());
         assert!(c.timeout_injector().is_some());
         assert!(c.pgtbl_injector().is_none());
-        assert!(c.caps_injector().is_none());
-    }
-
-    #[test]
-    fn caps_class_builds_its_injector() {
-        let c = FaultConfig {
-            caps_corrupt: Trigger::Permille(100),
-            ..FaultConfig::none()
-        };
-        assert!(!c.is_none());
-        assert!(c.caps_injector().is_some());
-        assert!(c.flip_injector().is_none());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::plan::FaultPlan;
 const TAG_FLIP: u32 = 0x464C_4950; // "FLIP"
 const TAG_BUS: u32 = 0x4255_5346; // "BUSF"
 const TAG_PGT: u32 = 0x5047_5446; // "PGTF"
-const TAG_CAP: u32 = 0x4341_5046; // "CAPF"
 const TAG_TIER: u32 = 0x5449_4552; // "TIER"
 
 /// Counters for the DRAM bit-flip site.
@@ -275,102 +274,6 @@ impl PgTblInjector {
     }
 }
 
-/// Counters for the capability-table corruption site.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CapsFaultStats {
-    /// Capability-table entries corrupted in the working table.
-    pub corruptions: u64,
-    /// Entries recovered by reloading from the mirrored table.
-    pub reloads: u64,
-    /// Total extra cycles spent detecting and reloading.
-    pub recovery_cycles: u64,
-    /// Corruptions that could not be recovered (mirror also damaged)
-    /// and surfaced as a typed error instead.
-    pub unrecoverable: u64,
-}
-
-/// Injects corruption into the kernel's capability table. The engine
-/// checksums every entry and keeps a mirrored copy; a corrupted working
-/// entry is detected at validation time (checksum mismatch), discarded,
-/// and reloaded from the mirror, charging the sweep. If the mirror is
-/// also damaged the operation fails with a typed error — never a panic
-/// or a silently-honoured stale capability.
-///
-/// The plan's clock is the engine's *validation ordinal*, not machine
-/// cycles: capability checks are not on the timed data path, so the
-/// schedule stays deterministic regardless of workload timing.
-#[derive(Clone, Debug)]
-pub struct CapsInjector {
-    plan: FaultPlan,
-    stats: CapsFaultStats,
-}
-
-impl CapsInjector {
-    /// Creates an injector driven by `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            stats: CapsFaultStats::default(),
-        }
-    }
-
-    /// Consulted once per capability validation (`now` is the validation
-    /// ordinal). True when the consulted entry should be corrupted.
-    pub fn corrupts(&mut self, now: Cycle) -> bool {
-        self.plan.fires(now)
-    }
-
-    /// Deterministically picks one of `n` corruption targets (which
-    /// field/bit to damage) from the fault stream.
-    pub fn pick(&mut self, n: u64) -> u64 {
-        self.plan.rng().below(n)
-    }
-
-    /// Records one detected corruption of a working-table entry.
-    pub fn note_corruption(&mut self) {
-        self.stats.corruptions += 1;
-    }
-
-    /// Records the mirror reload that recovered a corrupted entry.
-    pub fn note_reload(&mut self, cycles: Cycle) {
-        self.stats.reloads += 1;
-        self.stats.recovery_cycles += cycles;
-    }
-
-    /// Records a corruption the mirror could not repair.
-    pub fn note_unrecoverable(&mut self) {
-        self.stats.unrecoverable += 1;
-    }
-
-    /// Corruption/recovery counters so far.
-    pub fn stats(&self) -> CapsFaultStats {
-        self.stats
-    }
-
-    /// Serializes the injector's dynamic state (plan position and
-    /// counters).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_CAP);
-        self.plan.snap_save(w);
-        w.u64(self.stats.corruptions);
-        w.u64(self.stats.reloads);
-        w.u64(self.stats.recovery_cycles);
-        w.u64(self.stats.unrecoverable);
-    }
-
-    /// Restores the dynamic state saved by [`CapsInjector::snap_save`]
-    /// into an injector freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_CAP)?;
-        self.plan.snap_load(r)?;
-        self.stats.corruptions = r.u64()?;
-        self.stats.reloads = r.u64()?;
-        self.stats.recovery_cycles = r.u64()?;
-        self.stats.unrecoverable = r.u64()?;
-        Ok(())
-    }
-}
-
 /// Counters for the hybrid-tier fault sites (tag array + tier failure).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierFaultStats {
@@ -570,55 +473,6 @@ mod tests {
         let mut inj = TimeoutInjector::new(FaultPlan::never(), 3, 8);
         assert_eq!(inj.delay(0), 0);
         assert_eq!(inj.stats().timeouts, 0);
-    }
-
-    #[test]
-    fn caps_injector_tracks_recovery_deterministically() {
-        let mk = || {
-            let plan = FaultPlan::new(Trigger::EveryN { every: 3, phase: 0 }, 42);
-            let mut inj = CapsInjector::new(plan);
-            let mut picks = Vec::new();
-            for t in 0..30 {
-                if inj.corrupts(t) {
-                    inj.note_corruption();
-                    picks.push(inj.pick(8));
-                    inj.note_reload(25);
-                }
-            }
-            (inj.stats(), picks)
-        };
-        let (s, picks) = mk();
-        assert_eq!(s.corruptions, 10);
-        assert_eq!(s.reloads, 10);
-        assert_eq!(s.recovery_cycles, 250);
-        assert_eq!(s.unrecoverable, 0);
-        assert!(picks.iter().all(|&p| p < 8));
-        assert_eq!(mk(), (s, picks), "same seed, same schedule");
-    }
-
-    #[test]
-    fn caps_injector_snapshot_round_trips() {
-        let plan = FaultPlan::new(Trigger::EveryN { every: 2, phase: 1 }, 7);
-        let mut inj = CapsInjector::new(plan.clone());
-        for t in 0..9 {
-            if inj.corrupts(t) {
-                inj.note_corruption();
-                inj.note_reload(12);
-            }
-        }
-        inj.note_unrecoverable();
-        let mut w = SnapWriter::new();
-        inj.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut restored = CapsInjector::new(plan);
-        let mut r = SnapReader::new(&bytes);
-        restored.snap_load(&mut r).expect("load");
-        r.finish().expect("fully consumed");
-        assert_eq!(restored.stats(), inj.stats());
-        // The plan position must resume: both see the same future stream.
-        for t in 9..20 {
-            assert_eq!(restored.corrupts(t), inj.corrupts(t));
-        }
     }
 
     #[test]

@@ -24,9 +24,6 @@
 //!   exponential-backoff retry.
 //! - [`PgTblInjector`]: MC-TLB/page-table entry corruption, recovered by
 //!   detect-and-reload from the backing in-memory page table.
-//! - [`CapsInjector`]: kernel capability-table corruption, detected by
-//!   per-entry checksums and recovered from a mirrored table — or
-//!   surfaced as a typed error when unrecoverable.
 //! - [`TierInjector`]: hybrid-tier faults — tag-array corruption
 //!   (detect-and-invalidate) and whole DRAM-channel failure, degraded
 //!   to SCM bypass or typed `TierDegraded` errors. SCM's own raw
@@ -51,8 +48,8 @@ mod rng;
 pub use config::FaultConfig;
 pub use ecc::{word_sig, BitFlip, EccConfig, EccMode, EccOutcome, EccStats};
 pub use inject::{
-    BusFaultStats, CapsFaultStats, CapsInjector, FlipInjector, FlipStats, PgTblFaultStats,
-    PgTblInjector, TierFaultStats, TierInjector, TimeoutInjector,
+    BusFaultStats, FlipInjector, FlipStats, PgTblFaultStats, PgTblInjector, TierFaultStats,
+    TierInjector, TimeoutInjector,
 };
 pub use plan::{FaultPlan, Trigger};
 pub use rng::XorShift64;

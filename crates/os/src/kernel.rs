@@ -17,10 +17,8 @@
 
 use std::sync::Arc;
 
-use impulse_caps::{CapEngine, CapError, CapId, DomainId, Resource, RevokedCap};
 use impulse_core::flight::TraceError;
 use impulse_core::{DescId, McError, MemController, RemapFn};
-use impulse_fault::CapsInjector;
 use impulse_types::geom::{round_up, PAGE_SHIFT, PAGE_SIZE};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{Cycle, MAddr, PAddr, PRange, PvAddr, VAddr, VRange};
@@ -96,23 +94,17 @@ pub enum ImpulseError {
     NoSuchProcess(Pid),
     /// A recorded trace could not be decoded.
     Trace(TraceError),
-    /// The capability behind the access or operation has been revoked —
-    /// the handle's generation is stale. Raised both for syscalls on a
-    /// revoked grant and for demand accesses to an alias torn down by a
-    /// transitive revocation (no stale data is ever served).
+    /// The grant behind the access or operation has been released or
+    /// revoked — the handle's generation is stale. Raised both for
+    /// syscalls on a dead grant and for demand accesses to an alias torn
+    /// down with it (no stale data is ever served).
     RevokedCapability {
-        /// Capability table slot.
+        /// Grant-table slot.
         slot: u32,
         /// Generation the stale handle (or torn-down mapping) carried.
         stale: u32,
         /// The slot's current generation.
         current: u32,
-    },
-    /// A capability table entry failed its integrity check and the
-    /// mirrored copy could not repair it; the entry was quarantined.
-    CapTableCorrupt {
-        /// The quarantined capability slot.
-        slot: u32,
     },
 }
 
@@ -155,10 +147,6 @@ impl core::fmt::Display for ImpulseError {
                 f,
                 "capability slot {slot} has been revoked: generation {stale} is stale (current {current})"
             ),
-            OsError::CapTableCorrupt { slot } => write!(
-                f,
-                "capability table entry {slot} failed its integrity check and could not be recovered"
-            ),
         }
     }
 }
@@ -183,25 +171,6 @@ impl From<McError> for ImpulseError {
 impl From<TraceError> for ImpulseError {
     fn from(e: TraceError) -> Self {
         OsError::Trace(e)
-    }
-}
-impl From<CapError> for ImpulseError {
-    fn from(e: CapError) -> Self {
-        match e {
-            CapError::Revoked {
-                slot,
-                stale,
-                current,
-            } => OsError::RevokedCapability {
-                slot,
-                stale,
-                current,
-            },
-            CapError::NotOwner { owner } => OsError::NotOwner(Pid(owner)),
-            CapError::NoSuchDomain(d) => OsError::NoSuchProcess(Pid(d)),
-            CapError::BadSlot(_) => OsError::InvalidArg("capability slot was never allocated"),
-            CapError::Corrupt { slot } => OsError::CapTableCorrupt { slot },
-        }
     }
 }
 
@@ -263,6 +232,26 @@ impl Default for KernelConfig {
     }
 }
 
+/// Cycles a revocation walk charges to start, on top of the syscall's
+/// trap and per-page costs.
+const REVOKE_BASE_CYCLES: Cycle = 40;
+/// Cycles a revocation walk charges per handle it kills: the grant's
+/// own and one per receiver alias.
+const REVOKE_PER_HANDLE_CYCLES: Cycle = 12;
+
+/// A generation-tagged handle to a remapping grant: the grant-table slot
+/// and the generation the slot had when the grant was made. Slots are
+/// reused but generations only grow, so a handle to a released or
+/// revoked grant stays stale for good and never names the slot's next
+/// grant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct GrantHandle {
+    /// Grant-table slot.
+    pub slot: u32,
+    /// The slot's generation when the grant was made.
+    pub generation: u32,
+}
+
 /// What a remapping system call granted: the new virtual alias, the shadow
 /// region behind it, the descriptor serving it, and the setup volume (for
 /// cost accounting).
@@ -278,17 +267,16 @@ pub struct RemapGrant {
     pub kind: &'static str,
     /// Page mappings installed (MMU + controller) during setup.
     pub pages_installed: u64,
-    /// The generation-tagged capability protecting the grant. Every
-    /// later operation on the grant (share, release, retarget, revoke)
-    /// validates this handle; a stale generation surfaces as
-    /// [`ImpulseError::RevokedCapability`].
-    pub cap: CapId,
+    /// The kernel's handle on the grant. Every later operation on the
+    /// grant (share, release, retarget, revoke) checks it; a stale
+    /// generation surfaces as [`ImpulseError::RevokedCapability`].
+    pub handle: GrantHandle,
 }
 
-/// What a revocation walk tore down, for syscall cost accounting.
+/// What a revocation tore down, for syscall cost accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RevokeOutcome {
-    /// Capabilities revoked (root + every derived alias).
+    /// Handles revoked: the grant's own plus one per receiver alias.
     pub caps_revoked: u64,
     /// Alias pages unmapped across all affected processes.
     pub pages_unmapped: u64,
@@ -308,8 +296,8 @@ pub struct KernelStats {
     pub shadow_bytes: u64,
 }
 
-/// A revoked alias range: pages that were unmapped by a capability
-/// revocation. A later access to the range is answered with
+/// A revoked alias range: pages that were unmapped when their grant was
+/// released or revoked. A later access to the range is answered with
 /// [`ImpulseError::RevokedCapability`] instead of a bare page fault, so
 /// receivers can tell "torn down under me" from "never mapped".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -318,7 +306,7 @@ struct Tombstone {
     start: u64,
     /// Range length in pages.
     pages: u64,
-    /// Capability slot that protected the range.
+    /// Grant-table slot of the grant the range belonged to.
     slot: u32,
     /// Generation the mapping was torn down at.
     stale: u32,
@@ -333,17 +321,34 @@ struct Process {
     regions: Vec<VRange>,
     /// TLB-miss counts per region (parallel to `regions`).
     tlb_misses: Vec<u64>,
-    /// Alias ranges torn down by capability revocation (consulted only
+    /// Alias ranges torn down by a release or revocation (consulted only
     /// on the translation *fault* path — the hot path never sees them).
     revoked: Vec<Tombstone>,
+}
+
+/// A live grant: the process that made it, the descriptor serving it,
+/// and every alias [`Kernel::share_remap`] mapped into a receiver.
+#[derive(Clone, Debug)]
+struct Grant {
+    owner: Pid,
+    desc: DescId,
+    receivers: Vec<(Pid, VRange)>,
+}
+
+/// One grant-table slot. The generation grows each time the slot's
+/// grant dies, so handles to it go stale.
+#[derive(Clone, Debug, Default)]
+struct GrantSlot {
+    generation: u32,
+    grant: Option<Grant>,
 }
 
 /// The operating system model.
 ///
 /// Multi-process: each process has its own virtual address space, and
 /// remapping grants are *owned* — only the creating process may release,
-/// retarget, or share them. This is the inter-process protection the
-/// paper's system-call design promises (Section 2.1).
+/// retarget, share or revoke them. This is the inter-process protection
+/// the paper's system-call design promises (Section 2.1).
 #[derive(Clone, Debug)]
 pub struct Kernel {
     cfg: KernelConfig,
@@ -351,53 +356,29 @@ pub struct Kernel {
     procs: Vec<Process>,
     current: usize,
     shadow_next: u64,
-    /// The typed capability table protecting descriptors, shared
-    /// aliases, and shadow regions. Domain *n* is process *n*.
-    caps: CapEngine,
+    /// The grant table: one slot per grant, reused once the grant dies.
+    grants: Vec<GrantSlot>,
     stats: KernelStats,
 }
 
 impl Kernel {
     /// Boots a kernel.
     pub fn new(cfg: KernelConfig) -> Self {
-        let mut caps = CapEngine::new();
-        caps.create_domain(); // domain 0 = the boot process
         Self {
             phys: PhysMem::new(cfg.dram_capacity, cfg.reserved_top, cfg.policy),
             procs: vec![Process::default()],
             current: 0,
             shadow_next: cfg.dram_capacity,
-            caps,
+            grants: Vec::new(),
             stats: KernelStats::default(),
             cfg,
         }
-    }
-
-    /// Attaches (or detaches) the capability-table corruption injector
-    /// (see [`impulse_fault::FaultConfig::caps_injector`]).
-    pub fn attach_caps_injector(&mut self, injector: Option<CapsInjector>) {
-        self.caps.attach_injector(injector);
-    }
-
-    /// The capability engine (inspection: stats, live counts, fault
-    /// counters).
-    pub fn caps(&self) -> &CapEngine {
-        &self.caps
-    }
-
-    /// Mutable access to the capability engine — the chaos/fault hooks
-    /// (e.g. [`CapEngine::inject_corruption`]) and nothing else; syscall
-    /// paths go through the typed kernel API.
-    pub fn caps_mut(&mut self) -> &mut CapEngine {
-        &mut self.caps
     }
 
     /// Creates a new (empty) process and returns its id. The current
     /// process is unchanged.
     pub fn spawn(&mut self) -> Pid {
         self.procs.push(Process::default());
-        let domain = self.caps.create_domain();
-        debug_assert_eq!(domain.0 as usize, self.procs.len() - 1);
         Pid(self.procs.len() as u32 - 1)
     }
 
@@ -420,98 +401,115 @@ impl Kernel {
         }
     }
 
-    /// The current process's capability domain.
-    fn domain(&self) -> DomainId {
-        DomainId(self.current as u32)
-    }
-
-    /// Validates a grant's capability for the current process: integrity,
-    /// generation (stale ⇒ [`ImpulseError::RevokedCapability`]), and
-    /// ownership.
-    fn validate_cap(&mut self, cap: CapId) -> Result<Resource, OsError> {
-        let domain = self.domain();
-        Ok(self.caps.validate(cap, Some(domain))?)
-    }
-
-    /// Grants the capabilities behind a fresh remapping: a root
-    /// descriptor capability plus a (coalescing) region capability over
-    /// the grant's shadow footprint.
-    fn grant_caps(&mut self, desc: DescId, shadow: PRange) -> Result<CapId, OsError> {
-        let domain = self.domain();
-        let cap = self.caps.grant(
-            domain,
-            Resource::Descriptor {
-                desc: desc.index() as u32,
-            },
-        )?;
-        self.caps
-            .grant_region(domain, shadow.start().raw(), shadow.len())?;
-        Ok(cap)
-    }
-
-    /// Unmaps every revoked alias and records tombstones, so later
-    /// accesses surface [`ImpulseError::RevokedCapability`]. The owner's
-    /// own alias (`owner_alias`, when given) is torn down with the root
-    /// capability; derived [`Resource::Alias`] entries are torn down in
-    /// their receiver's address space. Returns pages unmapped.
-    fn teardown_revoked(
-        &mut self,
-        revoked: &[RevokedCap],
-        root: CapId,
-        owner_alias: Option<(usize, VRange, PRange)>,
-    ) -> Result<u64, OsError> {
-        let mut pages_unmapped = 0;
-        for rc in revoked {
-            match rc.resource {
-                Resource::Alias { start, pages, .. } => {
-                    let pidx = rc.domain.0 as usize;
-                    if pidx >= self.procs.len() {
-                        continue;
-                    }
-                    let range = VRange::new(VAddr::new(start), pages * PAGE_SIZE);
-                    let proc = &mut self.procs[pidx];
-                    for page in range.blocks(PAGE_SIZE) {
-                        if proc.aspace.try_translate(page).is_some() {
-                            proc.aspace.unmap_page(page)?;
-                            pages_unmapped += 1;
-                        }
-                    }
-                    proc.revoked.push(Tombstone {
-                        start,
-                        pages,
-                        slot: rc.cap.index,
-                        stale: rc.cap.generation,
-                    });
-                }
-                Resource::Descriptor { .. } => {
-                    if rc.cap != root {
-                        continue;
-                    }
-                    let Some((pidx, alias, shadow)) = owner_alias else {
-                        continue;
-                    };
-                    let proc = &mut self.procs[pidx];
-                    for page in alias.blocks(PAGE_SIZE) {
-                        if proc
-                            .aspace
-                            .try_translate(page)
-                            .is_some_and(|p| shadow.contains(p))
-                        {
-                            proc.aspace.unmap_page(page)?;
-                            pages_unmapped += 1;
-                        }
-                    }
-                    proc.revoked.push(Tombstone {
-                        start: alias.start().raw(),
-                        pages: alias.page_count(),
-                        slot: rc.cap.index,
-                        stale: rc.cap.generation,
-                    });
-                }
-                Resource::Region { .. } => {}
+    /// Records a grant of `desc` to the current process in the first free
+    /// grant-table slot.
+    fn grant(&mut self, desc: DescId) -> GrantHandle {
+        let slot = match self.grants.iter().position(|s| s.grant.is_none()) {
+            Some(slot) => slot,
+            None => {
+                self.grants.push(GrantSlot::default());
+                self.grants.len() - 1
             }
+        };
+        let owner = self.current();
+        let entry = &mut self.grants[slot];
+        entry.grant = Some(Grant {
+            owner,
+            desc,
+            receivers: Vec::new(),
+        });
+        GrantHandle {
+            slot: slot as u32,
+            generation: entry.generation,
         }
-        Ok(pages_unmapped)
+    }
+
+    /// The live grant `handle` names, which the current process must own.
+    ///
+    /// # Errors
+    ///
+    /// [`ImpulseError::RevokedCapability`] when the handle is stale (the
+    /// generation check comes first, so a dead handle stays dead after
+    /// its slot is reused), [`ImpulseError::NotOwner`] when another
+    /// process owns the grant.
+    fn owned_grant(&mut self, handle: GrantHandle) -> Result<&mut Grant, OsError> {
+        let caller = self.current();
+        let slot = self
+            .grants
+            .get_mut(handle.slot as usize)
+            .ok_or(OsError::InvalidArg("grant slot was never allocated"))?;
+        match &mut slot.grant {
+            Some(g) if slot.generation == handle.generation => {
+                if g.owner == caller {
+                    Ok(g)
+                } else {
+                    Err(OsError::NotOwner(g.owner))
+                }
+            }
+            _ => Err(OsError::RevokedCapability {
+                slot: handle.slot,
+                stale: handle.generation,
+                current: slot.generation,
+            }),
+        }
+    }
+
+    /// Ends the grant `handle` names, which the caller has checked: every
+    /// receiver alias is unmapped, and so is the owner's `owner_alias`
+    /// (its pages that still translate into `shadow`) when given. Each
+    /// torn-down range leaves a tombstone, and the slot's generation
+    /// grows so every copy of the handle goes stale.
+    fn revoke_grant(
+        &mut self,
+        handle: GrantHandle,
+        owner_alias: Option<(VRange, PRange)>,
+    ) -> Result<RevokeOutcome, OsError> {
+        let slot = &mut self.grants[handle.slot as usize];
+        let Some(grant) = slot.grant.take() else {
+            return Err(OsError::RevokedCapability {
+                slot: handle.slot,
+                stale: handle.generation,
+                current: slot.generation,
+            });
+        };
+        slot.generation += 1;
+        let tombstone = |alias: VRange| Tombstone {
+            start: alias.start().raw(),
+            pages: alias.page_count(),
+            slot: handle.slot,
+            stale: handle.generation,
+        };
+        let mut pages_unmapped = 0;
+        for &(pid, alias) in &grant.receivers {
+            let proc = &mut self.procs[pid.0 as usize];
+            for page in alias.blocks(PAGE_SIZE) {
+                if proc.aspace.try_translate(page).is_some() {
+                    proc.aspace.unmap_page(page)?;
+                    pages_unmapped += 1;
+                }
+            }
+            proc.revoked.push(tombstone(alias));
+        }
+        if let Some((alias, shadow)) = owner_alias {
+            let proc = &mut self.procs[grant.owner.0 as usize];
+            for page in alias.blocks(PAGE_SIZE) {
+                if proc
+                    .aspace
+                    .try_translate(page)
+                    .is_some_and(|p| shadow.contains(p))
+                {
+                    proc.aspace.unmap_page(page)?;
+                    pages_unmapped += 1;
+                }
+            }
+            proc.revoked.push(tombstone(alias));
+        }
+        let handles = 1 + grant.receivers.len() as u64;
+        Ok(RevokeOutcome {
+            caps_revoked: handles,
+            pages_unmapped,
+            cycles: REVOKE_BASE_CYCLES + handles * REVOKE_PER_HANDLE_CYCLES,
+        })
     }
 
     /// The configuration the kernel booted with.
@@ -539,8 +537,8 @@ impl Kernel {
     ///
     /// Returns [`VmError::NotMapped`] (wrapped) for unmapped addresses —
     /// a page fault with no handler, i.e. a segfault at the CPU model —
-    /// except addresses inside an alias torn down by capability
-    /// revocation, which surface [`ImpulseError::RevokedCapability`]
+    /// except addresses inside an alias torn down with its grant, which
+    /// surface [`ImpulseError::RevokedCapability`]
     /// (never stale data; tombstones are consulted only on this fault
     /// path, so mapped translations cost the same as before).
     #[inline]
@@ -556,7 +554,10 @@ impl Kernel {
     fn classify_fault(&self, v: VAddr, fallback: OsError) -> OsError {
         for t in &self.procs[self.current].revoked {
             if v.raw() >= t.start && v.raw() < t.start + t.pages * PAGE_SIZE {
-                let current = self.caps.generation(t.slot).unwrap_or(t.stale + 1);
+                let current = self
+                    .grants
+                    .get(t.slot as usize)
+                    .map_or(t.stale + 1, |s| s.generation);
                 return OsError::RevokedCapability {
                     slot: t.slot,
                     stale: t.stale,
@@ -839,7 +840,7 @@ impl Kernel {
             index_bytes,
         );
         let desc = mc.claim_descriptor(shadow, remap)?;
-        let cap = self.grant_caps(desc, shadow)?;
+        let handle = self.grant(desc);
         let mut pages = self.download_target_pages(mc, target.start(), target.len())?;
         pages += self.download_target_pages(mc, index_region.start(), index_region.len())?;
         let alias = self.map_alias(shadow, alias_align.max(PAGE_SIZE), alias_phase)?;
@@ -852,7 +853,7 @@ impl Kernel {
             desc,
             kind: "gather",
             pages_installed: pages,
-            cap,
+            handle,
         })
     }
 
@@ -883,7 +884,7 @@ impl Kernel {
 
         let remap = RemapFn::strided(PvAddr::new(base.raw()), object_size, stride);
         let desc = mc.claim_descriptor(shadow, remap)?;
-        let cap = self.grant_caps(desc, shadow)?;
+        let handle = self.grant(desc);
         let mut pages = self.download_target_pages(mc, base, span)?;
         let alias = self.map_alias(shadow, alias_align, 0)?;
         pages += alias.page_count();
@@ -895,7 +896,7 @@ impl Kernel {
             desc,
             kind: "strided",
             pages_installed: pages,
-            cap,
+            handle,
         })
     }
 
@@ -909,8 +910,8 @@ impl Kernel {
     /// caught at descriptor validation), the old descriptor is restored
     /// and the grant stays fully usable. Only if even the restore fails
     /// — which a single-threaded kernel cannot normally make happen — is
-    /// the grant invalidated, by revoking its capability so every later
-    /// use surfaces [`ImpulseError::RevokedCapability`] instead of
+    /// the grant invalidated, by revoking it so every later use
+    /// surfaces [`ImpulseError::RevokedCapability`] instead of
     /// dangling.
     ///
     /// # Errors
@@ -926,14 +927,14 @@ impl Kernel {
         stride: u64,
         count: u64,
     ) -> Result<u64, OsError> {
-        self.validate_cap(grant.cap)?;
+        let desc = self.owned_grant(grant.handle)?.desc;
         let span = strided_span(object_size, stride, count)?;
         let old_remap = mc
-            .descriptor(grant.desc)
-            .ok_or(OsError::Mc(McError::InvalidDescriptor(grant.desc.index())))?
+            .descriptor(desc)
+            .ok_or(OsError::Mc(McError::InvalidDescriptor(desc.index())))?
             .remap()
             .clone();
-        mc.release_descriptor(grant.desc)?;
+        mc.release_descriptor(desc)?;
         // Built as a literal (not via RemapFn::strided) so stride-geometry
         // misuse surfaces as the descriptor-install typed error this
         // error path exists to handle, in debug builds too.
@@ -950,26 +951,19 @@ impl Kernel {
                 // is available) so the grant keeps working.
                 match mc.claim_descriptor(grant.shadow, old_remap) {
                     Ok(d) => {
-                        self.caps.retarget_desc(grant.cap, d.index() as u32)?;
+                        self.owned_grant(grant.handle)?.desc = d;
                         grant.desc = d;
-                        return Err(e.into());
                     }
+                    // Unrecoverable: invalidate the grant with a typed
+                    // error rather than leaving it dangling.
                     Err(_) => {
-                        // Unrecoverable: invalidate the grant with a
-                        // typed error rather than leaving it dangling.
-                        let rev = self.caps.revoke(grant.cap, Some(self.domain()))?;
-                        self.teardown_revoked(
-                            &rev.revoked,
-                            grant.cap,
-                            Some((self.current, grant.alias, grant.shadow)),
-                        )?;
-                        return Err(e.into());
+                        self.revoke_grant(grant.handle, Some((grant.alias, grant.shadow)))?;
                     }
                 }
+                return Err(e.into());
             }
         };
-        self.caps
-            .retarget_desc(grant.cap, new_desc.index() as u32)?;
+        self.owned_grant(grant.handle)?.desc = new_desc;
         grant.desc = new_desc;
         let pages = self.download_target_pages(mc, new_base, span)?;
         self.stats.remap_syscalls += 1;
@@ -1010,7 +1004,7 @@ impl Kernel {
 
         let pv_base = PvAddr::new(shadow.start().raw());
         let desc = mc.claim_descriptor(shadow, RemapFn::direct(pv_base))?;
-        let cap = self.grant_caps(desc, shadow)?;
+        let handle = self.grant(desc);
 
         let alias = self.aspace_mut().reserve(n * PAGE_SIZE, PAGE_SIZE);
         let mut pages = 0;
@@ -1037,7 +1031,7 @@ impl Kernel {
             desc,
             kind: "direct",
             pages_installed: pages,
-            cap,
+            handle,
         })
     }
 
@@ -1069,7 +1063,7 @@ impl Kernel {
         let shadow = self.alloc_shadow(span_bytes, span_bytes)?;
         let pv_base = PvAddr::new(shadow.start().raw());
         let desc = mc.claim_descriptor(shadow, RemapFn::direct(pv_base))?;
-        let cap = self.grant_caps(desc, shadow)?;
+        let handle = self.grant(desc);
 
         let mut pages = 0;
         for (i, target_page) in target.blocks(PAGE_SIZE).enumerate() {
@@ -1089,16 +1083,16 @@ impl Kernel {
             desc,
             kind: "superpage",
             pages_installed: pages,
-            cap,
+            handle,
         })
     }
 
-    /// Transitively revokes a grant's capability: the owner's descriptor
-    /// capability and **every** alias derived from it (receivers of
-    /// [`Kernel::share_remap`], including re-shares) go stale together.
-    /// All affected alias pages are unmapped and tombstoned, so any
-    /// later access — owner or receiver, even mid-gather — surfaces
-    /// [`ImpulseError::RevokedCapability`]: no stale data, no panic.
+    /// Revokes a grant: the owner's handle and **every** receiver alias
+    /// of [`Kernel::share_remap`] go stale together. All affected alias
+    /// pages are unmapped and tombstoned, so any later access — owner or
+    /// receiver, even mid-gather — surfaces
+    /// [`ImpulseError::RevokedCapability`]: no stale data, no panic. The
+    /// walk costs `40 + 12 × (1 + receivers)` cycles.
     ///
     /// # Errors
     ///
@@ -1110,14 +1104,14 @@ impl Kernel {
         mc: &mut MemController,
         grant: &RemapGrant,
     ) -> Result<RevokeOutcome, OsError> {
-        self.validate_cap(grant.cap)?;
+        let desc = self.owned_grant(grant.handle)?.desc;
         if grant.kind == "superpage" {
             // Recover each page's frame through the still-configured
             // descriptor, then re-point the virtual page at it. The
             // owner's "alias" is the original range and stays mapped
-            // (to real frames); only derived receiver aliases tear down.
-            if mc.descriptor(grant.desc).is_none() {
-                return Err(OsError::Mc(McError::InvalidDescriptor(grant.desc.index())));
+            // (to real frames); only receiver aliases tear down.
+            if mc.descriptor(desc).is_none() {
+                return Err(OsError::Mc(McError::InvalidDescriptor(desc.index())));
             }
             for page in grant.alias.blocks(PAGE_SIZE) {
                 if let Some(shadow_p) = self.aspace().try_translate(page) {
@@ -1134,27 +1128,11 @@ impl Kernel {
             self.procs[self.current]
                 .superpages
                 .retain(|&(b, _)| b != base_vpage);
-            mc.release_descriptor(grant.desc)?;
-            let rev = self.caps.revoke(grant.cap, Some(self.domain()))?;
-            let pages_unmapped = self.teardown_revoked(&rev.revoked, grant.cap, None)?;
-            return Ok(RevokeOutcome {
-                caps_revoked: rev.revoked.len() as u64,
-                pages_unmapped,
-                cycles: rev.cycles,
-            });
+            mc.release_descriptor(desc)?;
+            return self.revoke_grant(grant.handle, None);
         }
-        mc.release_descriptor(grant.desc)?;
-        let rev = self.caps.revoke(grant.cap, Some(self.domain()))?;
-        let pages_unmapped = self.teardown_revoked(
-            &rev.revoked,
-            grant.cap,
-            Some((self.current, grant.alias, grant.shadow)),
-        )?;
-        Ok(RevokeOutcome {
-            caps_revoked: rev.revoked.len() as u64,
-            pages_unmapped,
-            cycles: rev.cycles,
-        })
+        mc.release_descriptor(desc)?;
+        self.revoke_grant(grant.handle, Some((grant.alias, grant.shadow)))
     }
 
     /// Releases a remapping: frees the descriptor and unmaps the alias
@@ -1186,31 +1164,15 @@ impl Kernel {
     /// conclusions ("fast local IPC mechanisms, such as LRPC, use shared
     /// memory to map buffers into sender and receiver address spaces").
     /// Only the owning process may share; the receiving process gets its
-    /// own read alias, protected by a capability *derived* from the
-    /// grant's — revoking or releasing the grant tears the alias down
-    /// transitively.
+    /// own read alias, recorded with the grant — revoking or releasing
+    /// the grant tears the alias down with it.
     ///
     /// # Errors
     ///
     /// Fails if the caller does not own the grant (or it was revoked) or
     /// `with` does not exist.
     pub fn share_remap(&mut self, grant: &RemapGrant, with: Pid) -> Result<VRange, OsError> {
-        self.share_remap_cap(grant, with).map(|(alias, _)| alias)
-    }
-
-    /// Like [`Kernel::share_remap`], but also returns the derived
-    /// capability handle protecting the receiver's alias (for explicit
-    /// handoff bookkeeping).
-    ///
-    /// # Errors
-    ///
-    /// As [`Kernel::share_remap`].
-    pub fn share_remap_cap(
-        &mut self,
-        grant: &RemapGrant,
-        with: Pid,
-    ) -> Result<(VRange, CapId), OsError> {
-        self.validate_cap(grant.cap)?;
+        self.owned_grant(grant.handle)?;
         let target = with.0 as usize;
         if target >= self.procs.len() {
             return Err(OsError::NoSuchProcess(with));
@@ -1222,17 +1184,10 @@ impl Kernel {
             proc.aspace.map_page(page, s)?;
             s = s.add(PAGE_SIZE);
         }
-        let child = self.caps.derive(
-            grant.cap,
-            Some(self.domain()),
-            DomainId(with.0),
-            Resource::Alias {
-                desc: grant.desc.index() as u32,
-                start: alias.start().raw(),
-                pages: alias.page_count(),
-            },
-        )?;
-        Ok((alias, child))
+        self.owned_grant(grant.handle)?
+            .receivers
+            .push((with, alias));
+        Ok(alias)
     }
 
     /// TLB reach for a virtual page: its superpage `(base_vpage, span)` if
@@ -1250,8 +1205,8 @@ impl Kernel {
 
     /// Serializes the frame allocator, every process (address space,
     /// superpage registrations, region bookkeeping, revocation
-    /// tombstones), the shadow-space bump pointer, the full capability
-    /// table, and statistics. The configuration is not written — restore
+    /// tombstones), the shadow-space bump pointer, the grant table, and
+    /// statistics. The configuration is not written — restore
     /// rebuilds it from the same config the snapshot was taken under.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_KERN);
@@ -1280,7 +1235,21 @@ impl Kernel {
         }
         w.usize(self.current);
         w.u64(self.shadow_next);
-        self.caps.snap_save(w);
+        w.usize(self.grants.len());
+        for slot in &self.grants {
+            w.u32(slot.generation);
+            w.bool(slot.grant.is_some());
+            if let Some(g) = &slot.grant {
+                w.u32(g.owner.0);
+                w.usize(g.desc.index());
+                w.usize(g.receivers.len());
+                for (pid, alias) in &g.receivers {
+                    w.u32(pid.0);
+                    w.u64(alias.start().raw());
+                    w.u64(alias.len());
+                }
+            }
+        }
         w.u64(self.stats.remap_syscalls);
         w.u64(self.stats.controller_pages);
         w.u64(self.stats.shadow_bytes);
@@ -1344,9 +1313,38 @@ impl Kernel {
         }
         self.current = current;
         self.shadow_next = r.u64()?;
-        self.caps.snap_load(r)?;
-        if (self.caps.domain_count() as usize) < self.procs.len() {
-            return Err(SnapError::Geometry("capability domain count"));
+        let pid = |r: &mut SnapReader<'_>| {
+            let p = r.u32()?;
+            if (p as usize) < nprocs {
+                Ok(Pid(p))
+            } else {
+                Err(SnapError::Geometry("grant names an unknown process"))
+            }
+        };
+        let nslots = r.usize()?;
+        self.grants = Vec::with_capacity(nslots);
+        for _ in 0..nslots {
+            let generation = r.u32()?;
+            let grant = if r.bool()? {
+                let owner = pid(r)?;
+                let desc = DescId::from_index(r.usize()?);
+                let nrecv = r.usize()?;
+                let mut receivers = Vec::with_capacity(nrecv);
+                for _ in 0..nrecv {
+                    let with = pid(r)?;
+                    let start = r.u64()?;
+                    let len = r.u64()?;
+                    receivers.push((with, VRange::new(VAddr::new(start), len)));
+                }
+                Some(Grant {
+                    owner,
+                    desc,
+                    receivers,
+                })
+            } else {
+                None
+            };
+            self.grants.push(GrantSlot { generation, grant });
         }
         self.stats.remap_syscalls = r.u64()?;
         self.stats.controller_pages = r.u64()?;
@@ -1812,11 +1810,81 @@ mod tests {
         k.release_remap(&mut mc, &g).unwrap();
         match k.release_remap(&mut mc, &g) {
             Err(OsError::RevokedCapability { stale, current, .. }) => {
-                assert_eq!(stale, g.cap.generation);
+                assert_eq!(stale, g.handle.generation);
                 assert!(current > stale);
             }
             other => panic!("expected RevokedCapability, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn slot_reuse_keeps_old_handles_stale() {
+        let (mut k, mut mc) = small_setup();
+        let x = k.alloc_region(PAGE_SIZE, 1).unwrap();
+        let old = k.remap_recolor(&mut mc, x, &[0]).unwrap();
+        k.release_remap(&mut mc, &old).unwrap();
+        // Another process's grant takes over the freed slot...
+        let other = k.spawn();
+        k.switch(other).unwrap();
+        let y = k.alloc_region(PAGE_SIZE, 1).unwrap();
+        let new = k.remap_recolor(&mut mc, y, &[1]).unwrap();
+        assert_eq!(new.handle.slot, old.handle.slot);
+        assert!(new.handle.generation > old.handle.generation);
+        // ...yet the old handle is still just stale, for its owner too,
+        // and the new grant is untouched.
+        k.switch(Pid::INIT).unwrap();
+        assert_eq!(
+            k.release_remap(&mut mc, &old),
+            Err(OsError::RevokedCapability {
+                slot: old.handle.slot,
+                stale: old.handle.generation,
+                current: new.handle.generation,
+            })
+        );
+        k.switch(other).unwrap();
+        assert_eq!(k.release_remap(&mut mc, &new).unwrap().caps_revoked, 1);
+    }
+
+    #[test]
+    fn revocation_charges_per_receiver_alias() {
+        let (mut k, mut mc) = small_setup();
+        let x = k.alloc_region(PAGE_SIZE, 1).unwrap();
+        let g = k.remap_recolor(&mut mc, x, &[0]).unwrap();
+        let mut pages = g.alias.page_count();
+        for _ in 0..3 {
+            let r = k.spawn();
+            pages += k.share_remap(&g, r).unwrap().page_count();
+        }
+        let out = k.revoke_remap(&mut mc, &g).unwrap();
+        assert_eq!(out.caps_revoked, 4);
+        assert_eq!(out.cycles, 40 + 12 * 4);
+        assert_eq!(out.pages_unmapped, pages);
+    }
+
+    #[test]
+    fn retarget_keeps_receiver_aliases_live() {
+        let (mut k, mut mc) = small_setup();
+        let m = k.alloc_region(64 * 64 * 8, 8).unwrap();
+        let mut g = k
+            .remap_strided(&mut mc, m.start(), 64, 512, 8, PAGE_SIZE)
+            .unwrap();
+        let receiver = k.spawn();
+        let rx = k.share_remap(&g, receiver).unwrap();
+        k.retarget_strided(&mut mc, &mut g, m.start().add(64), 64, 512, 8)
+            .unwrap();
+        // The receiver reads through the new descriptor...
+        let tile = k.translate(m.start().add(64)).unwrap();
+        k.switch(receiver).unwrap();
+        let p = k.translate(rx.start()).unwrap();
+        assert_eq!(mc.resolve_shadow(p), Some(MAddr::new(tile.raw())));
+        // ...and still dies with the retargeted grant.
+        k.switch(Pid::INIT).unwrap();
+        assert_eq!(k.release_remap(&mut mc, &g).unwrap().caps_revoked, 2);
+        k.switch(receiver).unwrap();
+        assert!(matches!(
+            k.translate(rx.start()),
+            Err(OsError::RevokedCapability { .. })
+        ));
     }
 
     #[test]
@@ -1863,8 +1931,8 @@ mod tests {
         let doomed_buf = k.alloc_region(PAGE_SIZE, 8).unwrap();
         let doomed = k.remap_recolor(&mut mc, doomed_buf, &[1]).unwrap();
         let receiver = k.spawn();
-        let (rx_alias, rx_cap) = k.share_remap_cap(&live, receiver).unwrap();
-        let (dead_alias, _) = k.share_remap_cap(&doomed, receiver).unwrap();
+        let rx_alias = k.share_remap(&live, receiver).unwrap();
+        let dead_alias = k.share_remap(&doomed, receiver).unwrap();
         // Leave tombstones behind in the receiver's process entry.
         k.release_remap(&mut mc, &doomed).unwrap();
 
@@ -1882,8 +1950,7 @@ mod tests {
         k2.snap_save(&mut w2);
         assert_eq!(img, w2.finish(), "snapshot must round-trip bit-exactly");
 
-        // The live share still validates; tombstones still classify.
-        assert!(k2.caps_mut().validate(rx_cap, None).is_ok());
+        // The live share still translates; tombstones still classify.
         k2.switch(receiver).unwrap();
         assert!(k2.translate(rx_alias.start()).is_ok());
         assert!(matches!(

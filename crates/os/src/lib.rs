@@ -42,10 +42,9 @@ pub mod kernel;
 pub mod phys;
 pub mod vm;
 
-pub use impulse_caps::{CapEngine, CapError, CapId, CapStats, DomainId, Resource};
 pub use kernel::{
-    ImpulseError, Kernel, KernelConfig, KernelStats, OsError, Pid, RemapGrant, RevokeOutcome,
-    SyscallCosts,
+    GrantHandle, ImpulseError, Kernel, KernelConfig, KernelStats, OsError, Pid, RemapGrant,
+    RevokeOutcome, SyscallCosts,
 };
 pub use phys::{AllocPolicy, PhysError, PhysMem};
 pub use vm::{AddressSpace, VmError};

@@ -102,10 +102,8 @@ impl Machine {
             cfg.tier.visible_capacity(cfg.dram.capacity),
             "kernel and memory tiers must agree on installed capacity"
         );
-        let mut kernel = Kernel::new(cfg.kernel);
-        kernel.attach_caps_injector(cfg.faults.caps_injector());
         Self {
-            kernel,
+            kernel: Kernel::new(cfg.kernel),
             ms: MemorySystem::new(cfg),
             now: 0,
             epoch: 0,
@@ -175,12 +173,6 @@ impl Machine {
     /// The OS.
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
-    }
-
-    /// Mutable access to the OS — the hook fault-injection harnesses use
-    /// to damage kernel state (e.g. the capability table) out-of-band.
-    pub fn kernel_mut(&mut self) -> &mut Kernel {
-        &mut self.kernel
     }
 
     /// The memory system (for stats and inspection).
@@ -683,28 +675,12 @@ impl Machine {
     ///
     /// Fails unless the calling process owns the grant.
     pub fn sys_share(&mut self, grant: &RemapGrant, with: Pid) -> Result<VRange, OsError> {
-        self.sys_share_cap(grant, with).map(|(alias, _)| alias)
-    }
-
-    /// Like [`Machine::sys_share`], but also returns the derived
-    /// capability handle protecting the receiver's alias — for explicit
-    /// handoff bookkeeping (a fork-style parent handing its buffers to a
-    /// child).
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the calling process owns the grant.
-    pub fn sys_share_cap(
-        &mut self,
-        grant: &RemapGrant,
-        with: Pid,
-    ) -> Result<(VRange, impulse_os::CapId), OsError> {
-        let (alias, cap) = self
+        let alias = self
             .kernel
-            .share_remap_cap(grant, with)
+            .share_remap(grant, with)
             .map_err(|e| self.fail_syscall(e))?;
         self.charge_syscall(alias.page_count());
-        Ok((alias, cap))
+        Ok(alias)
     }
 
     /// Releases a remap grant. Flushes the alias from the caches first
@@ -719,12 +695,12 @@ impl Machine {
         self.sys_revoke(grant).map(|_| ())
     }
 
-    /// Explicitly revokes a grant's capability, transitively tearing
-    /// down every receiver alias derived from it (see
-    /// [`Kernel::revoke_remap`]). Identical kernel effect to
-    /// [`Machine::sys_release`], but returns the [`RevokeOutcome`] —
-    /// how many capabilities died, how many pages were unmapped across
-    /// all address spaces, and the cycles the revocation walk cost.
+    /// Explicitly revokes a grant, tearing down every receiver alias
+    /// shared from it (see [`Kernel::revoke_remap`]). Identical kernel
+    /// effect to [`Machine::sys_release`], but returns the
+    /// [`RevokeOutcome`] — how many handles died, how many pages were
+    /// unmapped across all address spaces, and the cycles the revocation
+    /// walk cost.
     ///
     /// # Errors
     ///
