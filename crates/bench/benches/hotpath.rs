@@ -6,7 +6,8 @@
 //! These are the paths that run once (or more) per simulated access, so
 //! a regression here slows every experiment in the suite. The `setup`
 //! group guards what every cell pays once before it measures: booting
-//! the fragmented frame pool and the flushes of a remap system call.
+//! the fragmented frame pool and the flushes of a remap system call,
+//! over cold caches and over a region the caches hold a few pages of.
 
 use std::hint::black_box;
 
@@ -231,6 +232,20 @@ fn bench_setup() {
     let mut m = Machine::new(&SystemConfig::paint_small());
     let r = m.alloc_region(2 << 20, PAGE_SIZE).expect("region");
     g.bench("flush_region_2mb", || {
+        m.flush_region(r);
+        m.now()
+    });
+    // The same walk with lines on 14 of its 512 pages: a clean and a
+    // dirty L1 line and a dirty L2-only line each (the write-around L1
+    // passes a store miss on). Only those pages are probed.
+    g.bench("flush_region_2mb_partly_cached", || {
+        for page in (0..512).step_by(37) {
+            let v = r.start().add(page * PAGE_SIZE);
+            m.load(v);
+            m.load(v.add(512));
+            m.store(v.add(520));
+            m.store(v.add(2048));
+        }
         m.flush_region(r);
         m.now()
     });

@@ -19,7 +19,7 @@
 //! so the grid fans across a job pool; results print in grid order, so
 //! the output is identical at any `jobs=` value.
 
-use impulse_bench::{runner, Args};
+use impulse_bench::{outln, runner, Args};
 use impulse_dram::{Dram, DramConfig, SchedulePolicy, Scheduler};
 use impulse_types::{AccessKind, MAddr};
 
@@ -108,11 +108,11 @@ fn main() -> std::process::ExitCode {
         ),
     ];
 
-    println!("\n================================================================");
-    println!("DRAM scheduler ablation — {n_batches} batches of {words} word reads");
-    println!("(the paper's published results use the in-order scheduler; the");
-    println!(" reordering policies are its Section 2.2 'designed' scheduler)");
-    println!("================================================================");
+    outln!("\n================================================================");
+    outln!("DRAM scheduler ablation — {n_batches} batches of {words} word reads");
+    outln!("(the paper's published results use the in-order scheduler; the");
+    outln!(" reordering policies are its Section 2.2 'designed' scheduler)");
+    outln!("================================================================");
 
     // Fan the (workload × policy) grid across the pool; each cell owns
     // its DRAM and the batches are shared read-only.
@@ -128,10 +128,13 @@ fn main() -> std::process::ExitCode {
     let mut results = results.chunks_exact(SchedulePolicy::ALL.len());
 
     for (name, _) in &workloads {
-        println!("\n--- {name} ---");
-        println!(
+        outln!("\n--- {name} ---");
+        outln!(
             "{:<18}{:>14}{:>12}{:>10}",
-            "policy", "total cycles", "row hits", "speedup"
+            "policy",
+            "total cycles",
+            "row hits",
+            "speedup"
         );
         let cells = results.next().expect("one chunk per workload");
         let in_order = SchedulePolicy::ALL
@@ -140,7 +143,7 @@ fn main() -> std::process::ExitCode {
             .expect("in-order policy exists");
         let (base_cycles, _) = cells[in_order];
         for (policy, &(cycles, row_hits)) in SchedulePolicy::ALL.iter().zip(cells) {
-            println!(
+            outln!(
                 "{:<18}{:>14}{:>11.1}%{:>10.2}",
                 policy.name(),
                 cycles,
@@ -149,6 +152,6 @@ fn main() -> std::process::ExitCode {
             );
         }
     }
-    println!();
+    outln!();
     std::process::ExitCode::SUCCESS
 }

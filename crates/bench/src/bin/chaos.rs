@@ -14,6 +14,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use impulse_bench::chaos::{chaos_document, chaos_jobs, cross_case_violations};
+use impulse_bench::outln;
 use impulse_bench::runner::{self, usage_exit, CommonArgs};
 
 const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out=results/chaos.json]";
@@ -30,12 +31,18 @@ fn main() -> ExitCode {
         .unwrap_or_else(|e| usage_exit(e, USAGE));
     let outcomes = runner::run_ordered(chaos_jobs(seed), jobs);
 
-    println!(
+    outln!(
         "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
-        "workload", "scenario", "cycles", "ecc.corr", "ecc.det", "bus.tmo", "pgtbl"
+        "workload",
+        "scenario",
+        "cycles",
+        "ecc.corr",
+        "ecc.det",
+        "bus.tmo",
+        "pgtbl"
     );
     for o in &outcomes {
-        println!(
+        outln!(
             "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
             o.workload,
             o.scenario,
@@ -53,7 +60,7 @@ fn main() -> ExitCode {
     }
     let mut f = std::fs::File::create(&path).expect("create chaos.json");
     writeln!(f, "{doc:#}").expect("write chaos.json");
-    println!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
+    outln!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
     impulse_bench::print_artifacts(&[&path]);
 
     let violations: Vec<String> = outcomes
@@ -63,7 +70,7 @@ fn main() -> ExitCode {
         .collect();
 
     if violations.is_empty() {
-        println!("all invariants held");
+        outln!("all invariants held");
         ExitCode::SUCCESS
     } else {
         eprintln!("{} invariant violation(s):", violations.len());

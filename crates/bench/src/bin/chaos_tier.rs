@@ -13,6 +13,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
+use impulse_bench::outln;
 use impulse_bench::runner::{self, usage_exit, CommonArgs};
 use impulse_bench::tier_chaos::{tier_chaos_document, tier_chaos_jobs};
 
@@ -30,12 +31,19 @@ fn main() -> ExitCode {
         .unwrap_or_else(|e| usage_exit(e, USAGE));
     let outcomes = runner::run_ordered(tier_chaos_jobs(seed), jobs);
 
-    println!(
+    outln!(
         "{:<26} {:>10} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8}",
-        "scenario", "cycles", "accesses", "typed", "retired", "kills", "tagcorr", "eccfix"
+        "scenario",
+        "cycles",
+        "accesses",
+        "typed",
+        "retired",
+        "kills",
+        "tagcorr",
+        "eccfix"
     );
     for o in &outcomes {
-        println!(
+        outln!(
             "{:<26} {:>10} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8}",
             o.scenario,
             o.cycles,
@@ -54,7 +62,7 @@ fn main() -> ExitCode {
     }
     let mut f = std::fs::File::create(&path).expect("create chaos_tier.json");
     writeln!(f, "{doc:#}").expect("write chaos_tier.json");
-    println!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
+    outln!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
     impulse_bench::print_artifacts(&[&path]);
 
     let violations: Vec<String> = outcomes

@@ -6,7 +6,7 @@
 //! Prints cycles, bus traffic, useful-byte fraction, and hit ratios for
 //! both systems. Overrides: `n=`, `passes=`.
 
-use impulse_bench::{runner::usage_exit, Args};
+use impulse_bench::{outln, runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Diagonal, DiagonalVariant};
 
@@ -36,45 +36,47 @@ fn main() {
     // Unique useful data: the diagonal itself, fetched at least once.
     let useful = n * 8;
 
-    println!("\n================================================================");
-    println!("Figure 1 — diagonal of a dense {n}×{n} matrix, {passes} pass(es)");
-    println!("================================================================");
-    println!("{:<30}{:>16}{:>16}", "", "conventional", "impulse remap");
-    println!("{:<30}{:>16}{:>16}", "cycles", conv.cycles, imp.cycles);
-    println!(
+    outln!("\n================================================================");
+    outln!("Figure 1 — diagonal of a dense {n}×{n} matrix, {passes} pass(es)");
+    outln!("================================================================");
+    outln!("{:<30}{:>16}{:>16}", "", "conventional", "impulse remap");
+    outln!("{:<30}{:>16}{:>16}", "cycles", conv.cycles, imp.cycles);
+    outln!(
         "{:<30}{:>16}{:>16}",
-        "bus traffic (bytes)", conv.bus.bytes, imp.bus.bytes
+        "bus traffic (bytes)",
+        conv.bus.bytes,
+        imp.bus.bytes
     );
-    println!(
+    outln!(
         "{:<30}{:>15.1}%{:>15.1}%",
         "useful bus bytes",
         (100.0 * useful as f64 / conv.bus.bytes.max(1) as f64).min(100.0),
         (100.0 * useful as f64 / imp.bus.bytes.max(1) as f64).min(100.0)
     );
-    println!(
+    outln!(
         "{:<30}{:>15.1}%{:>15.1}%",
         "L1 hit ratio",
         100.0 * conv.mem.l1_ratio(),
         100.0 * imp.mem.l1_ratio()
     );
-    println!(
+    outln!(
         "{:<30}{:>15.1}%{:>15.1}%",
         "mem hit ratio",
         100.0 * conv.mem.mem_ratio(),
         100.0 * imp.mem.mem_ratio()
     );
-    println!(
+    outln!(
         "{:<30}{:>16.2}{:>16.2}",
         "avg load time",
         conv.mem.avg_load_time(),
         imp.mem.avg_load_time()
     );
-    println!(
+    outln!(
         "\nspeedup: {:.2}x   bus-traffic reduction: {:.1}x",
         conv.cycles as f64 / imp.cycles as f64,
         conv.bus.bytes as f64 / imp.bus.bytes.max(1) as f64
     );
-    println!(
+    outln!(
         "(the paper's Figure 1 is qualitative: a conventional fill moves a full\n\
          cache line per diagonal element — only one word of which is useful —\n\
          while Impulse packs diagonal elements densely before they cross the bus)"

@@ -4,7 +4,7 @@
 //!
 //! Overrides: `buffers=`, `bytes=` (per buffer), `messages=`.
 
-use impulse_bench::{runner::usage_exit, Args};
+use impulse_bench::{outln, runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{IpcGather, IpcVariant};
 
@@ -30,26 +30,32 @@ fn main() {
     let sw = run(buffers, bytes, messages, IpcVariant::SoftwareGather);
     let imp = run(buffers, bytes, messages, IpcVariant::ImpulseGather);
 
-    println!("\n================================================================");
-    println!(
+    outln!("\n================================================================");
+    outln!(
         "IPC message assembly — {buffers} buffers × {bytes} B + 64 B header, {messages} messages"
     );
-    println!("================================================================");
-    println!(
+    outln!("================================================================");
+    outln!(
         "{:<26}{:>18}{:>20}",
-        "", "software gather", "impulse no-copy"
+        "",
+        "software gather",
+        "impulse no-copy"
     );
-    println!("{:<26}{:>18}{:>20}", "cycles", sw.cycles, imp.cycles);
-    println!("{:<26}{:>18}{:>20}", "loads", sw.mem.loads, imp.mem.loads);
-    println!(
+    outln!("{:<26}{:>18}{:>20}", "cycles", sw.cycles, imp.cycles);
+    outln!("{:<26}{:>18}{:>20}", "loads", sw.mem.loads, imp.mem.loads);
+    outln!(
         "{:<26}{:>18}{:>20}",
-        "stores", sw.mem.stores, imp.mem.stores
+        "stores",
+        sw.mem.stores,
+        imp.mem.stores
     );
-    println!(
+    outln!(
         "{:<26}{:>18}{:>20}",
-        "bus traffic (bytes)", sw.bus.bytes, imp.bus.bytes
+        "bus traffic (bytes)",
+        sw.bus.bytes,
+        imp.bus.bytes
     );
-    println!(
+    outln!(
         "\nper-message cycles: {} vs {}  (speedup {:.2}x; Impulse removes the\n\
          software gather copy entirely, as Section 6 of the paper suggests)",
         sw.cycles / messages,

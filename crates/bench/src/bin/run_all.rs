@@ -33,6 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use impulse_bench::experiments::{catalog_entries, csv_document, json_document, DEFAULT_SEED};
+use impulse_bench::outln;
 use impulse_bench::runner::{self, usage_exit, CommonArgs};
 use impulse_sim::Machine;
 
@@ -91,7 +92,7 @@ fn main() -> ExitCode {
     let mut jf = std::fs::File::create(&json_path).expect("create JSON report");
     writeln!(jf, "{doc:#}").expect("write JSON report");
 
-    println!(
+    outln!(
         "wrote {} experiment rows to {path} and full reports to {json_path} \
          ({jobs} jobs, {:.2}s wall)",
         reports.len(),

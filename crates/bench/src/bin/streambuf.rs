@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use impulse_bench::{runner::usage_exit, Args};
+use impulse_bench::{outln, runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
 use impulse_workloads::{Diagonal, DiagonalVariant, Smvp, SmvpVariant, SparsePattern};
@@ -84,20 +84,23 @@ fn main() {
     let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
     let _ = PAGE_SIZE;
 
-    println!("\n================================================================");
-    println!("Stream buffers vs Impulse (paper §5)");
-    println!("================================================================");
+    outln!("\n================================================================");
+    outln!("Stream buffers vs Impulse (paper §5)");
+    outln!("================================================================");
 
-    println!("\n--- regular: diagonal walk of a {n}x{n} matrix (4 passes) ---");
+    outln!("\n--- regular: diagonal walk of a {n}x{n} matrix (4 passes) ---");
     let conv = diagonal_plain(n, 4, DiagonalVariant::Conventional);
     let stream = diagonal_with_streams(n, 4);
     let imp = diagonal_plain(n, 4, DiagonalVariant::Remapped);
-    println!(
+    outln!(
         "{:<30}{:>12}{:>10}{:>14}",
-        "system", "cycles", "speedup", "bus bytes"
+        "system",
+        "cycles",
+        "speedup",
+        "bus bytes"
     );
     for r in [&conv, &stream, &imp] {
-        println!(
+        outln!(
             "{:<30}{:>12}{:>10.2}{:>14}",
             r.name,
             r.cycles,
@@ -105,12 +108,12 @@ fn main() {
             r.bus.bytes
         );
     }
-    println!(
+    outln!(
         "(stream buffers hide latency but still move {}x the bytes Impulse does)",
         stream.bus.bytes / imp.bus.bytes.max(1)
     );
 
-    println!("\n--- irregular: CG SMVP, n={rows}, ~{nnz} nnz/row ---");
+    outln!("\n--- irregular: CG SMVP, n={rows}, ~{nnz} nnz/row ---");
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, 0x5ca1e));
     let base = smvp(
         &pattern,
@@ -133,16 +136,19 @@ fn main() {
         true,
         "impulse scatter/gather + pf",
     );
-    println!(
+    outln!(
         "{:<30}{:>12}{:>10}{:>12}",
-        "system", "cycles", "speedup", "stream hits"
+        "system",
+        "cycles",
+        "speedup",
+        "stream hits"
     );
     for (r, hits) in [
         (&base, 0u64),
         (&with_stream, with_stream.mem.stream_loads),
         (&impulse, 0),
     ] {
-        println!(
+        outln!(
             "{:<30}{:>12}{:>10.2}{:>12}",
             r.name,
             r.cycles,
@@ -150,7 +156,7 @@ fn main() {
             hits
         );
     }
-    println!(
+    outln!(
         "(stream buffers accelerate only the regular DATA/COLUMN streams; the\n\
          irregular x accesses — the bottleneck — are untouched, while Impulse\n\
          gathers them at the controller)"

@@ -5,7 +5,7 @@
 //!
 //! Overrides: `regions=`, `pages=`, `rounds=`.
 
-use impulse_bench::{runner::usage_exit, Args};
+use impulse_bench::{outln, runner::usage_exit, Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{TlbStress, TlbVariant};
 
@@ -42,35 +42,42 @@ fn main() {
     let sp = run(regions, pages, rounds, TlbVariant::Superpages);
     let auto = run_auto(regions, pages, rounds, 32);
 
-    println!("\n================================================================");
-    println!(
-        "Superpages via shadow remapping — {regions} regions × {pages} pages, {rounds} sweeps"
-    );
-    println!(
+    outln!("\n================================================================");
+    outln!("Superpages via shadow remapping — {regions} regions × {pages} pages, {rounds} sweeps");
+    outln!(
         "(working set {} pages vs. a 120-entry TLB)",
         regions * pages
     );
-    println!("================================================================");
-    println!(
+    outln!("================================================================");
+    outln!(
         "{:<26}{:>16}{:>20}{:>20}",
-        "", "base pages", "impulse superpgs", "online promotion"
+        "",
+        "base pages",
+        "impulse superpgs",
+        "online promotion"
     );
-    println!(
+    outln!(
         "{:<26}{:>16}{:>20}{:>20}",
-        "cycles", base.cycles, sp.cycles, auto.cycles
+        "cycles",
+        base.cycles,
+        sp.cycles,
+        auto.cycles
     );
-    println!(
+    outln!(
         "{:<26}{:>16}{:>20}{:>20}",
-        "TLB miss penalties", base.mem.tlb_penalties, sp.mem.tlb_penalties, auto.mem.tlb_penalties
+        "TLB miss penalties",
+        base.mem.tlb_penalties,
+        sp.mem.tlb_penalties,
+        auto.mem.tlb_penalties
     );
-    println!(
+    outln!(
         "{:<26}{:>15.1}%{:>19.1}%{:>19.1}%",
         "TLB hit ratio",
         100.0 * base.tlb.hit_ratio(),
         100.0 * sp.tlb.hit_ratio(),
         100.0 * auto.tlb.hit_ratio()
     );
-    println!(
+    outln!(
         "\nspeedup: {:.2}x manual, {:.2}x online   (paper reports 5–20% on\n\
          SPECint95; this microbenchmark isolates the TLB effect, so the gain\n\
          is larger — and the online policy pays its one-time promotion cost\n\

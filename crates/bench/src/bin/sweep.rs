@@ -20,6 +20,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use impulse_bench::outln;
 use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
 use impulse_dram::SchedulePolicy;
 use impulse_sim::{Machine, Report, SystemConfig};
@@ -36,10 +37,13 @@ fn run(cfg: &SystemConfig, pattern: &Arc<SparsePattern>) -> Report {
 }
 
 fn header(title: &str) {
-    println!("\n--- {title} ---");
-    println!(
+    outln!("\n--- {title} ---");
+    outln!(
         "{:<22}{:>14}{:>12}{:>14}",
-        "setting", "cycles", "avg load", "desc buf hits"
+        "setting",
+        "cycles",
+        "avg load",
+        "desc buf hits"
     );
 }
 
@@ -67,13 +71,13 @@ fn main() -> ExitCode {
         parsed.unwrap_or_else(|e| usage_exit(e, USAGE));
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, seed));
 
-    println!("================================================================");
-    println!(
+    outln!("================================================================");
+    outln!(
         "Impulse design-choice sweeps — scatter/gather CG, n={rows}, nnz={}",
         pattern.nnz()
     );
-    println!("(controller prefetch on; each sweep varies one parameter)");
-    println!("================================================================");
+    outln!("(controller prefetch on; each sweep varies one parameter)");
+    outln!("================================================================");
 
     let base = SystemConfig::paint().with_prefetch(true, false);
 
@@ -172,7 +176,7 @@ fn main() -> ExitCode {
     for (title, rows) in &sections {
         header(title);
         for _ in rows {
-            println!("{}", lines.next().expect("one line per grid point"));
+            outln!("{}", lines.next().expect("one line per grid point"));
         }
     }
 
@@ -181,13 +185,16 @@ fn main() -> ExitCode {
     // tile remapping does not." Sweep the tile size and compare the
     // *overhead* each scheme pays on top of the compute-identical
     // conventional load stream.
-    println!(
+    outln!(
         "
 --- tile size vs copy/remap overhead (paper §4.2 claim) ---"
     );
-    println!(
+    outln!(
         "{:<12}{:>16}{:>18}{:>18}",
-        "tile", "conv (Mcyc)", "copy ovh (Mcyc)", "remap ovh (Mcyc)"
+        "tile",
+        "conv (Mcyc)",
+        "copy ovh (Mcyc)",
+        "remap ovh (Mcyc)"
     );
     let tiles = [16u64, 32, 64];
     let points: Vec<_> = tiles
@@ -209,7 +216,7 @@ fn main() -> ExitCode {
         // compute floor. Copy overhead grows with tile²; remap overhead
         // is flat per-tile.
         let floor = cycles[2].min(cycles[1]);
-        println!(
+        outln!(
             "{:<12}{:>16.2}{:>18.2}{:>18.2}",
             format!("{tile}x{tile}"),
             cycles[0] as f64 / 1e6,
@@ -217,6 +224,6 @@ fn main() -> ExitCode {
             (cycles[2].saturating_sub(floor)) as f64 / 1e6,
         );
     }
-    println!();
+    outln!();
     ExitCode::SUCCESS
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use impulse_bench::{
-    print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
+    outln, print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
 };
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{CgBenchmark, Smvp, SmvpVariant, SparsePattern};
@@ -228,7 +228,7 @@ fn main() {
 
     // The paper's headline claim.
     let sg_pf = &sections[1].reports[1];
-    println!(
+    outln!(
         "headline: scatter/gather + controller prefetch speedup = {:.2} (paper: 1.67)",
         sg_pf.speedup_over(&baseline)
     );

@@ -6,7 +6,7 @@
 //! `--paper` runs the paper's 512 × 512. Overrides: `n=`, `tile=`.
 
 use impulse_bench::{
-    print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
+    outln, print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
 };
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Mmp, MmpParams, MmpVariant};
@@ -174,7 +174,7 @@ fn main() {
 
     let copy = &sections[1].reports[0];
     let remap = &sections[2].reports[0];
-    println!(
+    outln!(
         "headline: copy speedup {:.2} (paper 1.95), remap speedup {:.2} (paper 1.98), remap ≥ copy: {}",
         copy.speedup_over(&baseline),
         remap.speedup_over(&baseline),

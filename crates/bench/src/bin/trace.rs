@@ -26,11 +26,11 @@
 //! trace top <capture.trace> [k=N]
 //! ```
 
-use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 use impulse_bench::experiments::{run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
+use impulse_bench::outln;
 use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
 use impulse_core::flight::{self, Capture};
 use impulse_obs::Json;
@@ -59,21 +59,6 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Runs `body` against a locked stdout. A reader that closes the pipe
-/// early (`trace dump <capture> | head`) ends the command quietly with
-/// success; any other write error fails it.
-fn with_stdout(body: impl FnOnce(&mut io::StdoutLock<'_>) -> io::Result<ExitCode>) -> ExitCode {
-    let mut out = io::stdout().lock();
-    match body(&mut out).and_then(|code| out.flush().map(|()| code)) {
-        Ok(code) => code,
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: write to stdout: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn load_capture(path: &str) -> Result<Capture, String> {
@@ -186,7 +171,7 @@ fn cmd_record(args: &[String]) -> ExitCode {
     let heatmap_path = Path::new(&dir).join("heatmap.json");
     std::fs::write(&heatmap_path, format!("{heat_doc:#}\n")).expect("write heatmap");
 
-    println!(
+    outln!(
         "recorded {captures} captures to {dir} (seed={seed:#x}, flight={flight_cap}, {jobs} jobs)"
     );
     let mut all: Vec<&str> = artifact_paths.iter().map(String::as_str).collect();
@@ -208,43 +193,44 @@ fn cmd_dump(args: &[String]) -> ExitCode {
         }
     };
     let bytes = std::fs::read(path).expect("file read once already");
-    with_stdout(|out| {
-        writeln!(out, "capture {path}")?;
-        writeln!(
-            out,
-            "  geometry: line={} B, banks={}, row={} B",
-            cap.geom.line_bytes, cap.geom.banks, cap.geom.row_bytes
-        )?;
-        writeln!(
-            out,
-            "  events: {} held, {} recorded, {} overwritten",
-            cap.events.len(),
-            cap.recorded,
-            cap.overwritten
-        )?;
-        writeln!(out, "  digest: {:#018x}", flight::digest(&bytes))?;
-        writeln!(
-            out,
-            "\n{:>12}  {:>14}  {:>5}  {:>8}  {:<16}  {:>4}",
-            "cycle", "line", "bank", "row", "class", "desc"
-        )?;
-        for e in cap.events.iter().take(limit) {
-            writeln!(
-                out,
-                "{:>12}  {:>#14x}  {:>5}  {:>8}  {:<16}  {:>4}",
-                e.cycle,
-                e.line,
-                e.bank,
-                e.row,
-                e.class.name(),
-                e.desc.map_or("-".to_string(), |d| d.to_string()),
-            )?;
-        }
-        if cap.events.len() > limit {
-            writeln!(out, "... {} more (limit={limit})", cap.events.len() - limit)?;
-        }
-        Ok(ExitCode::SUCCESS)
-    })
+    outln!("capture {path}");
+    outln!(
+        "  geometry: line={} B, banks={}, row={} B",
+        cap.geom.line_bytes,
+        cap.geom.banks,
+        cap.geom.row_bytes
+    );
+    outln!(
+        "  events: {} held, {} recorded, {} overwritten",
+        cap.events.len(),
+        cap.recorded,
+        cap.overwritten
+    );
+    outln!("  digest: {:#018x}", flight::digest(&bytes));
+    outln!(
+        "\n{:>12}  {:>14}  {:>5}  {:>8}  {:<16}  {:>4}",
+        "cycle",
+        "line",
+        "bank",
+        "row",
+        "class",
+        "desc"
+    );
+    for e in cap.events.iter().take(limit) {
+        outln!(
+            "{:>12}  {:>#14x}  {:>5}  {:>8}  {:<16}  {:>4}",
+            e.cycle,
+            e.line,
+            e.bank,
+            e.row,
+            e.class.name(),
+            e.desc.map_or("-".to_string(), |d| d.to_string()),
+        );
+    }
+    if cap.events.len() > limit {
+        outln!("... {} more (limit={limit})", cap.events.len() - limit);
+    }
+    ExitCode::SUCCESS
 }
 
 fn cmd_diff(args: &[String]) -> ExitCode {
@@ -280,22 +266,19 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             b.events.len()
         ));
     }
-    with_stdout(|out| {
-        if diffs.is_empty() {
-            writeln!(
-                out,
-                "identical: {} events, digest {:#018x}",
-                a.events.len(),
-                flight::digest(&a.encode())
-            )?;
-            return Ok(ExitCode::SUCCESS);
-        }
-        writeln!(out, "captures differ:")?;
-        for d in &diffs {
-            writeln!(out, "  {d}")?;
-        }
-        Ok(ExitCode::FAILURE)
-    })
+    if diffs.is_empty() {
+        outln!(
+            "identical: {} events, digest {:#018x}",
+            a.events.len(),
+            flight::digest(&a.encode())
+        );
+        return ExitCode::SUCCESS;
+    }
+    outln!("captures differ:");
+    for d in &diffs {
+        outln!("  {d}");
+    }
+    ExitCode::FAILURE
 }
 
 fn cmd_top(args: &[String]) -> ExitCode {
@@ -308,31 +291,29 @@ fn cmd_top(args: &[String]) -> ExitCode {
         }
     };
     let top = flight::exact_top(&cap.events);
-    with_stdout(|out| {
-        writeln!(
-            out,
-            "top {} of {} unique lines ({} events held)",
-            k.min(top.len()),
-            top.len(),
-            cap.events.len()
-        )?;
-        writeln!(
-            out,
-            "{:>14}  {:>8}  {:>5}  {:>8}",
-            "line", "count", "bank", "row"
-        )?;
-        for &(line, count) in top.iter().take(k) {
-            writeln!(
-                out,
-                "{:>#14x}  {:>8}  {:>5}  {:>8}",
-                line,
-                count,
-                cap.geom.bank_of(line),
-                cap.geom.row_of(line)
-            )?;
-        }
-        Ok(ExitCode::SUCCESS)
-    })
+    outln!(
+        "top {} of {} unique lines ({} events held)",
+        k.min(top.len()),
+        top.len(),
+        cap.events.len()
+    );
+    outln!(
+        "{:>14}  {:>8}  {:>5}  {:>8}",
+        "line",
+        "count",
+        "bank",
+        "row"
+    );
+    for &(line, count) in top.iter().take(k) {
+        outln!(
+            "{:>#14x}  {:>8}  {:>5}  {:>8}",
+            line,
+            count,
+            cap.geom.bank_of(line),
+            cap.geom.row_of(line)
+        );
+    }
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {

@@ -20,6 +20,7 @@
 pub mod chaos;
 pub mod experiments;
 pub mod harness;
+pub mod out;
 pub mod runner;
 pub mod tier_chaos;
 
@@ -28,9 +29,9 @@ use impulse_sim::Report;
 /// Prints the paths of every artifact a binary wrote, one per line, as
 /// the last thing before exit — no bench binary writes files silently.
 pub fn print_artifacts(paths: &[&str]) {
-    println!("artifacts:");
+    outln!("artifacts:");
     for p in paths {
-        println!("  {p}");
+        outln!("  {p}");
     }
 }
 
@@ -79,31 +80,31 @@ pub struct PaperRow {
 /// available. `baseline` is the conventional/no-prefetch report that
 /// speedups are computed against.
 pub fn print_table(title: &str, sections: &[TableSection], baseline: &Report) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("================================================================");
+    outln!("\n================================================================");
+    outln!("{title}");
+    outln!("================================================================");
     for section in sections {
-        println!("\n--- {} ---", section.title);
-        print!("{:<26}", "");
+        outln!("\n--- {} ---", section.title);
+        out!("{:<26}", "");
         for (_, _, label) in PREFETCH_COLUMNS {
-            print!("{label:>12}");
+            out!("{label:>12}");
         }
-        println!();
+        outln!();
 
         let row = |name: &str, f: &dyn Fn(&Report) -> String| {
-            print!("{name:<26}");
+            out!("{name:<26}");
             for r in &section.reports {
-                print!("{:>12}", f(r));
+                out!("{:>12}", f(r));
             }
-            println!();
+            outln!();
         };
         let paper_row = |name: &str, f: &dyn Fn(&PaperRow) -> String| {
             if let Some(p) = &section.paper {
-                print!("{name:<26}");
+                out!("{name:<26}");
                 for pr in p {
-                    print!("{:>12}", f(pr));
+                    out!("{:>12}", f(pr));
                 }
-                println!();
+                outln!();
             }
         };
 
@@ -136,7 +137,7 @@ pub fn print_table(title: &str, sections: &[TableSection], baseline: &Report) {
             }
         });
     }
-    println!();
+    outln!();
 }
 
 /// Minimal command-line handling shared by the table and figure

@@ -253,3 +253,30 @@ fn trace_dump_ends_quietly_on_a_closed_pipe() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// A reader that is gone before the first line (`ablation_dram | head
+/// -0`) costs a printing binary its output and nothing else: it runs to
+/// completion and exits 0, with nothing on stderr. `table2` prints
+/// through the shared table printer, `ablation_dram` line by line.
+#[test]
+fn printing_binaries_exit_zero_on_a_closed_pipe() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_ablation_dram"),
+            &["batches=100", "jobs=1"][..],
+        ),
+        (env!("CARGO_BIN_EXE_table2"), &["n=64", "tile=16"][..]),
+    ] {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn binary");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+}

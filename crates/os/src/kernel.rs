@@ -669,6 +669,54 @@ impl Kernel {
         Ok(PRange::new(PAddr::new(start), len))
     }
 
+    /// The tail every remapping system call shares: claims `bytes` of
+    /// shadow space, a controller descriptor serving it with `remap` and
+    /// a grant slot, then runs `install` (the call's page mappings,
+    /// returning the alias and the pages installed). When `install` fails
+    /// it releases all three: the slot empties, the descriptor goes back
+    /// and the shadow bump pointer rewinds, so a failed remap leaks
+    /// nothing. `install` must check everything that can fail before it
+    /// changes a mapping.
+    fn claim_remap(
+        &mut self,
+        mc: &mut MemController,
+        (bytes, align): (u64, u64),
+        kind: &'static str,
+        remap: impl FnOnce(PRange) -> RemapFn,
+        install: impl FnOnce(&mut Self, &mut MemController, PRange) -> Result<(VRange, u64), OsError>,
+    ) -> Result<RemapGrant, OsError> {
+        let mark = (self.shadow_next, self.stats.shadow_bytes);
+        let rewind = |k: &mut Self| (k.shadow_next, k.stats.shadow_bytes) = mark;
+        let shadow = self.alloc_shadow(bytes, align)?;
+        let desc = match mc.claim_descriptor(shadow, remap(shadow)) {
+            Ok(desc) => desc,
+            Err(e) => {
+                rewind(self);
+                return Err(e.into());
+            }
+        };
+        let handle = self.grant(desc);
+        match install(self, mc, shadow) {
+            Ok((alias, pages)) => {
+                self.stats.remap_syscalls += 1;
+                Ok(RemapGrant {
+                    alias,
+                    shadow,
+                    desc,
+                    kind,
+                    pages_installed: pages,
+                    handle,
+                })
+            }
+            Err(e) => {
+                self.grants[handle.slot as usize].grant = None;
+                mc.release_descriptor(desc)?;
+                rewind(self);
+                Err(e)
+            }
+        }
+    }
+
     /// Real DRAM frame backing a mapped virtual page.
     fn frame_of(&self, v: VAddr) -> Result<MAddr, OsError> {
         let p = self
@@ -679,6 +727,15 @@ impl Kernel {
             return Err(OsError::TargetNotPhysical(v));
         }
         Ok(MAddr::new(p.raw()))
+    }
+
+    /// Checks that a DRAM frame backs each of the `range.page_count()`
+    /// pages of `range`, so a call can fail before it changes a mapping.
+    fn check_backed(&self, range: VRange) -> Result<(), OsError> {
+        range
+            .blocks(PAGE_SIZE)
+            .take(range.page_count() as usize)
+            .try_for_each(|page| self.frame_of(page).map(drop))
     }
 
     /// Downloads controller page mappings for every *mapped* page in
@@ -830,31 +887,27 @@ impl Kernel {
             .checked_mul(elem_size)
             .map(|b| round_up(b, line))
             .ok_or(OsError::InvalidArg("gather image size overflows"))?;
-        let shadow = self.alloc_shadow(image_bytes, PAGE_SIZE)?;
-
-        let remap = RemapFn::gather(
-            PvAddr::new(target.start().raw()),
-            elem_size,
-            indices,
-            PvAddr::new(index_region.start().raw()),
-            index_bytes,
-        );
-        let desc = mc.claim_descriptor(shadow, remap)?;
-        let handle = self.grant(desc);
-        let mut pages = self.download_target_pages(mc, target.start(), target.len())?;
-        pages += self.download_target_pages(mc, index_region.start(), index_region.len())?;
-        let alias = self.map_alias(shadow, alias_align.max(PAGE_SIZE), alias_phase)?;
-        pages += alias.page_count();
-
-        self.stats.remap_syscalls += 1;
-        Ok(RemapGrant {
-            alias,
-            shadow,
-            desc,
-            kind: "gather",
-            pages_installed: pages,
-            handle,
-        })
+        let remap = |_| {
+            RemapFn::gather(
+                PvAddr::new(target.start().raw()),
+                elem_size,
+                indices,
+                PvAddr::new(index_region.start().raw()),
+                index_bytes,
+            )
+        };
+        self.claim_remap(
+            mc,
+            (image_bytes, PAGE_SIZE),
+            "gather",
+            remap,
+            |k, mc, shadow| {
+                let mut pages = k.download_target_pages(mc, target.start(), target.len())?;
+                pages += k.download_target_pages(mc, index_region.start(), index_region.len())?;
+                let alias = k.map_alias(shadow, alias_align.max(PAGE_SIZE), alias_phase)?;
+                Ok((alias, pages + alias.page_count()))
+            },
+        )
     }
 
     /// System call: strided remapping. Packs `count` objects of
@@ -880,24 +933,18 @@ impl Kernel {
             .checked_mul(object_size)
             .map(|b| round_up(b, line))
             .ok_or(OsError::InvalidArg("strided image size overflows"))?;
-        let shadow = self.alloc_shadow(image_bytes, PAGE_SIZE)?;
-
-        let remap = RemapFn::strided(PvAddr::new(base.raw()), object_size, stride);
-        let desc = mc.claim_descriptor(shadow, remap)?;
-        let handle = self.grant(desc);
-        let mut pages = self.download_target_pages(mc, base, span)?;
-        let alias = self.map_alias(shadow, alias_align, 0)?;
-        pages += alias.page_count();
-
-        self.stats.remap_syscalls += 1;
-        Ok(RemapGrant {
-            alias,
-            shadow,
-            desc,
-            kind: "strided",
-            pages_installed: pages,
-            handle,
-        })
+        let remap = |_| RemapFn::strided(PvAddr::new(base.raw()), object_size, stride);
+        self.claim_remap(
+            mc,
+            (image_bytes, PAGE_SIZE),
+            "strided",
+            remap,
+            |k, mc, shadow| {
+                let pages = k.download_target_pages(mc, base, span)?;
+                let alias = k.map_alias(shadow, alias_align, 0)?;
+                Ok((alias, pages + alias.page_count()))
+            },
+        )
     }
 
     /// Retargets an existing strided grant at a new base address (e.g.
@@ -1000,39 +1047,33 @@ impl Kernel {
             .ok_or(OsError::InvalidArg("recolor region size overflows"))?;
         // Align the shadow region to a full color cycle so that page k of
         // the region has color k mod l2_colors.
-        let shadow = self.alloc_shadow(region_bytes, nc * PAGE_SIZE)?;
-
-        let pv_base = PvAddr::new(shadow.start().raw());
-        let desc = mc.claim_descriptor(shadow, RemapFn::direct(pv_base))?;
-        let handle = self.grant(desc);
-
-        let alias = self.aspace_mut().reserve(n * PAGE_SIZE, PAGE_SIZE);
-        let mut pages = 0;
-        for (i, (alias_page, target_page)) in alias
-            .blocks(PAGE_SIZE)
-            .zip(target.blocks(PAGE_SIZE))
-            .enumerate()
-        {
-            let i = i as u64;
-            let color = colors[(i % colors.len() as u64) as usize];
-            let slot = (i / colors.len() as u64) * nc + color;
-            let shadow_page = shadow.start().add(slot * PAGE_SIZE);
-            debug_assert_eq!(shadow_page.page_number() % nc, color);
-            self.aspace_mut().map_page(alias_page, shadow_page)?;
-            let frame = self.frame_of(target_page)?;
-            mc.map_page(pv_base.add(slot * PAGE_SIZE).raw() >> PAGE_SHIFT, frame);
-            pages += 2;
-        }
-        self.stats.controller_pages += n;
-        self.stats.remap_syscalls += 1;
-        Ok(RemapGrant {
-            alias,
-            shadow,
-            desc,
-            kind: "direct",
-            pages_installed: pages,
-            handle,
-        })
+        let direct = |shadow: PRange| RemapFn::direct(PvAddr::new(shadow.start().raw()));
+        self.claim_remap(
+            mc,
+            (region_bytes, nc * PAGE_SIZE),
+            "direct",
+            direct,
+            |k, mc, shadow| {
+                k.check_backed(target)?;
+                let alias = k.aspace_mut().reserve(n * PAGE_SIZE, PAGE_SIZE);
+                for (i, (alias_page, target_page)) in alias
+                    .blocks(PAGE_SIZE)
+                    .zip(target.blocks(PAGE_SIZE))
+                    .enumerate()
+                {
+                    let i = i as u64;
+                    let color = colors[(i % colors.len() as u64) as usize];
+                    let slot = (i / colors.len() as u64) * nc + color;
+                    let shadow_page = shadow.start().add(slot * PAGE_SIZE);
+                    debug_assert_eq!(shadow_page.page_number() % nc, color);
+                    k.aspace_mut().map_page(alias_page, shadow_page)?;
+                    let frame = k.frame_of(target_page)?;
+                    mc.map_page(shadow_page.raw() >> PAGE_SHIFT, frame);
+                }
+                k.stats.controller_pages += n;
+                Ok((alias, 2 * n))
+            },
+        )
     }
 
     /// System call: build a superpage. Re-points the virtual pages of
@@ -1060,31 +1101,26 @@ impl Kernel {
         let span_bytes = span
             .checked_mul(PAGE_SIZE)
             .ok_or(OsError::InvalidArg("superpage span overflows"))?;
-        let shadow = self.alloc_shadow(span_bytes, span_bytes)?;
-        let pv_base = PvAddr::new(shadow.start().raw());
-        let desc = mc.claim_descriptor(shadow, RemapFn::direct(pv_base))?;
-        let handle = self.grant(desc);
-
-        let mut pages = 0;
-        for (i, target_page) in target.blocks(PAGE_SIZE).enumerate() {
-            let i = i as u64;
-            let frame = self.frame_of(target_page)?;
-            let shadow_page = shadow.start().add(i * PAGE_SIZE);
-            self.aspace_mut().remap_page(target_page, shadow_page)?;
-            mc.map_page(pv_base.add(i * PAGE_SIZE).raw() >> PAGE_SHIFT, frame);
-            pages += 2;
-        }
-        self.procs[self.current].superpages.push((base_vpage, span));
-        self.stats.controller_pages += n;
-        self.stats.remap_syscalls += 1;
-        Ok(RemapGrant {
-            alias: target,
-            shadow,
-            desc,
-            kind: "superpage",
-            pages_installed: pages,
-            handle,
-        })
+        let direct = |shadow: PRange| RemapFn::direct(PvAddr::new(shadow.start().raw()));
+        self.claim_remap(
+            mc,
+            (span_bytes, span_bytes),
+            "superpage",
+            direct,
+            |k, mc, shadow| {
+                k.check_backed(target)?;
+                for (target_page, shadow_page) in
+                    target.blocks(PAGE_SIZE).zip(shadow.blocks(PAGE_SIZE))
+                {
+                    let frame = k.frame_of(target_page)?;
+                    k.aspace_mut().remap_page(target_page, shadow_page)?;
+                    mc.map_page(shadow_page.raw() >> PAGE_SHIFT, frame);
+                }
+                k.procs[k.current].superpages.push((base_vpage, span));
+                k.stats.controller_pages += n;
+                Ok((target, 2 * n))
+            },
+        )
     }
 
     /// Revokes a grant: the owner's handle and **every** receiver alias

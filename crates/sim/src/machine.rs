@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use impulse_os::{Kernel, OsError, Pid, RemapGrant, RevokeOutcome};
-use impulse_types::geom::PAGE_SIZE;
+use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
 use impulse_types::ident::digest64;
 use impulse_types::snap::{open, seal, SnapError, SnapReader, SnapWriter};
 use impulse_types::{Cycle, PAddr, VAddr, VRange};
@@ -64,6 +64,31 @@ enum LineOp {
     Flush,
     /// Invalidate without writeback, in both caches.
     Purge,
+}
+
+/// The (object, block) pairs of `n` objects of `size` bytes, `stride`
+/// bytes apart, the first starting `offset` bytes into an L1 block of
+/// `line` bytes: object `k` at `x` spans `⌊(x + size + line − 1)/line⌋ −
+/// ⌊x/line⌋` blocks, and both sums over `k` are floor sums.
+fn run_blocks(n: u64, line: u64, offset: u64, size: u64, stride: u64) -> u64 {
+    floor_sum(n, line, stride, offset + size + line - 1) - floor_sum(n, line, stride, offset)
+}
+
+/// `Σ ⌊(a·k + b)/m⌋` over `k` in `0..n`, in O(log m) steps: whole
+/// multiples of `m` come out of `a` and `b` in closed form, and the
+/// remainder is the same sum with the roles of `a` and `m` swapped.
+fn floor_sum(mut n: u64, mut m: u64, mut a: u64, mut b: u64) -> u64 {
+    let mut sum = 0;
+    while n > 0 {
+        sum += n * (n - 1) / 2 * (a / m) + n * (b / m);
+        (a, b) = (a % m, b % m);
+        let y = a * n + b;
+        if y < m {
+            break;
+        }
+        (n, b, m, a) = (y / m, y % m, a, m);
+    }
+    sum
 }
 
 /// Snapshot section tag for [`Machine`] (`"MACH"`).
@@ -429,35 +454,98 @@ impl Machine {
     /// that block again: nothing touched it in between, so a second flush
     /// or purge would find it in neither cache. The charge still counts
     /// the block.
+    ///
+    /// A walk over more blocks than the two caches hold lines first
+    /// collects the bus pages they hold any line of, and probes only the
+    /// mapped pages in that set; the blocks of every other mapped page are
+    /// charged without a probe, a page's whole run of objects at once.
+    /// This is exact: processing a block adds no line anywhere (a dirty
+    /// L1 line's writeback updates an L2 line only if one is present, and
+    /// that line is flushed next), so a page with no cached line when the
+    /// walk starts has none when the walk reaches it, and every probe
+    /// skipped would have found nothing. Shorter walks probe every mapped
+    /// page.
     fn walk_region(&mut self, base: VAddr, size: u64, stride: u64, count: u64, op: LineOp) {
         let t = self.kernel.config().costs.t_per_flush_line;
         let line = self.ms.l1().config().line;
-        // The page last translated and its bus base (`None`: unmapped).
-        let (mut vpage, mut pbase) = (u64::MAX, None);
+        let (l1, l2) = (self.ms.l1(), self.ms.l2());
+        let held = l1.config().size / line + l2.config().size / l2.config().line;
+        // The first object's blocks, times the objects.
+        let visits = count.saturating_mul((base.raw() % line + size).div_ceil(line));
+        let cached = (visits > held).then(|| {
+            let mut pages: Vec<u64> = l1
+                .cached_lines()
+                .chain(l2.cached_lines())
+                .map(PAddr::page_number)
+                .collect();
+            pages.sort_unstable();
+            pages.dedup();
+            pages
+        });
+        // The page last translated, whether it is mapped, and the bus base
+        // to probe its blocks at (`None`: its blocks are not probed).
+        let (mut vpage, mut mapped, mut probe) = (u64::MAX, false, None);
         let mut last = u64::MAX;
-        for i in 0..count {
+        let mut i = 0;
+        while i < count {
+            let start = base.raw() + i * stride;
+            let end = start + size;
+            let first = start & !(line - 1);
+            let mut v = first;
             let mut lines = 0;
-            for v in VRange::new(base.add(i * stride), size).blocks(line) {
-                if v.page_number() != vpage {
-                    vpage = v.page_number();
-                    pbase = self.kernel.aspace().try_translate(v.page_base());
+            while v < end {
+                if v >> PAGE_SHIFT != vpage {
+                    vpage = v >> PAGE_SHIFT;
+                    let pbase = self
+                        .kernel
+                        .aspace()
+                        .try_translate(VAddr::new(vpage << PAGE_SHIFT));
+                    mapped = pbase.is_some();
+                    probe = pbase.filter(|p| {
+                        cached
+                            .as_ref()
+                            .is_none_or(|c| c.binary_search(&p.page_number()).is_ok())
+                    });
                 }
-                let Some(pbase) = pbase else { continue };
-                lines += 1;
-                if v.raw() == last {
-                    continue;
-                }
-                last = v.raw();
-                let p = pbase.add(v.page_offset());
-                match op {
-                    LineOp::Flush => {
-                        self.ms.flush_line(v, p, self.now);
+                let page_end = (vpage + 1) << PAGE_SHIFT;
+                if let Some(pbase) = probe {
+                    while v < end.min(page_end) {
+                        lines += 1;
+                        if v != last {
+                            last = v;
+                            let va = VAddr::new(v);
+                            let p = pbase.add(va.page_offset());
+                            match op {
+                                LineOp::Flush => {
+                                    self.ms.flush_line(va, p, self.now);
+                                }
+                                LineOp::Purge => self.ms.purge_line(va, p),
+                            }
+                        }
+                        v += line;
                     }
-                    LineOp::Purge => self.ms.purge_line(v, p),
+                } else if v == first && end <= page_end {
+                    // This object and the objects after it that end in the
+                    // same page: charged at once, never probed.
+                    let n = (page_end - end)
+                        .checked_div(stride)
+                        .map_or(u64::MAX, |k| k + 1)
+                        .min(count - i);
+                    if mapped {
+                        lines = run_blocks(n, line, start - first, size, stride);
+                    }
+                    i += n - 1;
+                    break;
+                } else {
+                    if mapped {
+                        lines += (end.min(page_end) - v).div_ceil(line);
+                    }
+                    v = page_end;
                 }
             }
             self.now += lines * t;
             self.syscall_cycles += lines * t;
+            i += 1;
         }
     }
 
@@ -1305,6 +1393,26 @@ mod tests {
     }
 
     #[test]
+    fn run_blocks_counts_every_object_block_pair() {
+        for (line, size, stride) in [
+            (32u64, 1, 4),
+            (32, 0, 1),
+            (32, 16, 20),
+            (32, 64, 72),
+            (128, 8, 2056),
+        ] {
+            for offset in [0, 1, line - 1] {
+                let mut pairs = 0;
+                for n in 1..40 {
+                    let x = offset + (n - 1) * stride;
+                    pairs += (x + size).div_ceil(line) - x / line;
+                    assert_eq!(run_blocks(n, line, offset, size, stride), pairs);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn region_walker_matches_the_per_line_loops() {
         let cfg = SystemConfig::paint_small().with_mshr(4);
         let build = || {
@@ -1312,13 +1420,23 @@ mod tests {
             let a = m.alloc_region(8 * PAGE_SIZE, PAGE_SIZE).unwrap();
             let b = m.alloc_region(4 * PAGE_SIZE, 16 * PAGE_SIZE).unwrap();
             let image = m.alloc_region(4096 * 4, 128).unwrap();
-            (m, a, b, image)
+            // 4 MB, and a page past an unmapped gap after it.
+            let big = m.alloc_region(4 << 20, PAGE_SIZE).unwrap();
+            let fence = m.alloc_region(PAGE_SIZE, 8 << 20).unwrap();
+            (m, [a, b, image, big, fence])
         };
-        let (mut old, a, b, image) = build();
-        let (mut new, ..) = build();
+        let (mut old, [a, b, image, big, fence]) = build();
+        let (mut new, _) = build();
         let hole = a.end().add(PAGE_SIZE);
         assert!(hole < b.start(), "an unmapped gap separates a and b");
         assert!(new.kernel.aspace().try_translate(hole).is_none());
+        assert!(big.end() < fence.start(), "an unmapped gap follows big");
+        assert!(new.kernel.aspace().try_translate(big.end()).is_none());
+        let held = {
+            let (l1, l2) = (new.ms.l1().config(), new.ms.l2().config());
+            l1.size / l1.line + l2.size / l2.line
+        };
+        assert_eq!(held, 3072, "the Paint caches hold 3,072 lines");
 
         // Dirty lines in both caches, then overlapped misses that the
         // flush must drain first.
@@ -1354,6 +1472,25 @@ mod tests {
             );
         };
 
+        // Flushes then purges each range, dirtying the caches with
+        // `dirty` before each, and compares after every step.
+        let walk = |old: &mut Machine,
+                    new: &mut Machine,
+                    r: VRange,
+                    dirty: &dyn Fn(&mut Machine, u64),
+                    round: u64| {
+            dirty(old, round);
+            dirty(new, round);
+            same(old, new, &format!("dirtying {round}"));
+            flush_region_per_line(old, r);
+            new.flush_region(r);
+            same(old, new, &format!("flush of {r:?}"));
+            dirty(old, round + 1);
+            dirty(new, round + 1);
+            purge_region_per_line(old, r);
+            new.purge_region(r);
+            same(old, new, &format!("purge of {r:?}"));
+        };
         let ranges = [
             // Unaligned at both ends, across pages.
             VRange::new(a.start().add(5), 3 * PAGE_SIZE + 77),
@@ -1369,18 +1506,7 @@ mod tests {
             b,
         ];
         for (round, r) in ranges.into_iter().enumerate() {
-            let round = round as u64;
-            dirty(&mut old, round);
-            dirty(&mut new, round);
-            same(&old, &new, &format!("dirtying {round}"));
-            flush_region_per_line(&mut old, r);
-            new.flush_region(r);
-            same(&old, &new, &format!("flush of {r:?}"));
-            dirty(&mut old, round + 1);
-            dirty(&mut new, round + 1);
-            purge_region_per_line(&mut old, r);
-            new.purge_region(r);
-            same(&old, &new, &format!("purge of {r:?}"));
+            walk(&mut old, &mut new, r, &dirty, round as u64);
         }
         let (l1, l2) = (new.ms.l1().stats(), new.ms.l2().stats());
         assert!(
@@ -1388,14 +1514,87 @@ mod tests {
             "flushes wrote back from both caches"
         );
 
-        // Media-shaped: 1-byte objects 4 bytes apart, eight per L1 block;
-        // then overlapping objects that straddle blocks and pages.
+        // Walks over more blocks than the caches hold lines probe only the
+        // pages holding one. Clean lines, dirty L1 lines (a load, then a
+        // store to the same block) and dirty L2-only lines (a store miss
+        // passes the write-around L1) on a few pages of the 4 MB region.
+        let scatter = |m: &mut Machine, round: u64| {
+            for page in [0, 3, 200, 511, 777, 1020, 1023] {
+                let at = |off: u64| {
+                    big.start()
+                        .add(page * PAGE_SIZE + (off + round * 136) % PAGE_SIZE)
+                };
+                m.load(at(0));
+                m.load(at(512));
+                m.store(at(520));
+                m.store(at(2048));
+            }
+        };
+        let blocks = |n: u64| n * new.ms.l1().config().line;
+        let long = [
+            big,
+            // Unaligned, from big's last pages through the gap into fence.
+            VRange::new(
+                big.end().sub(20 * PAGE_SIZE + 7),
+                fence.end().raw() - big.end().raw() + 20 * PAGE_SIZE - 100,
+            ),
+            // Exactly the lines the caches hold (today's loop), then one
+            // block more.
+            VRange::new(big.start(), blocks(held)),
+            VRange::new(big.start().add(1), blocks(held) - 1),
+            VRange::new(big.start(), blocks(held) + 1),
+        ];
+        for (round, r) in long.into_iter().enumerate() {
+            walk(&mut old, &mut new, r, &scatter, round as u64);
+        }
+
+        // A page cached in L1 under another virtual alias, at another set:
+        // the region's own probes miss that L1 line, exactly as before.
+        let mut grants = Vec::new();
+        for m in [&mut old, &mut new] {
+            let g = m
+                .sys_recolor(VRange::new(big.start(), 32 * PAGE_SIZE), &[0, 1, 2, 3])
+                .unwrap();
+            let rx = m.sys_share(&g, Pid::INIT).unwrap();
+            for page in [1, 9, 30] {
+                m.load(g.alias.start().add(page * PAGE_SIZE + 64));
+                m.store(g.alias.start().add(page * PAGE_SIZE + 64));
+                m.load(g.alias.start().add(page * PAGE_SIZE + 1024));
+            }
+            grants.push((g, rx));
+        }
+        // The receiver maps the whole shadow region in order; the owner's
+        // alias maps only the slots of its colors.
+        let (g, rx) = grants[1].clone();
+        let alias_v = g.alias.start().add(9 * PAGE_SIZE + 64);
+        let p = new.translate(alias_v);
+        let v = rx.start().add(p.offset_from(g.shadow.start()));
+        assert_eq!(new.translate(v), p);
+        assert!(new.ms.l1().probe(alias_v, p) && !new.ms.l1().probe(v, p));
+        same(&old, &new, "loads through the alias");
+        flush_region_per_line(&mut old, rx);
+        new.flush_region(rx);
+        same(&old, &new, "flush through the second alias");
+        assert!(new.ms.l1().probe(alias_v, p), "the other set's line stays");
+        for (m, (g, _)) in [&mut old, &mut new].into_iter().zip(&grants) {
+            m.sys_release(g).unwrap();
+        }
+
+        // Media-shaped: 1-byte objects 4 bytes apart, eight per L1 block,
+        // over 16 KB and over 1 MB. Then objects that straddle blocks and
+        // pages, objects whose neighbours share a block, and objects that
+        // straddle a page now and then.
         for (base, size, stride, count) in [
             (image.start().add(1), 1, 4, 4096),
+            (big.start().add(2), 1, 4, 1 << 18),
             (a.start().add(3), 16, 20, 900),
+            (big.start().add(5), 64, 72, 5000),
+            (big.start().add(4000), 256, 4100, 900),
         ] {
-            dirty(&mut old, 2);
-            dirty(&mut new, 2);
+            for m in [&mut old, &mut new] {
+                dirty(m, 2);
+                scatter(m, 3);
+            }
             let g_old = remap_strided_per_line(&mut old, base, size, stride, count);
             let g_new = new
                 .sys_remap_strided(base, size, stride, count, PAGE_SIZE)
@@ -1404,8 +1603,10 @@ mod tests {
             same(
                 &old,
                 &new,
-                &format!("strided remap of {size} B every {stride} B"),
+                &format!("strided remap of {count} × {size} B every {stride} B"),
             );
+            old.sys_release(&g_old).unwrap();
+            new.sys_release(&g_new).unwrap();
         }
     }
 

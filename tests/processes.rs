@@ -342,3 +342,59 @@ fn churn_survives_contention_with_typed_errors_only() {
     );
     assert_eq!(m.syscall_failures(), seen.iter().sum::<u64>());
 }
+
+/// A remap that fails after it claimed shadow space and a descriptor
+/// gives both back. Eight failed gathers, as many as the controller has
+/// descriptors, leave room for a gather and a recolor. A failed
+/// superpage, recolor or strided remap leaks nothing either, and the
+/// failed superpage leaves every page on its own frame.
+#[test]
+fn failed_remaps_release_what_they_claimed() {
+    let mut m = machine();
+    let x = m.alloc_region(8 * PAGE_SIZE, PAGE_SIZE).unwrap();
+    let column = m.alloc_region(64 * 4, 4).unwrap();
+    // Three mapped pages at the start of a four-page superpage span.
+    let holed = m.alloc_region(3 * PAGE_SIZE, 4 * PAGE_SIZE).unwrap();
+    let span = VRange::new(holed.start(), 4 * PAGE_SIZE);
+    let unmapped = VRange::new(span.end().add(1 << 30), x.len());
+    let aspace = m.kernel().aspace();
+    assert!(aspace.try_translate(span.end().sub(PAGE_SIZE)).is_none());
+    assert!(aspace.try_translate(unmapped.start()).is_none());
+    let frames: Vec<_> = holed.blocks(PAGE_SIZE).map(|p| m.translate(p)).collect();
+    let indices = Arc::new((0..64u64).map(|i| i * 3).collect::<Vec<_>>());
+    let shadow = m.kernel().stats().shadow_bytes;
+
+    for _ in 0..8 {
+        let e = m
+            .sys_remap_gather(unmapped, 8, indices.clone(), column, 4)
+            .unwrap_err();
+        assert!(matches!(e, OsError::TargetNotPhysical(_)), "{e:?}");
+    }
+    let e = m.sys_superpage(span).unwrap_err();
+    assert!(matches!(e, OsError::TargetNotPhysical(_)), "{e:?}");
+    let e = m.sys_recolor(span, &[0, 1]).unwrap_err();
+    assert!(matches!(e, OsError::TargetNotPhysical(_)), "{e:?}");
+    // The alias alignment is checked after the target pages download.
+    let e = m
+        .sys_remap_strided(x.start(), 8, 64, 16, 3 * PAGE_SIZE)
+        .unwrap_err();
+    assert!(matches!(e, OsError::BadAlignment(_)), "{e:?}");
+    assert_eq!(m.syscall_failures(), 11);
+    assert_eq!(
+        m.kernel().stats().shadow_bytes,
+        shadow,
+        "shadow space leaked"
+    );
+    let after: Vec<_> = holed.blocks(PAGE_SIZE).map(|p| m.translate(p)).collect();
+    assert_eq!(after, frames, "a failed superpage re-pointed pages");
+
+    // Every descriptor is free: all eight can be claimed.
+    m.sys_remap_gather(x, 8, indices, column, 4).unwrap();
+    for _ in 0..7 {
+        m.sys_recolor(x, &[0, 1]).unwrap();
+    }
+    assert_eq!(
+        m.sys_recolor(x, &[0, 1]).unwrap_err(),
+        OsError::Mc(McError::NoFreeDescriptor)
+    );
+}
