@@ -34,15 +34,13 @@ fn bench_addrcalc() {
 
 fn bench_scheduler() {
     let mut g = Group::new("dram_scheduler");
-    let reqs: Vec<MAddr> = (0..16u64)
-        .map(|i| MAddr::new(((i * 2654435761) % (1 << 20)) & !7))
+    let reqs: Vec<(MAddr, u64)> = (0..16u64)
+        .map(|i| (MAddr::new(((i * 2654435761) % (1 << 20)) & !7), 8))
         .collect();
     for policy in SchedulePolicy::ALL {
         g.bench(policy.name(), || {
             let mut dram = Dram::new(DramConfig::default());
-            Scheduler::new(policy)
-                .run_batch(&mut dram, &reqs, AccessKind::Load, 8, 0)
-                .done
+            Scheduler::new(policy).issue(&mut dram, &reqs, AccessKind::Load, 0)
         });
     }
 }

@@ -19,7 +19,8 @@
 //! so the grid fans across a job pool; results print in grid order, so
 //! the output is identical at any `jobs=` value.
 
-use impulse_bench::{outln, runner, Args};
+use impulse_bench::outln;
+use impulse_bench::runner::{self, Args};
 use impulse_dram::{Dram, DramConfig, SchedulePolicy, Scheduler};
 use impulse_types::{AccessKind, MAddr};
 
@@ -35,10 +36,13 @@ impl Rng {
     }
 }
 
+/// One batch of word reads: (address, bytes) per request.
+type Batch = Vec<(MAddr, u64)>;
+
 /// Batches that round-robin `streams` sequential streams. The streams are
 /// spaced a whole bank-rotation apart so they contend for the same banks
 /// with different rows — the worst case for in-order issue.
-fn stream_batches(cfg: &DramConfig, streams: u64, words: u64, batches: u64) -> Vec<Vec<MAddr>> {
+fn stream_batches(cfg: &DramConfig, streams: u64, words: u64, batches: u64) -> Vec<Batch> {
     let bank_rotation = cfg.row_bytes * cfg.banks;
     let mut cursors: Vec<u64> = (0..streams).map(|s| s * 8 * bank_rotation).collect();
     (0..batches)
@@ -48,7 +52,7 @@ fn stream_batches(cfg: &DramConfig, streams: u64, words: u64, batches: u64) -> V
                     let s = (i % streams) as usize;
                     let a = cursors[s];
                     cursors[s] += 8;
-                    MAddr::new(a)
+                    (MAddr::new(a), 8)
                 })
                 .collect()
         })
@@ -57,26 +61,26 @@ fn stream_batches(cfg: &DramConfig, streams: u64, words: u64, batches: u64) -> V
 
 /// Word-grained gather batches over a dense region (several requests per
 /// DRAM row).
-fn gather_batches(rng: &mut Rng, words: u64, span: u64, batches: u64) -> Vec<Vec<MAddr>> {
+fn gather_batches(rng: &mut Rng, words: u64, span: u64, batches: u64) -> Vec<Batch> {
     (0..batches)
         .map(|_| {
             (0..words)
-                .map(|_| MAddr::new((rng.next() % (span / 8)) * 8))
+                .map(|_| (MAddr::new((rng.next() % (span / 8)) * 8), 8))
                 .collect()
         })
         .collect()
 }
 
-fn run(policy: SchedulePolicy, batches: &[Vec<MAddr>]) -> (u64, f64) {
+fn run(policy: SchedulePolicy, batches: &[Batch]) -> (u64, f64) {
     let mut dram = Dram::new(DramConfig {
         banks: 16,
         t_bus_min: 1,
         ..DramConfig::default()
     });
-    let sched = Scheduler::new(policy);
+    let mut sched = Scheduler::new(policy);
     let mut now = 0;
     for b in batches {
-        now = sched.run_batch(&mut dram, b, AccessKind::Load, 8, now).done;
+        now = sched.issue(&mut dram, b, AccessKind::Load, now);
     }
     (now, dram.stats().row_hit_ratio())
 }
@@ -88,10 +92,9 @@ fn main() -> std::process::ExitCode {
     let known = [
         "--paper", "words=", "batches=", "streams=", "seed=", "jobs=",
     ];
-    let parsed = Args::parse(&known).and_then(|args| Ok((args.jobs()?, args)));
-    let (jobs, args) = parsed.unwrap_or_else(|e| runner::usage_exit(e, USAGE));
+    let args = Args::from_env(&known, USAGE);
     let words = args.get("words", 64);
-    let n_batches = args.get("batches", if args.paper { 20_000 } else { 4_000 });
+    let n_batches = args.get("batches", if args.paper() { 20_000 } else { 4_000 });
     let streams = args.get("streams", 4);
     let seed = args.get("seed", 42);
 
@@ -124,7 +127,7 @@ fn main() -> std::process::ExitCode {
                 .map(move |&policy| move || run(policy, batches))
         })
         .collect();
-    let results = runner::run_ordered(grid, jobs);
+    let results = runner::run_ordered(grid, args.jobs());
     let mut results = results.chunks_exact(SchedulePolicy::ALL.len());
 
     for (name, _) in &workloads {

@@ -1,73 +1,65 @@
-//! Chaos/soak harness entry point: runs the workload catalog under
-//! generated fault schedules, asserts the robustness invariants, and
-//! writes `results/chaos.json` (schema `impulse-chaos-v1`).
+//! Fault-suite entry point: runs the scenario table of
+//! [`impulse_bench::chaos`] (the workload catalog under generated fault
+//! schedules, and the hybrid-tier degradation scenarios), asserts the
+//! robustness invariants, and writes `chaos.json` (schema
+//! `impulse-chaos-v2`) and `chaos_tier.json` (schema
+//! `impulse-tier-chaos-v1`) into `dir=`.
 //!
-//! Usage: `chaos [seed=<N>] [jobs=<N>] [out=<path>]`
+//! Usage: `chaos [seed=<N>] [jobs=<N>] [dir=<path>]`
 //!
 //! Cases fan across `jobs=<N>` worker threads; results are gathered in
-//! submission order and every fault is drawn from a seeded per-site
-//! stream, so the JSON output is byte-identical for a fixed seed at any
-//! worker count. Exits nonzero if any invariant was violated; a case
-//! that panics fails the run before anything is written.
+//! submission order and every fault is drawn from the seed, so both
+//! documents are byte-identical for a fixed seed at any worker count.
+//! `dir=` is created before any case runs, so a bad path fails the run
+//! (exit 1) and writes nothing. Exits nonzero if any invariant was
+//! violated, after writing both documents; a case that panics fails the
+//! run before either document is written.
 
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
-use impulse_bench::chaos::{chaos_document, chaos_jobs, cross_case_violations};
-use impulse_bench::outln;
-use impulse_bench::runner::{self, usage_exit, CommonArgs};
+use impulse_bench::runner::Args;
+use impulse_bench::{chaos, out, outln};
 
-const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out=results/chaos.json]";
+const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [dir=results]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg = |prefix: &str, default: &str| -> String {
-        args.iter()
-            .find_map(|a| a.strip_prefix(prefix).map(String::from))
-            .unwrap_or_else(|| default.to_string())
-    };
-    let path = arg("out=", "results/chaos.json");
-    let CommonArgs { jobs, seed, .. } = CommonArgs::parse(&args, 1999, &["seed=", "jobs=", "out="])
-        .unwrap_or_else(|e| usage_exit(e, USAGE));
-    let outcomes = runner::run_ordered(chaos_jobs(seed), jobs);
-
-    outln!(
-        "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
-        "workload",
-        "scenario",
-        "cycles",
-        "ecc.corr",
-        "ecc.det",
-        "bus.tmo",
-        "pgtbl"
-    );
-    for o in &outcomes {
-        outln!(
-            "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
-            o.workload,
-            o.scenario,
-            o.cycles,
-            o.ecc.corrected,
-            o.ecc.detected_double,
-            o.bus.timeouts,
-            o.pgtbl.corruptions
-        );
+    let args = Args::from_env(&["seed=", "jobs=", "dir="], USAGE);
+    let dir = args.path("dir", "results");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("error: create directory {dir}: {e}");
+        return ExitCode::FAILURE;
     }
+    let seed = args.get("seed", 1999);
 
-    let doc = chaos_document(seed, &outcomes);
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
+    let mut paths = Vec::new();
+    let mut violations = Vec::new();
+    for run in chaos::run(seed, args.jobs()) {
+        let columns = run.suite.columns;
+        out!("\n{:<26}", "case");
+        for (header, _) in columns {
+            out!(" {header:>10}");
+        }
+        outln!();
+        for (name, o) in run.names.iter().zip(&run.outcomes) {
+            out!("{name:<26}");
+            for (_, path) in columns {
+                out!(" {:>10}", o.count(path));
+            }
+            outln!();
+        }
+
+        let doc = run.suite.document(seed, &run.outcomes);
+        let path = Path::new(dir).join(run.suite.file).display().to_string();
+        let mut f = std::fs::File::create(&path).expect("create suite document");
+        writeln!(f, "{doc:#}").expect("write suite document");
+        outln!("wrote {path} (seed={seed}, {} cases)", run.outcomes.len());
+        let listed = doc.get("violations").and_then(|v| v.items()).unwrap_or(&[]);
+        violations.extend(listed.iter().filter_map(|v| v.as_str()).map(String::from));
+        paths.push(path);
     }
-    let mut f = std::fs::File::create(&path).expect("create chaos.json");
-    writeln!(f, "{doc:#}").expect("write chaos.json");
-    outln!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
-    impulse_bench::print_artifacts(&[&path]);
-
-    let violations: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| o.violations.iter().cloned())
-        .chain(cross_case_violations(&outcomes))
-        .collect();
+    impulse_bench::print_artifacts(&paths.iter().map(String::as_str).collect::<Vec<_>>());
 
     if violations.is_empty() {
         outln!("all invariants held");

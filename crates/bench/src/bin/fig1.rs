@@ -6,7 +6,7 @@
 //! Prints cycles, bus traffic, useful-byte fraction, and hit ratios for
 //! both systems. Overrides: `n=`, `passes=`.
 
-use impulse_bench::{outln, runner::usage_exit, Args};
+use impulse_bench::{outln, runner::Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Diagonal, DiagonalVariant};
 
@@ -27,8 +27,8 @@ const USAGE: &str = "usage: fig1 [--paper] [n=N] [passes=N]";
 
 fn main() {
     let known = ["--paper", "n=", "passes="];
-    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
-    let n = args.get("n", if args.paper { 4096 } else { 2048 });
+    let args = Args::from_env(&known, USAGE);
+    let n = args.get("n", if args.paper() { 4096 } else { 2048 });
     let passes = args.get("passes", 4);
 
     let conv = run(n, passes, DiagonalVariant::Conventional);

@@ -4,7 +4,7 @@
 //!
 //! Overrides: `buffers=`, `bytes=` (per buffer), `messages=`.
 
-use impulse_bench::{outln, runner::usage_exit, Args};
+use impulse_bench::{outln, runner::Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{IpcGather, IpcVariant};
 
@@ -22,10 +22,10 @@ const USAGE: &str = "usage: ipc [--paper] [buffers=N] [bytes=N] [messages=N]";
 
 fn main() {
     let known = ["--paper", "buffers=", "bytes=", "messages="];
-    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
+    let args = Args::from_env(&known, USAGE);
     let buffers = args.get("buffers", 8);
     let bytes = args.get("bytes", 4096);
-    let messages = args.get("messages", if args.paper { 256 } else { 64 });
+    let messages = args.get("messages", if args.paper() { 256 } else { 64 });
 
     let sw = run(buffers, bytes, messages, IpcVariant::SoftwareGather);
     let imp = run(buffers, bytes, messages, IpcVariant::ImpulseGather);

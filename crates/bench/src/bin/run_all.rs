@@ -34,27 +34,20 @@ use std::time::Instant;
 
 use impulse_bench::experiments::{catalog_entries, csv_document, json_document, DEFAULT_SEED};
 use impulse_bench::outln;
-use impulse_bench::runner::{self, usage_exit, CommonArgs};
+use impulse_bench::runner::{self, Args};
 use impulse_sim::Machine;
 
 const USAGE: &str = "usage: run_all [out=results.csv] [json=results/run_all.json] [jobs=N] \
 [seed=N] [tier=none|flat|cache]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg = |prefix: &str, default: &str| -> String {
-        args.iter()
-            .find_map(|a| a.strip_prefix(prefix).map(String::from))
-            .unwrap_or_else(|| default.to_string())
-    };
-    let known = ["out=", "json=", "jobs=", "seed=", "tier="];
-    let CommonArgs { jobs, seed, tier } =
-        CommonArgs::parse(&args, DEFAULT_SEED, &known).unwrap_or_else(|e| usage_exit(e, USAGE));
-    let path = arg("out=", "results.csv");
-    let json_path = arg("json=", "results/run_all.json");
+    let args = Args::from_env(&["out=", "json=", "jobs=", "seed=", "tier="], USAGE);
+    let (jobs, seed, tier) = (args.jobs(), args.get("seed", DEFAULT_SEED), args.tier());
+    let path = args.path("out", "results.csv");
+    let json_path = args.path("json", "results/run_all.json");
     // Both output directories exist before the grid runs, so a bad path
     // fails the run up front and leaves neither file behind.
-    for file in [&path, &json_path] {
+    for file in [path, json_path] {
         let Some(dir) = std::path::Path::new(file).parent() else {
             continue;
         };
@@ -88,8 +81,8 @@ fn main() -> ExitCode {
     // file is written.
     let csv = csv_document(&reports);
     let doc = json_document(seed, &reports);
-    std::fs::write(&path, csv).expect("write results file");
-    let mut jf = std::fs::File::create(&json_path).expect("create JSON report");
+    std::fs::write(path, csv).expect("write results file");
+    let mut jf = std::fs::File::create(json_path).expect("create JSON report");
     writeln!(jf, "{doc:#}").expect("write JSON report");
 
     outln!(
@@ -98,6 +91,6 @@ fn main() -> ExitCode {
         reports.len(),
         total_wall.as_secs_f64(),
     );
-    impulse_bench::print_artifacts(&[&path, &json_path]);
+    impulse_bench::print_artifacts(&[path, json_path]);
     ExitCode::SUCCESS
 }

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use impulse_bench::{outln, runner::usage_exit, Args};
+use impulse_bench::{outln, runner::Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
 use impulse_workloads::{Diagonal, DiagonalVariant, Smvp, SmvpVariant, SparsePattern};
@@ -78,10 +78,10 @@ const USAGE: &str = "usage: streambuf [--paper] [n=N] [rows=N] [nnz=N]";
 
 fn main() {
     let known = ["--paper", "n=", "rows=", "nnz="];
-    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
+    let args = Args::from_env(&known, USAGE);
     let n = args.get("n", 2048);
     let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
+    let nnz = args.get("nnz", if args.paper() { 156 } else { 24 });
     let _ = PAGE_SIZE;
 
     outln!("\n================================================================");

@@ -5,7 +5,7 @@
 //!
 //! Overrides: `regions=`, `pages=`, `rounds=`.
 
-use impulse_bench::{outln, runner::usage_exit, Args};
+use impulse_bench::{outln, runner::Args};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{TlbStress, TlbVariant};
 
@@ -33,9 +33,9 @@ const USAGE: &str = "usage: superpage [--paper] [regions=N] [pages=N] [rounds=N]
 
 fn main() {
     let known = ["--paper", "regions=", "pages=", "rounds="];
-    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
+    let args = Args::from_env(&known, USAGE);
     let regions = args.get("regions", 8);
-    let pages = args.get("pages", if args.paper { 256 } else { 64 });
+    let pages = args.get("pages", if args.paper() { 256 } else { 64 });
     let rounds = args.get("rounds", 64);
 
     let base = run(regions, pages, rounds, TlbVariant::BasePages);

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use impulse_bench::outln;
-use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
+use impulse_bench::runner::{self, Args};
 use impulse_dram::SchedulePolicy;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
@@ -59,16 +59,10 @@ fn render_row(label: &str, r: &Report) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let known = ["--paper", "rows=", "nnz=", "seed=", "jobs="];
-    let parsed = CommonArgs::parse(&args, 0x5eed, &known).and_then(|common| {
-        let paper = args.iter().any(|a| a == "--paper");
-        let rows = u64_from_args(&args, "rows", 14_000)?;
-        let nnz = u64_from_args(&args, "nnz", if paper { 156 } else { 24 })?;
-        Ok((common, rows, nnz))
-    });
-    let (CommonArgs { jobs, seed, .. }, rows, nnz) =
-        parsed.unwrap_or_else(|e| usage_exit(e, USAGE));
+    let args = Args::from_env(&["--paper", "rows=", "nnz=", "seed=", "jobs="], USAGE);
+    let (rows, seed) = (args.get("rows", 14_000), args.get("seed", 0x5eed));
+    let nnz = args.get("nnz", if args.paper() { 156 } else { 24 });
+    let jobs = args.jobs();
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, seed));
 
     outln!("================================================================");

@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use impulse_bench::{
-    outln, print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
-};
+use impulse_bench::{outln, print_table, runner::Args, PaperRow, TableSection, PREFETCH_COLUMNS};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{CgBenchmark, Smvp, SmvpVariant, SparsePattern};
 
@@ -147,10 +145,10 @@ fn main() {
     let known = [
         "--paper", "rows=", "nnz=", "passes=", "seed=", "cg=", "mesh=",
     ];
-    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
+    let args = Args::from_env(&known, USAGE);
     let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 40 });
-    let passes = args.get("passes", if args.paper { 3 } else { 1 });
+    let nnz = args.get("nnz", if args.paper() { 156 } else { 40 });
+    let passes = args.get("passes", if args.paper() { 3 } else { 1 });
     let seed = args.get("seed", 0x00c9_a15e);
     // cg=1 runs the complete CG iteration (SMVP + dot products + AXPYs +
     // the gather-consistency flush of p), as the paper's whole-benchmark

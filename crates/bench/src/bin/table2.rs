@@ -5,9 +5,7 @@
 //! tile-self-conflict regime as the paper at a fraction of the runtime).
 //! `--paper` runs the paper's 512 × 512. Overrides: `n=`, `tile=`.
 
-use impulse_bench::{
-    outln, print_table, runner::usage_exit, Args, PaperRow, TableSection, PREFETCH_COLUMNS,
-};
+use impulse_bench::{outln, print_table, runner::Args, PaperRow, TableSection, PREFETCH_COLUMNS};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Mmp, MmpParams, MmpVariant};
 
@@ -128,8 +126,8 @@ const USAGE: &str = "usage: table2 [--paper] [n=N] [tile=N]";
 
 fn main() {
     let known = ["--paper", "n=", "tile="];
-    let args = Args::parse(&known).unwrap_or_else(|e| usage_exit(e, USAGE));
-    let n = args.get("n", if args.paper { 512 } else { 256 });
+    let args = Args::from_env(&known, USAGE);
+    let n = args.get("n", if args.paper() { 512 } else { 256 });
     let tile = args.get("tile", 32);
     let params = MmpParams { n, tile };
 

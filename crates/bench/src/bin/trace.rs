@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 use impulse_bench::experiments::{run_all_experiments_obs, ObsSpec, DEFAULT_SEED};
 use impulse_bench::outln;
-use impulse_bench::runner::{self, u64_from_args, usage_exit, CommonArgs};
+use impulse_bench::runner::{self, usage_exit, Args};
 use impulse_core::flight::{self, Capture};
 use impulse_obs::Json;
 
@@ -79,34 +79,23 @@ fn path_and_count<'a>(
         usage_exit(format!("{cmd} needs a capture file"), USAGE);
     };
     let known = format!("{key}=");
-    let n = runner::check_usage(rest, &[known.as_str()])
-        .and_then(|()| u64_from_args(rest, key, default))
+    let n = Args::parse(rest, &[known.as_str()])
+        .map(|a| a.get(key, default))
         .unwrap_or_else(|e| usage_exit(e, USAGE));
     (path, n as usize)
 }
 
 fn cmd_record(args: &[String]) -> ExitCode {
-    let arg = |prefix: &str, default: &str| -> String {
-        args.iter()
-            .find_map(|a| a.strip_prefix(prefix).map(String::from))
-            .unwrap_or_else(|| default.to_string())
-    };
-    let dir = arg("dir=", "results/trace");
     let known = ["dir=", "seed=", "jobs=", "flight=", "top="];
-    let parsed = CommonArgs::parse(args, DEFAULT_SEED, &known).and_then(|common| {
-        Ok((
-            common,
-            u64_from_args(args, "flight", 1 << 20)?,
-            u64_from_args(args, "top", 32)?,
-        ))
-    });
-    let (CommonArgs { jobs, seed, .. }, flight_cap, top_k) =
-        parsed.unwrap_or_else(|e| usage_exit(e, USAGE));
+    let args = Args::parse(args, &known).unwrap_or_else(|e| usage_exit(e, USAGE));
+    let dir = args.path("dir", "results/trace");
+    let (jobs, seed) = (args.jobs(), args.get("seed", DEFAULT_SEED));
+    let (flight_cap, top_k) = (args.get("flight", 1 << 20), args.get("top", 32));
     if flight_cap == 0 {
         usage_exit("flight=0 records nothing; pick a ring capacity", USAGE);
     }
     let obs = ObsSpec::recording(flight_cap as usize, top_k as usize);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: create trace directory {dir}: {e}");
         return ExitCode::FAILURE;
     }
@@ -116,7 +105,7 @@ fn cmd_record(args: &[String]) -> ExitCode {
     let catalog: Vec<_> = run_all_experiments_obs(seed, obs)
         .into_iter()
         .map(|t| {
-            let file = Path::new(&dir).join(format!("{}.trace", sanitize(t.name())));
+            let file = Path::new(dir).join(format!("{}.trace", sanitize(t.name())));
             move || {
                 let out = t.run();
                 let name = t.name();
@@ -161,14 +150,14 @@ fn cmd_record(args: &[String]) -> ExitCode {
     // Always empty: a failing experiment fails the run. The key stays so
     // the document's layout is unchanged for its readers.
     summary.set("failed", Json::Arr(Vec::new()));
-    let summary_path = Path::new(&dir).join("summary.json");
+    let summary_path = Path::new(dir).join("summary.json");
     std::fs::write(&summary_path, format!("{summary:#}\n")).expect("write summary");
 
     let mut heat_doc = Json::obj();
     heat_doc.set("schema", Json::Str(HEATMAPS_SCHEMA.into()));
     heat_doc.set("seed", Json::UInt(seed));
     heat_doc.set("experiments", Json::Arr(heatmaps));
-    let heatmap_path = Path::new(&dir).join("heatmap.json");
+    let heatmap_path = Path::new(dir).join("heatmap.json");
     std::fs::write(&heatmap_path, format!("{heat_doc:#}\n")).expect("write heatmap");
 
     outln!(

@@ -22,7 +22,6 @@ pub mod experiments;
 pub mod harness;
 pub mod out;
 pub mod runner;
-pub mod tier_chaos;
 
 use impulse_sim::Report;
 
@@ -140,77 +139,6 @@ pub fn print_table(title: &str, sections: &[TableSection], baseline: &Report) {
     outln!();
 }
 
-/// Minimal command-line handling shared by the table and figure
-/// binaries: `--paper` and integer `key=value` overrides, checked
-/// against the binary's usage line.
-#[derive(Clone, Debug, Default)]
-pub struct Args {
-    /// Run the paper's full problem size.
-    pub paper: bool,
-    /// `key=value` overrides.
-    pub overrides: Vec<(String, u64)>,
-    /// Raw `jobs=` value; validated (typed) by [`Args::jobs`].
-    jobs_raw: Option<String>,
-}
-
-impl Args {
-    /// Parses `std::env::args` against the binary's usage line: `known`
-    /// lists every `key=` and `--flag` it accepts, as for
-    /// [`runner::CommonArgs::parse`].
-    ///
-    /// # Errors
-    ///
-    /// An argument off the usage line is [`runner::ArgError::Unknown`]
-    /// and a non-integer value [`runner::ArgError::NotANumber`], so the
-    /// binary can print its usage and exit 2.
-    pub fn parse(known: &[&'static str]) -> Result<Self, runner::ArgError> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        runner::check_usage(&args, known)?;
-        let mut out = Args::default();
-        for a in &args {
-            if a == "--paper" {
-                out.paper = true;
-            } else if let Some(v) = a.strip_prefix("jobs=") {
-                out.jobs_raw = Some(v.to_string());
-            } else if let Some((k, v)) = a.split_once('=') {
-                let key = known
-                    .iter()
-                    .find_map(|n| n.strip_suffix('=').filter(|&n| n == k))
-                    .expect("checked against the usage line");
-                let v = v.parse::<u64>().map_err(|_| runner::ArgError::NotANumber {
-                    key,
-                    value: v.to_string(),
-                })?;
-                out.overrides.push((k.to_string(), v));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Fetches an override or the default.
-    pub fn get(&self, key: &str, default: u64) -> u64 {
-        self.overrides
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(default)
-    }
-
-    /// The validated worker count.
-    ///
-    /// # Errors
-    ///
-    /// `jobs=0` and non-numeric values come back as a typed
-    /// [`runner::ArgError`] — never a silent fallback to the default.
-    pub fn jobs(&self) -> Result<usize, runner::ArgError> {
-        match &self.jobs_raw {
-            None => Ok(runner::default_jobs()),
-            Some(v) => runner::parse_jobs(v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,34 +152,27 @@ mod tests {
 
     #[test]
     fn args_defaults_and_overrides() {
-        let a = Args {
-            overrides: vec![("rows".into(), 100), ("rows".into(), 200)],
-            ..Args::default()
-        };
+        let known = ["--paper", "rows=", "cols="];
+        let args = ["rows=100", "--paper", "rows=200"].map(String::from);
+        let a = runner::Args::parse(&args, &known).expect("on the usage line");
         assert_eq!(a.get("rows", 5), 200, "last override wins");
         assert_eq!(a.get("cols", 7), 7);
+        assert!(a.paper());
     }
 
     #[test]
     fn args_jobs_is_typed() {
+        let parse = |arg: &str| runner::Args::parse(&[arg.to_string()], &["jobs="]);
         assert_eq!(
-            Args::default().jobs().expect("default is valid"),
-            runner::default_jobs()
+            runner::Args::default().jobs(),
+            runner::default_jobs(),
+            "no jobs= runs on every hardware thread"
         );
-        let zero = Args {
-            jobs_raw: Some("0".into()),
-            ..Args::default()
-        };
-        assert!(zero.jobs().is_err(), "jobs=0 must not silently become 1");
-        let garbage = Args {
-            jobs_raw: Some("four".into()),
-            ..Args::default()
-        };
-        assert!(garbage.jobs().is_err());
-        let four = Args {
-            jobs_raw: Some("4".into()),
-            ..Args::default()
-        };
-        assert_eq!(four.jobs().expect("valid"), 4);
+        assert!(
+            parse("jobs=0").is_err(),
+            "jobs=0 must not silently become 1"
+        );
+        assert!(parse("jobs=four").is_err());
+        assert_eq!(parse("jobs=4").expect("valid").jobs(), 4);
     }
 }

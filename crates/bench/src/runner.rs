@@ -19,6 +19,9 @@
 //! partial artifact. The simulations are deterministic, so a rerun
 //! would only panic again.
 //!
+//! [`Args`] types every bench binary's command line once, against the
+//! binary's usage line.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,6 +35,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use impulse_types::TierPolicy;
 
 /// Default worker count: every hardware thread the host offers.
 pub fn default_jobs() -> usize {
@@ -55,7 +60,7 @@ pub enum ArgError {
     /// The value is not an unsigned integer.
     NotANumber {
         /// The argument key (`jobs`, `seed`, ...).
-        key: &'static str,
+        key: String,
         /// The offending value as given.
         value: String,
     },
@@ -82,36 +87,6 @@ impl fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
-
-/// Parses one `jobs=` value: a positive worker count.
-///
-/// # Errors
-///
-/// Rejects `0` and non-numeric values with a typed [`ArgError`].
-pub fn parse_jobs(value: &str) -> Result<usize, ArgError> {
-    match value.parse::<usize>() {
-        Ok(0) => Err(ArgError::ZeroJobs),
-        Ok(n) => Ok(n),
-        Err(_) => Err(ArgError::NotANumber {
-            key: "jobs",
-            value: value.to_string(),
-        }),
-    }
-}
-
-/// Parses a `jobs=N` argument out of raw command-line arguments,
-/// defaulting to [`default_jobs`] when absent.
-///
-/// # Errors
-///
-/// `jobs=0` and non-numeric values are rejected with a typed
-/// [`ArgError`] rather than silently falling back to the default.
-pub fn jobs_from_args(args: &[String]) -> Result<usize, ArgError> {
-    match args.iter().find_map(|a| a.strip_prefix("jobs=")) {
-        None => Ok(default_jobs()),
-        Some(v) => parse_jobs(v),
-    }
-}
 
 /// Runs `jobs` on up to `workers` threads, returning results in
 /// submission order. `workers <= 1` runs everything serially on the
@@ -164,41 +139,6 @@ where
         .collect()
 }
 
-/// Parses a `key=N` unsigned-integer argument out of raw command-line
-/// arguments (last occurrence wins), defaulting when absent.
-///
-/// # Errors
-///
-/// Non-numeric values are rejected with a typed [`ArgError`] rather than
-/// silently falling back to the default.
-pub fn u64_from_args(args: &[String], key: &'static str, default: u64) -> Result<u64, ArgError> {
-    let prefix = format!("{key}=");
-    match args.iter().rev().find_map(|a| a.strip_prefix(&prefix)) {
-        None => Ok(default),
-        Some(v) => v.parse::<u64>().map_err(|_| ArgError::NotANumber {
-            key,
-            value: v.to_string(),
-        }),
-    }
-}
-
-/// Parses a `tier=none|flat|cache` argument (last occurrence wins),
-/// defaulting to
-/// [`TierPolicy::None`](impulse_types::TierPolicy::None) when absent.
-///
-/// # Errors
-///
-/// Unknown policy names are rejected with a typed [`ArgError`] rather
-/// than silently running untiered.
-pub fn tier_from_args(args: &[String]) -> Result<impulse_types::TierPolicy, ArgError> {
-    match args.iter().rev().find_map(|a| a.strip_prefix("tier=")) {
-        None => Ok(impulse_types::TierPolicy::None),
-        Some(v) => impulse_types::TierPolicy::parse(v).ok_or_else(|| ArgError::UnknownTier {
-            value: v.to_string(),
-        }),
-    }
-}
-
 /// Checks raw arguments against a binary's usage line: `known` lists
 /// every `key=` prefix and `--flag` it accepts.
 ///
@@ -229,37 +169,104 @@ pub fn usage_exit(e: impl fmt::Display, usage: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The `key=value` arguments every grid binary shares, parsed once and
-/// typed once: `jobs=` (worker count), `seed=` (master seed) and
-/// `tier=none|flat|cache`.
-#[derive(Clone, Debug)]
-pub struct CommonArgs {
-    /// Worker-thread count (`jobs=`, default: all hardware threads).
-    pub jobs: usize,
-    /// Master seed (`seed=`).
-    pub seed: u64,
-    /// Hybrid-tier policy (`tier=`).
-    pub tier: impulse_types::TierPolicy,
+/// The keys whose value is a file or directory path. Every other `key=`
+/// on a usage line takes an unsigned integer, except `jobs=` (a positive
+/// worker count) and `tier=` (a tier policy).
+const PATH_KEYS: [&str; 3] = ["out", "json", "dir"];
+
+/// The arguments of every bench binary, checked against its usage line
+/// and typed once: `--paper`, `jobs=`, `tier=none|flat|cache`, the path
+/// keys `out=`, `json=` and `dir=`, and integer keys such as `seed=`.
+/// When a key is given twice, the last occurrence wins.
+#[derive(Clone, Debug, Default)]
+pub struct Args {
+    paper: bool,
+    jobs: Option<usize>,
+    tier: TierPolicy,
+    ints: Vec<(String, u64)>,
+    paths: Vec<(String, String)>,
 }
 
-impl CommonArgs {
-    /// Parses the shared vocabulary out of raw arguments, with
-    /// `default_seed` standing in when `seed=` is absent. `known` is the
-    /// binary's usage line: every `key=` and `--flag` it accepts, the
-    /// shared keys included.
+impl Args {
+    /// Types raw arguments against a binary's usage line: `known` lists
+    /// every `key=` and `--flag` it accepts.
     ///
     /// # Errors
     ///
-    /// An argument not in `known` is [`ArgError::Unknown`] (see
-    /// [`check_usage`]); a malformed shared value is rejected with its
-    /// typed [`ArgError`].
-    pub fn parse(args: &[String], default_seed: u64, known: &[&str]) -> Result<Self, ArgError> {
+    /// An argument off the usage line is [`ArgError::Unknown`] (see
+    /// [`check_usage`]); a malformed value is rejected with its typed
+    /// [`ArgError`] rather than replaced by a default.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Self, ArgError> {
         check_usage(args, known)?;
-        Ok(Self {
-            jobs: jobs_from_args(args)?,
-            seed: u64_from_args(args, "seed", default_seed)?,
-            tier: tier_from_args(args)?,
-        })
+        let mut out = Args::default();
+        for a in args {
+            let Some((key, value)) = a.split_once('=') else {
+                out.paper |= a == "--paper";
+                continue;
+            };
+            let not_a_number = || ArgError::NotANumber {
+                key: key.to_string(),
+                value: value.to_string(),
+            };
+            match key {
+                "jobs" => match value.parse::<usize>() {
+                    Ok(0) => return Err(ArgError::ZeroJobs),
+                    Ok(n) => out.jobs = Some(n),
+                    Err(_) => return Err(not_a_number()),
+                },
+                "tier" => {
+                    out.tier = TierPolicy::parse(value).ok_or_else(|| ArgError::UnknownTier {
+                        value: value.to_string(),
+                    })?;
+                }
+                k if PATH_KEYS.contains(&k) => out.paths.push((k.to_string(), value.to_string())),
+                k => {
+                    let n = value.parse::<u64>().map_err(|_| not_a_number())?;
+                    out.ints.push((k.to_string(), n));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`Args::parse`] over the process's arguments; a usage error prints
+    /// `usage` and exits 2 (see [`usage_exit`]).
+    pub fn from_env(known: &[&str], usage: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, known).unwrap_or_else(|e| usage_exit(e, usage))
+    }
+
+    /// Whether `--paper` asked for the paper's full problem size.
+    pub fn paper(&self) -> bool {
+        self.paper
+    }
+
+    /// The worker count (`jobs=`, default [`default_jobs`]).
+    pub fn jobs(&self) -> usize {
+        self.jobs.unwrap_or_else(default_jobs)
+    }
+
+    /// The hybrid-tier policy (`tier=`, default none).
+    pub fn tier(&self) -> TierPolicy {
+        self.tier
+    }
+
+    /// The integer value of `key=` (`seed`, `rows`, ...), or `default`.
+    pub fn get(&self, key: &str, default: u64) -> u64 {
+        self.ints
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map_or(default, |&(_, v)| v)
+    }
+
+    /// The path value of `key=` (`out`, `json` or `dir`), or `default`.
+    pub fn path<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
+        self.paths
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map_or(default, |(_, v)| v.as_str())
     }
 }
 
@@ -301,24 +308,33 @@ mod tests {
         assert_eq!(run_ordered(jobs, 64), vec![0, 1, 2]);
     }
 
+    /// Parses `args` against a usage line with every key the binaries use.
+    fn parse(args: &[&str]) -> Result<Args, ArgError> {
+        let known = [
+            "jobs=", "seed=", "tier=", "out=", "dir=", "rows=", "--paper",
+        ];
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Args::parse(&args, &known)
+    }
+
     #[test]
     fn jobs_arg_parsing() {
-        assert_eq!(jobs_from_args(&["jobs=3".into()]), Ok(3));
-        assert_eq!(jobs_from_args(&[]), Ok(default_jobs()));
-        assert_eq!(jobs_from_args(&["out=x.csv".into()]), Ok(default_jobs()));
+        assert_eq!(parse(&["jobs=3"]).unwrap().jobs(), 3);
+        assert_eq!(parse(&[]).unwrap().jobs(), default_jobs());
+        assert_eq!(parse(&["out=x.csv"]).unwrap().jobs(), default_jobs());
     }
 
     #[test]
     fn zero_and_garbage_jobs_are_typed_errors() {
-        assert_eq!(jobs_from_args(&["jobs=0".into()]), Err(ArgError::ZeroJobs));
+        assert_eq!(parse(&["jobs=0"]).unwrap_err(), ArgError::ZeroJobs);
         assert_eq!(
-            jobs_from_args(&["jobs=four".into()]),
-            Err(ArgError::NotANumber {
-                key: "jobs",
+            parse(&["jobs=four"]).unwrap_err(),
+            ArgError::NotANumber {
+                key: "jobs".into(),
                 value: "four".into()
-            })
+            }
         );
-        assert!(parse_jobs("-2").unwrap_err().to_string().contains("-2"));
+        assert!(parse(&["jobs=-2"]).unwrap_err().to_string().contains("-2"));
         // Display strings are stable usage text.
         assert_eq!(
             ArgError::ZeroJobs.to_string(),
@@ -328,32 +344,30 @@ mod tests {
 
     #[test]
     fn u64_args_are_typed() {
-        assert_eq!(u64_from_args(&["seed=7".into()], "seed", 1), Ok(7));
-        assert_eq!(u64_from_args(&[], "seed", 1), Ok(1));
+        assert_eq!(parse(&["seed=7"]).unwrap().get("seed", 1), 7);
+        assert_eq!(parse(&[]).unwrap().get("seed", 1), 1);
         assert_eq!(
-            u64_from_args(&["seed=1".into(), "seed=2".into()], "seed", 0),
-            Ok(2),
-            "last occurrence wins"
+            parse(&["seed=xyz"]).unwrap_err(),
+            ArgError::NotANumber {
+                key: "seed".into(),
+                value: "xyz".into()
+            }
         );
         assert_eq!(
-            u64_from_args(&["seed=xyz".into()], "seed", 1),
-            Err(ArgError::NotANumber {
-                key: "seed",
-                value: "xyz".into()
-            })
+            parse(&["rows=1e3"]).unwrap_err().to_string(),
+            "rows= wants an unsigned integer, got `1e3`"
         );
     }
 
     #[test]
     fn tier_args_are_typed() {
-        use impulse_types::TierPolicy;
-        assert_eq!(tier_from_args(&[]), Ok(TierPolicy::None));
-        assert_eq!(tier_from_args(&["tier=flat".into()]), Ok(TierPolicy::Flat));
+        assert_eq!(parse(&[]).unwrap().tier(), TierPolicy::None);
+        assert_eq!(parse(&["tier=flat"]).unwrap().tier(), TierPolicy::Flat);
         assert_eq!(
-            tier_from_args(&["tier=warp".into()]),
-            Err(ArgError::UnknownTier {
+            parse(&["tier=warp"]).unwrap_err(),
+            ArgError::UnknownTier {
                 value: "warp".into()
-            })
+            }
         );
         // Display strings are stable usage text.
         assert_eq!(
@@ -367,24 +381,23 @@ mod tests {
 
     #[test]
     fn common_args_parse_the_shared_vocabulary_once() {
-        let known = ["jobs=", "seed=", "tier=", "out=", "--paper"];
-        let args: Vec<String> = ["jobs=2", "seed=77", "tier=cache", "out=x.json", "--paper"]
-            .map(String::from)
-            .to_vec();
-        let c = CommonArgs::parse(&args, 1, &known).expect("parse");
-        assert_eq!(c.jobs, 2);
-        assert_eq!(c.seed, 77);
-        assert_eq!(c.tier, impulse_types::TierPolicy::Cache);
+        let a = parse(&["jobs=2", "seed=77", "tier=cache", "out=x.json", "--paper"]).unwrap();
+        assert_eq!(a.jobs(), 2);
+        assert_eq!(a.get("seed", 1), 77);
+        assert_eq!(a.tier(), TierPolicy::Cache);
+        assert_eq!(a.path("out", "results.csv"), "x.json");
+        assert!(a.paper());
 
-        let d = CommonArgs::parse(&[], 9, &known).expect("defaults");
-        assert_eq!(d.seed, 9);
-        assert_eq!(d.tier, impulse_types::TierPolicy::None);
+        let d = parse(&[]).unwrap();
+        assert_eq!(d.get("seed", 9), 9);
+        assert_eq!(d.path("dir", "results"), "results");
+        assert!(!d.paper());
 
         // Anything off the usage line is a typed error: a misspelt key, a
         // bare key without `=`, or a flag the binary does not take.
         for bad in ["jbos=1", "out", "--verbose", "max_retries=2"] {
             assert_eq!(
-                CommonArgs::parse(&[bad.to_string()], 0, &known).unwrap_err(),
+                parse(&[bad]).unwrap_err(),
                 ArgError::Unknown { arg: bad.into() },
                 "{bad}"
             );
@@ -396,6 +409,15 @@ mod tests {
             .to_string(),
             "unknown argument `jbos=1`"
         );
+    }
+
+    #[test]
+    fn the_last_occurrence_of_every_key_wins() {
+        let a = parse(&["out=a.json", "out=b.json", "seed=5", "seed=1999"]).unwrap();
+        assert_eq!(a.path("out", "results.csv"), "b.json");
+        assert_eq!(a.get("seed", 0), 1999);
+        let b = parse(&["jobs=1", "tier=flat", "jobs=3", "tier=cache"]).unwrap();
+        assert_eq!((b.jobs(), b.tier()), (3, TierPolicy::Cache));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Exit codes of the bench binaries on malformed arguments.
 //!
-//! Every binary checks its arguments against its usage line — the grid
-//! binaries through `runner::CommonArgs`, the table and figure binaries
-//! through `Args`, `trace dump`/`trace top` through the same check — so a
-//! bad value or a key off the usage line is a usage error with exit code
-//! 2: never a silently ignored knob, and never a panic. Every run points
+//! Every binary checks its arguments against its usage line through
+//! `runner::Args` (`trace dump`/`trace top` included), so a bad value or
+//! a key off the usage line is a usage error with exit code 2: never a
+//! silently ignored knob, and never a panic. Every run points
 //! its outputs into a scratch directory so a binary that wrongly accepts
 //! the argument cannot write into the source tree.
 
@@ -184,6 +183,42 @@ fn trace_dump_top_and_diff_reject_bad_arguments() {
         .any(|l| l == "       trace top <capture.trace> [k=N]"));
 }
 
+/// `out=` is not on `chaos`'s usage line (it writes its two documents
+/// into `dir=`): a usage error, not a run of the defaults.
+#[test]
+fn chaos_rejects_the_retired_out_key() {
+    let bin = env!("CARGO_BIN_EXE_chaos");
+    let out = run(bin, "chaos", &["dir"], &["out=chaos.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument `out=chaos.json`"),
+        "{stderr}"
+    );
+}
+
+/// `chaos` creates `dir=` before it runs a case: a directory it cannot
+/// create is an error (exit 1), not a panic, and nothing is written.
+#[test]
+fn chaos_bad_dir_is_an_error_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("impulse-cli-chaosdir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("file"), b"").expect("create regular file");
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+        .arg(format!("dir={}", dir.join("file/x").display()))
+        .current_dir(&dir)
+        .output()
+        .expect("spawn chaos");
+    let written = std::fs::read_dir(&dir).expect("list scratch dir").count();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+    assert_eq!(written, 1, "only the regular file is left");
+    assert!(out.stdout.is_empty(), "no case ran");
+}
+
 /// `trace record` reports a directory it cannot create as an error
 /// (exit 1), as `run_all` does, instead of panicking.
 #[test]
@@ -257,15 +292,19 @@ fn trace_dump_ends_quietly_on_a_closed_pipe() {
 /// A reader that is gone before the first line (`ablation_dram | head
 /// -0`) costs a printing binary its output and nothing else: it runs to
 /// completion and exits 0, with nothing on stderr. `table2` prints
-/// through the shared table printer, `ablation_dram` line by line.
+/// through the shared table printer, `ablation_dram` and `chaos` line by
+/// line (`chaos` still writes both documents).
 #[test]
 fn printing_binaries_exit_zero_on_a_closed_pipe() {
+    let dir = std::env::temp_dir().join(format!("impulse-cli-chaospipe-{}", std::process::id()));
+    let chaos_dir = format!("dir={}", dir.display());
     for (bin, args) in [
         (
             env!("CARGO_BIN_EXE_ablation_dram"),
             &["batches=100", "jobs=1"][..],
         ),
         (env!("CARGO_BIN_EXE_table2"), &["n=64", "tile=16"][..]),
+        (env!("CARGO_BIN_EXE_chaos"), &[chaos_dir.as_str()][..]),
     ] {
         let mut child = Command::new(bin)
             .args(args)
@@ -279,4 +318,7 @@ fn printing_binaries_exit_zero_on_a_closed_pipe() {
         assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
         assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
     }
+    let written = ["chaos.json", "chaos_tier.json"].map(|f| dir.join(f).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written, [true, true]);
 }

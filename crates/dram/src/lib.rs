@@ -32,7 +32,7 @@
 pub mod sched;
 pub mod scm;
 
-pub use sched::{BatchOutcome, SchedulePolicy, Scheduler};
+pub use sched::{SchedulePolicy, Scheduler};
 pub use scm::{Scm, ScmConfig, ScmError, ScmStats};
 
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};

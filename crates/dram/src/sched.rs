@@ -48,30 +48,6 @@ impl SchedulePolicy {
     }
 }
 
-/// Result of scheduling one batch of requests.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Completion cycle of each request, indexed like the input slice.
-    pub completions: Vec<Cycle>,
-    /// Cycle when the whole batch is done (max of `completions`).
-    pub done: Cycle,
-}
-
-impl BatchOutcome {
-    /// Completion cycle of the earliest-finishing request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch was empty.
-    pub fn first_done(&self) -> Cycle {
-        *self
-            .completions
-            .iter()
-            .min()
-            .expect("first_done on an empty batch")
-    }
-}
-
 /// A batch scheduler over a [`Dram`] array.
 ///
 /// # Examples
@@ -81,16 +57,16 @@ impl BatchOutcome {
 /// use impulse_types::{AccessKind, MAddr};
 ///
 /// let mut dram = Dram::new(DramConfig::default());
-/// let sched = Scheduler::new(SchedulePolicy::OpenRowFirst);
-/// let gather: Vec<MAddr> = (0..16).map(|i| MAddr::new(i * 808)).collect();
-/// let out = sched.run_batch(&mut dram, &gather, AccessKind::Load, 8, 0);
-/// assert_eq!(out.completions.len(), 16);
-/// assert!(out.done >= out.first_done());
+/// let mut sched = Scheduler::new(SchedulePolicy::OpenRowFirst);
+/// let gather: Vec<(MAddr, u64)> = (0..16).map(|i| (MAddr::new(i * 808), 8)).collect();
+/// let done = sched.issue(&mut dram, &gather, AccessKind::Load, 0);
+/// assert_eq!(dram.stats().reads, 16);
+/// assert!(done >= 16, "one command per cycle");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Scheduler {
     policy: SchedulePolicy,
-    /// Issue-order scratch reused by [`Scheduler::issue`].
+    /// Issue-order scratch reused by every [`Scheduler::issue`].
     order: Vec<(u64, u64, usize)>,
 }
 
@@ -108,47 +84,17 @@ impl Scheduler {
         self.policy
     }
 
-    /// Issues a batch of `bytes`-sized requests starting at `now` and
-    /// returns per-request completion times.
+    /// Issues a batch of requests, each with its own transfer size (the
+    /// shape strided and direct remappings produce, whose contiguous
+    /// segments vary in length), and returns the cycle its last request
+    /// completes; an empty batch completes at `now`.
     ///
     /// Request *i* (in issue order) cannot start before `now + i`: the
     /// command bus accepts one command per cycle. Bank conflicts and the
-    /// shared data bus serialize further, per the [`Dram`] model.
-    pub fn run_batch(
-        &self,
-        dram: &mut Dram,
-        reqs: &[MAddr],
-        kind: AccessKind,
-        bytes: u64,
-        now: Cycle,
-    ) -> BatchOutcome {
-        let sized: Vec<(MAddr, u64)> = reqs.iter().map(|&a| (a, bytes)).collect();
-        self.run_batch_sized(dram, &sized, kind, now)
-    }
-
-    /// Like [`Scheduler::run_batch`], but each request carries its own
-    /// transfer size — the shape produced by strided and direct remappings,
-    /// whose contiguous segments vary in length.
-    pub fn run_batch_sized(
-        &self,
-        dram: &mut Dram,
-        reqs: &[(MAddr, u64)],
-        kind: AccessKind,
-        now: Cycle,
-    ) -> BatchOutcome {
-        let mut completions = vec![0; reqs.len()];
-        let mut order = Vec::new();
-        issue_batch(self.policy, dram, reqs, kind, now, &mut order, |i, c| {
-            completions[i] = c;
-        });
-        let done = completions.iter().copied().max().unwrap_or(now);
-        BatchOutcome { completions, done }
-    }
-
-    /// Issues a batch exactly like [`Scheduler::run_batch_sized`] and
-    /// returns the cycle its last request completes. The issue order is
-    /// kept in a buffer this scheduler reuses, so a caller issuing one
-    /// batch per shadow-line gather allocates nothing in steady state.
+    /// shared data bus serialize further, per the [`Dram`] model. The
+    /// issue order is kept in a buffer this scheduler reuses, so a caller
+    /// issuing one batch per shadow-line gather allocates nothing in
+    /// steady state.
     pub fn issue(
         &mut self,
         dram: &mut Dram,
@@ -157,37 +103,18 @@ impl Scheduler {
         now: Cycle,
     ) -> Cycle {
         let mut last = now;
-        let order = &mut self.order;
-        issue_batch(self.policy, dram, reqs, kind, now, order, |_, c| {
-            last = last.max(c);
-        });
-        last
-    }
-}
-
-/// Issues `reqs` in `policy`'s order, one command per cycle from `now`,
-/// reporting each request's input index and completion cycle to
-/// `on_done`. In-order issue walks `reqs` as given; the reordering
-/// policies sort into `order`, a scratch buffer.
-fn issue_batch(
-    policy: SchedulePolicy,
-    dram: &mut Dram,
-    reqs: &[(MAddr, u64)],
-    kind: AccessKind,
-    now: Cycle,
-    order: &mut Vec<(u64, u64, usize)>,
-    mut on_done: impl FnMut(usize, Cycle),
-) {
-    if policy == SchedulePolicy::InOrder {
-        for (slot, &(addr, bytes)) in reqs.iter().enumerate() {
-            on_done(slot, dram.access(addr, kind, bytes, now + slot as Cycle));
+        if self.policy == SchedulePolicy::InOrder {
+            for (slot, &(addr, bytes)) in reqs.iter().enumerate() {
+                last = last.max(dram.access(addr, kind, bytes, now + slot as Cycle));
+            }
+            return last;
         }
-        return;
-    }
-    fill_order(policy, dram.bank_map(), reqs, order);
-    for (slot, &(_, _, idx)) in order.iter().enumerate() {
-        let (addr, bytes) = reqs[idx];
-        on_done(idx, dram.access(addr, kind, bytes, now + slot as Cycle));
+        fill_order(self.policy, dram.bank_map(), reqs, &mut self.order);
+        for (slot, &(_, _, idx)) in self.order.iter().enumerate() {
+            let (addr, bytes) = reqs[idx];
+            last = last.max(dram.access(addr, kind, bytes, now + slot as Cycle));
+        }
+        last
     }
 }
 
@@ -228,30 +155,29 @@ mod tests {
     use super::*;
     use crate::DramConfig;
 
-    fn gather_addrs(cfg: &DramConfig) -> Vec<MAddr> {
+    fn gather_addrs(cfg: &DramConfig) -> Vec<(MAddr, u64)> {
         // A pathological arrival order: alternates rows within one bank,
         // then scatters across banks.
         let bank_stride = cfg.row_bytes * cfg.banks;
-        vec![
-            MAddr::new(0),
-            MAddr::new(bank_stride),     // same bank, different row
-            MAddr::new(8),               // back to row 0
-            MAddr::new(bank_stride + 8), // back to row 1
-            MAddr::new(cfg.row_bytes),   // bank 1
-            MAddr::new(cfg.row_bytes * 2),
-            MAddr::new(cfg.row_bytes + 16),
-            MAddr::new(16),
+        [
+            0,
+            bank_stride,     // same bank, different row
+            8,               // back to row 0
+            bank_stride + 8, // back to row 1
+            cfg.row_bytes,   // bank 1
+            cfg.row_bytes * 2,
+            cfg.row_bytes + 16,
+            16,
         ]
+        .map(|a| (MAddr::new(a), 8))
+        .to_vec()
     }
 
     fn total_time(policy: SchedulePolicy) -> Cycle {
         let cfg = DramConfig::default();
         let mut dram = Dram::new(cfg.clone());
-        let sched = Scheduler::new(policy);
         let reqs = gather_addrs(&cfg);
-        sched
-            .run_batch(&mut dram, &reqs, AccessKind::Load, 8, 0)
-            .done
+        Scheduler::new(policy).issue(&mut dram, &reqs, AccessKind::Load, 0)
     }
 
     #[test]
@@ -273,28 +199,41 @@ mod tests {
 
     #[test]
     fn completions_cover_every_request() {
+        // `issue` returns the last completion of the batch replayed one
+        // request at a time in the policy's issue order.
         let cfg = DramConfig::default();
-        let mut dram = Dram::new(cfg.clone());
         let reqs = gather_addrs(&cfg);
-        let out = Scheduler::new(SchedulePolicy::BankParallel).run_batch(
-            &mut dram,
-            &reqs,
-            AccessKind::Load,
-            8,
-            0,
-        );
-        assert_eq!(out.completions.len(), reqs.len());
-        assert!(out.completions.iter().all(|&c| c > 0));
-        assert_eq!(out.done, *out.completions.iter().max().unwrap());
-        assert!(out.first_done() <= out.done);
+        let mut order = Vec::new();
+        for policy in SchedulePolicy::ALL {
+            let mut dram = Dram::new(cfg.clone());
+            let done = Scheduler::new(policy).issue(&mut dram, &reqs, AccessKind::Load, 0);
+            assert_eq!(dram.stats().reads, reqs.len() as u64);
+
+            let issue_order: Vec<usize> = if policy == SchedulePolicy::InOrder {
+                (0..reqs.len()).collect()
+            } else {
+                fill_order(policy, dram.bank_map(), &reqs, &mut order);
+                order.iter().map(|e| e.2).collect()
+            };
+            let mut replay = Dram::new(cfg.clone());
+            let last = issue_order
+                .iter()
+                .enumerate()
+                .map(|(slot, &i)| {
+                    let (addr, bytes) = reqs[i];
+                    replay.access(addr, AccessKind::Load, bytes, slot as Cycle)
+                })
+                .max();
+            assert_eq!(Some(done), last, "{}", policy.name());
+        }
     }
 
     #[test]
     fn empty_batch_completes_immediately() {
         let mut dram = Dram::new(DramConfig::default());
-        let out = Scheduler::default().run_batch(&mut dram, &[], AccessKind::Load, 8, 42);
-        assert_eq!(out.done, 42);
-        assert!(out.completions.is_empty());
+        let done = Scheduler::default().issue(&mut dram, &[], AccessKind::Load, 42);
+        assert_eq!(done, 42);
+        assert_eq!(dram.stats().reads, 0);
     }
 
     #[test]
@@ -303,15 +242,9 @@ mod tests {
         let reqs = gather_addrs(&cfg);
 
         let mut d1 = Dram::new(cfg.clone());
-        Scheduler::new(SchedulePolicy::InOrder).run_batch(&mut d1, &reqs, AccessKind::Load, 8, 0);
+        Scheduler::new(SchedulePolicy::InOrder).issue(&mut d1, &reqs, AccessKind::Load, 0);
         let mut d2 = Dram::new(cfg);
-        Scheduler::new(SchedulePolicy::OpenRowFirst).run_batch(
-            &mut d2,
-            &reqs,
-            AccessKind::Load,
-            8,
-            0,
-        );
+        Scheduler::new(SchedulePolicy::OpenRowFirst).issue(&mut d2, &reqs, AccessKind::Load, 0);
 
         assert!(d2.stats().row_hits > d1.stats().row_hits);
     }
@@ -327,13 +260,8 @@ mod tests {
             (MAddr::new(8192), 128),
             (MAddr::new(8320), 8),
         ];
-        let out = Scheduler::new(SchedulePolicy::BankParallel).run_batch_sized(
-            &mut dram,
-            &reqs,
-            AccessKind::Load,
-            0,
-        );
-        assert_eq!(out.completions.len(), 4);
+        Scheduler::new(SchedulePolicy::BankParallel).issue(&mut dram, &reqs, AccessKind::Load, 0);
+        assert_eq!(dram.stats().reads, 4);
         assert_eq!(dram.stats().bytes, 64 + 64 + 128 + 8);
     }
 
@@ -376,15 +304,5 @@ mod tests {
         let names: Vec<_> = SchedulePolicy::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), 3);
         assert!(names.iter().all(|n| !n.is_empty()));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty batch")]
-    fn first_done_panics_on_empty() {
-        let out = BatchOutcome {
-            completions: vec![],
-            done: 0,
-        };
-        let _ = out.first_done();
     }
 }
