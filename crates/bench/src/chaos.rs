@@ -721,9 +721,6 @@ pub enum TierScenario {
     /// The tier-fail trigger fires mid-gather: flat mode aborts the
     /// batch with a typed error, cache mode completes it via bypass.
     ChannelKillMidGather,
-    /// Full-machine snapshot taken mid-degradation; restore and an
-    /// identical continuation must match cycle-for-cycle.
-    DegradedSnapshotRestore,
     /// SCM raw-bit-error sweep across the double-error fraction: SECDED
     /// corrects singles, detects doubles, and never passes one silently.
     EccAsymmetrySweep,
@@ -734,12 +731,11 @@ pub enum TierScenario {
 
 impl TierScenario {
     /// Every scenario in the suite.
-    pub const ALL: [TierScenario; 7] = [
+    pub const ALL: [TierScenario; 6] = [
         TierScenario::ColdGatherStorm,
         TierScenario::WearOutScatterChurn,
         TierScenario::TagCorruption,
         TierScenario::ChannelKillMidGather,
-        TierScenario::DegradedSnapshotRestore,
         TierScenario::EccAsymmetrySweep,
         TierScenario::BypassModeParity,
     ];
@@ -751,7 +747,6 @@ impl TierScenario {
             TierScenario::WearOutScatterChurn => "wear-out-scatter-churn",
             TierScenario::TagCorruption => "tag-corruption",
             TierScenario::ChannelKillMidGather => "channel-kill-mid-gather",
-            TierScenario::DegradedSnapshotRestore => "degraded-snapshot-restore",
             TierScenario::EccAsymmetrySweep => "ecc-asymmetry-sweep",
             TierScenario::BypassModeParity => "bypass-mode-parity",
         }
@@ -1172,113 +1167,6 @@ pub fn run_channel_kill_mid_gather(seed: u64) -> Outcome {
     )
 }
 
-/// Full-machine snapshot mid-degradation: a cache-mode machine with SCM
-/// flips and scheduled channel kills is snapshotted mid-run; the
-/// restored machine and the original run an identical continuation and
-/// must land on the same cycle count, the same counters on every fault
-/// plane, and byte-identical re-snapshots.
-pub fn run_degraded_snapshot_restore(seed: u64) -> Outcome {
-    let faults = FaultConfig {
-        seed,
-        scm_flip: Trigger::EveryN { every: 5, phase: 0 },
-        tier_fail: Trigger::EveryN {
-            every: 64,
-            phase: 0,
-        },
-        ..FaultConfig::none()
-    };
-    let cfg = SystemConfig::paint_small()
-        .with_tier(TierPolicy::Cache)
-        .with_faults(faults);
-    let mut m = Machine::new(&cfg);
-    let mut violations = Vec::new();
-
-    // 512 KB working set at line stride: larger than the 256 KB L2, so
-    // demand traffic reaches the tier on both passes.
-    let buf = m.alloc_region(512 * 1024, PAGE_SIZE).expect("tier buffer");
-    let mut accesses = 0u64;
-    for pass in 0..2u64 {
-        for off in (0..512 * 1024).step_by(LINE as usize) {
-            accesses += 1;
-            if pass == 0 && off % 256 == 0 {
-                m.store(buf.start().add(off));
-            } else {
-                m.load(buf.start().add(off));
-            }
-        }
-    }
-    let tier_probe = |mm: &Machine| {
-        let eng = mm.memory().mc().tier().expect("tier attached");
-        (
-            eng.stats(),
-            eng.scm_stats(),
-            eng.fault_stats(),
-            eng.scm_ecc_stats().corrected,
-        )
-    };
-    let (_, _, f, corrected) = tier_probe(&m);
-    if f.channel_kills == 0 {
-        violations.push("degraded-snapshot-restore: no channel died before the snapshot".into());
-    }
-    if corrected == 0 {
-        violations.push("degraded-snapshot-restore: no SCM flip was ever corrected".into());
-    }
-
-    let image = m.snapshot(&cfg);
-    let mut restored = match Machine::restore(&cfg, &image) {
-        Ok(r) => r,
-        Err(e) => {
-            violations.push(format!("degraded-snapshot-restore: restore failed: {e:?}"));
-            let eng = m.memory().mc().tier().expect("tier attached");
-            return collect_tier(
-                TierScenario::DegradedSnapshotRestore,
-                &{ eng.clone() },
-                m.now(),
-                accesses,
-                0,
-                violations,
-            );
-        }
-    };
-
-    // Identical continuation on both machines, through live degradation.
-    for mm in [&mut m, &mut restored] {
-        for off in (0..512 * 1024).step_by(LINE as usize * 2) {
-            mm.load(buf.start().add(off));
-        }
-    }
-    accesses += 2 * (512 * 1024) / (LINE * 2);
-    if m.now() != restored.now() {
-        violations.push(format!(
-            "degraded-snapshot-restore: continuation diverged ({} vs {} cycles)",
-            m.now(),
-            restored.now()
-        ));
-    }
-    let (a, b) = (tier_probe(&m), tier_probe(&restored));
-    if a != b {
-        violations.push(format!(
-            "degraded-snapshot-restore: tier counters diverged ({a:?} vs {b:?})"
-        ));
-    }
-    if m.memory().stats().tier_faults != restored.memory().stats().tier_faults {
-        violations.push("degraded-snapshot-restore: tier-fault NACK counts diverged".into());
-    }
-    if m.snapshot(&cfg) != restored.snapshot(&cfg) {
-        violations.push("degraded-snapshot-restore: re-snapshots are not byte-identical".into());
-    }
-
-    let eng = m.memory().mc().tier().expect("tier attached").clone();
-    collect_tier(
-        TierScenario::DegradedSnapshotRestore,
-        &eng,
-        m.now(),
-        accesses,
-        0,
-        violations,
-    )
-}
-
 /// SCM raw-bit-error asymmetry sweep: the same flat-mode access
 /// sequence under a double-error fraction of 0‰, 500‰, and 1000‰.
 /// SECDED corrects every single, detects every double, passes nothing
@@ -1476,7 +1364,6 @@ pub fn run_tier_case(s: TierScenario, seed: u64) -> Outcome {
         TierScenario::WearOutScatterChurn => run_wear_out_scatter_churn(seed),
         TierScenario::TagCorruption => run_tag_corruption(seed),
         TierScenario::ChannelKillMidGather => run_channel_kill_mid_gather(seed),
-        TierScenario::DegradedSnapshotRestore => run_degraded_snapshot_restore(seed),
         TierScenario::EccAsymmetrySweep => run_ecc_asymmetry_sweep(seed),
         TierScenario::BypassModeParity => run_bypass_mode_parity(seed),
     }
@@ -1642,20 +1529,6 @@ mod tests {
         assert!(o.violations.is_empty(), "{:?}", o.violations);
         assert!(o.count("typed_faults") > 0, "flat gathers aborted typed");
         assert!(o.count("fault.bypass_reads") > 0, "cache mode bypassed");
-    }
-
-    #[test]
-    fn degraded_snapshot_resumes_bit_exactly() {
-        let o = run_degraded_snapshot_restore(1999);
-        assert!(o.violations.is_empty(), "{:?}", o.violations);
-        assert!(
-            o.count("fault.channel_kills") > 0,
-            "snapshot was taken degraded"
-        );
-        assert!(
-            o.count("ecc.corrected") > 0,
-            "SCM flips flowed through SECDED"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::{is_pow2, log2};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, PAddr, VAddr};
 
 /// Snapshot section tag for [`Cache`] (`"CACH"`).
@@ -471,7 +471,7 @@ impl Cache {
 
     /// Serializes the cache contents (every way verbatim, as valid, dirty,
     /// ptag, stamp, prefetched), replacement tick, and statistics.
-    /// Geometry is configuration and is rebuilt.
+    /// Geometry is configuration and is not written.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_CACHE);
         w.usize(self.tags.len());
@@ -498,44 +498,6 @@ impl Cache {
         ] {
             w.u64(v);
         }
-    }
-
-    /// Restores the state saved by [`Cache::snap_save`] into a cache
-    /// freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_CACHE)?;
-        let n = r.usize()?;
-        if n != self.tags.len() {
-            return Err(SnapError::Geometry("cache line count"));
-        }
-        for i in 0..n {
-            let valid = r.bool()?;
-            self.dirty[i] = r.bool()?;
-            let ptag = r.u64()?;
-            if ptag & VALID != 0 {
-                return Err(SnapError::Geometry("cache tag out of range"));
-            }
-            self.tags[i] = if valid { VALID | ptag } else { ptag };
-            self.stamps[i] = r.u64()?;
-            self.prefetched[i] = r.bool()?;
-        }
-        self.tick = r.u64()?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.loads,
-            &mut s.load_hits,
-            &mut s.stores,
-            &mut s.store_hits,
-            &mut s.store_bypasses,
-            &mut s.fills,
-            &mut s.prefetch_fills,
-            &mut s.prefetch_useful,
-            &mut s.writebacks,
-            &mut s.evictions,
-        ] {
-            *v = r.u64()?;
-        }
-        Ok(())
     }
 }
 
@@ -969,11 +931,10 @@ mod tests {
     #[test]
     fn packed_tags_match_a_line_array_reference() {
         // Seeded random demand loads and stores, prefetch fills, flushes,
-        // purges, invalidations, statistics resets and snapshot round
-        // trips over every associativity, replacement policy, indexing
-        // and write policy: after every step each outcome, the
-        // statistics, the occupancy and the snapshot bytes must match the
-        // reference.
+        // purges, invalidations and statistics resets over every
+        // associativity, replacement policy, indexing and write policy:
+        // after every step each outcome, the statistics, the occupancy
+        // and the snapshot bytes must match the reference.
         const SETS: u64 = 8;
         for ways in [1u64, 2, 4, 8] {
             for replacement in [Replacement::Lru, Replacement::Nru] {
@@ -1030,14 +991,6 @@ mod tests {
                                     reference.prefetch_fill(v, p),
                                     "{ctx}"
                                 ),
-                                13 => {
-                                    let mut fresh = Cache::new(c.config().clone());
-                                    let bytes = snap_bytes(&c);
-                                    let mut r = SnapReader::new(&bytes);
-                                    fresh.snap_load(&mut r).expect("load");
-                                    r.finish().expect("fully consumed");
-                                    c = fresh;
-                                }
                                 14..=29 => assert_eq!(
                                     c.access(v, p, AccessKind::Store),
                                     reference.access(v, p, AccessKind::Store),
@@ -1058,18 +1011,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snapshot_tag_that_overflows_the_tag_word_is_rejected() {
-        let mut reference = LineCache::new(CacheConfig::paint_l1());
-        reference.lines[3].ptag = VALID | 7;
-        let bytes = reference.snap_bytes();
-        let mut c = Cache::new(CacheConfig::paint_l1());
-        assert_eq!(
-            c.snap_load(&mut SnapReader::new(&bytes)),
-            Err(SnapError::Geometry("cache tag out of range"))
-        );
     }
 
     #[test]

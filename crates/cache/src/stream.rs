@@ -13,7 +13,7 @@
 //! timing is charged by the memory system, which owns the path to the L2
 //! and the controller.
 
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr};
 
 /// Snapshot section tag for [`StreamBuffers`] (`"STRM"`).
@@ -278,38 +278,6 @@ impl StreamBuffers {
         w.u64(self.stats.hits);
         w.u64(self.stats.allocations);
         w.u64(self.stats.fetches);
-    }
-
-    /// Restores the state saved by [`StreamBuffers::snap_save`] into a
-    /// buffer set freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_STREAM)?;
-        let n = r.usize()?;
-        if n != self.buffers.len() {
-            return Err(SnapError::Geometry("stream buffer count"));
-        }
-        for buf in &mut self.buffers {
-            let depth = r.usize()?;
-            if depth > self.cfg.depth {
-                return Err(SnapError::Geometry("stream buffer depth"));
-            }
-            buf.fifo.clear();
-            for _ in 0..depth {
-                let a = r.u64()?;
-                let ready = r.u64()?;
-                buf.fifo.push_back((PAddr::new(a), ready));
-            }
-            buf.next = PAddr::new(r.u64()?);
-            buf.stride = r.u64()? as i64;
-            buf.stamp = r.u64()?;
-            buf.valid = r.bool()?;
-        }
-        self.tick = r.u64()?;
-        self.stats.lookups = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.allocations = r.u64()?;
-        self.stats.fetches = r.u64()?;
-        Ok(())
     }
 }
 

@@ -8,7 +8,7 @@
 
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::FxHashMap;
 
 /// Snapshot section tag for [`Tlb`] (`"TLB "`).
@@ -352,7 +352,7 @@ impl Tlb {
 
     /// Serializes the entry array verbatim (slot order is NRU-relevant
     /// state), the superpage side list, and statistics. The single-page
-    /// index is derivable and rebuilt on load.
+    /// index is derived from the entries and is not written.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_TLB);
         w.usize(self.entries.len());
@@ -370,51 +370,6 @@ impl Tlb {
         w.u64(self.stats.hits);
         w.u64(self.stats.inserts);
         w.u64(self.stats.evictions);
-    }
-
-    /// Restores the state saved by [`Tlb::snap_save`] into a TLB freshly
-    /// built from the same configuration, rebuilding the lookup index.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_TLB)?;
-        let n = r.usize()?;
-        if n != self.entries.len() {
-            return Err(SnapError::Geometry("TLB entry count"));
-        }
-        self.free.fill(0);
-        self.referenced.fill(0);
-        for i in 0..n {
-            if !r.bool()? {
-                set_bit(&mut self.free, i);
-            }
-            self.entries[i] = Entry {
-                base_vpage: r.u64()?,
-                span: r.u64()?,
-            };
-            if r.bool()? {
-                set_bit(&mut self.referenced, i);
-            }
-        }
-        let supers = r.usize()?;
-        self.super_slots.clear();
-        for _ in 0..supers {
-            let s = r.usize()?;
-            if s >= n {
-                return Err(SnapError::Geometry("TLB superpage slot out of range"));
-            }
-            self.super_slots.push(s);
-        }
-        self.index.clear();
-        self.reset_lookaside();
-        for (i, e) in self.entries.iter().enumerate() {
-            if !self.is_free(i) && e.span == 1 {
-                self.index.insert(e.base_vpage, i);
-            }
-        }
-        self.stats.lookups = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.inserts = r.u64()?;
-        self.stats.evictions = r.u64()?;
-        Ok(())
     }
 }
 
@@ -597,17 +552,6 @@ mod tests {
             self.entries.iter().filter(|e| e.0).count()
         }
 
-        /// A snapshot round trip: entries and side list are kept, the
-        /// single-page index is rebuilt in slot order.
-        fn reload(&mut self) {
-            self.index.clear();
-            for (i, &(valid, base, span, _)) in self.entries.iter().enumerate() {
-                if valid && span == 1 {
-                    self.index.insert(base, i);
-                }
-            }
-        }
-
         /// The `TLB ` section as the scanning implementation wrote it.
         fn snap_bytes(&self) -> Vec<u8> {
             let mut w = SnapWriter::new();
@@ -639,7 +583,7 @@ mod tests {
 
     #[test]
     fn nru_matches_a_linear_scan_reference() {
-        // Seeded random lookup / insert / flush / snapshot sequences over
+        // Seeded random lookup / insert / flush sequences over
         // more pages than the TLB holds, at sizes around the 64-slot word
         // boundary: after every step the hit or miss, the statistics, the
         // occupancy and the snapshot bytes must match the reference. The
@@ -683,15 +627,6 @@ mod tests {
                             let base = page & !(span - 1);
                             t.insert(base, span);
                             reference.insert(base, span);
-                        }
-                        8 => {
-                            let mut fresh = tlb(n);
-                            let bytes = snap_bytes(&t);
-                            let mut r = SnapReader::new(&bytes);
-                            fresh.snap_load(&mut r).expect("load");
-                            r.finish().expect("fully consumed");
-                            t = fresh;
-                            reference.reload();
                         }
                         _ => {
                             let hit = t.lookup(page);

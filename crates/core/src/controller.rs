@@ -19,7 +19,7 @@ use impulse_dram::{Dram, SchedulePolicy, Scheduler};
 use impulse_fault::{EccConfig, EccStats, FaultConfig};
 use impulse_obs::{Histogram, Json, MetricsRegistry, Observe};
 use impulse_types::geom::{is_pow2, PAGE_SIZE};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange};
 
 use crate::desc::{DescError, DescStats, ShadowDescriptor};
@@ -37,12 +37,6 @@ impl DescId {
     /// The slot index.
     pub fn index(self) -> usize {
         self.0
-    }
-
-    /// The id of slot `index`, as [`DescId::index`] reported it (for
-    /// restoring saved state; the controller checks the slot on use).
-    pub fn from_index(index: usize) -> Self {
-        Self(index)
     }
 }
 
@@ -356,6 +350,11 @@ impl MemController {
     /// The tier engine, when one is attached.
     pub fn tier(&self) -> Option<&TierEngine> {
         self.tier.as_deref()
+    }
+
+    /// Mutable access to the tier engine, when one is attached (tests).
+    pub fn tier_mut(&mut self) -> Option<&mut TierEngine> {
+        self.tier.as_deref_mut()
     }
 
     /// Tier engine counters (zeros on a single-tier machine).
@@ -1051,8 +1050,7 @@ impl MemController {
     /// controller page table, the prefetch SRAM, every configured shadow
     /// descriptor, top-level statistics, latency histograms, and ECC
     /// bookkeeping. Configuration (`McConfig`, scheduler policy, ECC mode,
-    /// shadow base) is not written — restore rebuilds it from the same
-    /// config the snapshot was taken under.
+    /// shadow base) is not written.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_MC);
         self.dram.snap_save(w);
@@ -1087,65 +1085,6 @@ impl MemController {
         if let Some(t) = &self.tier {
             t.snap_save(w);
         }
-    }
-
-    /// Restores the state saved by [`MemController::snap_save`] into a
-    /// controller freshly built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is malformed or was taken
-    /// under a different controller geometry.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_MC)?;
-        self.dram.snap_load(r)?;
-        self.pgtbl.snap_load(r)?;
-        self.pf.snap_load(r)?;
-        let n = r.usize()?;
-        if n != self.descs.len() {
-            return Err(SnapError::Geometry("shadow descriptor slot count"));
-        }
-        for slot in &mut self.descs {
-            *slot = if r.bool()? {
-                Some(ShadowDescriptor::snap_load(r)?)
-            } else {
-                None
-            };
-        }
-        self.stats.line_reads = r.u64()?;
-        self.stats.line_writes = r.u64()?;
-        self.stats.shadow_line_reads = r.u64()?;
-        self.stats.shadow_line_writes = r.u64()?;
-        self.stats.rejected_reads = r.u64()?;
-        self.stats.rejected_writes = r.u64()?;
-        for h in [
-            &mut self.lat_direct,
-            &mut self.lat_pf_hit,
-            &mut self.lat_shadow,
-            &mut self.lat_shadow_hit,
-        ] {
-            *h = Histogram::from_state_words(&r.u64_vec()?)
-                .ok_or(SnapError::Geometry("controller latency histogram"))?;
-        }
-        self.ecc_stats.corrected = r.u64()?;
-        self.ecc_stats.detected_double = r.u64()?;
-        self.ecc_stats.silent = r.u64()?;
-        self.ecc_stats.corrupt_sig = r.u64()?;
-        self.ecc_stats.recovery_cycles = r.u64()?;
-        let had_tier = r.bool()?;
-        match (&mut self.tier, had_tier) {
-            (Some(t), true) => t.snap_load(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Geometry("tier engine presence")),
-        }
-        // The flight ring is deliberately not part of the image: captures
-        // describe one process's execution, not the checkpointed machine.
-        // Clear it so a restored run records only what happens after the
-        // restore.
-        if let Some(f) = self.flight.as_deref_mut() {
-            f.clear();
-        }
-        Ok(())
     }
 }
 

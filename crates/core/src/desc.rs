@@ -9,7 +9,7 @@
 use std::fmt;
 
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr, PRange, PvAddr};
 
 use crate::prefetch::PrefetchCache;
@@ -310,7 +310,7 @@ impl ShadowDescriptor {
 
     /// Serializes the complete descriptor: configuration (region, remap
     /// function, buffer geometry — descriptors are created by syscalls at
-    /// run time, so they cannot be rebuilt from the system configuration)
+    /// run time, so they are machine state, not system configuration)
     /// plus dynamic state (buffer contents, vector-block memo, stats).
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_DESC);
@@ -327,34 +327,6 @@ impl ShadowDescriptor {
         w.u64(self.stats.buffer_hits);
         w.u64(self.stats.gathers);
         w.u64(self.stats.dram_requests);
-    }
-
-    /// Reconstructs a descriptor saved by
-    /// [`ShadowDescriptor::snap_save`], re-running creation-time
-    /// validation on the decoded parameters.
-    pub fn snap_load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.tag(TAG_DESC)?;
-        let start = r.u64()?;
-        let len = r.u64()?;
-        let remap = RemapFn::snap_load(r)?;
-        let line_bytes = r.u64()?;
-        let lines = r.usize()? as u64;
-        let buffer_bytes = lines
-            .checked_mul(line_bytes)
-            .ok_or(SnapError::Geometry("descriptor buffer size"))?;
-        let region = PRange::new(PAddr::new(start), len);
-        let mut d = Self::new(region, remap, line_bytes, buffer_bytes)
-            .map_err(|_| SnapError::Geometry("shadow descriptor parameters"))?;
-        d.buffer.snap_load(r)?;
-        let had_block = r.bool()?;
-        let block = r.u64()?;
-        d.last_vector_block = had_block.then(|| PvAddr::new(block));
-        d.stats.reads = r.u64()?;
-        d.stats.writes = r.u64()?;
-        d.stats.buffer_hits = r.u64()?;
-        d.stats.gathers = r.u64()?;
-        d.stats.dram_requests = r.u64()?;
-        Ok(d)
     }
 }
 

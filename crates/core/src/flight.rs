@@ -37,7 +37,7 @@
 
 use impulse_dram::BankMap;
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::fnv64;
+use impulse_types::ident::fnv64;
 use impulse_types::varint;
 use impulse_types::Cycle;
 

@@ -11,7 +11,7 @@ use impulse_dram::Dram;
 use impulse_fault::{PgTblFaultStats, PgTblInjector};
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, FxHashMap, MAddr, PvAddr};
 
 use crate::controller::McError;
@@ -354,53 +354,6 @@ impl PgTbl {
             f.snap_save(w);
         }
     }
-
-    /// Restores the state saved by [`PgTbl::snap_save`] into a page table
-    /// freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_PGTBL)?;
-        let n = r.usize()?;
-        self.tlb.clear();
-        self.mru = NIL;
-        self.lru = NIL;
-        self.map.clear();
-        for _ in 0..n {
-            let p = r.u64()?;
-            let m = r.u64()?;
-            self.map.insert(p, (MAddr::new(m), NIL));
-        }
-        let tlb_len = r.usize()?;
-        if tlb_len > self.cfg.tlb_entries {
-            return Err(SnapError::Geometry("MC-TLB entry count"));
-        }
-        let mut recency = Vec::new();
-        for _ in 0..tlb_len {
-            recency.push(r.u64()?);
-        }
-        // Filling from least to most recently used rebuilds the saved
-        // recency order.
-        for &page in recency.iter().rev() {
-            let s = self.tlb.len() as u32;
-            match self.map.get_mut(&page) {
-                None => return Err(SnapError::Geometry("MC-TLB entry without a mapping")),
-                Some((_, slot)) if *slot != NIL => {
-                    return Err(SnapError::Geometry("duplicate MC-TLB entry"))
-                }
-                Some((_, slot)) => *slot = s,
-            }
-            self.fill(s, page);
-        }
-        self.stats.lookups = r.u64()?;
-        self.stats.tlb_hits = r.u64()?;
-        self.stats.walks = r.u64()?;
-        let had_faults = r.bool()?;
-        match (&mut self.faults, had_faults) {
-            (Some(f), true) => f.snap_load(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Geometry("pgtbl fault injector presence")),
-        }
-        Ok(())
-    }
 }
 
 impl Observe for PgTbl {
@@ -620,24 +573,12 @@ mod tests {
         }
     }
 
-    fn round_trip(pt: &PgTbl) -> PgTbl {
-        let mut w = SnapWriter::new();
-        pt.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut fresh = PgTbl::new(pt.cfg);
-        fresh.faults = pt.faults.clone();
-        let mut r = SnapReader::new(&bytes);
-        fresh.snap_load(&mut r).expect("load");
-        r.finish().expect("fully consumed");
-        fresh
-    }
-
     #[test]
     fn lru_matches_a_linear_scan_reference() {
-        // Seeded random translate / remap / unmap / flush / snapshot
-        // sequences over more pages than the TLB holds, with and without
-        // corrupted entries: every hit or walk, and every returned frame,
-        // must match the reference. A corrupted entry is reloaded by a
+        // Seeded random translate / remap / unmap / flush sequences over
+        // more pages than the TLB holds, with and without corrupted
+        // entries: every hit or walk, and every returned frame, must
+        // match the reference. A corrupted entry is reloaded by a
         // walk but keeps the recency of a hit.
         use impulse_fault::{FaultPlan, PgTblInjector, Trigger};
         const PAGES: u64 = 96;
@@ -675,7 +616,6 @@ mod tests {
                         reference.entries.clear();
                     }
                     2 => pt.map_page(page, MAddr::new(((x >> 40) % 1024) * PAGE_SIZE)),
-                    3 => pt = round_trip(&pt),
                     _ => {
                         let pv = PvAddr::new(page * PAGE_SIZE + (x >> 52));
                         let walks = pt.stats().walks;
@@ -694,24 +634,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snapshot_rejects_a_tlb_entry_without_a_mapping() {
-        let (mut pt, mut dram) = setup();
-        pt.map_page(1, MAddr::new(0x1000));
-        pt.translate(PvAddr::new(PAGE_SIZE), &mut dram, 0).unwrap();
-        let mut w = SnapWriter::new();
-        pt.snap_save(&mut w);
-        let mut bytes = w.finish();
-        // Layout: tag, 1 mapping (count, page, frame), TLB count, page.
-        let tlb_page = 4 + 8 + 16 + 8;
-        bytes[tlb_page..tlb_page + 8].copy_from_slice(&7u64.to_le_bytes());
-        let mut fresh = PgTbl::new(pt.cfg);
-        assert_eq!(
-            fresh.snap_load(&mut SnapReader::new(&bytes)),
-            Err(SnapError::Geometry("MC-TLB entry without a mapping"))
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! remaining time.
 
 use impulse_obs::{MetricsRegistry, Observe};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr};
 
 /// Snapshot section tag for [`PrefetchCache`] (`"PFCH"`).
@@ -196,28 +196,6 @@ impl PrefetchCache {
         w.u64(self.stats.misses);
         w.u64(self.stats.issued);
         w.u64(self.stats.late);
-    }
-
-    /// Restores the state saved by [`PrefetchCache::snap_save`] into a
-    /// cache freshly built with the same geometry.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_PF)?;
-        let n = r.usize()?;
-        if n != self.slots.len() {
-            return Err(SnapError::Geometry("prefetch SRAM slot count"));
-        }
-        for s in &mut self.slots {
-            s.line = PAddr::new(r.u64()?);
-            s.ready_at = r.u64()?;
-            s.stamp = r.u64()?;
-            s.valid = r.bool()?;
-        }
-        self.tick = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.issued = r.u64()?;
-        self.stats.late = r.u64()?;
-        Ok(())
     }
 }
 

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::PvAddr;
 
 /// A contiguous pseudo-virtual read/write segment produced by remapping.
@@ -275,8 +275,7 @@ impl RemapFn {
 
     /// Serializes the full remapping function, including a gather's
     /// indirection vector (descriptors are created by syscalls at run
-    /// time, so unlike fixed hardware geometry they cannot be rebuilt
-    /// from the system configuration).
+    /// time, so unlike fixed hardware geometry they are machine state).
     pub fn snap_save(&self, w: &mut SnapWriter) {
         match self {
             RemapFn::Direct { pv_base } => {
@@ -307,28 +306,6 @@ impl RemapFn {
                 w.u64(vec_pv_base.raw());
                 w.u64(*index_bytes);
             }
-        }
-    }
-
-    /// Reconstructs a remapping function saved by [`RemapFn::snap_save`].
-    pub fn snap_load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(RemapFn::Direct {
-                pv_base: PvAddr::new(r.u64()?),
-            }),
-            1 => Ok(RemapFn::Strided {
-                pv_base: PvAddr::new(r.u64()?),
-                object_size: r.u64()?,
-                stride: r.u64()?,
-            }),
-            2 => Ok(RemapFn::Gather {
-                pv_base: PvAddr::new(r.u64()?),
-                elem_size: r.u64()?,
-                indices: Arc::new(r.u64_vec()?),
-                vec_pv_base: PvAddr::new(r.u64()?),
-                index_bytes: r.u64()?,
-            }),
-            _ => Err(SnapError::Geometry("remap function kind")),
         }
     }
 
@@ -530,14 +507,19 @@ mod tests {
         assert_eq!(RemapFn::strided(pv(0), 8, 8).name(), "strided");
     }
 
+    // The constructor asserts only in debug builds; the typed rejection
+    // both profiles rely on is `desc::tests::strided_params_validated_at_creation`.
     #[test]
     #[should_panic(expected = "power of two")]
+    #[cfg(debug_assertions)]
     fn strided_rejects_non_pow2_object() {
         let _ = RemapFn::strided(pv(0), 24, 100);
     }
 
+    // Release builds clamp to the last element instead (see `pv_of`).
     #[test]
     #[should_panic(expected = "beyond indirection vector")]
+    #[cfg(debug_assertions)]
     fn gather_pv_of_checks_bounds() {
         let f = RemapFn::gather(pv(0), 8, Arc::new(vec![1]), pv(0), 4);
         let _ = f.pv_of(8);

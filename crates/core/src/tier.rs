@@ -40,7 +40,7 @@ use impulse_dram::{Dram, DramConfig, Scm, ScmConfig, ScmError, ScmStats};
 use impulse_fault::{EccConfig, EccStats, FaultConfig, TierFaultStats, TierInjector};
 use impulse_obs::MetricsRegistry;
 use impulse_types::geom::{is_pow2, log2};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, MAddr, TierPolicy};
 
 use crate::controller::McError;
@@ -572,50 +572,6 @@ impl TierEngine {
             inj.snap_save(w);
         }
     }
-
-    /// Restores the state saved by [`TierEngine::snap_save`] into an
-    /// engine freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_TIER_ENGINE)?;
-        self.scm.snap_load(r)?;
-        let tags = r.u64_vec()?;
-        if tags.len() != self.tags.len() {
-            return Err(SnapError::Geometry("tier tag-array size"));
-        }
-        self.tags = tags;
-        let n = r.usize()?;
-        self.fill.clear();
-        for _ in 0..n {
-            self.fill.push_back(r.u64()?);
-        }
-        self.dead_banks = r.u64()?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.dram_hits,
-            &mut s.dram_misses,
-            &mut s.writebacks,
-            &mut s.lost_writebacks,
-            &mut s.fill_hits,
-            &mut s.fill_loads,
-            &mut s.flat_dram,
-            &mut s.flat_scm,
-            &mut s.degraded_rejects,
-        ] {
-            *v = r.u64()?;
-        }
-        self.scm_ecc_stats.corrected = r.u64()?;
-        self.scm_ecc_stats.detected_double = r.u64()?;
-        self.scm_ecc_stats.silent = r.u64()?;
-        self.scm_ecc_stats.corrupt_sig = r.u64()?;
-        self.scm_ecc_stats.recovery_cycles = r.u64()?;
-        let had_inj = r.bool()?;
-        match (&mut self.inj, had_inj) {
-            (Some(inj), true) => inj.snap_load(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Geometry("tier injector presence")),
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -829,68 +785,5 @@ mod tests {
             eng.scm_stats().reads >= 2,
             "corrupted set refetches from SCM"
         );
-    }
-
-    #[test]
-    fn snapshot_round_trips_mid_degradation() {
-        let dcfg = small_dram_cfg();
-        let mut faults = FaultConfig::none();
-        faults.tier_fail = Trigger::EveryN { every: 5, phase: 0 };
-        faults.scm_flip = Trigger::EveryN { every: 3, phase: 0 };
-        let mk = || {
-            let cfg = TierConfig {
-                policy: TierPolicy::Cache,
-                scm: ScmConfig {
-                    capacity: 1 << 20,
-                    wear_limit: 4,
-                    spare_lines: 2,
-                    ..ScmConfig::default()
-                },
-                ..TierConfig::default()
-            };
-            let mut e = TierEngine::new(cfg, &small_dram_cfg(), LINE);
-            e.set_faults(&faults);
-            e
-        };
-        let mut eng = mk();
-        let mut dram = Dram::new(dcfg.clone());
-        let mut t = 0;
-        for i in 0..40u64 {
-            let addr = MAddr::new((i % 16) * LINE);
-            let kind = if i % 2 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            if let Ok(done) = eng.access(&mut dram, addr, kind, LINE, t, false) {
-                t = done;
-            } else {
-                t += 10;
-            }
-        }
-        let mut w = SnapWriter::new();
-        eng.snap_save(&mut w);
-        let mut dw = SnapWriter::new();
-        dram.snap_save(&mut dw);
-        let (ebytes, dbytes) = (w.finish(), dw.finish());
-
-        let mut eng2 = mk();
-        let mut dram2 = Dram::new(dcfg);
-        let mut r = SnapReader::new(&ebytes);
-        eng2.snap_load(&mut r).expect("engine load");
-        r.finish().expect("consumed");
-        let mut r = SnapReader::new(&dbytes);
-        dram2.snap_load(&mut r).expect("dram load");
-
-        assert_eq!(eng2.stats(), eng.stats());
-        assert_eq!(eng2.dead_banks(), eng.dead_banks());
-        assert_eq!(eng2.fault_stats(), eng.fault_stats());
-        // Identical futures under the active fault schedule.
-        for i in 40..80u64 {
-            let addr = MAddr::new((i % 16) * LINE);
-            let a = eng.access(&mut dram, addr, AccessKind::Load, LINE, t + i, false);
-            let b = eng2.access(&mut dram2, addr, AccessKind::Load, LINE, t + i, false);
-            assert_eq!(a, b, "diverged at step {i}");
-        }
     }
 }

@@ -38,7 +38,7 @@ pub use scm::{Scm, ScmConfig, ScmError, ScmStats};
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
 use impulse_obs::{Histogram, MetricsRegistry, Observe};
 use impulse_types::geom::{is_pow2, log2, shr_ceil};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, MAddr};
 
 /// Snapshot section tag for [`Dram`] (`"DRAM"`).
@@ -395,51 +395,6 @@ impl Dram {
             f.snap_save(w);
         }
     }
-
-    /// Restores the state saved by [`Dram::snap_save`] into an array
-    /// freshly built from the same configuration (including any attached
-    /// injector).
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_DRAM)?;
-        let n = r.usize()?;
-        if n != self.banks.len() {
-            return Err(SnapError::Geometry("DRAM bank count"));
-        }
-        for b in &mut self.banks {
-            let open = r.bool()?;
-            let row = r.u64()?;
-            b.open_row = open.then_some(row);
-            b.busy_until = r.u64()?;
-        }
-        self.data_bus_free = r.u64()?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.reads,
-            &mut s.writes,
-            &mut s.row_hits,
-            &mut s.row_misses,
-            &mut s.bytes,
-            &mut s.bank_wait,
-        ] {
-            *v = r.u64()?;
-        }
-        self.lat_row_hit = Histogram::from_state_words(&r.u64_vec()?)
-            .ok_or(SnapError::Geometry("DRAM row-hit histogram"))?;
-        self.lat_row_miss = Histogram::from_state_words(&r.u64_vec()?)
-            .ok_or(SnapError::Geometry("DRAM row-miss histogram"))?;
-        for h in &mut self.heat {
-            h.row_hits = r.u64()?;
-            h.row_misses = r.u64()?;
-            h.row_conflicts = r.u64()?;
-        }
-        let had_faults = r.bool()?;
-        match (&mut self.faults, had_faults) {
-            (Some(f), true) => f.snap_load(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Geometry("DRAM fault injector presence")),
-        }
-        Ok(())
-    }
 }
 
 impl Observe for Dram {
@@ -642,23 +597,6 @@ mod tests {
         assert_eq!(sum, s.row_hits + s.row_misses);
         d.reset_stats();
         assert_eq!(d.bank_heat()[0], BankHeat::default());
-    }
-
-    #[test]
-    fn bank_heat_survives_a_snapshot_round_trip() {
-        let mut d = dram();
-        let mut t = 0;
-        for i in 0..32u64 {
-            t = d.access(MAddr::new((i % 7) * 4096), AccessKind::Load, 8, t);
-        }
-        let mut w = impulse_types::snap::SnapWriter::new();
-        d.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut fresh = dram();
-        let mut r = impulse_types::snap::SnapReader::new(&bytes);
-        fresh.snap_load(&mut r).expect("snapshot must load");
-        assert_eq!(fresh.bank_heat(), d.bank_heat());
-        assert_ne!(d.bank_heat()[0], BankHeat::default());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
 use impulse_types::geom::{is_pow2, log2, shr_ceil};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle};
 
 /// Snapshot section tag for [`Scm`] (`"SCM0"`).
@@ -358,56 +358,6 @@ impl Scm {
             f.snap_save(w);
         }
     }
-
-    /// Restores the state saved by [`Scm::snap_save`] into a part
-    /// freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_SCM)?;
-        let n = r.usize()?;
-        if n != self.channels.len() {
-            return Err(SnapError::Geometry("SCM channel count"));
-        }
-        for c in &mut self.channels {
-            *c = r.u64()?;
-        }
-        let n = r.usize()?;
-        self.wear.clear();
-        for _ in 0..n {
-            let line = r.u64()?;
-            let count = u32::try_from(r.u64()?)
-                .map_err(|_| SnapError::Geometry("SCM wear count out of range"))?;
-            self.wear.insert(line, count);
-        }
-        let n = r.usize()?;
-        self.retired.clear();
-        for _ in 0..n {
-            self.retired.insert(r.u64()?);
-        }
-        let n = r.usize()?;
-        self.dead.clear();
-        for _ in 0..n {
-            self.dead.insert(r.u64()?);
-        }
-        self.spares_used = r.u64()?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.reads,
-            &mut s.writes,
-            &mut s.bytes,
-            &mut s.channel_wait,
-            &mut s.wear_retirements,
-            &mut s.dead_rejects,
-        ] {
-            *v = r.u64()?;
-        }
-        let had_faults = r.bool()?;
-        match (&mut self.faults, had_faults) {
-            (Some(f), true) => f.snap_load(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Geometry("SCM fault injector presence")),
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -480,30 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_mid_wear() {
-        let mut s = scm(2, 1);
-        s.access(0, AccessKind::Store, 128, 0).unwrap();
-        s.access(0, AccessKind::Store, 128, 1000).unwrap(); // retires
-        s.access(256, AccessKind::Store, 128, 2000).unwrap();
-        let mut w = SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut fresh = scm(2, 1);
-        let mut r = SnapReader::new(&bytes);
-        fresh.snap_load(&mut r).expect("load");
-        r.finish().expect("fully consumed");
-        assert_eq!(fresh.stats(), s.stats());
-        assert_eq!(fresh.wear_of(0), s.wear_of(0));
-        assert_eq!(fresh.wear_of(2), s.wear_of(2));
-        assert_eq!(fresh.retired_lines(), 1);
-        // Identical futures: the next write kills line 2's budget the
-        // same way on both (spares already exhausted).
-        let a = s.access(256, AccessKind::Store, 128, 5000);
-        let b = fresh.access(256, AccessKind::Store, 128, 5000);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn shift_mask_geometry_matches_division_reference() {
         let mut rng = XorShift64::new(0x2545_F491_4F6C_DD1D);
         for (c, l) in (0..=4).flat_map(|c| (5..=9).map(move |l| (c, l))) {
@@ -531,19 +457,5 @@ mod tests {
             channels: 3,
             ..ScmConfig::default()
         });
-    }
-
-    #[test]
-    fn geometry_mismatch_is_rejected() {
-        let s = scm(0, 0);
-        let mut w = SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut other = Scm::new(ScmConfig {
-            channels: 2,
-            ..ScmConfig::default()
-        });
-        let mut r = SnapReader::new(&bytes);
-        assert!(other.snap_load(&mut r).is_err());
     }
 }

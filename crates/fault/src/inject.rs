@@ -3,7 +3,7 @@
 //! keeps its own counters, so components stay decoupled and the
 //! schedule stays deterministic.
 
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::Cycle;
 
 use crate::ecc::BitFlip;
@@ -76,7 +76,7 @@ impl FlipInjector {
 
     /// Serializes the injector's dynamic state: plan position, pending
     /// (undrained) flips, and counters. The trigger/ratio configuration
-    /// is rebuilt, not stored.
+    /// is not written.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_FLIP);
         self.plan.snap_save(w);
@@ -90,27 +90,6 @@ impl FlipInjector {
         }
         w.u64(self.stats.injected_single);
         w.u64(self.stats.injected_double);
-    }
-
-    /// Restores the dynamic state saved by [`FlipInjector::snap_save`]
-    /// into an injector freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_FLIP)?;
-        self.plan.snap_load(r)?;
-        let n = r.usize()?;
-        self.pending.clear();
-        for _ in 0..n {
-            let addr = r.u64()?;
-            let flip = match r.u8()? {
-                0 => BitFlip::Single,
-                1 => BitFlip::Double,
-                _ => return Err(SnapError::Geometry("bit-flip kind out of range")),
-            };
-            self.pending.push((addr, flip));
-        }
-        self.stats.injected_single = r.u64()?;
-        self.stats.injected_double = r.u64()?;
-        Ok(())
     }
 }
 
@@ -187,17 +166,6 @@ impl TimeoutInjector {
         w.u64(self.stats.retries);
         w.u64(self.stats.recovery_cycles);
     }
-
-    /// Restores the dynamic state saved by [`TimeoutInjector::snap_save`]
-    /// into an injector freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_BUS)?;
-        self.plan.snap_load(r)?;
-        self.stats.timeouts = r.u64()?;
-        self.stats.retries = r.u64()?;
-        self.stats.recovery_cycles = r.u64()?;
-        Ok(())
-    }
 }
 
 /// Counters for the MC-TLB/page-table corruption site.
@@ -260,17 +228,6 @@ impl PgTblInjector {
         w.u64(self.stats.corruptions);
         w.u64(self.stats.reloads);
         w.u64(self.stats.recovery_cycles);
-    }
-
-    /// Restores the dynamic state saved by [`PgTblInjector::snap_save`]
-    /// into an injector freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_PGT)?;
-        self.plan.snap_load(r)?;
-        self.stats.corruptions = r.u64()?;
-        self.stats.reloads = r.u64()?;
-        self.stats.recovery_cycles = r.u64()?;
-        Ok(())
     }
 }
 
@@ -390,22 +347,6 @@ impl TierInjector {
         w.u64(self.stats.lost_dirty_lines);
         w.u64(self.stats.recovery_cycles);
     }
-
-    /// Restores the dynamic state saved by [`TierInjector::snap_save`]
-    /// into an injector freshly built from the same configuration.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_TIER)?;
-        self.tag_plan.snap_load(r)?;
-        self.fail_plan.snap_load(r)?;
-        self.stats.tag_corruptions = r.u64()?;
-        self.stats.tag_invalidations = r.u64()?;
-        self.stats.channel_kills = r.u64()?;
-        self.stats.bypass_reads = r.u64()?;
-        self.stats.bypass_writes = r.u64()?;
-        self.stats.lost_dirty_lines = r.u64()?;
-        self.stats.recovery_cycles = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -476,14 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn tier_injector_streams_are_independent_and_snapshot() {
-        let mk = || {
-            TierInjector::new(
-                FaultPlan::new(Trigger::EveryN { every: 3, phase: 0 }, 21),
-                FaultPlan::new(Trigger::EveryN { every: 7, phase: 2 }, 99),
-            )
-        };
-        let mut inj = mk();
+    fn tier_injector_streams_are_independent() {
+        let mut inj = TierInjector::new(
+            FaultPlan::new(Trigger::EveryN { every: 3, phase: 0 }, 21),
+            FaultPlan::new(Trigger::EveryN { every: 7, phase: 2 }, 99),
+        );
         let mut kills = 0;
         for t in 0..21 {
             if inj.tag_corrupts(t) {
@@ -502,19 +440,6 @@ mod tests {
         assert_eq!(s.tag_corruptions, 7);
         assert_eq!(s.channel_kills, kills);
         assert!(s.events() > 0);
-
-        let mut w = SnapWriter::new();
-        inj.snap_save(&mut w);
-        let bytes = w.finish();
-        let mut restored = mk();
-        let mut r = SnapReader::new(&bytes);
-        restored.snap_load(&mut r).expect("load");
-        r.finish().expect("fully consumed");
-        assert_eq!(restored.stats(), inj.stats());
-        for t in 21..60 {
-            assert_eq!(restored.tag_corrupts(t), inj.tag_corrupts(t));
-            assert_eq!(restored.channel_fails(t), inj.channel_fails(t));
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! When faults fire: triggers and the per-site fault plan.
 
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::Cycle;
 
 use crate::rng::XorShift64;
@@ -123,24 +123,13 @@ impl FaultPlan {
 
     /// Serializes the plan's dynamic state (RNG stream position, access
     /// counter, next cycle-trigger deadline, fire count). The trigger
-    /// itself is configuration and is rebuilt, not stored.
+    /// itself is configuration and is not written.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_PLAN);
         self.rng.snap_save(w);
         w.u64(self.accesses);
         w.u64(self.next_due);
         w.u64(self.fired);
-    }
-
-    /// Restores the dynamic state saved by [`FaultPlan::snap_save`] into
-    /// a plan freshly built with the same trigger and seed.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_PLAN)?;
-        self.rng.snap_load(r)?;
-        self.accesses = r.u64()?;
-        self.next_due = r.u64()?;
-        self.fired = r.u64()?;
-        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Seedable in-tree xorshift generator (no external dependencies).
 
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 
 /// A 64-bit xorshift generator, the same recurrence the allocator's
 /// `Random` placement policy uses. Deterministic for a fixed seed;
@@ -45,12 +45,6 @@ impl XorShift64 {
     /// Serializes the generator state (one word).
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.u64(self.state);
-    }
-
-    /// Restores the generator state saved by [`XorShift64::snap_save`].
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.state = r.u64()?;
-        Ok(())
     }
 }
 

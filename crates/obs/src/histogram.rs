@@ -186,56 +186,14 @@ impl Histogram {
 
     /// Dumps the complete internal state as a flat word vector: the 65
     /// bucket counts followed by `count`, `sum`, raw `min`, and `max`.
-    /// The inverse is [`Histogram::from_state_words`]; together they let a
-    /// caller persist a histogram bit-exactly without this crate knowing
-    /// anything about serialization formats.
+    /// Two histograms are equal exactly when their state words are, so a
+    /// state image can carry one without this crate knowing anything
+    /// about the image's format.
     pub fn state_words(&self) -> Vec<u64> {
         let mut words = Vec::with_capacity(BUCKETS + 4);
         words.extend_from_slice(&self.buckets);
         words.extend_from_slice(&[self.count, self.sum, self.min, self.max]);
         words
-    }
-
-    /// Rebuilds a histogram from [`Histogram::state_words`] output.
-    /// Returns `None` if `words` has the wrong length or describes a state
-    /// no sequence of [`Histogram::record`] calls produces: `count` other
-    /// than the bucket total, an empty histogram whose `sum`/`min`/`max`
-    /// are not the [`Histogram::new`] values, or a non-empty one whose
-    /// `min`/`max` are out of order or outside the first/last non-empty
-    /// bucket, or whose `sum` is not one that `count` samples from `min`
-    /// to `max` (one of each at least) can add up to.
-    pub fn from_state_words(words: &[u64]) -> Option<Self> {
-        if words.len() != BUCKETS + 4 {
-            return None;
-        }
-        let mut buckets = [0u64; BUCKETS];
-        buckets.copy_from_slice(&words[..BUCKETS]);
-        let h = Self {
-            buckets,
-            count: words[BUCKETS],
-            sum: words[BUCKETS + 1],
-            min: words[BUCKETS + 2],
-            max: words[BUCKETS + 3],
-        };
-        let total = buckets.iter().try_fold(0u64, |t, &n| t.checked_add(n))?;
-        if total != h.count {
-            return None;
-        }
-        let consistent = match (
-            buckets.iter().position(|&n| n > 0),
-            buckets.iter().rposition(|&n| n > 0),
-        ) {
-            (Some(first), Some(last)) => {
-                h.min <= h.max
-                    && bucket_of(h.min) == first
-                    && bucket_of(h.max) == last
-                    && (h.max.saturating_add(h.min.saturating_mul(h.count - 1))
-                        ..=h.min.saturating_add(h.max.saturating_mul(h.count - 1)))
-                        .contains(&h.sum)
-            }
-            _ => h == Self::new(),
-        };
-        consistent.then_some(h)
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs, in order.
@@ -337,27 +295,19 @@ mod tests {
     }
 
     #[test]
-    fn state_words_round_trip_bit_exactly() {
+    fn state_words_are_the_buckets_then_count_sum_min_max() {
         let mut h = Histogram::new();
         for v in [0u64, 1, 7, 40, 1000, u64::MAX] {
             h.record(v);
         }
         let words = h.state_words();
         assert_eq!(words.len(), BUCKETS + 4);
-        let back = Histogram::from_state_words(&words).unwrap();
-        assert_eq!(back, h);
+        assert_eq!(words[..BUCKETS], h.buckets);
+        assert_eq!(words[BUCKETS..], [6, u64::MAX, 0, u64::MAX]);
 
-        // An empty histogram round-trips too (raw min is the u64::MAX
-        // sentinel).
-        let empty = Histogram::new();
-        assert_eq!(
-            Histogram::from_state_words(&empty.state_words()).unwrap(),
-            empty
-        );
-
-        // Wrong lengths are rejected.
-        assert!(Histogram::from_state_words(&words[..BUCKETS]).is_none());
-        assert!(Histogram::from_state_words(&[]).is_none());
+        // An empty histogram keeps the raw u64::MAX min sentinel.
+        let empty = Histogram::new().state_words();
+        assert_eq!(empty[BUCKETS..], [0, 0, u64::MAX, 0]);
     }
 
     #[test]
@@ -390,93 +340,6 @@ mod tests {
         h.record_n(u64::MAX, 0);
         assert_eq!(h, Histogram::new());
         assert_eq!(h.state_words(), Histogram::new().state_words());
-    }
-
-    /// State words of a histogram holding 3, 5 and 40: buckets 2, 3 and 6.
-    fn sample_words() -> Vec<u64> {
-        let mut h = Histogram::new();
-        for v in [3u64, 5, 40] {
-            h.record(v);
-        }
-        h.state_words()
-    }
-
-    const COUNT: usize = BUCKETS;
-    const SUM: usize = BUCKETS + 1;
-    const MIN: usize = BUCKETS + 2;
-    const MAX: usize = BUCKETS + 3;
-
-    fn rejects(words: &[u64]) -> bool {
-        Histogram::from_state_words(words).is_none()
-    }
-
-    #[test]
-    fn from_state_words_rejects_count_other_than_bucket_total() {
-        let mut w = sample_words();
-        assert!(!rejects(&w));
-        w[COUNT] += 1;
-        assert!(rejects(&w), "count above the bucket total");
-        let mut w = sample_words();
-        w[6] += 1;
-        assert!(rejects(&w), "a bucket not counted");
-        // Bucket totals that overflow a u64 cannot match any count.
-        let mut w = Histogram::new().state_words();
-        w[1] = u64::MAX;
-        w[2] = 2;
-        w[COUNT] = 1;
-        assert!(rejects(&w), "overflowing bucket total");
-    }
-
-    #[test]
-    fn from_state_words_rejects_an_empty_histogram_without_sentinels() {
-        for (field, value) in [(SUM, 1), (MIN, 0), (MIN, 7), (MAX, 7)] {
-            let mut w = Histogram::new().state_words();
-            w[field] = value;
-            assert!(rejects(&w), "empty with word {field} = {value}");
-        }
-    }
-
-    #[test]
-    fn from_state_words_rejects_min_above_max() {
-        let mut h = Histogram::new();
-        h.record_n(5, 2);
-        let mut w = h.state_words();
-        (w[MIN], w[MAX]) = (7, 4);
-        assert!(rejects(&w));
-    }
-
-    #[test]
-    fn from_state_words_rejects_extrema_outside_the_outer_buckets() {
-        // 3 lives in bucket 2, the first non-empty one; 2 is also there.
-        let mut w = sample_words();
-        w[MIN] = 2;
-        assert!(!rejects(&w), "a min inside the first bucket is possible");
-        w[MIN] = 4;
-        assert!(rejects(&w), "min above the first non-empty bucket");
-        let mut w = sample_words();
-        w[MIN] = 1;
-        assert!(rejects(&w), "min below the first non-empty bucket");
-        // 40 lives in bucket 6 (32..=63), the last non-empty one.
-        let mut w = sample_words();
-        w[MAX] = 31;
-        assert!(rejects(&w), "max below the last non-empty bucket");
-        w[MAX] = 64;
-        assert!(rejects(&w), "max above the last non-empty bucket");
-    }
-
-    #[test]
-    fn from_state_words_rejects_a_sum_the_extrema_cannot_bound() {
-        // Three samples from 3 to 40, one of each at least, sum to 46..=83.
-        let mut w = sample_words();
-        for (sum, ok) in [(46, true), (83, true), (45, false), (84, false)] {
-            w[SUM] = sum;
-            assert_eq!(!rejects(&w), ok, "sum {sum}");
-        }
-        // A saturated sum is exactly what large samples leave behind.
-        let mut h = Histogram::new();
-        h.record_n(u64::MAX, 3);
-        assert_eq!(h.sum(), u64::MAX);
-        assert!(!rejects(&h.state_words()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use impulse_core::flight::TraceError;
 use impulse_core::{DescId, McError, MemController, RemapFn};
 use impulse_types::geom::{round_up, PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, MAddr, PAddr, PRange, PvAddr, VAddr, VRange};
 
 /// Snapshot section tag for [`Kernel`] (`"KERN"`).
@@ -1242,8 +1242,7 @@ impl Kernel {
     /// Serializes the frame allocator, every process (address space,
     /// superpage registrations, region bookkeeping, revocation
     /// tombstones), the shadow-space bump pointer, the grant table, and
-    /// statistics. The configuration is not written — restore
-    /// rebuilds it from the same config the snapshot was taken under.
+    /// statistics. The configuration is not written.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_KERN);
         self.phys.snap_save(w);
@@ -1289,103 +1288,6 @@ impl Kernel {
         w.u64(self.stats.remap_syscalls);
         w.u64(self.stats.controller_pages);
         w.u64(self.stats.shadow_bytes);
-    }
-
-    /// Restores the state saved by [`Kernel::snap_save`] into a kernel
-    /// freshly booted with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is malformed or the machine
-    /// geometry disagrees.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_KERN)?;
-        self.phys.snap_load(r)?;
-        let nprocs = r.usize()?;
-        if nprocs == 0 {
-            return Err(SnapError::Geometry("kernel process table is empty"));
-        }
-        self.procs = Vec::with_capacity(nprocs);
-        for _ in 0..nprocs {
-            let mut p = Process::default();
-            p.aspace.snap_load(r)?;
-            let nsup = r.usize()?;
-            p.superpages = Vec::with_capacity(nsup);
-            for _ in 0..nsup {
-                let base = r.u64()?;
-                let span = r.u64()?;
-                p.superpages.push((base, span));
-            }
-            let nreg = r.usize()?;
-            p.regions = Vec::with_capacity(nreg);
-            for _ in 0..nreg {
-                let start = r.u64()?;
-                let len = r.u64()?;
-                p.regions.push(VRange::new(VAddr::new(start), len));
-            }
-            p.tlb_misses = r.u64_vec()?;
-            if p.tlb_misses.len() != p.regions.len() {
-                return Err(SnapError::Geometry("region TLB-miss table length"));
-            }
-            let ntomb = r.usize()?;
-            p.revoked = Vec::with_capacity(ntomb);
-            for _ in 0..ntomb {
-                let start = r.u64()?;
-                let pages = r.u64()?;
-                let slot = r.u32()?;
-                let stale = r.u32()?;
-                p.revoked.push(Tombstone {
-                    start,
-                    pages,
-                    slot,
-                    stale,
-                });
-            }
-            self.procs.push(p);
-        }
-        let current = r.usize()?;
-        if current >= self.procs.len() {
-            return Err(SnapError::Geometry("current process index"));
-        }
-        self.current = current;
-        self.shadow_next = r.u64()?;
-        let pid = |r: &mut SnapReader<'_>| {
-            let p = r.u32()?;
-            if (p as usize) < nprocs {
-                Ok(Pid(p))
-            } else {
-                Err(SnapError::Geometry("grant names an unknown process"))
-            }
-        };
-        let nslots = r.usize()?;
-        self.grants = Vec::with_capacity(nslots);
-        for _ in 0..nslots {
-            let generation = r.u32()?;
-            let grant = if r.bool()? {
-                let owner = pid(r)?;
-                let desc = DescId::from_index(r.usize()?);
-                let nrecv = r.usize()?;
-                let mut receivers = Vec::with_capacity(nrecv);
-                for _ in 0..nrecv {
-                    let with = pid(r)?;
-                    let start = r.u64()?;
-                    let len = r.u64()?;
-                    receivers.push((with, VRange::new(VAddr::new(start), len)));
-                }
-                Some(Grant {
-                    owner,
-                    desc,
-                    receivers,
-                })
-            } else {
-                None
-            };
-            self.grants.push(GrantSlot { generation, grant });
-        }
-        self.stats.remap_syscalls = r.u64()?;
-        self.stats.controller_pages = r.u64()?;
-        self.stats.shadow_bytes = r.u64()?;
-        Ok(())
     }
 }
 
@@ -1957,51 +1859,5 @@ mod tests {
         for f in &fillers {
             k.release_remap(&mut mc, f).unwrap();
         }
-    }
-
-    #[test]
-    fn snapshot_round_trips_sharing_state_and_tombstones() {
-        let (mut k, mut mc) = small_setup();
-        let buf = k.alloc_region(2 * PAGE_SIZE, 8).unwrap();
-        let live = k.remap_recolor(&mut mc, buf, &[0]).unwrap();
-        let doomed_buf = k.alloc_region(PAGE_SIZE, 8).unwrap();
-        let doomed = k.remap_recolor(&mut mc, doomed_buf, &[1]).unwrap();
-        let receiver = k.spawn();
-        let rx_alias = k.share_remap(&live, receiver).unwrap();
-        let dead_alias = k.share_remap(&doomed, receiver).unwrap();
-        // Leave tombstones behind in the receiver's process entry.
-        k.release_remap(&mut mc, &doomed).unwrap();
-
-        let mut w = SnapWriter::new();
-        k.snap_save(&mut w);
-        let img = w.finish();
-
-        let mut k2 = Kernel::new(*k.config());
-        let mut r = SnapReader::new(&img);
-        k2.snap_load(&mut r).unwrap();
-        r.finish().unwrap();
-
-        // Re-serialization is bit-exact.
-        let mut w2 = SnapWriter::new();
-        k2.snap_save(&mut w2);
-        assert_eq!(img, w2.finish(), "snapshot must round-trip bit-exactly");
-
-        // The live share still translates; tombstones still classify.
-        k2.switch(receiver).unwrap();
-        assert!(k2.translate(rx_alias.start()).is_ok());
-        assert!(matches!(
-            k2.translate(dead_alias.start()),
-            Err(OsError::RevokedCapability { .. })
-        ));
-
-        // Post-restore revocation behaves exactly like pre-snapshot:
-        // releasing the live grant tears the receiver alias down too.
-        k2.switch(Pid::INIT).unwrap();
-        k2.release_remap(&mut mc, &live).unwrap();
-        k2.switch(receiver).unwrap();
-        assert!(matches!(
-            k2.translate(rx_alias.start()),
-            Err(OsError::RevokedCapability { .. })
-        ));
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{FxHashMap, MAddr};
 
 /// Snapshot section tag for [`PhysMem`] (`"PHYS"`).
@@ -231,44 +231,6 @@ impl PhysMem {
             w.u64(frame);
         }
     }
-
-    /// Restores the state saved by [`PhysMem::snap_save`] into an
-    /// allocator built over the same capacity and reservation. The
-    /// restored list is fully settled.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is malformed, the frame pool
-    /// sizes disagree, or the image's counter or free list does not fit
-    /// the pool: more frames allocated or free than the pool holds, or a
-    /// free frame beyond it.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_PHYS)?;
-        if r.u64()? != self.total_frames {
-            return Err(SnapError::Geometry("physical frame pool size"));
-        }
-        let allocated = r.u64()?;
-        if allocated > self.total_frames {
-            return Err(SnapError::Geometry("allocated frames exceed the pool"));
-        }
-        let n = r.usize()?;
-        if n as u64 > self.total_frames {
-            return Err(SnapError::Geometry("free list longer than the pool"));
-        }
-        let mut free = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let frame = r.u64()?;
-            if frame >= self.total_frames {
-                return Err(SnapError::Geometry("free frame beyond the pool"));
-            }
-            free.push_back(frame);
-        }
-        self.allocated = allocated;
-        self.free = free;
-        self.pending = 0;
-        self.displaced.clear();
-        Ok(())
-    }
 }
 
 /// The shuffle generator's state for `seed`: an xorshift generator
@@ -408,16 +370,6 @@ mod tests {
             w.u64(self.allocated);
             w.u64_slice(&self.free);
         }
-
-        fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-            r.tag(TAG_PHYS)?;
-            if r.u64()? != self.total_frames {
-                return Err(SnapError::Geometry("physical frame pool size"));
-            }
-            self.allocated = r.u64()?;
-            self.free = r.u64_vec()?;
-            Ok(())
-        }
     }
 
     /// The original eager Fisher–Yates with its own xorshift generator.
@@ -487,13 +439,6 @@ mod tests {
                             lazy.free(f);
                             eager.free(f);
                         }
-                        17 => {
-                            let image = phys_bytes(|w| eager.snap_save(w));
-                            lazy = PhysMem::new(capacity + 2 * PAGE_SIZE, 2 * PAGE_SIZE, policy);
-                            lazy.snap_load(&mut SnapReader::new(&image)).unwrap();
-                            eager = EagerPhys::new(frames, policy);
-                            eager.snap_load(&mut SnapReader::new(&image)).unwrap();
-                        }
                         _ => {}
                     }
                     assert_eq!(
@@ -509,43 +454,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snap_load_rejects_free_lists_beyond_the_pool() {
-        let mut p = PhysMem::new(8 * PAGE_SIZE, 0, AllocPolicy::Random(3));
-        let image = |allocated: u64, free: &[u64]| {
-            phys_bytes(|w| {
-                w.tag(TAG_PHYS);
-                w.u64(8);
-                w.u64(allocated);
-                w.u64_slice(free);
-            })
-        };
-        let load = |p: &mut PhysMem, bytes: &[u8]| p.snap_load(&mut SnapReader::new(bytes));
-        assert!(matches!(
-            load(&mut p, &image(0, &[0, 1, 8])),
-            Err(SnapError::Geometry(_))
-        ));
-        assert!(matches!(
-            load(&mut p, &image(0, &[0; 9])),
-            Err(SnapError::Geometry(_))
-        ));
-        assert!(matches!(
-            load(&mut p, &image(9, &[])),
-            Err(SnapError::Geometry(_))
-        ));
-        // The rejected images left the fresh pool alone.
-        assert_eq!(p.free_frames(), 8);
-        let fresh = PhysMem::new(8 * PAGE_SIZE, 0, AllocPolicy::Random(3));
-        assert_eq!(
-            phys_bytes(|w| p.snap_save(w)),
-            phys_bytes(|w| fresh.snap_save(w))
-        );
-        // A full pool listed in any order loads, and hands out what it lists.
-        load(&mut p, &image(1, &[7, 6, 5, 4, 3, 2, 1])).unwrap();
-        assert_eq!(p.alloc().unwrap(), MAddr::new(PAGE_SIZE));
-        assert_eq!(p.free_frames(), 6);
     }
 
     #[test]

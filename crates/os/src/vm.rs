@@ -1,7 +1,7 @@
 //! A process address space: virtual page table and region bookkeeping.
 
 use impulse_types::geom::{round_up, PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{FxHashMap, PAddr, VAddr, VRange};
 
 /// Snapshot section tag for [`AddressSpace`] (`"ASPC"`).
@@ -183,25 +183,6 @@ impl AddressSpace {
             w.u64(p);
         }
         w.u64(self.next_va);
-    }
-
-    /// Restores the state saved by [`AddressSpace::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is malformed.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_ASPC)?;
-        let n = r.usize()?;
-        self.pages = FxHashMap::default();
-        self.pages.reserve(n);
-        for _ in 0..n {
-            let v = r.u64()?;
-            let p = r.u64()?;
-            self.pages.insert(v, PAddr::new(p));
-        }
-        self.next_va = r.u64()?;
-        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@
 
 use impulse_fault::{BusFaultStats, TimeoutInjector};
 use impulse_obs::{MetricsRegistry, Observe};
-use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::Cycle;
 
 /// Snapshot section tag for [`Bus`] (`"BUS "`).
@@ -157,28 +157,6 @@ impl Bus {
         if let Some(f) = &self.faults {
             f.snap_save(w);
         }
-    }
-
-    /// Restores the state saved by [`Bus::snap_save`] into a bus built
-    /// with the same configuration (including fault attachment).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is malformed or the injector
-    /// attachment disagrees with the snapshot.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag(TAG_BUS)?;
-        self.busy_until = r.u64()?;
-        self.stats.transfers = r.u64()?;
-        self.stats.bytes = r.u64()?;
-        self.stats.contention = r.u64()?;
-        let had_faults = r.bool()?;
-        match (&mut self.faults, had_faults) {
-            (Some(f), true) => f.snap_load(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::Geometry("bus fault injector presence")),
-        }
-        Ok(())
     }
 }
 

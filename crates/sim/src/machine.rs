@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use impulse_os::{Kernel, OsError, Pid, RemapGrant, RevokeOutcome};
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::ident::digest64;
-use impulse_types::snap::{open, seal, SnapError, SnapReader, SnapWriter};
+use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr, VAddr, VRange};
 
 use crate::config::SystemConfig;
@@ -39,9 +38,8 @@ const XLAT_SLOTS: usize = 256;
 /// Caching the span is safe for the same reason caching the translation
 /// is: superpages, like mappings, change only inside system calls, and
 /// every system call clears the memo — `charge_syscall` on success,
-/// `fail_syscall` on failure — as does [`Machine::restore`], which starts
-/// from an empty memo. So a hit never serves a span older than the
-/// current superpage list.
+/// `fail_syscall` on failure. So a hit never serves a span older than
+/// the current superpage list.
 #[derive(Clone, Copy, Debug)]
 struct Xlat {
     vpage: u64,
@@ -91,7 +89,7 @@ fn floor_sum(mut n: u64, mut m: u64, mut a: u64, mut b: u64) -> u64 {
     sum
 }
 
-/// Snapshot section tag for [`Machine`] (`"MACH"`).
+/// State-image section tag for [`Machine`] (`"MACH"`).
 const TAG_MACH: u32 = 0x4D41_4348;
 
 /// A simulated machine: CPU clock + memory system + OS.
@@ -855,26 +853,21 @@ impl Machine {
         m
     }
 
-    // ---- checkpoint/restore ---------------------------------------------
+    // ---- state image ----------------------------------------------------
 
-    /// The configuration fingerprint stamped into snapshot headers — the
-    /// [`impulse_types::ident`] digest of the full `SystemConfig`, so an
-    /// image can never be restored into a machine with different
-    /// geometry or timing.
-    pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
-        digest64(format!("{cfg:?}").as_bytes())
-    }
-
-    /// Serializes the complete machine state into a versioned, checksummed
-    /// `impulse-snap-v1` image: the CPU clock and counters, every cache
-    /// and TLB, the bus, the memory controller (DRAM, page table, shadow
-    /// descriptors, prefetch buffers), the OS, and any active fault-plan
-    /// RNG streams. An attached [`Tracer`] is *not* captured — reattach
-    /// one after [`Machine::restore`] if tracing should continue.
+    /// Serializes the complete machine state into one byte image: the CPU
+    /// clock and counters, every cache and TLB, the bus, the memory
+    /// controller (DRAM, page table, shadow descriptors, prefetch
+    /// buffers, tier engine), the OS, and any active fault-plan RNG
+    /// streams. The translation memo (a host-side cache) and an attached
+    /// [`Tracer`] are not part of it.
     ///
-    /// The golden invariant: `run(N); snapshot; restore; run(M)` is
-    /// bit-identical to `run(N + M)` in every statistic and cycle count.
-    pub fn snapshot(&self, cfg: &SystemConfig) -> Vec<u8> {
+    /// Nothing decodes the image; it is a state-equality oracle. Two
+    /// machines hold the same architectural and statistical state exactly
+    /// when their images are byte-identical, which is how tests check a
+    /// rewritten path against the one it replaces. An in-process
+    /// checkpoint is a [`Clone`].
+    pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.tag(TAG_MACH);
         w.u64(self.now);
@@ -889,45 +882,7 @@ impl Machine {
         }
         self.kernel.snap_save(&mut w);
         self.ms.snap_save(&mut w);
-        seal(Self::config_fingerprint(cfg), w.finish())
-    }
-
-    /// Rebuilds a machine from a snapshot image taken under the same
-    /// configuration.
-    ///
-    /// The translation memo is reset (it refills on demand) and no tracer
-    /// is attached; everything architecturally or statistically visible
-    /// resumes bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is corrupt, truncated, from a
-    /// different snapshot version, or was taken under a different
-    /// configuration ([`SnapError::ConfigMismatch`]).
-    pub fn restore(cfg: &SystemConfig, image: &[u8]) -> Result<Self, SnapError> {
-        let payload = open(image, Self::config_fingerprint(cfg))?;
-        let mut machine = Self::new(cfg);
-        let mut r = SnapReader::new(payload);
-        r.tag(TAG_MACH)?;
-        machine.now = r.u64()?;
-        machine.epoch = r.u64()?;
-        machine.syscall_cycles = r.u64()?;
-        machine.syscall_failures = r.u64()?;
-        machine.instructions = r.u64()?;
-        machine.promote_threshold = r.u64()?;
-        let n = r.usize()?;
-        if n > machine.mshr {
-            return Err(SnapError::Geometry("in-flight miss count exceeds MSHRs"));
-        }
-        machine.inflight.clear();
-        for _ in 0..n {
-            let c = r.u64()?;
-            machine.inflight.push_back(c);
-        }
-        machine.kernel.snap_load(&mut r)?;
-        machine.ms.snap_load(&mut r)?;
-        r.finish()?;
-        Ok(machine)
+        w.finish()
     }
 }
 
@@ -1466,10 +1421,7 @@ mod tests {
                 new.ms.l2().stats(),
                 "L2 stats after {what}"
             );
-            assert!(
-                old.snapshot(&cfg) == new.snapshot(&cfg),
-                "snapshot after {what}"
-            );
+            assert!(old.snapshot() == new.snapshot(), "snapshot after {what}");
         };
 
         // Flushes then purges each range, dirtying the caches with
@@ -1619,5 +1571,119 @@ mod tests {
             m.load(g.alias.start());
             m.sys_release(&g).unwrap();
         }
+    }
+
+    /// Asserts that two clones of `base`, each changed by `a` or `b`,
+    /// hold different state images. The pairs below are chosen so the two
+    /// clones differ in exactly one piece of state, so an image that
+    /// omitted that piece would be equal and fail here.
+    fn image_sees(
+        base: &Machine,
+        what: &str,
+        a: impl FnOnce(&mut Machine),
+        b: impl FnOnce(&mut Machine),
+    ) {
+        let (mut x, mut y) = (base.clone(), base.clone());
+        a(&mut x);
+        b(&mut y);
+        assert_ne!(x.snapshot(), y.snapshot(), "the image misses {what}");
+    }
+
+    #[test]
+    fn snapshot_is_deterministic() {
+        use impulse_fault::{FaultPlan, FlipInjector, Trigger};
+        use impulse_types::{AccessKind, MAddr, TierPolicy};
+
+        let cfg = SystemConfig::paint_small().with_tier(TierPolicy::Cache);
+        let mut m = Machine::new(&cfg);
+        let data = m.alloc_region(256 * 1024, 8).unwrap();
+        let len = data.len();
+        for i in 0..800u64 {
+            let off = ((i * 2654435761 + 9) % (len / 8)) * 8;
+            m.load(data.start().add(off));
+            if i % 3 == 0 {
+                m.store(data.start().add((off + 64) % len));
+            }
+            m.compute(2);
+        }
+        let v = data.start();
+        m.load(v);
+        let p = m.translate(v);
+        assert_eq!(
+            m.snapshot(),
+            m.snapshot(),
+            "two snapshots of the same machine must be byte-identical"
+        );
+        assert_eq!(m.snapshot(), m.clone().snapshot(), "a clone's image");
+
+        // A store hit and a load hit on the same freshly filled line,
+        // with the L2's counters reset: only the line's dirty bit differs.
+        let touch = |kind| {
+            move |m: &mut Machine| {
+                let l2 = m.ms.l2_mut();
+                l2.purge_line(v, p);
+                l2.access(v, p, AccessKind::Load);
+                l2.access(v, p, kind);
+                l2.reset_stats();
+            }
+        };
+        image_sees(
+            &m,
+            "an L2 dirty bit",
+            touch(AccessKind::Load),
+            touch(AccessKind::Store),
+        );
+        image_sees(&m, "a CPU-TLB entry", |_| {}, |m| m.ms.tlb_shootdown(v));
+        image_sees(
+            &m,
+            "a DRAM open row",
+            |_| {},
+            |m| m.ms.mc_mut().dram_mut().precharge_all(),
+        );
+        // The same fresh bit-flip injector, one with its RNG one draw on.
+        let injector = |draws| {
+            move |m: &mut Machine| {
+                let mut plan = FaultPlan::new(Trigger::Permille(1), 7);
+                for _ in 0..draws {
+                    plan.rng().next_u64();
+                }
+                let inj = FlipInjector::new(plan, 0);
+                m.ms.mc_mut().dram_mut().set_fault_injector(inj);
+            }
+        };
+        image_sees(&m, "a fault-plan RNG step", injector(0), injector(1));
+        // A remap that fails after claiming releases its descriptor and
+        // shadow space, and leaves only a free slot in the grant table.
+        image_sees(
+            &m,
+            "a kernel grant slot",
+            |_| {},
+            |m| {
+                let unmapped = VRange::new(VAddr::new(1 << 40), PAGE_SIZE);
+                let colors = [0];
+                assert!(m
+                    .kernel
+                    .remap_recolor(m.ms.mc_mut(), unmapped, &colors)
+                    .is_err());
+            },
+        );
+        // Gather loads of two cold SCM lines on the same SCM channel: only
+        // the line left in the tier's fill buffer differs.
+        let scm = &cfg.tier.scm;
+        let apart = scm.channels * scm.line_bytes * cfg.mc.line_bytes;
+        let gather = |line: u64| {
+            move |m: &mut Machine| {
+                let mut dram = m.ms.mc().dram().clone();
+                let now = m.now;
+                let bytes = cfg.mc.line_bytes;
+                let tier = m.ms.mc_mut().tier_mut().unwrap();
+                let loads = tier.stats().fill_loads;
+                let addr = MAddr::new(cfg.kernel.dram_capacity / 2 + line * apart);
+                tier.access(&mut dram, addr, AccessKind::Load, bytes, now, true)
+                    .unwrap();
+                assert_eq!(tier.stats().fill_loads, loads + 1, "a cold gather load");
+            }
+        };
+        image_sees(&m, "a tier fill-buffer line", gather(0), gather(1));
     }
 }
