@@ -18,7 +18,7 @@ use impulse_dram::{Dram, DramConfig};
 use impulse_os::{AddressSpace, PhysMem};
 use impulse_sim::{Machine, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
-use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr};
+use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr, VRange};
 
 /// The `i`-th word of a walk that rotates over three pages, one word per
 /// page in turn: the A, B, C operands of a tiled matrix product.
@@ -26,15 +26,21 @@ fn three_page_word(i: u64) -> u64 {
     (i % 3) * PAGE_SIZE + (i / 3 * 8) % PAGE_SIZE
 }
 
-fn bench_l1_hit_path() {
-    // Three L1-resident pages, as in a tile product's inner loop: every
-    // load hits the translation memo, the CPU TLB and the L1.
-    let mut g = Group::new("machine");
-    let mut m = Machine::new(&SystemConfig::paint_small());
+/// A machine on `cfg` with three pages loaded into the L1, and the pages.
+fn three_resident_pages(cfg: &SystemConfig) -> (Machine, VRange) {
+    let mut m = Machine::new(cfg);
     let r = m.alloc_region(3 * PAGE_SIZE, PAGE_SIZE).expect("region");
     for i in 0..3 * PAGE_SIZE / 8 {
         m.load(r.start().add(three_page_word(i)));
     }
+    (m, r)
+}
+
+fn bench_l1_hit_path() {
+    // Three L1-resident pages, as in a tile product's inner loop: every
+    // load hits the translation memo, the CPU TLB and the L1.
+    let mut g = Group::new("machine");
+    let (mut m, r) = three_resident_pages(&SystemConfig::paint_small());
     let mut i = 0u64;
     g.bench("load_l1_hit_3page", || {
         i = i.wrapping_add(1);
@@ -46,6 +52,15 @@ fn bench_l1_hit_path() {
     g.bench("store_l1_hit_3page", || {
         i = i.wrapping_add(1);
         m.store(r.start().add(three_page_word(i)));
+    });
+    // The same loads on a non-blocking CPU with four outstanding misses:
+    // each load first retires the finished ones, a branch of the hit path
+    // that only `mshr > 1` takes.
+    let (mut m, r) = three_resident_pages(&SystemConfig::paint_small().with_mshr(4));
+    let mut i = 0u64;
+    g.bench("load_l1_hit_mshr4", || {
+        i = i.wrapping_add(1);
+        m.load(r.start().add(three_page_word(i)));
     });
 
     let mut g = Group::new("cache");

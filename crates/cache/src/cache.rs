@@ -301,7 +301,11 @@ impl Cache {
 
     /// Performs a demand access; updates replacement state, allocates on
     /// miss per the write policy, and reports any dirty victim.
-    #[inline]
+    ///
+    /// The hit half is forced inline: every demand access of the
+    /// simulator runs it, and a caller in another crate would otherwise
+    /// get an out-of-line call when built without LTO.
+    #[inline(always)]
     pub fn access(&mut self, v: VAddr, p: PAddr, kind: AccessKind) -> Outcome {
         self.tick += 1;
         let base = self.set_base(v, p);

@@ -264,8 +264,9 @@ impl Tlb {
     }
 
     /// Looks up a virtual page; returns `true` on a hit and marks the
-    /// entry referenced.
-    #[inline]
+    /// entry referenced. The lookaside half is forced inline (see
+    /// [`Cache::access`](crate::Cache::access)).
+    #[inline(always)]
     pub fn lookup(&mut self, vpage: u64) -> bool {
         self.stats.lookups += 1;
         let (page, i) = self.lookaside[vpage as usize % LOOKASIDE];
@@ -279,6 +280,7 @@ impl Tlb {
 
     /// [`Tlb::lookup`] past a lookaside miss: the index, then the
     /// superpage list. A span-1 hit fills the lookaside.
+    #[cold]
     #[inline(never)]
     fn lookup_indexed(&mut self, vpage: u64) -> bool {
         let i = if let Some(&i) = self.index.get(&vpage) {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use impulse_os::{Kernel, OsError, Pid, RemapGrant, RevokeOutcome};
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
 use impulse_types::snap::SnapWriter;
-use impulse_types::{Cycle, PAddr, VAddr, VRange};
+use impulse_types::{AccessKind, Cycle, PAddr, VAddr, VRange};
 
 use crate::config::SystemConfig;
 use crate::report::Report;
@@ -210,7 +210,7 @@ impl Machine {
 
     /// The bus address of `v` and the TLB reach of its page, through the
     /// memo.
-    #[inline]
+    #[inline(always)]
     fn translate_fast(&mut self, v: VAddr) -> (PAddr, (u64, u64)) {
         let vpage = v.page_number();
         let x = self.xlat[(vpage as usize) & (XLAT_SLOTS - 1)];
@@ -222,6 +222,7 @@ impl Machine {
 
     /// A memo miss: asks the kernel for the translation and the span, and
     /// memoizes both.
+    #[cold]
     #[inline(never)]
     fn translate_miss(&mut self, v: VAddr) -> (PAddr, (u64, u64)) {
         let vpage = v.page_number();
@@ -244,53 +245,68 @@ impl Machine {
 
     /// Executes a load of the word at `v`; the clock advances to
     /// completion (single-issue, blocking loads).
-    #[inline]
+    ///
+    /// Forced inline into each workload loop, with every hit half below
+    /// it; the memo miss, the TLB and L1 misses, an overlapped miss, a
+    /// promotion check after a walk and trace recording are out-of-line
+    /// calls.
+    #[inline(always)]
     pub fn load(&mut self, v: VAddr) {
         if self.mshr > 1 {
             self.make_mshr_slot();
         }
         let (p, span) = self.translate_fast(v);
         let start = self.now;
-        let penalties = self.ms.stats().tlb_penalties;
+        let penalties = self.ms.tlb_penalties();
         let done = self.ms.load(v, p, span, start);
         if self.mshr > 1 && done > start + self.overlap_threshold {
-            // A miss beyond the L2: issue it and keep going (non-blocking
-            // loads); the data's consumer is assumed far enough away.
-            self.inflight.push_back(done);
-            self.now = start + 1;
+            self.overlap_miss(start, done);
         } else {
             self.now = done;
         }
         self.instructions += 1;
-        if self.promote_threshold > 0 && self.ms.stats().tlb_penalties != penalties {
+        if self.promote_threshold > 0 && self.ms.tlb_penalties() != penalties {
             self.consider_promotion(v);
         }
+        if self.tracer.is_some() {
+            self.trace(AccessKind::Load, start, v, p);
+        }
+    }
+
+    /// A load miss beyond the L2 on a non-blocking CPU: issue it and keep
+    /// going; the data's consumer is assumed far enough away.
+    #[cold]
+    #[inline(never)]
+    fn overlap_miss(&mut self, start: Cycle, done: Cycle) {
+        self.inflight.push_back(done);
+        self.now = start + 1;
+    }
+
+    /// Records the access that started at `start` and ends now.
+    #[cold]
+    #[inline(never)]
+    fn trace(&mut self, kind: AccessKind, start: Cycle, v: VAddr, p: PAddr) {
+        let latency = self.now - start;
         if let Some(t) = &mut self.tracer {
             t.record(TraceEvent {
                 at: start,
-                kind: impulse_types::AccessKind::Load,
+                kind,
                 vaddr: v,
                 paddr: p,
-                latency: self.now - start,
+                latency,
             });
         }
     }
 
-    /// Executes a store to the word at `v`.
-    #[inline]
+    /// Executes a store to the word at `v`; split like [`Machine::load`].
+    #[inline(always)]
     pub fn store(&mut self, v: VAddr) {
         let (p, span) = self.translate_fast(v);
         let start = self.now;
         self.now = self.ms.store(v, p, span, start);
         self.instructions += 1;
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at: start,
-                kind: impulse_types::AccessKind::Store,
-                vaddr: v,
-                paddr: p,
-                latency: self.now - start,
-            });
+        if self.tracer.is_some() {
+            self.trace(AccessKind::Store, start, v, p);
         }
     }
 
@@ -329,6 +345,8 @@ impl Machine {
     }
 
     /// Online promotion check after a TLB miss.
+    #[cold]
+    #[inline(never)]
     fn consider_promotion(&mut self, v: VAddr) {
         if let Some(region) = self.kernel.note_tlb_miss(v, self.promote_threshold) {
             // Best effort: descriptor exhaustion just skips the promotion.

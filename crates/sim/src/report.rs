@@ -77,7 +77,7 @@ impl Report {
             pf: ms.mc().prefetch_stats(),
             desc: ms.mc().desc_stats(),
             pgtbl: ms.mc().pgtbl_stats(),
-            attr: ms.attribution().clone(),
+            attr: ms.attribution(),
             metrics: ms.observe_all(),
         }
     }
@@ -393,7 +393,7 @@ mod tests {
         assert_eq!(rep.dram, ms.mc().dram().stats());
         assert_eq!(rep.mc, ms.mc().stats());
         assert_eq!(rep.pgtbl, ms.mc().pgtbl_stats());
-        assert_eq!(&rep.attr, ms.attribution());
+        assert_eq!(rep.attr, ms.attribution());
         assert_eq!(rep.metrics, ms.observe_all());
     }
 

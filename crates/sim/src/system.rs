@@ -110,10 +110,15 @@ pub struct MemorySystem {
     l1_prefetch: bool,
     l1_line: u64,
     l2_line: u64,
+    /// Demand-access counters, except the L1 hits since the last reset:
+    /// their `loads`/`stores`, `l1_load_hits`/`store_l1_hits` and
+    /// `load_cycles`/`store_cycles` are in `l1_hits` until a read folds
+    /// them in.
     stats: MemStats,
-    /// Where every demand-access cycle went. Background traffic
+    /// Where every demand-access cycle went, except the L1 hits' `L1`
+    /// cycles, which `l1_hits` holds the same way. Background traffic
     /// (writebacks, prefetch fills, stream fetches) is deliberately not
-    /// attributed — it never stalls the CPU, so `attr.total()` equals
+    /// attributed — it never stalls the CPU, so the folded total equals
     /// `load_cycles + store_cycles` exactly.
     attr: Attribution,
     lat_stream_hit: Histogram,
@@ -123,10 +128,11 @@ pub struct MemorySystem {
     lat_load: Histogram,
     /// Demand-store latencies, with the same exception as `lat_load`.
     lat_store: Histogram,
-    /// L1 hits not yet in `lat_load`/`lat_store`, by `[kind][walked]`
-    /// (kind [`LOAD`] or [`STORE`]; walked when the access took a TLB
-    /// walk). Each one is a sample of `t_l1_hit`, plus `t_tlb_miss` if
-    /// walked, so the hit path counts instead of recording.
+    /// L1 hits since the last reset, by `[kind][walked]` (kind [`LOAD`]
+    /// or [`STORE`]; walked when the access took a TLB walk). Each one is
+    /// an access, an L1 hit, `t_l1_hit` cycles charged to the L1 and a
+    /// latency sample of `t_l1_hit`, plus `t_tlb_miss` if walked, so the
+    /// hit path adds 1 here and writes nothing else.
     l1_hits: [[u64; 2]; 2],
 }
 
@@ -189,9 +195,38 @@ impl MemorySystem {
         }
     }
 
-    /// Demand-access statistics.
+    /// Demand-access statistics, with the tallied L1 hits folded in.
     pub fn stats(&self) -> MemStats {
-        self.stats
+        let mut s = self.stats;
+        let (loads, load_cycles) = self.l1_hits_of(LOAD);
+        s.loads += loads;
+        s.l1_load_hits += loads;
+        s.load_cycles += load_cycles;
+        let (stores, store_cycles) = self.l1_hits_of(STORE);
+        s.stores += stores;
+        s.store_l1_hits += stores;
+        s.store_cycles += store_cycles;
+        s
+    }
+
+    /// TLB miss penalties taken: the one counter the machine reads per
+    /// access, without folding the rest of [`MemorySystem::stats`].
+    #[inline(always)]
+    pub(crate) fn tlb_penalties(&self) -> u64 {
+        self.stats.tlb_penalties
+    }
+
+    /// The tallied L1 hits of `kind` and their end-to-end cycles:
+    /// `t_l1_hit` each, plus `t_tlb_miss` for each walked one.
+    fn l1_hits_of(&self, kind: usize) -> (u64, u64) {
+        let [plain, walked] = self.l1_hits[kind];
+        let hits = plain + walked;
+        (hits, hits * self.t_l1_hit + walked * self.t_tlb_miss)
+    }
+
+    /// All tallied L1 hits, loads and stores.
+    fn l1_hit_count(&self) -> u64 {
+        self.l1_hits.iter().flatten().sum()
     }
 
     /// The L1 cache (stats & inspection).
@@ -248,9 +283,12 @@ impl MemorySystem {
         self.l1_hits = [[0; 2]; 2];
     }
 
-    /// Per-stage breakdown of where demand-access cycles went this epoch.
-    pub fn attribution(&self) -> &Attribution {
-        &self.attr
+    /// Per-stage breakdown of where demand-access cycles went this epoch,
+    /// with the tallied L1 hits' cycles folded in.
+    pub fn attribution(&self) -> Attribution {
+        let mut a = self.attr.clone();
+        a.charge(Stage::L1, self.l1_hit_count() * self.t_l1_hit);
+        a
     }
 
     /// Latency distribution of demand loads (end to end, incl. TLB).
@@ -273,10 +311,9 @@ impl MemorySystem {
     }
 
     /// Latency distribution of L1 hits: `t_l1_hit` for each, so built
-    /// from the hit counters.
+    /// from the tally.
     fn l1_hit_latency(&self) -> Histogram {
-        let s = &self.stats;
-        constant_histogram(self.t_l1_hit, s.l1_load_hits + s.store_l1_hits)
+        constant_histogram(self.t_l1_hit, self.l1_hit_count())
     }
 
     /// Latency distribution of L2 load hits: `t_l2_hit` for each.
@@ -298,34 +335,43 @@ impl MemorySystem {
     /// Performs a demand load of the word at `(v, p)`; `span` is the TLB
     /// reach of the page (from the OS, to support superpages). Returns the
     /// completion cycle.
-    #[inline]
+    ///
+    /// The L1-hit half is forced inline and adds 1 to the `l1_hits` tally;
+    /// everything past an L1 miss is an out-of-line call.
+    #[inline(always)]
     pub fn load(&mut self, v: VAddr, p: PAddr, span: (u64, u64), now: Cycle) -> Cycle {
-        self.stats.loads += 1;
         let t = self.tlb_check(v, span, now);
-        let done = match self.l1.access(v, p, AccessKind::Load) {
+        match self.l1.access(v, p, AccessKind::Load) {
             Outcome::Hit => {
-                self.stats.l1_load_hits += 1;
-                self.attr.charge(Stage::L1, self.t_l1_hit);
                 self.l1_hits[LOAD][usize::from(t != now)] += 1;
                 t + self.t_l1_hit
             }
-            Outcome::Miss { writeback } => {
-                let d = if self.streams.is_some() {
-                    self.miss_via_streams(v, p, t)
-                } else {
-                    self.fill_from_l2(v, p, t)
-                };
-                if let Some(wb) = writeback {
-                    self.writeback_to_l2(wb, d);
-                }
-                if self.l1_prefetch {
-                    self.prefetch_next_l1_line(v, p, d);
-                }
-                self.lat_load.record(d - now);
-                d
-            }
-            Outcome::Bypass => unreachable!("loads never bypass"),
+            miss => self.load_miss(miss, v, p, now, t),
+        }
+    }
+
+    /// The L1-miss half of [`MemorySystem::load`], from TLB-checked time
+    /// `t`: the stream buffers or the L2, the victim's writeback and the
+    /// next-line prefetch; counts and records the load.
+    #[cold]
+    #[inline(never)]
+    fn load_miss(&mut self, miss: Outcome, v: VAddr, p: PAddr, now: Cycle, t: Cycle) -> Cycle {
+        let Outcome::Miss { writeback } = miss else {
+            unreachable!("loads never bypass")
         };
+        let done = if self.streams.is_some() {
+            self.miss_via_streams(v, p, t)
+        } else {
+            self.fill_from_l2(v, p, t)
+        };
+        if let Some(wb) = writeback {
+            self.writeback_to_l2(wb, done);
+        }
+        if self.l1_prefetch {
+            self.prefetch_next_l1_line(v, p, done);
+        }
+        self.lat_load.record(done - now);
+        self.stats.loads += 1;
         self.stats.load_cycles += done - now;
         done
     }
@@ -400,51 +446,66 @@ impl MemorySystem {
 
     /// Performs a demand store; returns the completion cycle (stores
     /// retire through the write path, so allocations happen in the
-    /// background).
-    #[inline]
+    /// background). Split like [`MemorySystem::load`].
+    #[inline(always)]
     pub fn store(&mut self, v: VAddr, p: PAddr, span: (u64, u64), now: Cycle) -> Cycle {
-        self.stats.stores += 1;
         let t = self.tlb_check(v, span, now);
         if let Some(s) = self.streams.as_mut() {
             s.invalidate(p);
         }
-        let done = match self.l1.access(v, p, AccessKind::Store) {
+        match self.l1.access(v, p, AccessKind::Store) {
             Outcome::Hit => {
-                self.stats.store_l1_hits += 1;
-                self.attr.charge(Stage::L1, self.t_l1_hit);
                 self.l1_hits[STORE][usize::from(t != now)] += 1;
                 t + self.t_l1_hit
             }
+            miss => self.store_miss(miss, v, p, now, t),
+        }
+    }
+
+    /// The L1-miss half of [`MemorySystem::store`]; counts and records
+    /// the store.
+    #[cold]
+    #[inline(never)]
+    fn store_miss(&mut self, miss: Outcome, v: VAddr, p: PAddr, now: Cycle, t: Cycle) -> Cycle {
+        let done = match miss {
             // Write-around L1: the store proceeds to the L2.
-            Outcome::Bypass => {
-                let d = self.store_to_l2(v, p, t);
-                self.lat_store.record(d - now);
-                d
-            }
+            Outcome::Bypass => self.store_to_l2(v, p, t),
             // A write-allocate L1 (non-Paint configuration): fill, dirty.
             Outcome::Miss { writeback } => {
                 let d = self.fill_from_l2(v, p, t);
                 if let Some(wb) = writeback {
                     self.writeback_to_l2(wb, d);
                 }
-                self.lat_store.record(d - now);
                 d
             }
+            Outcome::Hit => unreachable!("the hit half handles hits"),
         };
+        self.lat_store.record(done - now);
+        self.stats.stores += 1;
         self.stats.store_cycles += done - now;
         done
     }
 
-    #[inline]
+    /// The TLB check of a demand access: returns `now` on a hit, and the
+    /// walk's end on a miss.
+    #[inline(always)]
     fn tlb_check(&mut self, v: VAddr, span: (u64, u64), now: Cycle) -> Cycle {
         if self.tlb.lookup(v.page_number()) {
             now
         } else {
-            self.tlb.insert(span.0, span.1);
-            self.stats.tlb_penalties += 1;
-            self.attr.charge(Stage::Mmu, self.t_tlb_miss);
-            now + self.t_tlb_miss
+            self.tlb_miss(span, now)
         }
+    }
+
+    /// The miss half of [`MemorySystem::tlb_check`]: inserts the page's
+    /// entry and charges the walk.
+    #[cold]
+    #[inline(never)]
+    fn tlb_miss(&mut self, span: (u64, u64), now: Cycle) -> Cycle {
+        self.tlb.insert(span.0, span.1);
+        self.stats.tlb_penalties += 1;
+        self.attr.charge(Stage::Mmu, self.t_tlb_miss);
+        now + self.t_tlb_miss
     }
 
     /// Load path below the L1: L2 lookup, then memory on a miss.
@@ -641,7 +702,7 @@ impl MemorySystem {
         if let Some(s) = &self.streams {
             s.snap_save(w);
         }
-        let s = &self.stats;
+        let s = self.stats();
         for v in [
             s.loads,
             s.l1_load_hits,
@@ -661,8 +722,9 @@ impl MemorySystem {
         ] {
             w.u64(v);
         }
+        let attr = self.attribution();
         for stage in Stage::ALL {
-            w.u64(self.attr.get(stage));
+            w.u64(attr.get(stage));
         }
         for h in [
             &self.l1_hit_latency(),
@@ -680,7 +742,7 @@ impl MemorySystem {
 
 impl Observe for MemorySystem {
     fn observe(&self, m: &mut MetricsRegistry) {
-        let s = self.stats;
+        let s = self.stats();
         m.counter("mem.loads", s.loads);
         m.counter("mem.l1_load_hits", s.l1_load_hits);
         m.counter("mem.l2_load_hits", s.l2_load_hits);
@@ -704,10 +766,11 @@ impl Observe for MemorySystem {
         m.histogram("mem.lat_tlb_walk", &self.tlb_walk_latency());
         m.histogram("mem.lat_load", &self.load_latency());
         m.histogram("mem.lat_store", &self.store_latency());
-        for (stage, cycles) in self.attr.entries() {
+        let attr = self.attribution();
+        for (stage, cycles) in attr.entries() {
             m.counter(&format!("attr.{}", stage.name()), cycles);
         }
-        m.counter("attr.total", self.attr.total());
+        m.counter("attr.total", attr.total());
     }
 }
 
@@ -1200,6 +1263,57 @@ mod tests {
         }
     }
 
+    /// The demand counters and `L1` cycles the hit path no longer writes,
+    /// counted eagerly: one access per step, classified as an L1 hit by
+    /// the L1's own counters.
+    #[derive(Default)]
+    struct EagerCounts {
+        loads: u64,
+        l1_load_hits: u64,
+        load_cycles: u64,
+        stores: u64,
+        store_l1_hits: u64,
+        store_cycles: u64,
+        attr_l1: u64,
+    }
+
+    impl EagerCounts {
+        fn record(&mut self, cfg: &SystemConfig, l1_hit: bool, is_load: bool, latency: Cycle) {
+            let hit = u64::from(l1_hit);
+            if is_load {
+                self.loads += 1;
+                self.l1_load_hits += hit;
+                self.load_cycles += latency;
+            } else {
+                self.stores += 1;
+                self.store_l1_hits += hit;
+                self.store_cycles += latency;
+            }
+            self.attr_l1 += hit * cfg.t_l1_hit;
+        }
+
+        fn assert_matches(&self, ms: &MemorySystem, step: &str) {
+            let s = ms.stats();
+            for (name, got, want) in [
+                ("loads", s.loads, self.loads),
+                ("l1_load_hits", s.l1_load_hits, self.l1_load_hits),
+                ("load_cycles", s.load_cycles, self.load_cycles),
+                ("stores", s.stores, self.stores),
+                ("store_l1_hits", s.store_l1_hits, self.store_l1_hits),
+                ("store_cycles", s.store_cycles, self.store_cycles),
+            ] {
+                assert_eq!(got, want, "stats().{name} at {step}");
+            }
+            let attr = ms.attribution();
+            assert_eq!(attr.get(Stage::L1), self.attr_l1, "attr[L1] at {step}");
+            assert_eq!(
+                attr.total(),
+                self.load_cycles + self.store_cycles,
+                "attribution total at {step}"
+            );
+        }
+    }
+
     #[test]
     fn tallied_and_counter_built_histograms_match_eager_recording() {
         use impulse_types::ident::splitmix64;
@@ -1218,6 +1332,7 @@ mod tests {
             }
             let mut ms = MemorySystem::new(&cfg);
             let mut want = EagerLatencies::default();
+            let mut counts = EagerCounts::default();
             // Every sample of the run, across resets.
             let mut seen = EagerLatencies::default();
             let mut rng = splitmix64(n as u64);
@@ -1237,6 +1352,7 @@ mod tests {
                     3 => {
                         ms.reset_stats();
                         want = EagerLatencies::default();
+                        counts = EagerCounts::default();
                         resets += 1;
                     }
                     _ => {}
@@ -1255,6 +1371,7 @@ mod tests {
                 } & !7;
                 let (v, p) = (va(a), pa(a));
                 let before = ms.stats();
+                let l1_before = ms.l1().stats();
                 let is_load = x % 4 != 0;
                 let done = if is_load {
                     ms.load(v, p, span_of(v), t)
@@ -1262,6 +1379,10 @@ mod tests {
                     ms.store(v, p, span_of(v), t)
                 };
                 let after = ms.stats();
+                let l1_after = ms.l1().stats();
+                let l1_hit = l1_after.load_hits + l1_after.store_hits
+                    > l1_before.load_hits + l1_before.store_hits;
+                counts.record(&cfg, l1_hit, is_load, done - t);
                 if after.tlb_penalties > before.tlb_penalties
                     && after.l1_load_hits + after.store_l1_hits
                         > before.l1_load_hits + before.store_l1_hits
@@ -1271,6 +1392,8 @@ mod tests {
                 want.record(&cfg, before, after, is_load, done - t);
                 seen.record(&cfg, before, after, is_load, done - t);
                 t = done;
+                // The counts first: `want` is classified from `stats()`.
+                counts.assert_matches(&ms, &step);
                 want.assert_matches(&ms, &step);
             }
             assert!(
