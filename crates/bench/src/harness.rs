@@ -2,10 +2,16 @@
 //!
 //! The workspace builds fully offline, so the benchmark targets cannot
 //! pull in an external statistics framework. This harness covers what the
-//! `[[bench]]` targets actually need: warm up, run a measured batch of
-//! iterations against a wall clock, and print per-iteration timings in a
-//! stable, grep-friendly format (`group/name  <median> ns/iter (mean
-//! <mean> ns, <n> iters)`).
+//! `[[bench]]` targets actually need: warm up, run many short measured
+//! batches of iterations against a wall clock, and print per-iteration
+//! timings in a stable, grep-friendly format (`group/name  min <min>
+//! ns/iter  median <median> ns/iter (<n> iters x <samples> samples)`).
+//!
+//! Both figures are fractional nanoseconds. The minimum over many short
+//! samples is the steadier of the two on a shared host: a sample that a
+//! neighbour slowed down only raises the upper tail, so a change of a
+//! fifth on a path of a few nanoseconds still shows between two runs.
+//! The median says how typical the minimum was.
 //!
 //! Timings are indicative, not statistically rigorous — the simulator's
 //! own *cycle* counts (what the paper reports) are exactly reproducible
@@ -16,9 +22,10 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock spend per benchmark measurement.
-const TARGET: Duration = Duration::from_millis(300);
-/// Samples taken per benchmark (median over these is reported).
-const SAMPLES: usize = 5;
+const TARGET: Duration = Duration::from_millis(420);
+/// Samples taken per benchmark (the minimum and median over these are
+/// reported).
+const SAMPLES: usize = 21;
 
 /// A named group of benchmarks, printed with a `group/name` prefix.
 pub struct Group {
@@ -50,20 +57,20 @@ impl Group {
         let batch =
             ((TARGET.as_nanos() / SAMPLES as u128) / per_iter.max(1)).clamp(1, 10_000_000) as u64;
 
-        let mut samples: Vec<u128> = Vec::with_capacity(SAMPLES);
+        let mut samples: Vec<f64> = Vec::with_capacity(SAMPLES);
         for _ in 0..SAMPLES {
             let t0 = Instant::now();
             for _ in 0..batch {
                 black_box(f());
             }
-            samples.push(t0.elapsed().as_nanos() / batch as u128);
+            samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
         }
-        samples.sort_unstable();
-        let median = samples[SAMPLES / 2];
-        let mean = samples.iter().sum::<u128>() / SAMPLES as u128;
+        samples.sort_unstable_by(f64::total_cmp);
+        let (min, median) = (samples[0], samples[SAMPLES / 2]);
         println!(
-            "{}/{name}  {median} ns/iter (mean {mean} ns, {} iters x {SAMPLES} samples)",
-            self.name, batch
+            "{}/{name}  min {min:.2} ns/iter  median {median:.2} ns/iter \
+             ({batch} iters x {SAMPLES} samples)",
+            self.name
         );
     }
 }

@@ -258,28 +258,44 @@ impl Tlb {
         self.stats
     }
 
+    /// This TLB with `stats` in place of its counters: for an owner that
+    /// looks up through [`Tlb::lookup_uncounted`] and counts the lookups
+    /// itself.
+    pub fn with_stats(mut self, stats: TlbStats) -> Self {
+        self.stats = stats;
+        self
+    }
+
     /// Resets statistics; contents are preserved.
     pub fn reset_stats(&mut self) {
         self.stats = TlbStats::default();
     }
 
     /// Looks up a virtual page; returns `true` on a hit and marks the
-    /// entry referenced. The lookaside half is forced inline (see
-    /// [`Cache::access`](crate::Cache::access)).
+    /// entry referenced. Counts the lookup and any hit.
     #[inline(always)]
     pub fn lookup(&mut self, vpage: u64) -> bool {
+        let hit = self.lookup_uncounted(vpage);
         self.stats.lookups += 1;
+        self.stats.hits += u64::from(hit);
+        hit
+    }
+
+    /// [`Tlb::lookup`] without the lookup and hit counts, for an owner
+    /// that derives them (see [`Tlb::with_stats`]). The lookaside half is
+    /// forced inline (see [`Cache::access`](crate::Cache::access)).
+    #[inline(always)]
+    pub fn lookup_uncounted(&mut self, vpage: u64) -> bool {
         let (page, i) = self.lookaside[vpage as usize % LOOKASIDE];
         if page == vpage {
             set_bit(&mut self.referenced, i);
-            self.stats.hits += 1;
             return true;
         }
         self.lookup_indexed(vpage)
     }
 
-    /// [`Tlb::lookup`] past a lookaside miss: the index, then the
-    /// superpage list. A span-1 hit fills the lookaside.
+    /// [`Tlb::lookup_uncounted`] past a lookaside miss: the index, then
+    /// the superpage list. A span-1 hit fills the lookaside.
     #[cold]
     #[inline(never)]
     fn lookup_indexed(&mut self, vpage: u64) -> bool {
@@ -292,7 +308,6 @@ impl Tlb {
             return false;
         };
         set_bit(&mut self.referenced, i);
-        self.stats.hits += 1;
         true
     }
 
@@ -375,15 +390,15 @@ impl Tlb {
     }
 }
 
-impl Observe for Tlb {
+/// The counters, under `tlb.*`.
+impl Observe for TlbStats {
     fn observe(&self, m: &mut MetricsRegistry) {
-        let s = self.stats();
-        m.counter("tlb.lookups", s.lookups);
-        m.counter("tlb.hits", s.hits);
-        m.counter("tlb.misses", s.misses());
-        m.counter("tlb.inserts", s.inserts);
-        m.counter("tlb.evictions", s.evictions);
-        m.gauge("tlb.hit_ratio", s.hit_ratio());
+        m.counter("tlb.lookups", self.lookups);
+        m.counter("tlb.hits", self.hits);
+        m.counter("tlb.misses", self.misses());
+        m.counter("tlb.inserts", self.inserts);
+        m.counter("tlb.evictions", self.evictions);
+        m.gauge("tlb.hit_ratio", self.hit_ratio());
     }
 }
 
@@ -644,6 +659,53 @@ mod tests {
                     assert_eq!(snap_bytes(&t), reference.snap_bytes(), "{ctx}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn uncounted_lookup_differs_only_in_lookup_counts() {
+        // The same seeded lookups, inserts and flushes through `lookup` and
+        // `lookup_uncounted`: every answer, the insert and eviction counts
+        // and, with the counts swapped in, every snapshot byte must agree.
+        let mut counted = tlb(8);
+        let mut uncounted = tlb(8);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..4_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = (x >> 8) % 12;
+            match (x >> 40) % 16 {
+                0 => {
+                    counted.flush();
+                    uncounted.flush();
+                }
+                1 => {
+                    let base = page & !3;
+                    counted.insert(base, 4);
+                    uncounted.insert(base, 4);
+                }
+                _ => {
+                    let hit = counted.lookup(page);
+                    assert_eq!(hit, uncounted.lookup_uncounted(page), "step {step}");
+                    if !hit {
+                        counted.insert(page, 1);
+                        uncounted.insert(page, 1);
+                    }
+                }
+            }
+            let s = counted.stats();
+            let want = TlbStats {
+                lookups: 0,
+                hits: 0,
+                ..s
+            };
+            assert_eq!(uncounted.stats(), want, "step {step}");
+            assert_eq!(
+                snap_bytes(&uncounted.clone().with_stats(s)),
+                snap_bytes(&counted),
+                "step {step}"
+            );
         }
     }
 

@@ -18,9 +18,9 @@ use core::fmt;
 use impulse_dram::{Dram, SchedulePolicy, Scheduler};
 use impulse_fault::{EccConfig, EccStats, FaultConfig};
 use impulse_obs::{Histogram, Json, MetricsRegistry, Observe};
-use impulse_types::geom::{is_pow2, PAGE_SIZE};
+use impulse_types::geom::{is_pow2, PAGE_SHIFT, PAGE_SIZE};
 use impulse_types::snap::SnapWriter;
-use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange};
+use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange, PvAddr};
 
 use crate::desc::{DescError, DescStats, ShadowDescriptor};
 use crate::flight::{self, FlightGeom, FlightRecorder, HitClass};
@@ -918,7 +918,8 @@ impl MemController {
     }
 
     /// Whether every pseudo-virtual page a gather of `line` would touch is
-    /// mapped in the controller page table.
+    /// mapped in the controller page table. A run of segments on one page
+    /// probes it once.
     fn gather_mapped(&mut self, idx: usize, line: PAddr) -> bool {
         let Self {
             descs,
@@ -933,15 +934,28 @@ impl MemController {
         let region = desc.region();
         let soff = desc.offset_of(line);
         let len = cfg.line_bytes.min(region.len() - soff);
+        // The page last found mapped.
+        let mut last = None;
+        let mut mapped = |pv: PvAddr| {
+            let page = pv.raw() >> PAGE_SHIFT;
+            if last == Some(page) {
+                return true;
+            }
+            let found = pgtbl.is_mapped(pv);
+            if found {
+                last = Some(page);
+            }
+            found
+        };
         if let Some(vseg) = desc.remap().vector_segment(soff, len) {
-            if !pgtbl.is_mapped(vseg.pv) || !pgtbl.is_mapped(vseg.pv.add(vseg.bytes - 1)) {
+            if !mapped(vseg.pv) || !mapped(vseg.pv.add(vseg.bytes - 1)) {
                 return false;
             }
         }
         desc.remap().segments(soff, len, seg_scratch);
         seg_scratch
             .iter()
-            .all(|seg| pgtbl.is_mapped(seg.pv) && pgtbl.is_mapped(seg.pv.add(seg.bytes - 1)))
+            .all(|seg| mapped(seg.pv) && mapped(seg.pv.add(seg.bytes - 1)))
     }
 
     /// Performs the gather (or scatter) for one shadow line: indirection
@@ -950,6 +964,19 @@ impl MemController {
     /// the split of `done - t0` into stage times (ECC penalties land in
     /// `frontend`); the breakdown's total equals `done - t0` exactly.
     fn gather(
+        &mut self,
+        idx: usize,
+        line: PAddr,
+        kind: AccessKind,
+        t0: Cycle,
+    ) -> Result<(Cycle, McBreakdown), McError> {
+        self.gather_pieces::<true>(idx, line, kind, t0)
+    }
+
+    /// [`MemController::gather`], translating the pieces of a page run
+    /// once (`PAGE_RUNS`, see [`PgTbl::translate_in_run`]) or each piece
+    /// on its own (the reference the tests hold the runs to).
+    fn gather_pieces<const PAGE_RUNS: bool>(
         &mut self,
         idx: usize,
         line: PAddr,
@@ -1010,12 +1037,17 @@ impl MemController {
         // the profile.
         let granule = cfg.coalesce_bytes;
         merge_scratch.clear();
+        let mut run = None;
         for seg in seg_scratch.iter() {
             let mut pv = seg.pv;
             let mut remaining = seg.bytes;
             while remaining > 0 {
                 let take = (PAGE_SIZE - pv.page_offset()).min(remaining);
-                let (m, ready) = pgtbl.translate(pv, dram, t)?;
+                let (m, ready) = if PAGE_RUNS {
+                    pgtbl.translate_in_run(pv, dram, t, &mut run)?
+                } else {
+                    pgtbl.translate(pv, dram, t)?
+                };
                 bd.pgtbl += ready.max(t) - t;
                 t = t.max(ready);
                 match merge_scratch.last_mut() {
@@ -1132,7 +1164,6 @@ impl Observe for MemController {
 mod tests {
     use super::*;
     use impulse_dram::DramConfig;
-    use impulse_types::PvAddr;
     use std::sync::Arc;
 
     const SHADOW: u64 = 1 << 30;
@@ -1594,6 +1625,93 @@ mod tests {
         );
         assert_eq!(reg.histogram_value("mc.lat_shadow").unwrap().count(), 1);
         assert_eq!(reg.histogram_value("mc.lat_direct").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn page_runs_match_per_piece_translation() {
+        // Seeded lines of three remappings, read (gather) and written
+        // (scatter) through `gather` on one controller and through the
+        // per-piece reference on its twin: every completion and
+        // breakdown, and the page-table and DRAM statistics, must agree,
+        // with and without a page-table fault injector. 1-byte objects 4
+        // bytes apart put a line's 128 pieces on one page; 8-byte objects
+        // a page apart put each piece on its own page and cycle 512 pages
+        // through the 64-entry MC-TLB.
+        use impulse_fault::Trigger;
+        use impulse_types::ident::splitmix64;
+
+        let indices = Arc::new(
+            (0..1024u64)
+                .map(|i| splitmix64(i) % 4096)
+                .collect::<Vec<_>>(),
+        );
+        let remaps = [
+            (
+                "strided 1/4",
+                RemapFn::strided(PvAddr::new(0), 1, 4),
+                64 << 10,
+            ),
+            (
+                "strided 8/4096",
+                RemapFn::strided(PvAddr::new(0), 8, 4096),
+                4096,
+            ),
+            (
+                "gather",
+                RemapFn::gather(PvAddr::new(0), 8, indices, PvAddr::new(256 * PAGE_SIZE), 4),
+                8 << 10,
+            ),
+        ];
+        for faults in [false, true] {
+            for (name, remap, bytes) in &remaps {
+                let region = PRange::new(PAddr::new(SHADOW), *bytes);
+                let twin = || {
+                    let mut m = mc(false, false);
+                    if faults {
+                        m.set_faults(&FaultConfig {
+                            seed: 31,
+                            pgtbl_corrupt: Trigger::Permille(50),
+                            ..FaultConfig::none()
+                        });
+                    }
+                    m.claim_descriptor(region, remap.clone()).unwrap();
+                    map_identity(&mut m, 0, 0, 520);
+                    m
+                };
+                let (mut runs, mut pieces) = (twin(), twin());
+                let idx = runs.desc_index(region.start()).unwrap();
+                let (mut t, mut x) = (0, splitmix64(*bytes));
+                for step in 0..300 {
+                    x = splitmix64(x);
+                    let line = region.start().add((x >> 8) % (bytes / 128) * 128);
+                    let kind = if x % 3 == 0 {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    let ctx = format!("{name}, faults {faults}, step {step}");
+                    let got = runs.gather(idx, line, kind, t).unwrap();
+                    let want = pieces.gather_pieces::<false>(idx, line, kind, t).unwrap();
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(runs.pgtbl_stats(), pieces.pgtbl_stats(), "{ctx}");
+                    assert_eq!(runs.dram().stats(), pieces.dram().stats(), "{ctx}");
+                    assert_eq!(
+                        runs.pgtbl_fault_stats(),
+                        pieces.pgtbl_fault_stats(),
+                        "{ctx}"
+                    );
+                    t = got.0;
+                }
+                let s = runs.pgtbl_stats();
+                assert!(
+                    s.walks > 0 && s.tlb_hits > 0,
+                    "{name} exercises too little: {s:?}"
+                );
+                if faults {
+                    assert!(runs.pgtbl_fault_stats().corruptions > 0, "{name}");
+                }
+            }
+        }
     }
 
     #[test]

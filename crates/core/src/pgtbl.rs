@@ -317,6 +317,36 @@ impl PgTbl {
         Ok((frame.add(pv.page_offset()), ready))
     }
 
+    /// [`PgTbl::translate`] for the next piece of a run, such as the
+    /// pieces of one gather. `run` holds the page and frame of the run's
+    /// last translation (`None` to start a run). A piece on that page
+    /// reuses its frame and only counts a lookup and an on-chip TLB hit:
+    /// the page is the most recently used entry, so `translate` would
+    /// change nothing else and return `now`. With a fault injector
+    /// attached every piece is translated, because the injector draws
+    /// once per lookup.
+    pub(crate) fn translate_in_run(
+        &mut self,
+        pv: PvAddr,
+        dram: &mut Dram,
+        now: Cycle,
+        run: &mut Option<(u64, MAddr)>,
+    ) -> Result<(MAddr, Cycle), McError> {
+        let pv_page = pv.raw() >> PAGE_SHIFT;
+        if let Some((page, frame)) = *run {
+            if page == pv_page {
+                self.stats.lookups += 1;
+                self.stats.tlb_hits += 1;
+                return Ok((frame.add(pv.page_offset()), now));
+            }
+        }
+        let (m, ready) = self.translate(pv, dram, now)?;
+        if self.faults.is_none() {
+            *run = Some((pv_page, MAddr::new(m.raw() - pv.page_offset())));
+        }
+        Ok((m, ready))
+    }
+
     /// Drops all cached translations (mappings stay installed).
     pub fn flush_tlb(&mut self) {
         for e in &self.tlb {

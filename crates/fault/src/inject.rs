@@ -169,7 +169,7 @@ impl TimeoutInjector {
 }
 
 /// Counters for the MC-TLB/page-table corruption site.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PgTblFaultStats {
     /// Cached translation entries corrupted.
     pub corruptions: u64,

@@ -101,7 +101,10 @@ pub struct Machine {
     epoch: Cycle,
     syscall_cycles: u64,
     syscall_failures: u64,
-    instructions: u64,
+    /// Non-memory instructions retired this epoch ([`Machine::compute`]).
+    /// Loads and stores are counted by the memory system, so a demand
+    /// access does not write this.
+    compute_instructions: u64,
     xlat: [Xlat; XLAT_SLOTS],
     tracer: Option<Tracer>,
     /// Completion times of overlapped (non-blocking) load misses.
@@ -132,7 +135,7 @@ impl Machine {
             epoch: 0,
             syscall_cycles: 0,
             syscall_failures: 0,
-            instructions: 0,
+            compute_instructions: 0,
             xlat: [Xlat::EMPTY; XLAT_SLOTS],
             tracer: None,
             inflight: std::collections::VecDeque::with_capacity(cfg.mshr),
@@ -205,7 +208,7 @@ impl Machine {
 
     /// Instructions retired (loads + stores + compute cycles).
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.compute_instructions + self.ms.accesses()
     }
 
     /// The bus address of `v` and the TLB reach of its page, through the
@@ -264,7 +267,6 @@ impl Machine {
         } else {
             self.now = done;
         }
-        self.instructions += 1;
         if self.promote_threshold > 0 && self.ms.tlb_penalties() != penalties {
             self.consider_promotion(v);
         }
@@ -304,7 +306,6 @@ impl Machine {
         let (p, span) = self.translate_fast(v);
         let start = self.now;
         self.now = self.ms.store(v, p, span, start);
-        self.instructions += 1;
         if self.tracer.is_some() {
             self.trace(AccessKind::Store, start, v, p);
         }
@@ -341,7 +342,7 @@ impl Machine {
     #[inline]
     pub fn compute(&mut self, n: u64) {
         self.now += n;
-        self.instructions += n;
+        self.compute_instructions += n;
     }
 
     /// Online promotion check after a TLB miss.
@@ -483,8 +484,8 @@ impl Machine {
     /// page.
     fn walk_region(&mut self, base: VAddr, size: u64, stride: u64, count: u64, op: LineOp) {
         let t = self.kernel.config().costs.t_per_flush_line;
-        let line = self.ms.l1().config().line;
-        let (l1, l2) = (self.ms.l1(), self.ms.l2());
+        let (l1, l2) = (self.ms.l1_contents(), self.ms.l2());
+        let line = l1.config().line;
         let held = l1.config().size / line + l2.config().size / l2.config().line;
         // The first object's blocks, times the objects.
         let visits = count.saturating_mul((base.raw() % line + size).div_ceil(line));
@@ -615,7 +616,7 @@ impl Machine {
         index_bytes: u64,
         partner: VAddr,
     ) -> Result<RemapGrant, OsError> {
-        let l1 = self.ms.l1().config().size;
+        let l1 = self.ms.l1_contents().config().size;
         let phase = ((partner.raw() + l1 / 2) % l1) & !(PAGE_SIZE - 1);
         let grant = self
             .kernel
@@ -838,7 +839,7 @@ impl Machine {
         self.epoch = self.now;
         self.syscall_cycles = 0;
         self.syscall_failures = 0;
-        self.instructions = 0;
+        self.compute_instructions = 0;
         self.ms.reset_stats();
         self.ms.mc_mut().reset_stats();
     }
@@ -853,7 +854,7 @@ impl Machine {
         Report::collect(
             name.into(),
             now - self.epoch,
-            self.instructions,
+            self.instructions(),
             self.syscall_cycles,
             &self.ms,
         )
@@ -865,7 +866,7 @@ impl Machine {
     pub fn metrics(&self) -> impulse_obs::MetricsRegistry {
         let mut m = self.ms.observe_all();
         m.counter("machine.cycles", self.now - self.epoch);
-        m.counter("machine.instructions", self.instructions);
+        m.counter("machine.instructions", self.instructions());
         m.counter("machine.syscall_cycles", self.syscall_cycles);
         m.counter("machine.syscall_failures", self.syscall_failures);
         m
@@ -892,7 +893,7 @@ impl Machine {
         w.u64(self.epoch);
         w.u64(self.syscall_cycles);
         w.u64(self.syscall_failures);
-        w.u64(self.instructions);
+        w.u64(self.instructions());
         w.u64(self.promote_threshold);
         w.usize(self.inflight.len());
         for &c in &self.inflight {
@@ -922,6 +923,70 @@ mod tests {
         m.load(r.start());
         assert!(m.now() > t0 + 5);
         assert_eq!(m.instructions(), 6);
+    }
+
+    #[test]
+    fn instructions_match_an_eager_count() {
+        // Seeded loads (some through `try_load`), stores, compute runs,
+        // TLB-flushing process switches and epoch resets, on a blocking
+        // and a non-blocking CPU: after every step `instructions()`, and
+        // the copies in `report()` and `metrics()`, must equal a count
+        // kept here, one per load and store and `n` per `compute(n)`.
+        use impulse_types::ident::splitmix64;
+
+        for mshr in [1, 4] {
+            let mut m = Machine::new(&SystemConfig::paint_small().with_mshr(mshr));
+            let r = m.alloc_region(64 * PAGE_SIZE, PAGE_SIZE).unwrap();
+            let other = m.sys_spawn();
+            let home = m.kernel().current();
+            let (mut want, mut x) = (0, mshr as u64);
+            for step in 0..3_000 {
+                x = splitmix64(x);
+                // Mostly one L1-resident page, now and then anywhere.
+                let off = if x % 8 == 0 {
+                    (x >> 8) % (64 * PAGE_SIZE)
+                } else {
+                    (x >> 8) % PAGE_SIZE
+                } & !7;
+                let v = r.start().add(off);
+                match (x >> 32) % 64 {
+                    0 => {
+                        m.reset_stats();
+                        want = 0;
+                    }
+                    1 => {
+                        m.sys_switch(other).unwrap();
+                        m.sys_switch(home).unwrap();
+                    }
+                    2..=9 => {
+                        let n = (x >> 40) % 5;
+                        m.compute(n);
+                        want += n;
+                    }
+                    10..=23 => {
+                        m.store(v);
+                        want += 1;
+                    }
+                    24..=27 => {
+                        m.try_load(v).unwrap();
+                        want += 1;
+                    }
+                    _ => {
+                        m.load(v);
+                        want += 1;
+                    }
+                }
+                assert_eq!(m.instructions(), want, "mshr {mshr}, step {step}");
+                if step % 64 == 0 {
+                    assert_eq!(m.report("r").instructions, want, "report at step {step}");
+                    assert_eq!(
+                        m.metrics().counter_value("machine.instructions"),
+                        Some(want),
+                        "metrics at step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1406,7 +1471,7 @@ mod tests {
         assert!(big.end() < fence.start(), "an unmapped gap follows big");
         assert!(new.kernel.aspace().try_translate(big.end()).is_none());
         let held = {
-            let (l1, l2) = (new.ms.l1().config(), new.ms.l2().config());
+            let (l1, l2) = (new.ms.l1_contents().config(), new.ms.l2().config());
             l1.size / l1.line + l2.size / l2.line
         };
         assert_eq!(held, 3072, "the Paint caches hold 3,072 lines");

@@ -68,9 +68,9 @@ impl Report {
             instructions,
             syscall_cycles,
             mem: ms.stats(),
-            l1: ms.l1().stats(),
+            l1: ms.l1_stats(),
             l2: ms.l2().stats(),
-            tlb: ms.tlb().stats(),
+            tlb: ms.tlb_stats(),
             bus: ms.bus().stats(),
             dram: ms.mc().dram().stats(),
             mc: ms.mc().stats(),

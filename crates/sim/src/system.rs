@@ -7,7 +7,9 @@
 //! allocations, and prefetch fills are *posted*: they occupy the bus and
 //! DRAM (creating real contention) but do not stall the CPU.
 
-use impulse_cache::{Cache, FlushOutcome, Outcome, StreamBuffers, StreamOutcome, Tlb};
+use impulse_cache::{
+    Cache, CacheStats, FlushOutcome, Outcome, StreamBuffers, StreamOutcome, Tlb, TlbStats,
+};
 use impulse_core::{McError, MemController, TierEngine};
 use impulse_dram::Dram;
 use impulse_obs::{Attribution, Histogram, MetricsRegistry, Observe, Stage};
@@ -132,7 +134,12 @@ pub struct MemorySystem {
     /// or [`STORE`]; walked when the access took a TLB walk). Each one is
     /// an access, an L1 hit, `t_l1_hit` cycles charged to the L1 and a
     /// latency sample of `t_l1_hit`, plus `t_tlb_miss` if walked, so the
-    /// hit path adds 1 here and writes nothing else.
+    /// hit path adds 1 here and writes no other counter.
+    ///
+    /// The TLB and the L1 are driven through their uncounted entry
+    /// points, so their lookup, hit and demand-access counters are
+    /// folded too (see [`MemorySystem::tlb_stats`] and
+    /// [`MemorySystem::l1_stats`]).
     l1_hits: [[u64; 2]; 2],
 }
 
@@ -229,8 +236,34 @@ impl MemorySystem {
         self.l1_hits.iter().flatten().sum()
     }
 
-    /// The L1 cache (stats & inspection).
-    pub fn l1(&self) -> &Cache {
+    /// Demand accesses (loads and stores) since the last reset.
+    pub(crate) fn accesses(&self) -> u64 {
+        self.stats.loads + self.stats.stores + self.l1_hit_count()
+    }
+
+    /// A copy of the L1 whose statistics are [`MemorySystem::l1_stats`].
+    pub fn l1(&self) -> Cache {
+        self.l1.clone().with_stats(self.l1_stats())
+    }
+
+    /// The L1's statistics. Every demand access probes the L1 once, so
+    /// its loads, load hits, stores and store hits are the folded
+    /// `loads`, `l1_load_hits`, `stores` and `store_l1_hits` of
+    /// [`MemorySystem::stats`]; the L1 counts the rest itself.
+    pub fn l1_stats(&self) -> CacheStats {
+        let s = self.stats();
+        CacheStats {
+            loads: s.loads,
+            load_hits: s.l1_load_hits,
+            stores: s.stores,
+            store_hits: s.store_l1_hits,
+            ..self.l1.stats()
+        }
+    }
+
+    /// The L1 itself, for its geometry and contents; its demand counters
+    /// are not kept (see [`MemorySystem::l1_stats`]).
+    pub(crate) fn l1_contents(&self) -> &Cache {
         &self.l1
     }
 
@@ -245,9 +278,22 @@ impl MemorySystem {
         &mut self.l2
     }
 
-    /// The TLB.
-    pub fn tlb(&self) -> &Tlb {
-        &self.tlb
+    /// A copy of the TLB whose statistics are [`MemorySystem::tlb_stats`].
+    pub fn tlb(&self) -> Tlb {
+        self.tlb.clone().with_stats(self.tlb_stats())
+    }
+
+    /// The TLB's statistics. Every demand access makes one lookup, and a
+    /// lookup misses exactly when the access pays a TLB penalty, so
+    /// `lookups` and `hits` are folded from the demand counts; the TLB
+    /// counts its inserts and evictions itself.
+    pub fn tlb_stats(&self) -> TlbStats {
+        let lookups = self.accesses();
+        TlbStats {
+            lookups,
+            hits: lookups - self.stats.tlb_penalties,
+            ..self.tlb.stats()
+        }
     }
 
     /// The system bus.
@@ -341,7 +387,7 @@ impl MemorySystem {
     #[inline(always)]
     pub fn load(&mut self, v: VAddr, p: PAddr, span: (u64, u64), now: Cycle) -> Cycle {
         let t = self.tlb_check(v, span, now);
-        match self.l1.access(v, p, AccessKind::Load) {
+        match self.l1.access_uncounted(v, p, AccessKind::Load) {
             Outcome::Hit => {
                 self.l1_hits[LOAD][usize::from(t != now)] += 1;
                 t + self.t_l1_hit
@@ -453,7 +499,7 @@ impl MemorySystem {
         if let Some(s) = self.streams.as_mut() {
             s.invalidate(p);
         }
-        match self.l1.access(v, p, AccessKind::Store) {
+        match self.l1.access_uncounted(v, p, AccessKind::Store) {
             Outcome::Hit => {
                 self.l1_hits[STORE][usize::from(t != now)] += 1;
                 t + self.t_l1_hit
@@ -490,7 +536,7 @@ impl MemorySystem {
     /// walk's end on a miss.
     #[inline(always)]
     fn tlb_check(&mut self, v: VAddr, span: (u64, u64), now: Cycle) -> Cycle {
-        if self.tlb.lookup(v.page_number()) {
+        if self.tlb.lookup_uncounted(v.page_number()) {
             now
         } else {
             self.tlb_miss(span, now)
@@ -677,12 +723,12 @@ impl MemorySystem {
         let mut m = MetricsRegistry::new();
         m.observe(self);
         let mut tmp = MetricsRegistry::new();
-        tmp.observe(&self.l1);
+        tmp.observe(&self.l1_stats());
         m.absorb("l1", &tmp);
         let mut tmp = MetricsRegistry::new();
-        tmp.observe(&self.l2);
+        tmp.observe(&self.l2.stats());
         m.absorb("l2", &tmp);
-        m.observe(&self.tlb);
+        m.observe(&self.tlb_stats());
         m.observe(&self.bus);
         m.observe(&self.mc);
         m
@@ -693,9 +739,9 @@ impl MemorySystem {
     /// statistics, cycle attribution, and every latency histogram.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_MSYS);
-        self.l1.snap_save(w);
+        self.l1().snap_save(w);
         self.l2.snap_save(w);
-        self.tlb.snap_save(w);
+        self.tlb().snap_save(w);
         self.bus.snap_save(w);
         self.mc.snap_save(w);
         w.bool(self.streams.is_some());
@@ -1265,7 +1311,8 @@ mod tests {
 
     /// The demand counters and `L1` cycles the hit path no longer writes,
     /// counted eagerly: one access per step, classified as an L1 hit by
-    /// the L1's own counters.
+    /// probing the L1 before the access. They are also the L1's demand
+    /// counters.
     #[derive(Default)]
     struct EagerCounts {
         loads: u64,
@@ -1292,7 +1339,25 @@ mod tests {
             self.attr_l1 += hit * cfg.t_l1_hit;
         }
 
-        fn assert_matches(&self, ms: &MemorySystem, step: &str) {
+        /// Checks the folds against these counts, and the TLB's against
+        /// `tlb`, a twin that took the same lookups, inserts and flushes
+        /// through the counting [`Tlb::lookup`].
+        fn assert_matches(&self, ms: &MemorySystem, tlb: &Tlb, step: &str) {
+            let l1 = ms.l1().stats();
+            for (name, got, want) in [
+                ("loads", l1.loads, self.loads),
+                ("load_hits", l1.load_hits, self.l1_load_hits),
+                ("stores", l1.stores, self.stores),
+                ("store_hits", l1.store_hits, self.store_l1_hits),
+            ] {
+                assert_eq!(got, want, "l1().stats().{name} at {step}");
+            }
+            assert_eq!(ms.l1_stats(), l1, "l1_stats() at {step}");
+            let (tlb, want) = (ms.tlb().stats(), tlb.stats());
+            assert_eq!(tlb.lookups, want.lookups, "tlb().stats().lookups at {step}");
+            assert_eq!(tlb.hits, want.hits, "tlb().stats().hits at {step}");
+            assert_eq!(tlb, want, "tlb().stats() at {step}");
+            assert_eq!(ms.tlb_stats(), tlb, "tlb_stats() at {step}");
             let s = ms.stats();
             for (name, got, want) in [
                 ("loads", s.loads, self.loads),
@@ -1333,6 +1398,7 @@ mod tests {
             let mut ms = MemorySystem::new(&cfg);
             let mut want = EagerLatencies::default();
             let mut counts = EagerCounts::default();
+            let mut tlb = Tlb::new(cfg.tlb);
             // Every sample of the run, across resets.
             let mut seen = EagerLatencies::default();
             let mut rng = splitmix64(n as u64);
@@ -1348,11 +1414,15 @@ mod tests {
                 match r % 100 {
                     // A context switch: the next hits on L1-resident
                     // lines take a TLB walk first.
-                    0..=2 => ms.tlb_flush(),
+                    0..=2 => {
+                        ms.tlb_flush();
+                        tlb.flush();
+                    }
                     3 => {
                         ms.reset_stats();
                         want = EagerLatencies::default();
                         counts = EagerCounts::default();
+                        tlb.reset_stats();
                         resets += 1;
                     }
                     _ => {}
@@ -1371,7 +1441,7 @@ mod tests {
                 } & !7;
                 let (v, p) = (va(a), pa(a));
                 let before = ms.stats();
-                let l1_before = ms.l1().stats();
+                let l1_hit = ms.l1_contents().probe(v, p);
                 let is_load = x % 4 != 0;
                 let done = if is_load {
                     ms.load(v, p, span_of(v), t)
@@ -1379,9 +1449,9 @@ mod tests {
                     ms.store(v, p, span_of(v), t)
                 };
                 let after = ms.stats();
-                let l1_after = ms.l1().stats();
-                let l1_hit = l1_after.load_hits + l1_after.store_hits
-                    > l1_before.load_hits + l1_before.store_hits;
+                if !tlb.lookup(v.page_number()) {
+                    tlb.insert(v.page_number(), 1);
+                }
                 counts.record(&cfg, l1_hit, is_load, done - t);
                 if after.tlb_penalties > before.tlb_penalties
                     && after.l1_load_hits + after.store_l1_hits
@@ -1393,7 +1463,7 @@ mod tests {
                 seen.record(&cfg, before, after, is_load, done - t);
                 t = done;
                 // The counts first: `want` is classified from `stats()`.
-                counts.assert_matches(&ms, &step);
+                counts.assert_matches(&ms, &tlb, &step);
                 want.assert_matches(&ms, &step);
             }
             assert!(
