@@ -2,11 +2,7 @@
 
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::{is_pow2, log2};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, PAddr, VAddr};
-
-/// Snapshot section tag for [`Cache`] (`"CACH"`).
-const TAG_CACHE: u32 = 0x4341_4348;
 
 /// Which address space selects the cache set.
 ///
@@ -195,13 +191,13 @@ const VALID: u64 = 1 << 63;
 /// assert_eq!(l1.access(v, p, AccessKind::Store), Outcome::Bypass);
 /// assert!(!l1.probe(v, p));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// One word per way, `VALID | ptag`, sets × ways, way-major within a
     /// set: a hit probe compares one word per way. Invalidation clears
-    /// only `VALID`, so an invalid way keeps its last ptag (the snapshot
-    /// bytes carry it).
+    /// only `VALID`, so an invalid way keeps its last ptag, which the
+    /// derived equality compares like any other bit.
     tags: Vec<u64>,
     /// Per way: LRU stamp, or NRU reference mark (0 = unreferenced).
     /// A direct-mapped cache keeps none: with one way per set the victim
@@ -506,37 +502,6 @@ impl Cache {
             .filter(|&&t| t & VALID != 0)
             .map(|&t| PAddr::new((t & !VALID) << self.line_shift))
     }
-
-    /// Serializes the cache contents (every way verbatim, as valid, dirty,
-    /// ptag, stamp, prefetched), replacement tick, and statistics.
-    /// Geometry is configuration and is not written.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_CACHE);
-        w.usize(self.tags.len());
-        for i in 0..self.tags.len() {
-            w.bool(self.tags[i] & VALID != 0);
-            w.bool(self.dirty[i]);
-            w.u64(self.tags[i] & !VALID);
-            w.u64(self.stamps[i]);
-            w.bool(self.prefetched[i]);
-        }
-        w.u64(self.tick);
-        let s = &self.stats;
-        for v in [
-            s.loads,
-            s.load_hits,
-            s.stores,
-            s.store_hits,
-            s.store_bypasses,
-            s.fills,
-            s.prefetch_fills,
-            s.prefetch_useful,
-            s.writebacks,
-            s.evictions,
-        ] {
-            w.u64(v);
-        }
-    }
 }
 
 /// The counters, under `cache.*`.
@@ -759,7 +724,7 @@ mod tests {
     /// (the layout before the packed tag words). A direct-mapped
     /// reference never advances its tick, so its stamps stay 0, as the
     /// packed cache's rule has it.
-    #[derive(Clone, Copy, Default)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Line {
         valid: bool,
         dirty: bool,
@@ -936,42 +901,25 @@ mod tests {
             self.lines.iter().filter(|l| l.valid).count()
         }
 
-        /// The `CACH` section as the `Line`-array cache wrote it.
-        fn snap_bytes(&self) -> Vec<u8> {
-            let mut w = SnapWriter::new();
-            w.tag(TAG_CACHE);
-            w.usize(self.lines.len());
-            for l in &self.lines {
-                w.bool(l.valid);
-                w.bool(l.dirty);
-                w.u64(l.ptag);
-                w.u64(l.stamp);
-                w.bool(l.prefetched);
-            }
-            w.u64(self.tick);
-            let s = &self.stats;
-            for v in [
-                s.loads,
-                s.load_hits,
-                s.stores,
-                s.store_hits,
-                s.store_bypasses,
-                s.fills,
-                s.prefetch_fills,
-                s.prefetch_useful,
-                s.writebacks,
-                s.evictions,
-            ] {
-                w.u64(v);
-            }
-            w.finish()
+        /// Every way, the replacement tick and the statistics.
+        fn view(&self) -> (Vec<Line>, u64, CacheStats) {
+            (self.lines.clone(), self.tick, self.stats)
         }
     }
 
-    fn snap_bytes(c: &Cache) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        c.snap_save(&mut w);
-        w.finish()
+    /// The packed cache's state in the reference's terms: one `Line` per
+    /// way (an invalid way keeps its last ptag), the tick and the stats.
+    fn view(c: &Cache) -> (Vec<Line>, u64, CacheStats) {
+        let lines = (0..c.tags.len())
+            .map(|i| Line {
+                valid: c.tags[i] & VALID != 0,
+                dirty: c.dirty[i],
+                ptag: c.tags[i] & !VALID,
+                stamp: c.stamps[i],
+                prefetched: c.prefetched[i],
+            })
+            .collect();
+        (lines, c.tick, c.stats)
     }
 
     #[test]
@@ -980,7 +928,7 @@ mod tests {
         // purges, invalidations and statistics resets over every
         // associativity, replacement policy, indexing and write policy:
         // after every step each outcome, the statistics, the occupancy
-        // and the snapshot bytes must match the reference.
+        // and every way's state must match the reference.
         const SETS: u64 = 8;
         for ways in [1u64, 2, 4, 8] {
             for replacement in [Replacement::Lru, Replacement::Nru] {
@@ -1051,7 +999,7 @@ mod tests {
                             assert_eq!(c.probe(v, p), reference.find(v, p).is_some(), "{ctx}");
                             assert_eq!(c.stats(), reference.stats, "{ctx}");
                             assert_eq!(c.valid_lines(), reference.valid_lines(), "{ctx}");
-                            assert_eq!(snap_bytes(&c), reference.snap_bytes(), "{ctx}");
+                            assert_eq!(view(&c), reference.view(), "{ctx}");
                         }
                     }
                 }
@@ -1063,8 +1011,8 @@ mod tests {
     fn uncounted_access_differs_only_in_demand_counts() {
         // The same seeded loads, stores, prefetch fills and flushes through
         // `access` and `access_uncounted`: every outcome, every other
-        // counter and, with the counts swapped in, every snapshot byte
-        // must agree.
+        // counter and, with the counts swapped in, the whole cache must
+        // agree.
         let demand_free = |s: CacheStats| CacheStats {
             loads: 0,
             load_hits: 0,
@@ -1109,8 +1057,8 @@ mod tests {
                 }
                 assert_eq!(uncounted.stats(), demand_free(counted.stats()), "{ctx}");
                 assert_eq!(
-                    snap_bytes(&uncounted.clone().with_stats(counted.stats())),
-                    snap_bytes(&counted),
+                    uncounted.clone().with_stats(counted.stats()),
+                    counted,
                     "{ctx}"
                 );
             }

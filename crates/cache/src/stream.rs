@@ -13,11 +13,7 @@
 //! timing is charged by the memory system, which owns the path to the L2
 //! and the controller.
 
-use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr};
-
-/// Snapshot section tag for [`StreamBuffers`] (`"STRM"`).
-const TAG_STREAM: u32 = 0x5354_524D;
 
 /// Stream buffer geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +60,7 @@ impl StreamStats {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Buffer {
     /// Line addresses queued, oldest first, with their ready times.
     fifo: std::collections::VecDeque<(PAddr, Cycle)>,
@@ -99,7 +95,7 @@ pub enum StreamOutcome {
 
 /// A set of stream buffers with next-line allocation and optional
 /// programmed strides.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamBuffers {
     cfg: StreamConfig,
     buffers: Vec<Buffer>,
@@ -254,30 +250,6 @@ impl StreamBuffers {
             *slot = self.advance(i);
         }
         out
-    }
-
-    /// Serializes every buffer verbatim — FIFO contents front-to-back
-    /// (including `Cycle::MAX` in-flight markers), next-fetch cursor,
-    /// stride, LRU stamp — plus the allocation tick and statistics.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_STREAM);
-        w.usize(self.buffers.len());
-        for buf in &self.buffers {
-            w.usize(buf.fifo.len());
-            for &(a, ready) in &buf.fifo {
-                w.u64(a.raw());
-                w.u64(ready);
-            }
-            w.u64(buf.next.raw());
-            w.u64(buf.stride as u64);
-            w.u64(buf.stamp);
-            w.bool(buf.valid);
-        }
-        w.u64(self.tick);
-        w.u64(self.stats.lookups);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.allocations);
-        w.u64(self.stats.fetches);
     }
 }
 

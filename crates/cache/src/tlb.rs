@@ -8,11 +8,7 @@
 
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::SnapWriter;
 use impulse_types::FxHashMap;
-
-/// Snapshot section tag for [`Tlb`] (`"TLB "`).
-const TAG_TLB: u32 = 0x544C_4220;
 
 /// TLB geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +53,7 @@ impl TlbStats {
 }
 
 /// The pages one slot covers; meaningful only while the slot is occupied.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Entry {
     /// First virtual page covered.
     base_vpage: u64,
@@ -66,7 +62,7 @@ struct Entry {
 }
 
 impl Entry {
-    /// What a free slot holds (and what its snapshot bytes say).
+    /// What a free slot holds.
     const EMPTY: Self = Self {
         base_vpage: 0,
         span: 1,
@@ -134,7 +130,7 @@ fn clear_bit(set: &mut [u64], i: usize) {
 /// tlb.insert(64, 16);
 /// assert!(tlb.lookup(79));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tlb {
     entries: Vec<Entry>,
     /// Bit `i` set: slot `i` is free. Bits at and above `entries.len()`
@@ -152,7 +148,7 @@ pub struct Tlb {
     /// page. Clearing by slot would not do: a duplicate span-1 insert
     /// re-points the page to a new slot, and clearing the old slot later
     /// removes the page from `index` although the new slot still holds
-    /// it. Not serialized; reset on load.
+    /// it.
     lookaside: [(u64, usize); LOOKASIDE],
     stats: TlbStats,
 }
@@ -366,28 +362,6 @@ impl Tlb {
         let free: u32 = self.free.iter().map(|w| w.count_ones()).sum();
         self.entries.len() - free as usize
     }
-
-    /// Serializes the entry array verbatim (slot order is NRU-relevant
-    /// state), the superpage side list, and statistics. The single-page
-    /// index is derived from the entries and is not written.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_TLB);
-        w.usize(self.entries.len());
-        for (i, e) in self.entries.iter().enumerate() {
-            w.bool(!self.is_free(i));
-            w.u64(e.base_vpage);
-            w.u64(e.span);
-            w.bool(bit(&self.referenced, i));
-        }
-        w.usize(self.super_slots.len());
-        for &s in &self.super_slots {
-            w.usize(s);
-        }
-        w.u64(self.stats.lookups);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.inserts);
-        w.u64(self.stats.evictions);
-    }
 }
 
 /// The counters, under `tlb.*`.
@@ -471,18 +445,21 @@ mod tests {
         assert_eq!(TlbStats::default().hit_ratio(), 0.0);
     }
 
+    /// One slot as `(valid, base, span, referenced)`.
+    type Slot = (bool, u64, u64, bool);
+
     /// The reference TLB: a valid and a referenced flag per entry, and the
     /// NRU victim found by linear scans (the implementation before the
     /// bitsets).
     struct ScanTlb {
-        entries: Vec<(bool, u64, u64, bool)>, // (valid, base, span, referenced)
+        entries: Vec<Slot>,
         index: FxHashMap<u64, usize>,
         super_slots: Vec<usize>,
         stats: TlbStats,
     }
 
     impl ScanTlb {
-        const INVALID: (bool, u64, u64, bool) = (false, 0, 1, false);
+        const INVALID: Slot = (false, 0, 1, false);
 
         fn new(n: usize) -> Self {
             Self {
@@ -569,33 +546,24 @@ mod tests {
             self.entries.iter().filter(|e| e.0).count()
         }
 
-        /// The `TLB ` section as the scanning implementation wrote it.
-        fn snap_bytes(&self) -> Vec<u8> {
-            let mut w = SnapWriter::new();
-            w.tag(TAG_TLB);
-            w.usize(self.entries.len());
-            for &(valid, base, span, referenced) in &self.entries {
-                w.bool(valid);
-                w.u64(base);
-                w.u64(span);
-                w.bool(referenced);
-            }
-            w.usize(self.super_slots.len());
-            for &s in &self.super_slots {
-                w.usize(s);
-            }
-            w.u64(self.stats.lookups);
-            w.u64(self.stats.hits);
-            w.u64(self.stats.inserts);
-            w.u64(self.stats.evictions);
-            w.finish()
+        /// Every slot in order, the superpage side list and the stats.
+        fn view(&self) -> (Vec<Slot>, Vec<usize>, TlbStats) {
+            (self.entries.clone(), self.super_slots.clone(), self.stats)
         }
     }
 
-    fn snap_bytes(t: &Tlb) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        t.snap_save(&mut w);
-        w.finish()
+    /// The bitmap TLB's state in the reference's terms: every slot in
+    /// order (slot order is NRU state) as `(valid, base, span,
+    /// referenced)`, the superpage side list and the stats. The
+    /// single-page index and the lookaside derive from the entries.
+    fn view(t: &Tlb) -> (Vec<Slot>, Vec<usize>, TlbStats) {
+        let entries = t
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (!t.is_free(i), e.base_vpage, e.span, bit(&t.referenced, i)))
+            .collect();
+        (entries, t.super_slots.clone(), t.stats)
     }
 
     #[test]
@@ -603,7 +571,7 @@ mod tests {
         // Seeded random lookup / insert / flush sequences over
         // more pages than the TLB holds, at sizes around the 64-slot word
         // boundary: after every step the hit or miss, the statistics, the
-        // occupancy and the snapshot bytes must match the reference. The
+        // occupancy and every slot must match the reference. The
         // `hot` mix biases lookups to three pages (the A, B, C of a tiled
         // product), so lookaside hits dominate, and re-inserts resident
         // pages with span 1, which re-points their index entries.
@@ -656,7 +624,7 @@ mod tests {
                     }
                     assert_eq!(t.stats(), reference.stats, "{ctx}");
                     assert_eq!(t.valid_entries(), reference.valid_entries(), "{ctx}");
-                    assert_eq!(snap_bytes(&t), reference.snap_bytes(), "{ctx}");
+                    assert_eq!(view(&t), reference.view(), "{ctx}");
                 }
             }
         }
@@ -666,7 +634,7 @@ mod tests {
     fn uncounted_lookup_differs_only_in_lookup_counts() {
         // The same seeded lookups, inserts and flushes through `lookup` and
         // `lookup_uncounted`: every answer, the insert and eviction counts
-        // and, with the counts swapped in, every snapshot byte must agree.
+        // and, with the counts swapped in, the whole TLB must agree.
         let mut counted = tlb(8);
         let mut uncounted = tlb(8);
         let mut x = 0x2545_F491_4F6C_DD1Du64;
@@ -701,11 +669,7 @@ mod tests {
                 ..s
             };
             assert_eq!(uncounted.stats(), want, "step {step}");
-            assert_eq!(
-                snap_bytes(&uncounted.clone().with_stats(s)),
-                snap_bytes(&counted),
-                "step {step}"
-            );
+            assert_eq!(uncounted.clone().with_stats(s), counted, "step {step}");
         }
     }
 

@@ -19,7 +19,6 @@ use impulse_dram::{Dram, SchedulePolicy, Scheduler};
 use impulse_fault::{EccConfig, EccStats, FaultConfig};
 use impulse_obs::{Histogram, Json, MetricsRegistry, Observe};
 use impulse_types::geom::{is_pow2, PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange, PvAddr};
 
 use crate::desc::{DescError, DescStats, ShadowDescriptor};
@@ -210,11 +209,8 @@ impl McBreakdown {
     }
 }
 
-/// Snapshot section tag for [`MemController`] (`"MCTL"`).
-const TAG_MC: u32 = 0x4D43_544C;
-
 /// The Impulse memory controller.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemController {
     cfg: McConfig,
     dram: Dram,
@@ -1076,47 +1072,6 @@ impl MemController {
         let penalty = scrub_flips(dram, ecc, ecc_stats);
         bd.frontend += penalty;
         Ok((done + penalty, bd))
-    }
-
-    /// Serializes the controller's mutable state: the DRAM array, the
-    /// controller page table, the prefetch SRAM, every configured shadow
-    /// descriptor, top-level statistics, latency histograms, and ECC
-    /// bookkeeping. Configuration (`McConfig`, scheduler policy, ECC mode,
-    /// shadow base) is not written.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_MC);
-        self.dram.snap_save(w);
-        self.pgtbl.snap_save(w);
-        self.pf.snap_save(w);
-        w.usize(self.descs.len());
-        for slot in &self.descs {
-            match slot {
-                Some(d) => {
-                    w.bool(true);
-                    d.snap_save(w);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.u64(self.stats.line_reads);
-        w.u64(self.stats.line_writes);
-        w.u64(self.stats.shadow_line_reads);
-        w.u64(self.stats.shadow_line_writes);
-        w.u64(self.stats.rejected_reads);
-        w.u64(self.stats.rejected_writes);
-        w.u64_slice(&self.lat_direct.state_words());
-        w.u64_slice(&self.lat_pf_hit.state_words());
-        w.u64_slice(&self.lat_shadow.state_words());
-        w.u64_slice(&self.lat_shadow_hit.state_words());
-        w.u64(self.ecc_stats.corrected);
-        w.u64(self.ecc_stats.detected_double);
-        w.u64(self.ecc_stats.silent);
-        w.u64(self.ecc_stats.corrupt_sig);
-        w.u64(self.ecc_stats.recovery_cycles);
-        w.bool(self.tier.is_some());
-        if let Some(t) = &self.tier {
-            t.snap_save(w);
-        }
     }
 }
 

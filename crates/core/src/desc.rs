@@ -9,14 +9,10 @@
 use std::fmt;
 
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr, PRange, PvAddr};
 
 use crate::prefetch::PrefetchCache;
 use crate::remap::RemapFn;
-
-/// Snapshot section tag for [`ShadowDescriptor`] (`"SDSC"`).
-const TAG_DESC: u32 = 0x5344_5343;
 
 /// A shadow-descriptor configuration rejected at creation time.
 ///
@@ -131,7 +127,7 @@ pub struct DescStats {
 }
 
 /// One configured shadow region at the memory controller.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShadowDescriptor {
     region: PRange,
     remap: RemapFn,
@@ -306,27 +302,6 @@ impl ShadowDescriptor {
             self.last_vector_block = Some(block);
             false
         }
-    }
-
-    /// Serializes the complete descriptor: configuration (region, remap
-    /// function, buffer geometry — descriptors are created by syscalls at
-    /// run time, so they are machine state, not system configuration)
-    /// plus dynamic state (buffer contents, vector-block memo, stats).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_DESC);
-        w.u64(self.region.start().raw());
-        w.u64(self.region.len());
-        self.remap.snap_save(w);
-        w.u64(self.buffer.line_bytes());
-        w.usize(self.buffer.capacity_lines());
-        self.buffer.snap_save(w);
-        w.bool(self.last_vector_block.is_some());
-        w.u64(self.last_vector_block.map_or(0, |b| b.raw()));
-        w.u64(self.stats.reads);
-        w.u64(self.stats.writes);
-        w.u64(self.stats.buffer_hits);
-        w.u64(self.stats.gathers);
-        w.u64(self.stats.dram_requests);
     }
 }
 

@@ -151,7 +151,7 @@ pub struct FlightEvent {
 }
 
 /// Compact in-ring representation (24 bytes/event).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct RawEvent {
     cycle: u64,
     line: u64,
@@ -504,7 +504,7 @@ pub fn exact_top(events: &[FlightEvent]) -> Vec<(u64, u64)> {
 /// Storage is allocated lazily (short runs with a huge `capacity` only
 /// pay for what they record) and wraps by overwriting the oldest event,
 /// keeping a count of how many were lost.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlightRecorder {
     geom: FlightGeom,
     buf: Vec<RawEvent>,

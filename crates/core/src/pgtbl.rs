@@ -11,13 +11,9 @@ use impulse_dram::Dram;
 use impulse_fault::{PgTblFaultStats, PgTblInjector};
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, FxHashMap, MAddr, PvAddr};
 
 use crate::controller::McError;
-
-/// Snapshot section tag for [`PgTbl`] (`"PGTB"`).
-const TAG_PGTBL: u32 = 0x5047_5442;
 
 /// Configuration of the controller page table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +55,7 @@ const NIL: u32 = u32::MAX;
 
 /// One on-chip TLB entry: the page whose translation is cached, threaded
 /// on the recency list by slot index.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct TlbEntry {
     page: u64,
     /// The next more recently used slot (`NIL` for the MRU entry).
@@ -69,7 +65,7 @@ struct TlbEntry {
 }
 
 /// Controller page table with an on-chip TLB.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PgTbl {
     cfg: PgTblConfig,
     /// pv page → (frame, TLB slot), with slot `NIL` when the page is not
@@ -355,34 +351,6 @@ impl PgTbl {
         self.tlb.clear();
         self.mru = NIL;
         self.lru = NIL;
-    }
-
-    /// Serializes installed mappings (sorted by page for determinism),
-    /// the on-chip TLB's pages from most to least recently used,
-    /// statistics, and any fault-injector dynamic state.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_PGTBL);
-        let mut pages: Vec<(u64, u64)> = self.map.iter().map(|(&p, m)| (p, m.0.raw())).collect();
-        pages.sort_unstable();
-        w.usize(pages.len());
-        for (p, m) in pages {
-            w.u64(p);
-            w.u64(m);
-        }
-        w.usize(self.tlb.len());
-        let mut s = self.mru;
-        while s != NIL {
-            let e = &self.tlb[s as usize];
-            w.u64(e.page);
-            s = e.older;
-        }
-        w.u64(self.stats.lookups);
-        w.u64(self.stats.tlb_hits);
-        w.u64(self.stats.walks);
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.snap_save(w);
-        }
     }
 }
 

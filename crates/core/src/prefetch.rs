@@ -7,11 +7,7 @@
 //! remaining time.
 
 use impulse_obs::{MetricsRegistry, Observe};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, PAddr};
-
-/// Snapshot section tag for [`PrefetchCache`] (`"PFCH"`).
-const TAG_PF: u32 = 0x5046_4348;
 
 /// Statistics for the prefetch SRAM.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,7 +34,7 @@ impl PrefetchStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Slot {
     line: PAddr,
     ready_at: Cycle,
@@ -48,7 +44,7 @@ struct Slot {
 
 /// A small fully-associative line buffer with LRU replacement and
 /// in-flight ("ready at") tracking.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PrefetchCache {
     slots: Vec<Slot>,
     line_bytes: u64,
@@ -179,23 +175,6 @@ impl PrefetchCache {
         for s in &mut self.slots {
             s.valid = false;
         }
-    }
-
-    /// Serializes every slot verbatim plus the LRU tick and statistics.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_PF);
-        w.usize(self.slots.len());
-        for s in &self.slots {
-            w.u64(s.line.raw());
-            w.u64(s.ready_at);
-            w.u64(s.stamp);
-            w.bool(s.valid);
-        }
-        w.u64(self.tick);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.issued);
-        w.u64(self.stats.late);
     }
 }
 

@@ -25,7 +25,6 @@
 use std::sync::Arc;
 
 use impulse_types::geom::is_pow2;
-use impulse_types::snap::SnapWriter;
 use impulse_types::PvAddr;
 
 /// A contiguous pseudo-virtual read/write segment produced by remapping.
@@ -60,7 +59,7 @@ pub struct Segment {
 /// diag.segments(0, 128, &mut segments); // one L2 line = 16 elements
 /// assert_eq!(segments.len(), 16);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RemapFn {
     /// Identity map into pseudo-virtual space; the controller page table
     /// supplies arbitrary page-grained placement.
@@ -269,42 +268,6 @@ impl RemapFn {
                     });
                     off += take;
                 }
-            }
-        }
-    }
-
-    /// Serializes the full remapping function, including a gather's
-    /// indirection vector (descriptors are created by syscalls at run
-    /// time, so unlike fixed hardware geometry they are machine state).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        match self {
-            RemapFn::Direct { pv_base } => {
-                w.u8(0);
-                w.u64(pv_base.raw());
-            }
-            RemapFn::Strided {
-                pv_base,
-                object_size,
-                stride,
-            } => {
-                w.u8(1);
-                w.u64(pv_base.raw());
-                w.u64(*object_size);
-                w.u64(*stride);
-            }
-            RemapFn::Gather {
-                pv_base,
-                elem_size,
-                indices,
-                vec_pv_base,
-                index_bytes,
-            } => {
-                w.u8(2);
-                w.u64(pv_base.raw());
-                w.u64(*elem_size);
-                w.u64_slice(indices);
-                w.u64(vec_pv_base.raw());
-                w.u64(*index_bytes);
             }
         }
     }

@@ -40,13 +40,9 @@ use impulse_dram::{Dram, DramConfig, Scm, ScmConfig, ScmError, ScmStats};
 use impulse_fault::{EccConfig, EccStats, FaultConfig, TierFaultStats, TierInjector};
 use impulse_obs::MetricsRegistry;
 use impulse_types::geom::{is_pow2, log2};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, MAddr, TierPolicy};
 
 use crate::controller::McError;
-
-/// Snapshot section tag for [`TierEngine`] (`"TENG"`).
-const TAG_TIER_ENGINE: u32 = 0x5445_4E47;
 
 /// Configuration of the hybrid-memory tier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,7 +115,7 @@ pub struct TierStats {
 /// fill buffer, the dead-channel mask, and the per-tier fault state.
 /// The DRAM array stays owned by the controller and is passed into
 /// each call, because the controller's gather path destructures itself.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TierEngine {
     cfg: TierConfig,
     line_bytes: u64,
@@ -534,43 +530,6 @@ impl TierEngine {
         m.counter("mc.scm.ecc.silent", e.silent);
         m.counter("mc.scm.ecc.corrupt_sig", e.corrupt_sig);
         m.counter("mc.scm.ecc.recovery_cycles", e.recovery_cycles);
-    }
-
-    /// Serializes the engine's dynamic state: the SCM part, the tag
-    /// array, the fill buffer, the dead-channel mask, counters, SCM ECC
-    /// bookkeeping, and (when configured) the tier injector.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_TIER_ENGINE);
-        self.scm.snap_save(w);
-        w.u64_slice(&self.tags);
-        w.usize(self.fill.len());
-        for &line in &self.fill {
-            w.u64(line);
-        }
-        w.u64(self.dead_banks);
-        let s = &self.stats;
-        for v in [
-            s.dram_hits,
-            s.dram_misses,
-            s.writebacks,
-            s.lost_writebacks,
-            s.fill_hits,
-            s.fill_loads,
-            s.flat_dram,
-            s.flat_scm,
-            s.degraded_rejects,
-        ] {
-            w.u64(v);
-        }
-        w.u64(self.scm_ecc_stats.corrected);
-        w.u64(self.scm_ecc_stats.detected_double);
-        w.u64(self.scm_ecc_stats.silent);
-        w.u64(self.scm_ecc_stats.corrupt_sig);
-        w.u64(self.scm_ecc_stats.recovery_cycles);
-        w.bool(self.inj.is_some());
-        if let Some(inj) = &self.inj {
-            inj.snap_save(w);
-        }
     }
 }
 

@@ -38,11 +38,7 @@ pub use scm::{Scm, ScmConfig, ScmError, ScmStats};
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
 use impulse_obs::{Histogram, MetricsRegistry, Observe};
 use impulse_types::geom::{is_pow2, log2, shr_ceil};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, MAddr};
-
-/// Snapshot section tag for [`Dram`] (`"DRAM"`).
-const TAG_DRAM: u32 = 0x4452_414D;
 
 /// The row-interleaved split of a DRAM address into bank and in-bank
 /// row, as a shift and a mask: the row index is the address above the
@@ -125,7 +121,7 @@ impl Default for DramConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Bank {
     open_row: Option<u64>,
     busy_until: Cycle,
@@ -176,7 +172,7 @@ pub struct BankHeat {
 }
 
 /// The DRAM array: banks, open-row state, and the shared data bus.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Dram {
     cfg: DramConfig,
     /// The configuration's address split and bus width, resolved to
@@ -357,42 +353,6 @@ impl Dram {
     pub fn precharge_all(&mut self) {
         for bank in &mut self.banks {
             bank.open_row = None;
-        }
-    }
-
-    /// Serializes bank open-row/timing state, data-bus occupancy,
-    /// statistics, latency histograms, and (when fault injection is
-    /// configured) the injector's dynamic state.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_DRAM);
-        w.usize(self.banks.len());
-        for b in &self.banks {
-            w.bool(b.open_row.is_some());
-            w.u64(b.open_row.unwrap_or(0));
-            w.u64(b.busy_until);
-        }
-        w.u64(self.data_bus_free);
-        let s = &self.stats;
-        for v in [
-            s.reads,
-            s.writes,
-            s.row_hits,
-            s.row_misses,
-            s.bytes,
-            s.bank_wait,
-        ] {
-            w.u64(v);
-        }
-        w.u64_slice(&self.lat_row_hit.state_words());
-        w.u64_slice(&self.lat_row_miss.state_words());
-        for h in &self.heat {
-            w.u64(h.row_hits);
-            w.u64(h.row_misses);
-            w.u64(h.row_conflicts);
-        }
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.snap_save(w);
         }
     }
 }

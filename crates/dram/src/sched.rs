@@ -63,7 +63,7 @@ impl SchedulePolicy {
 /// assert_eq!(dram.stats().reads, 16);
 /// assert!(done >= 16, "one command per cycle");
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Scheduler {
     policy: SchedulePolicy,
     /// Issue-order scratch reused by every [`Scheduler::issue`].

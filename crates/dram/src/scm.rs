@@ -27,11 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
 use impulse_types::geom::{is_pow2, log2, shr_ceil};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle};
-
-/// Snapshot section tag for [`Scm`] (`"SCM0"`).
-const TAG_SCM: u32 = 0x5343_4D30;
 
 /// Configuration of the SCM part and its timing, in CPU cycles.
 ///
@@ -113,7 +109,7 @@ pub enum ScmError {
 
 /// The SCM part: per-channel link state, per-line wear, and the
 /// retire-and-remap machinery.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scm {
     cfg: ScmConfig,
     /// The configuration's line size, channel count and link width,
@@ -123,8 +119,9 @@ pub struct Scm {
     bus_shift: u32,
     /// Per-channel link-free times.
     channels: Vec<Cycle>,
-    /// Write counts per line, kept sparse (ordered for deterministic
-    /// snapshots). Lines never written don't appear.
+    /// Write counts per line, kept sparse and ordered, so the state
+    /// digest (the machine's `Debug` print) does not depend on the
+    /// order lines were first written. Lines never written don't appear.
     wear: BTreeMap<u64, u32>,
     /// Lines remapped onto spares; they keep working (wear restarts on
     /// the fresh spare).
@@ -318,45 +315,6 @@ impl Scm {
             return Err(ScmError::LineRetired { line });
         }
         Ok(done)
-    }
-
-    /// Serializes channel timing, wear/retirement state, statistics,
-    /// and (when configured) the fault injector's dynamic state.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_SCM);
-        w.usize(self.channels.len());
-        for &c in &self.channels {
-            w.u64(c);
-        }
-        w.usize(self.wear.len());
-        for (&line, &count) in &self.wear {
-            w.u64(line);
-            w.u64(u64::from(count));
-        }
-        w.usize(self.retired.len());
-        for &line in &self.retired {
-            w.u64(line);
-        }
-        w.usize(self.dead.len());
-        for &line in &self.dead {
-            w.u64(line);
-        }
-        w.u64(self.spares_used);
-        let s = &self.stats;
-        for v in [
-            s.reads,
-            s.writes,
-            s.bytes,
-            s.channel_wait,
-            s.wear_retirements,
-            s.dead_rejects,
-        ] {
-            w.u64(v);
-        }
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.snap_save(w);
-        }
     }
 }
 

@@ -31,7 +31,7 @@ pub enum EccMode {
 
 /// ECC configuration: mode plus the latency the correction/detection
 /// datapath adds to a demand read that hits a fault.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EccConfig {
     /// ECC mode.
     pub mode: EccMode,
@@ -76,7 +76,7 @@ impl EccConfig {
 }
 
 /// Per-controller ECC bookkeeping.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EccStats {
     /// Single-bit errors corrected.
     pub corrected: u64,

@@ -3,20 +3,13 @@
 //! keeps its own counters, so components stay decoupled and the
 //! schedule stays deterministic.
 
-use impulse_types::snap::SnapWriter;
 use impulse_types::Cycle;
 
 use crate::ecc::BitFlip;
 use crate::plan::FaultPlan;
 
-/// Snapshot section tags for the five injector types.
-const TAG_FLIP: u32 = 0x464C_4950; // "FLIP"
-const TAG_BUS: u32 = 0x4255_5346; // "BUSF"
-const TAG_PGT: u32 = 0x5047_5446; // "PGTF"
-const TAG_TIER: u32 = 0x5449_4552; // "TIER"
-
 /// Counters for the DRAM bit-flip site.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FlipStats {
     /// Single-bit flips injected into the array.
     pub injected_single: u64,
@@ -27,7 +20,7 @@ pub struct FlipStats {
 /// Injects single/double bit flips on DRAM accesses. The DRAM model
 /// owns one and records flips as they happen; the controller drains
 /// them on the return path and runs them through its ECC model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlipInjector {
     plan: FaultPlan,
     double_permille: u32,
@@ -73,28 +66,10 @@ impl FlipInjector {
     pub fn stats(&self) -> FlipStats {
         self.stats
     }
-
-    /// Serializes the injector's dynamic state: plan position, pending
-    /// (undrained) flips, and counters. The trigger/ratio configuration
-    /// is not written.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_FLIP);
-        self.plan.snap_save(w);
-        w.usize(self.pending.len());
-        for &(addr, flip) in &self.pending {
-            w.u64(addr);
-            w.u8(match flip {
-                BitFlip::Single => 0,
-                BitFlip::Double => 1,
-            });
-        }
-        w.u64(self.stats.injected_single);
-        w.u64(self.stats.injected_double);
-    }
 }
 
 /// Counters for the bus-timeout site.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BusFaultStats {
     /// Requests that hit at least one timeout.
     pub timeouts: u64,
@@ -109,7 +84,7 @@ pub struct BusFaultStats {
 /// exponential backoff: attempt `i` waits `backoff << i` cycles before
 /// re-arbitrating, and a request is retried at most `max_retries` times
 /// before the (guaranteed) successful attempt.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimeoutInjector {
     plan: FaultPlan,
     max_retries: u32,
@@ -156,16 +131,6 @@ impl TimeoutInjector {
     pub fn stats(&self) -> BusFaultStats {
         self.stats
     }
-
-    /// Serializes the injector's dynamic state (plan position and
-    /// counters); retry bound and backoff are configuration.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_BUS);
-        self.plan.snap_save(w);
-        w.u64(self.stats.timeouts);
-        w.u64(self.stats.retries);
-        w.u64(self.stats.recovery_cycles);
-    }
 }
 
 /// Counters for the MC-TLB/page-table corruption site.
@@ -183,7 +148,7 @@ pub struct PgTblFaultStats {
 /// (the MC-TLB). The page table detects the corruption
 /// at use (parity), discards the entry, and reloads from the backing
 /// in-memory table — the authoritative copy — charging the walk.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PgTblInjector {
     plan: FaultPlan,
     stats: PgTblFaultStats,
@@ -218,16 +183,6 @@ impl PgTblInjector {
     /// Corruption/reload counters so far.
     pub fn stats(&self) -> PgTblFaultStats {
         self.stats
-    }
-
-    /// Serializes the injector's dynamic state (plan position and
-    /// counters).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_PGT);
-        self.plan.snap_save(w);
-        w.u64(self.stats.corruptions);
-        w.u64(self.stats.reloads);
-        w.u64(self.stats.recovery_cycles);
     }
 }
 
@@ -267,7 +222,7 @@ impl TierFaultStats {
 /// to SCM bypass (cache mode) or surfaces typed `TierDegraded` errors
 /// (flat mode). Two independent plan streams keep the schedules
 /// decoupled; both clocks are machine cycles at the tier access point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TierInjector {
     tag_plan: FaultPlan,
     fail_plan: FaultPlan,
@@ -331,21 +286,6 @@ impl TierInjector {
     /// Tier fault counters so far.
     pub fn stats(&self) -> TierFaultStats {
         self.stats
-    }
-
-    /// Serializes the injector's dynamic state (both plan positions and
-    /// counters).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_TIER);
-        self.tag_plan.snap_save(w);
-        self.fail_plan.snap_save(w);
-        w.u64(self.stats.tag_corruptions);
-        w.u64(self.stats.tag_invalidations);
-        w.u64(self.stats.channel_kills);
-        w.u64(self.stats.bypass_reads);
-        w.u64(self.stats.bypass_writes);
-        w.u64(self.stats.lost_dirty_lines);
-        w.u64(self.stats.recovery_cycles);
     }
 }
 

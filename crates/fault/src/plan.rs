@@ -1,12 +1,8 @@
 //! When faults fire: triggers and the per-site fault plan.
 
-use impulse_types::snap::SnapWriter;
 use impulse_types::Cycle;
 
 use crate::rng::XorShift64;
-
-/// Snapshot section tag for [`FaultPlan`] (`"PLAN"`).
-const TAG_PLAN: u32 = 0x504C_414E;
 
 /// Deterministic firing rule for one fault class at one injection site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +44,7 @@ impl Trigger {
 /// [`FaultConfig`](crate::FaultConfig)), so draws at one site never
 /// perturb another site's schedule — the property that makes fault runs
 /// byte-identical across worker counts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     trigger: Trigger,
     rng: XorShift64,
@@ -119,17 +115,6 @@ impl FaultPlan {
     /// vs. double bit flip), from the plan's private stream.
     pub fn rng(&mut self) -> &mut XorShift64 {
         &mut self.rng
-    }
-
-    /// Serializes the plan's dynamic state (RNG stream position, access
-    /// counter, next cycle-trigger deadline, fire count). The trigger
-    /// itself is configuration and is not written.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_PLAN);
-        self.rng.snap_save(w);
-        w.u64(self.accesses);
-        w.u64(self.next_due);
-        w.u64(self.fired);
     }
 }
 

@@ -1,11 +1,9 @@
 //! Seedable in-tree xorshift generator (no external dependencies).
 
-use impulse_types::snap::SnapWriter;
-
 /// A 64-bit xorshift generator, the same recurrence the allocator's
 /// `Random` placement policy uses. Deterministic for a fixed seed;
 /// never yields the all-zero state (the seed is odd-mixed on entry).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct XorShift64 {
     state: u64,
 }
@@ -40,11 +38,6 @@ impl XorShift64 {
             return false;
         }
         self.below(1000) < u64::from(permille)
-    }
-
-    /// Serializes the generator state (one word).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.u64(self.state);
     }
 }
 

@@ -184,18 +184,6 @@ impl Histogram {
         d
     }
 
-    /// Dumps the complete internal state as a flat word vector: the 65
-    /// bucket counts followed by `count`, `sum`, raw `min`, and `max`.
-    /// Two histograms are equal exactly when their state words are, so a
-    /// state image can carry one without this crate knowing anything
-    /// about the image's format.
-    pub fn state_words(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(BUCKETS + 4);
-        words.extend_from_slice(&self.buckets);
-        words.extend_from_slice(&[self.count, self.sum, self.min, self.max]);
-        words
-    }
-
     /// Non-empty buckets as `(upper_bound, count)` pairs, in order.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
@@ -295,22 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn state_words_are_the_buckets_then_count_sum_min_max() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 7, 40, 1000, u64::MAX] {
-            h.record(v);
-        }
-        let words = h.state_words();
-        assert_eq!(words.len(), BUCKETS + 4);
-        assert_eq!(words[..BUCKETS], h.buckets);
-        assert_eq!(words[BUCKETS..], [6, u64::MAX, 0, u64::MAX]);
-
-        // An empty histogram keeps the raw u64::MAX min sentinel.
-        let empty = Histogram::new().state_words();
-        assert_eq!(empty[BUCKETS..], [0, 0, u64::MAX, 0]);
-    }
-
-    #[test]
     fn record_n_equals_repeated_record() {
         for v in [0u64, 1, 7, 1 << 63, u64::MAX] {
             for n in [0u64, 1, 3] {
@@ -339,7 +311,6 @@ mod tests {
         h.record_n(42, 0);
         h.record_n(u64::MAX, 0);
         assert_eq!(h, Histogram::new());
-        assert_eq!(h.state_words(), Histogram::new().state_words());
     }
 
     #[test]

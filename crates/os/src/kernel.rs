@@ -20,11 +20,7 @@ use std::sync::Arc;
 use impulse_core::flight::TraceError;
 use impulse_core::{DescId, McError, MemController, RemapFn};
 use impulse_types::geom::{round_up, PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{Cycle, MAddr, PAddr, PRange, PvAddr, VAddr, VRange};
-
-/// Snapshot section tag for [`Kernel`] (`"KERN"`).
-const TAG_KERN: u32 = 0x4B45_524E;
 
 use crate::phys::{AllocPolicy, PhysError, PhysMem};
 use crate::vm::{AddressSpace, VmError};
@@ -313,7 +309,7 @@ struct Tombstone {
 }
 
 /// One process: its address space and superpage registrations.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct Process {
     aspace: AddressSpace,
     superpages: Vec<(u64, u64)>, // (base vpage, span in pages)
@@ -328,7 +324,7 @@ struct Process {
 
 /// A live grant: the process that made it, the descriptor serving it,
 /// and every alias [`Kernel::share_remap`] mapped into a receiver.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Grant {
     owner: Pid,
     desc: DescId,
@@ -337,7 +333,7 @@ struct Grant {
 
 /// One grant-table slot. The generation grows each time the slot's
 /// grant dies, so handles to it go stale.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct GrantSlot {
     generation: u32,
     grant: Option<Grant>,
@@ -349,7 +345,7 @@ struct GrantSlot {
 /// remapping grants are *owned* — only the creating process may release,
 /// retarget, share or revoke them. This is the inter-process protection
 /// the paper's system-call design promises (Section 2.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Kernel {
     cfg: KernelConfig,
     phys: PhysMem,
@@ -1237,57 +1233,6 @@ impl Kernel {
             }
         }
         (vpage, 1)
-    }
-
-    /// Serializes the frame allocator, every process (address space,
-    /// superpage registrations, region bookkeeping, revocation
-    /// tombstones), the shadow-space bump pointer, the grant table, and
-    /// statistics. The configuration is not written.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_KERN);
-        self.phys.snap_save(w);
-        w.usize(self.procs.len());
-        for p in &self.procs {
-            p.aspace.snap_save(w);
-            w.usize(p.superpages.len());
-            for &(base, span) in &p.superpages {
-                w.u64(base);
-                w.u64(span);
-            }
-            w.usize(p.regions.len());
-            for r in &p.regions {
-                w.u64(r.start().raw());
-                w.u64(r.len());
-            }
-            w.u64_slice(&p.tlb_misses);
-            w.usize(p.revoked.len());
-            for t in &p.revoked {
-                w.u64(t.start);
-                w.u64(t.pages);
-                w.u32(t.slot);
-                w.u32(t.stale);
-            }
-        }
-        w.usize(self.current);
-        w.u64(self.shadow_next);
-        w.usize(self.grants.len());
-        for slot in &self.grants {
-            w.u32(slot.generation);
-            w.bool(slot.grant.is_some());
-            if let Some(g) = &slot.grant {
-                w.u32(g.owner.0);
-                w.usize(g.desc.index());
-                w.usize(g.receivers.len());
-                for (pid, alias) in &g.receivers {
-                    w.u32(pid.0);
-                    w.u64(alias.start().raw());
-                    w.u64(alias.len());
-                }
-            }
-        }
-        w.u64(self.stats.remap_syscalls);
-        w.u64(self.stats.controller_pages);
-        w.u64(self.stats.shadow_bytes);
     }
 }
 

@@ -10,11 +10,7 @@
 use std::collections::VecDeque;
 
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{FxHashMap, MAddr};
-
-/// Snapshot section tag for [`PhysMem`] (`"PHYS"`).
-const TAG_PHYS: u32 = 0x5048_5953;
 
 /// Frame placement policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,13 +49,10 @@ impl std::error::Error for PhysError {}
 /// implicit: each holds its unshuffled frame unless an earlier step
 /// displaced another one into it, and only the displaced ones are
 /// stored. A machine that touches a few thousand frames of a 1 GB pool
-/// never builds the pool's list. [`snap_save`] writes the list the eager
-/// shuffle would have built, so the image does not depend on how far
-/// the shuffle has got.
+/// never builds the pool's list.
 ///
 /// [`alloc`]: Self::alloc
 /// [`free`]: Self::free
-/// [`snap_save`]: Self::snap_save
 ///
 /// # Examples
 ///
@@ -73,7 +66,7 @@ impl std::error::Error for PhysError {}
 /// phys.free(a);
 /// # Ok::<(), impulse_os::PhysError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhysMem {
     /// The settled top of the free list, in list order (popped from the
     /// back): the shuffle's finished positions plus every freed frame.
@@ -209,28 +202,6 @@ impl PhysMem {
         self.free.push_back(frame.raw() >> PAGE_SHIFT);
         self.allocated = self.allocated.saturating_sub(1);
     }
-
-    /// Serializes the free list (its order is the allocation order, so it
-    /// must survive bit-exactly) plus the frame counters. The pending
-    /// positions are written as the eager shuffle would have left them,
-    /// by running the remaining steps on a scratch copy.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_PHYS);
-        w.u64(self.total_frames);
-        w.u64(self.allocated);
-        let mut scratch = Self {
-            free: VecDeque::new(),
-            displaced: self.displaced.clone(),
-            ..*self
-        };
-        // Settled top-down: the reverse of list order.
-        let mut pending: Vec<u64> = std::iter::from_fn(|| scratch.settle_next()).collect();
-        pending.reverse();
-        w.usize(pending.len() + self.free.len());
-        for &frame in pending.iter().chain(&self.free) {
-            w.u64(frame);
-        }
-    }
 }
 
 /// The shuffle generator's state for `seed`: an xorshift generator
@@ -364,11 +335,8 @@ mod tests {
             self.allocated = self.allocated.saturating_sub(1);
         }
 
-        fn snap_save(&self, w: &mut SnapWriter) {
-            w.tag(TAG_PHYS);
-            w.u64(self.total_frames);
-            w.u64(self.allocated);
-            w.u64_slice(&self.free);
+        fn view(&self) -> (Vec<u64>, u64, u64) {
+            (self.free.clone(), self.total_frames, self.allocated)
         }
     }
 
@@ -387,17 +355,28 @@ mod tests {
         }
     }
 
-    fn phys_bytes(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        save(&mut w);
-        w.finish()
+    /// The lazy allocator's state in the eager one's terms: the whole
+    /// free list the eager shuffle would have built, plus the frame
+    /// counters. The pending positions are settled on a scratch copy.
+    fn view(p: &PhysMem) -> (Vec<u64>, u64, u64) {
+        let mut scratch = PhysMem {
+            free: VecDeque::new(),
+            displaced: p.displaced.clone(),
+            ..*p
+        };
+        // Settled top-down: the reverse of list order.
+        let mut free: Vec<u64> = std::iter::from_fn(|| scratch.settle_next()).collect();
+        free.reverse();
+        free.extend(&p.free);
+        (free, p.total_frames, p.allocated)
     }
 
     #[test]
     fn lazy_shuffle_matches_the_eager_allocator() {
         // A seeded op stream drives both allocators over every pool size
         // up to 300 frames under both policies; after every step the
-        // frame handed out, the free count and the PHYS bytes agree.
+        // frame handed out, the free count, the whole free list and the
+        // frame counters agree.
         let mut x = 0x5EED_u64;
         let mut rand = move |n: u64| {
             x = x
@@ -446,11 +425,7 @@ mod tests {
                         eager.total_frames - eager.allocated,
                         "{ctx}"
                     );
-                    assert_eq!(
-                        phys_bytes(|w| lazy.snap_save(w)),
-                        phys_bytes(|w| eager.snap_save(w)),
-                        "PHYS bytes: {ctx}"
-                    );
+                    assert_eq!(view(&lazy), eager.view(), "free list: {ctx}");
                 }
             }
         }

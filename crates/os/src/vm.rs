@@ -1,11 +1,7 @@
 //! A process address space: virtual page table and region bookkeeping.
 
 use impulse_types::geom::{round_up, PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{FxHashMap, PAddr, VAddr, VRange};
-
-/// Snapshot section tag for [`AddressSpace`] (`"ASPC"`).
-const TAG_ASPC: u32 = 0x4153_5043;
 
 /// Errors from address-space operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,7 +28,7 @@ impl std::error::Error for VmError {}
 /// Page-grained mapping from virtual pages to bus addresses (real physical
 /// pages or shadow pages — the MMU does not distinguish). Virtual regions
 /// are carved from a bump allocator with guard gaps.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AddressSpace {
     pages: FxHashMap<u64, PAddr>,
     next_va: u64,
@@ -169,20 +165,6 @@ impl AddressSpace {
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Serializes the page table (in sorted page order, so the image is
-    /// independent of hash-map iteration order) and the bump pointer.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_ASPC);
-        let mut pages: Vec<(u64, u64)> = self.pages.iter().map(|(&v, p)| (v, p.raw())).collect();
-        pages.sort_unstable();
-        w.usize(pages.len());
-        for (v, p) in pages {
-            w.u64(v);
-            w.u64(p);
-        }
-        w.u64(self.next_va);
     }
 }
 

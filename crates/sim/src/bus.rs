@@ -9,11 +9,7 @@
 
 use impulse_fault::{BusFaultStats, TimeoutInjector};
 use impulse_obs::{MetricsRegistry, Observe};
-use impulse_types::snap::SnapWriter;
 use impulse_types::Cycle;
-
-/// Snapshot section tag for [`Bus`] (`"BUS "`).
-const TAG_BUS: u32 = 0x4255_5320;
 
 /// Bus timing configuration, in CPU cycles (the Runway and the CPU ran at
 /// the same 120 MHz in the paper's configuration).
@@ -61,7 +57,7 @@ pub struct BusStats {
 /// let critical = bus.demand_transfer(128, 100);
 /// assert!(critical < 100 + 128 / bus.config().bytes_per_cycle);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Bus {
     cfg: BusConfig,
     busy_until: Cycle,
@@ -143,20 +139,6 @@ impl Bus {
         self.stats.transfers += 1;
         self.stats.bytes += bytes;
         full
-    }
-
-    /// Serializes the occupancy state, statistics, and any attached
-    /// timeout injector.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_BUS);
-        w.u64(self.busy_until);
-        w.u64(self.stats.transfers);
-        w.u64(self.stats.bytes);
-        w.u64(self.stats.contention);
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.snap_save(w);
-        }
     }
 }
 

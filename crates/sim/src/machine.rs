@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use impulse_os::{Kernel, OsError, Pid, RemapGrant, RevokeOutcome};
 use impulse_types::geom::{PAGE_SHIFT, PAGE_SIZE};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, PAddr, VAddr, VRange};
 
 use crate::config::SystemConfig;
@@ -40,7 +39,7 @@ const XLAT_SLOTS: usize = 256;
 /// every system call clears the memo — `charge_syscall` on success,
 /// `fail_syscall` on failure. So a hit never serves a span older than
 /// the current superpage list.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Xlat {
     vpage: u64,
     base: u64,
@@ -89,11 +88,12 @@ fn floor_sum(mut n: u64, mut m: u64, mut a: u64, mut b: u64) -> u64 {
     sum
 }
 
-/// State-image section tag for [`Machine`] (`"MACH"`).
-const TAG_MACH: u32 = 0x4D41_4348;
-
 /// A simulated machine: CPU clock + memory system + OS.
-#[derive(Clone, Debug)]
+///
+/// `==` compares every piece of state, host-side memos and an attached
+/// [`Tracer`] included; tests use it to check a rewritten path against
+/// the one it replaces. An in-process checkpoint is a [`Clone`].
+#[derive(Clone, Debug, PartialEq)]
 pub struct Machine {
     kernel: Kernel,
     ms: MemorySystem,
@@ -871,38 +871,6 @@ impl Machine {
         m.counter("machine.syscall_failures", self.syscall_failures);
         m
     }
-
-    // ---- state image ----------------------------------------------------
-
-    /// Serializes the complete machine state into one byte image: the CPU
-    /// clock and counters, every cache and TLB, the bus, the memory
-    /// controller (DRAM, page table, shadow descriptors, prefetch
-    /// buffers, tier engine), the OS, and any active fault-plan RNG
-    /// streams. The translation memo (a host-side cache) and an attached
-    /// [`Tracer`] are not part of it.
-    ///
-    /// Nothing decodes the image; it is a state-equality oracle. Two
-    /// machines hold the same architectural and statistical state exactly
-    /// when their images are byte-identical, which is how tests check a
-    /// rewritten path against the one it replaces. An in-process
-    /// checkpoint is a [`Clone`].
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.tag(TAG_MACH);
-        w.u64(self.now);
-        w.u64(self.epoch);
-        w.u64(self.syscall_cycles);
-        w.u64(self.syscall_failures);
-        w.u64(self.instructions());
-        w.u64(self.promote_threshold);
-        w.usize(self.inflight.len());
-        for &c in &self.inflight {
-            w.u64(c);
-        }
-        self.kernel.snap_save(&mut w);
-        self.ms.snap_save(&mut w);
-        w.finish()
-    }
 }
 
 #[cfg(test)]
@@ -1504,7 +1472,7 @@ mod tests {
                 new.ms.l2().stats(),
                 "L2 stats after {what}"
             );
-            assert!(old.snapshot() == new.snapshot(), "snapshot after {what}");
+            assert!(old == new, "machine state after {what}");
         };
 
         // Flushes then purges each range, dirtying the caches with
@@ -1657,10 +1625,10 @@ mod tests {
     }
 
     /// Asserts that two clones of `base`, each changed by `a` or `b`,
-    /// hold different state images. The pairs below are chosen so the two
-    /// clones differ in exactly one piece of state, so an image that
-    /// omitted that piece would be equal and fail here.
-    fn image_sees(
+    /// compare unequal. The pairs below are chosen so the two clones
+    /// differ in exactly one piece of state, so an equality that ignored
+    /// that piece would hold and fail here.
+    fn equality_sees(
         base: &Machine,
         what: &str,
         a: impl FnOnce(&mut Machine),
@@ -1669,35 +1637,39 @@ mod tests {
         let (mut x, mut y) = (base.clone(), base.clone());
         a(&mut x);
         b(&mut y);
-        assert_ne!(x.snapshot(), y.snapshot(), "the image misses {what}");
+        assert!(x != y, "machine equality misses {what}");
     }
 
     #[test]
     fn snapshot_is_deterministic() {
         use impulse_fault::{FaultPlan, FlipInjector, Trigger};
+        use impulse_types::ident::fnv64;
         use impulse_types::{AccessKind, MAddr, TierPolicy};
 
         let cfg = SystemConfig::paint_small().with_tier(TierPolicy::Cache);
-        let mut m = Machine::new(&cfg);
-        let data = m.alloc_region(256 * 1024, 8).unwrap();
-        let len = data.len();
-        for i in 0..800u64 {
-            let off = ((i * 2654435761 + 9) % (len / 8)) * 8;
-            m.load(data.start().add(off));
-            if i % 3 == 0 {
-                m.store(data.start().add((off + 64) % len));
+        let build = || {
+            let mut m = Machine::new(&cfg);
+            let data = m.alloc_region(256 * 1024, 8).unwrap();
+            let len = data.len();
+            for i in 0..800u64 {
+                let off = ((i * 2654435761 + 9) % (len / 8)) * 8;
+                m.load(data.start().add(off));
+                if i % 3 == 0 {
+                    m.store(data.start().add((off + 64) % len));
+                }
+                m.compute(2);
             }
-            m.compute(2);
-        }
-        let v = data.start();
-        m.load(v);
+            m.load(data.start());
+            (m, data.start())
+        };
+        let (m, v) = build();
         let p = m.translate(v);
-        assert_eq!(
-            m.snapshot(),
-            m.snapshot(),
-            "two snapshots of the same machine must be byte-identical"
-        );
-        assert_eq!(m.snapshot(), m.clone().snapshot(), "a clone's image");
+        let (twin, _) = build();
+        assert!(m == twin, "two machines built by the same operations");
+        // The cross-commit digest: the same state prints the same `Debug`.
+        let digest = |m: &Machine| fnv64(format!("{m:?}").as_bytes());
+        assert_eq!(digest(&m), digest(&twin), "the state digest");
+        assert!(m == m.clone(), "a clone equals its source");
 
         // A store hit and a load hit on the same freshly filled line,
         // with the L2's counters reset: only the line's dirty bit differs.
@@ -1710,14 +1682,20 @@ mod tests {
                 l2.reset_stats();
             }
         };
-        image_sees(
+        equality_sees(
             &m,
             "an L2 dirty bit",
             touch(AccessKind::Load),
             touch(AccessKind::Store),
         );
-        image_sees(&m, "a CPU-TLB entry", |_| {}, |m| m.ms.tlb_shootdown(v));
-        image_sees(
+        equality_sees(
+            &m,
+            "the translation memo",
+            |_| {},
+            |m| m.xlat = [Xlat::EMPTY; XLAT_SLOTS],
+        );
+        equality_sees(&m, "a CPU-TLB entry", |_| {}, |m| m.ms.tlb_shootdown(v));
+        equality_sees(
             &m,
             "a DRAM open row",
             |_| {},
@@ -1734,10 +1712,10 @@ mod tests {
                 m.ms.mc_mut().dram_mut().set_fault_injector(inj);
             }
         };
-        image_sees(&m, "a fault-plan RNG step", injector(0), injector(1));
+        equality_sees(&m, "a fault-plan RNG step", injector(0), injector(1));
         // A remap that fails after claiming releases its descriptor and
         // shadow space, and leaves only a free slot in the grant table.
-        image_sees(
+        equality_sees(
             &m,
             "a kernel grant slot",
             |_| {},
@@ -1767,6 +1745,6 @@ mod tests {
                 assert_eq!(tier.stats().fill_loads, loads + 1, "a cold gather load");
             }
         };
-        image_sees(&m, "a tier fill-buffer line", gather(0), gather(1));
+        equality_sees(&m, "a tier fill-buffer line", gather(0), gather(1));
     }
 }

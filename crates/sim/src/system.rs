@@ -13,14 +13,10 @@ use impulse_cache::{
 use impulse_core::{McError, MemController, TierEngine};
 use impulse_dram::Dram;
 use impulse_obs::{Attribution, Histogram, MetricsRegistry, Observe, Stage};
-use impulse_types::snap::SnapWriter;
 use impulse_types::{AccessKind, Cycle, PAddr, TierPolicy, VAddr};
 
 use crate::bus::Bus;
 use crate::config::SystemConfig;
-
-/// Snapshot section tag for [`MemorySystem`] (`"MSYS"`).
-const TAG_MSYS: u32 = 0x4D53_5953;
 
 /// Demand-access counters, kept separately from per-cache statistics so
 /// the paper's load-based ratios are unambiguous.
@@ -97,7 +93,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 /// The assembled memory system.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemorySystem {
     l1: Cache,
     l2: Cache,
@@ -732,57 +728,6 @@ impl MemorySystem {
         m.observe(&self.bus);
         m.observe(&self.mc);
         m
-    }
-
-    /// Serializes the whole hierarchy: caches, TLB, stream buffers, bus,
-    /// controller (with DRAM, page table, and descriptors), demand
-    /// statistics, cycle attribution, and every latency histogram.
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        w.tag(TAG_MSYS);
-        self.l1().snap_save(w);
-        self.l2.snap_save(w);
-        self.tlb().snap_save(w);
-        self.bus.snap_save(w);
-        self.mc.snap_save(w);
-        w.bool(self.streams.is_some());
-        if let Some(s) = &self.streams {
-            s.snap_save(w);
-        }
-        let s = self.stats();
-        for v in [
-            s.loads,
-            s.l1_load_hits,
-            s.l2_load_hits,
-            s.mem_loads,
-            s.load_cycles,
-            s.stores,
-            s.store_l1_hits,
-            s.store_mem,
-            s.store_cycles,
-            s.l1_prefetches,
-            s.stream_loads,
-            s.mem_writebacks,
-            s.tlb_penalties,
-            s.remap_faults,
-            s.tier_faults,
-        ] {
-            w.u64(v);
-        }
-        let attr = self.attribution();
-        for stage in Stage::ALL {
-            w.u64(attr.get(stage));
-        }
-        for h in [
-            &self.l1_hit_latency(),
-            &self.l2_hit_latency(),
-            &self.lat_stream_hit,
-            &self.lat_mem,
-            &self.tlb_walk_latency(),
-            &self.load_latency(),
-            &self.store_latency(),
-        ] {
-            w.u64_slice(&h.state_words());
-        }
     }
 }
 

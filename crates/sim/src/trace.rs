@@ -45,7 +45,7 @@ pub struct TraceEvent {
 /// assert!(trace.events()[1].latency < trace.events()[0].latency);
 /// # Ok::<(), impulse_os::OsError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
     capacity: usize,

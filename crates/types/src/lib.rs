@@ -39,7 +39,6 @@ pub mod geom;
 pub mod hash;
 pub mod ident;
 pub mod range;
-pub mod snap;
 pub mod tier;
 pub mod varint;
 
