@@ -1,7 +1,8 @@
 //! Regression guards for the simulator's host-side hot paths: a demand
 //! load or store that hits the CPU TLB and the L1, the three translate
 //! layers (OS page table, CPU TLB index, controller PgTbl and its on-chip
-//! TLB), the DRAM access, and the shadow-line gather's
+//! TLB), the DRAM access, the latency sample every miss records, the
+//! tier engine's cold gather load, and the shadow-line gather's
 //! segment/translate/merge pipeline.
 //! These are the paths that run once (or more) per simulated access, so
 //! a regression here slows every experiment in the suite. The `setup`
@@ -13,12 +14,13 @@ use std::hint::black_box;
 
 use impulse_bench::harness::Group;
 use impulse_cache::{Cache, CacheConfig, Tlb, TlbConfig};
-use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn};
-use impulse_dram::{Dram, DramConfig};
+use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn, TierConfig, TierEngine};
+use impulse_dram::{Dram, DramConfig, ScmConfig};
+use impulse_obs::Histogram;
 use impulse_os::{AddressSpace, PhysMem};
 use impulse_sim::{Machine, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
-use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, VAddr, VRange};
+use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, TierPolicy, VAddr, VRange};
 
 /// The `i`-th word of a walk that rotates over three pages, one word per
 /// page in turn: the A, B, C operands of a tiled matrix product.
@@ -183,6 +185,50 @@ fn bench_dram() {
     });
 }
 
+fn bench_histogram() {
+    let mut g = Group::new("obs");
+    // Samples below 128 cycles, spread like DRAM row hits and misses:
+    // every one lands in the histogram's dense tally.
+    let mut h = Histogram::new();
+    let mut i = 0u64;
+    g.bench("histogram_record_small", || {
+        i = i.wrapping_add(1);
+        h.record(black_box(9 + (i * 37) % 100));
+    });
+    black_box(h.count());
+}
+
+fn bench_tier() {
+    let mut g = Group::new("tier");
+    // Cache-mode gather loads that each miss the DRAM cache and the fill
+    // buffer: 8-byte elements of 4096 distinct SCM lines in turn, so every
+    // load scans the fill ring, reads the SCM and replaces the oldest
+    // line (a cold indirection-vector gather).
+    let dcfg = DramConfig {
+        capacity: 1 << 16,
+        ..DramConfig::default()
+    };
+    let cfg = TierConfig {
+        policy: TierPolicy::Cache,
+        scm: ScmConfig {
+            capacity: 1 << 20,
+            ..ScmConfig::default()
+        },
+        ..TierConfig::default()
+    };
+    let mut dram = Dram::new(dcfg.clone());
+    let mut tier = TierEngine::new(cfg, &dcfg, 128);
+    let (mut i, mut now) = (0u64, 0u64);
+    g.bench("cache_gather_cold", || {
+        i = i.wrapping_add(1);
+        let addr = MAddr::new((i % 4096) * 256 + 8);
+        now = tier
+            .access(&mut dram, addr, AccessKind::Load, 8, now, true)
+            .expect("healthy tier");
+        now
+    });
+}
+
 fn bench_gather_merge() {
     let mut g = Group::new("gather");
     // Byte-granularity strided gather: 128 segments per shadow line, all
@@ -286,5 +332,7 @@ fn main() {
     bench_cpu_tlb();
     bench_os_vm();
     bench_dram();
+    bench_histogram();
+    bench_tier();
     bench_gather_merge();
 }

@@ -34,8 +34,6 @@
 //! pinned in a reserved DRAM region on a dedicated walk path and is
 //! not routed through the tier.
 
-use std::collections::VecDeque;
-
 use impulse_dram::{Dram, DramConfig, Scm, ScmConfig, ScmError, ScmStats};
 use impulse_fault::{EccConfig, EccStats, FaultConfig, TierFaultStats, TierInjector};
 use impulse_obs::MetricsRegistry;
@@ -127,8 +125,13 @@ pub struct TierEngine {
     /// Packed tag array, one entry per DRAM cache set (cache mode;
     /// empty in flat mode): `(scm_line << 2) | dirty << 1 | valid`.
     tags: Vec<u64>,
-    /// SCM lines currently held by the fill buffer, oldest first.
-    fill: VecDeque<u64>,
+    /// SCM lines currently held by the fill buffer: a FIFO ring of
+    /// `fill_lines.max(1)` slots, filled in order, then overwritten
+    /// oldest first.
+    fill: Vec<u64>,
+    /// The ring slot the next fill-buffer load overwrites once the ring
+    /// is full: the oldest line's.
+    fill_next: usize,
     /// Bitmask of DRAM banks ("channels") killed by tier-fail.
     dead_banks: u64,
     scm: Scm,
@@ -186,7 +189,8 @@ impl TierEngine {
             set_mask: (tags.len() as u64).saturating_sub(1),
             scm: Scm::new(cfg.scm.clone()),
             tags,
-            fill: VecDeque::with_capacity(cfg.fill_lines),
+            fill: Vec::with_capacity(cfg.fill_lines.max(1)),
+            fill_next: 0,
             dead_banks: 0,
             inj: None,
             ecc: EccConfig::default(),
@@ -264,6 +268,7 @@ impl TierEngine {
 
     /// Drains SCM bit flips through the controller's ECC model; returns
     /// the latency penalty to fold into the current access.
+    #[inline]
     fn scrub_scm(&mut self) -> Cycle {
         let mut penalty = 0;
         for (addr, flip) in self.scm.take_flips() {
@@ -456,10 +461,17 @@ impl TierEngine {
                     self.stats.degraded_rejects += 1;
                     McError::from(e)
                 })?;
-            if self.fill.len() >= self.cfg.fill_lines.max(1) {
-                self.fill.pop_front();
+            let slots = self.cfg.fill_lines.max(1);
+            if self.fill.len() < slots {
+                self.fill.push(line);
+            } else {
+                self.fill[self.fill_next] = line;
+                self.fill_next = if self.fill_next + 1 == slots {
+                    0
+                } else {
+                    self.fill_next + 1
+                };
             }
-            self.fill.push_back(line);
             self.stats.fill_loads += 1;
             return Ok(done + self.scrub_scm());
         }
@@ -620,6 +632,49 @@ mod tests {
         assert_eq!((s.fill_loads, s.fill_hits), (1, 1));
         assert_eq!(s.dram_misses, 0, "gather misses do not install");
         assert!(t2 - t1 < t1, "fill hit is much cheaper than SCM");
+    }
+
+    #[test]
+    fn fill_ring_matches_a_fifo_reference() {
+        use std::collections::VecDeque;
+        for fill_lines in [0, 1, 2, 8, 9] {
+            let (mut eng, mut dram) = cache_engine();
+            eng.cfg.fill_lines = fill_lines;
+            // The reference: the fill buffer as a FIFO queue, and a twin
+            // SCM that serves its misses.
+            let mut fifo: VecDeque<u64> = VecDeque::new();
+            let mut scm = Scm::new(eng.cfg.scm.clone());
+            let mut want = TierStats::default();
+            let (mut x, mut now) = (0x2545_F491_4F6C_DD1Du64 ^ fill_lines as u64, 0);
+            for i in 0..2000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Twelve lines: every ring size above sees hits, misses
+                // and evictions.
+                let line = 100 + (x >> 8) % 12;
+                let addr = MAddr::new(line * LINE + (x >> 16) % LINE);
+                now += (x >> 24) % 64;
+                let t = now + eng.cfg.t_tag;
+                let expect = if fifo.contains(&line) {
+                    want.fill_hits += 1;
+                    t + eng.cfg.t_fill_hit
+                } else {
+                    if fifo.len() >= fill_lines.max(1) {
+                        fifo.pop_front();
+                    }
+                    fifo.push_back(line);
+                    want.fill_loads += 1;
+                    scm.access(line * LINE, AccessKind::Load, LINE, t).unwrap()
+                };
+                let done = eng
+                    .access(&mut dram, addr, AccessKind::Load, 8, now, true)
+                    .unwrap();
+                assert_eq!(done, expect, "fill_lines={fill_lines} access {i}");
+                assert_eq!(eng.stats(), want, "fill_lines={fill_lines} access {i}");
+            }
+            assert!(want.fill_hits > 0 && want.fill_loads > 12);
+        }
     }
 
     #[test]

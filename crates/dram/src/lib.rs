@@ -231,6 +231,7 @@ impl Dram {
 
     /// Drains bit flips injected since the last call (empty, with no
     /// allocation, in the fault-free common case).
+    #[inline]
     pub fn take_flips(&mut self) -> Vec<(u64, BitFlip)> {
         match &mut self.faults {
             Some(f) => f.take(),

@@ -174,6 +174,7 @@ impl Scm {
     }
 
     /// Drains bit flips injected since the last call.
+    #[inline]
     pub fn take_flips(&mut self) -> Vec<(u64, BitFlip)> {
         match &mut self.faults {
             Some(f) => f.take(),

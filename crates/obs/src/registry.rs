@@ -13,18 +13,17 @@ use crate::histogram::Histogram;
 
 /// A single registered metric value.
 ///
-/// Histograms dominate the size, but registries hold at most a few dozen
-/// entries and live off the simulated fast path, so indirection would
-/// buy nothing.
+/// A histogram is boxed: it is about 1.6 KB, and a report's registry holds
+/// 149 entries of which 13 are histograms, so an unboxed variant would make
+/// every counter and gauge histogram-sized.
 #[derive(Clone, Debug, PartialEq)]
-#[allow(clippy::large_enum_variant)]
 pub enum MetricValue {
     /// A monotonically increasing count (events, cycles, bytes).
     Counter(u64),
     /// A point-in-time floating measurement (ratios, rates).
     Gauge(f64),
     /// A latency distribution.
-    Histogram(Histogram),
+    Histogram(Box<Histogram>),
 }
 
 /// An ordered map of metric name to value.
@@ -56,8 +55,10 @@ impl MetricsRegistry {
 
     /// Registers (or overwrites) a histogram by cloning it.
     pub fn histogram(&mut self, name: &str, h: &Histogram) {
-        self.metrics
-            .insert(name.to_string(), MetricValue::Histogram(h.clone()));
+        self.metrics.insert(
+            name.to_string(),
+            MetricValue::Histogram(Box::new(h.clone())),
+        );
     }
 
     /// Looks up a metric by exact name.
@@ -128,7 +129,7 @@ impl MetricsRegistry {
                     MetricValue::Counter(now.saturating_sub(*then))
                 }
                 (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                    MetricValue::Histogram(now.delta_since(then))
+                    MetricValue::Histogram(Box::new(now.delta_since(then)))
                 }
                 _ => v.clone(),
             };
@@ -195,6 +196,11 @@ mod tests {
         assert_eq!(d.counter_value("c"), Some(15));
         assert_eq!(d.histogram_value("h").unwrap().count(), 2);
         assert_eq!(d.counter_value("new"), Some(3));
+    }
+
+    #[test]
+    fn a_metric_value_is_two_words() {
+        assert!(std::mem::size_of::<MetricValue>() <= 16);
     }
 
     #[test]
