@@ -18,7 +18,7 @@ use impulse_core::{McConfig, MemController, PgTbl, PgTblConfig, RemapFn, TierCon
 use impulse_dram::{Dram, DramConfig, ScmConfig};
 use impulse_obs::Histogram;
 use impulse_os::{AddressSpace, PhysMem};
-use impulse_sim::{Machine, SystemConfig};
+use impulse_sim::{Machine, SystemConfig, Tracer};
 use impulse_types::geom::PAGE_SIZE;
 use impulse_types::{AccessKind, MAddr, PAddr, PvAddr, TierPolicy, VAddr, VRange};
 
@@ -56,11 +56,21 @@ fn bench_l1_hit_path() {
         m.store(r.start().add(three_page_word(i)));
     });
     // The same loads on a non-blocking CPU with four outstanding misses:
-    // each load first retires the finished ones, a branch of the hit path
-    // that only `mshr > 1` takes.
+    // each load takes the featured path and first retires the finished
+    // ones, which only `mshr > 1` does.
     let (mut m, r) = three_resident_pages(&SystemConfig::paint_small().with_mshr(4));
     let mut i = 0u64;
     g.bench("load_l1_hit_mshr4", || {
+        i = i.wrapping_add(1);
+        m.load(r.start().add(three_page_word(i)));
+    });
+    // The same loads with a tracer attached: the featured path every
+    // optional feature takes. The tracer fills within the first run and
+    // then only counts what it drops, as a long trace does.
+    let (mut m, r) = three_resident_pages(&SystemConfig::paint_small());
+    m.attach_tracer(Tracer::new(1 << 10));
+    let mut i = 0u64;
+    g.bench("load_l1_hit_traced", || {
         i = i.wrapping_add(1);
         m.load(r.start().add(three_page_word(i)));
     });

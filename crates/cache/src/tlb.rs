@@ -279,12 +279,16 @@ impl Tlb {
 
     /// [`Tlb::lookup`] without the lookup and hit counts, for an owner
     /// that derives them (see [`Tlb::with_stats`]). The lookaside half is
-    /// forced inline (see [`Cache::access`](crate::Cache::access)).
+    /// forced inline (see [`Cache::access`](crate::Cache::access)). A
+    /// lookaside hit sets the reference bit only when it is clear: the OR
+    /// is idempotent, so a hit on a referenced page writes nothing.
     #[inline(always)]
     pub fn lookup_uncounted(&mut self, vpage: u64) -> bool {
         let (page, i) = self.lookaside[vpage as usize % LOOKASIDE];
         if page == vpage {
-            set_bit(&mut self.referenced, i);
+            if !bit(&self.referenced, i) {
+                set_bit(&mut self.referenced, i);
+            }
             return true;
         }
         self.lookup_indexed(vpage)

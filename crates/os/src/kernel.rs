@@ -669,10 +669,10 @@ impl Kernel {
     /// shadow space, a controller descriptor serving it with `remap` and
     /// a grant slot, then runs `install` (the call's page mappings,
     /// returning the alias and the pages installed). When `install` fails
-    /// it releases all three: the slot empties, the descriptor goes back
-    /// and the shadow bump pointer rewinds, so a failed remap leaks
-    /// nothing. `install` must check everything that can fail before it
-    /// changes a mapping.
+    /// it releases all three: the slot empties (and goes, if `grant`
+    /// pushed it), the descriptor goes back and the shadow bump pointer
+    /// rewinds, so a failed remap leaves the kernel as it was. `install`
+    /// must check everything that can fail before it changes a mapping.
     fn claim_remap(
         &mut self,
         mc: &mut MemController,
@@ -691,6 +691,7 @@ impl Kernel {
                 return Err(e.into());
             }
         };
+        let slots = self.grants.len();
         let handle = self.grant(desc);
         match install(self, mc, shadow) {
             Ok((alias, pages)) => {
@@ -706,6 +707,7 @@ impl Kernel {
             }
             Err(e) => {
                 self.grants[handle.slot as usize].grant = None;
+                self.grants.truncate(slots);
                 mc.release_descriptor(desc)?;
                 rewind(self);
                 Err(e)

@@ -113,6 +113,11 @@ pub struct Machine {
     overlap_threshold: Cycle,
     /// Online superpage promotion threshold (0 = disabled).
     promote_threshold: u64,
+    /// Derived, not a knob: true exactly when none of the CPU's optional
+    /// features is on (`mshr <= 1`, `promote_threshold == 0`, no tracer),
+    /// so a demand access takes the one-branch blocking path. Recomputed
+    /// by every method that changes one of the three.
+    plain: bool,
 }
 
 impl Machine {
@@ -128,7 +133,7 @@ impl Machine {
             cfg.tier.visible_capacity(cfg.dram.capacity),
             "kernel and memory tiers must agree on installed capacity"
         );
-        Self {
+        let mut m = Self {
             kernel: Kernel::new(cfg.kernel),
             ms: MemorySystem::new(cfg),
             now: 0,
@@ -142,7 +147,15 @@ impl Machine {
             mshr: cfg.mshr,
             overlap_threshold: cfg.t_l2_hit,
             promote_threshold: 0,
-        }
+            plain: false,
+        };
+        m.update_plain();
+        m
+    }
+
+    /// Recomputes `plain` from the three features it summarizes.
+    fn update_plain(&mut self) {
+        self.plain = self.mshr <= 1 && self.promote_threshold == 0 && self.tracer.is_none();
     }
 
     /// Enables online superpage promotion: once a region takes
@@ -152,6 +165,7 @@ impl Machine {
     pub fn enable_auto_promotion(&mut self, threshold: u64) {
         assert!(threshold > 0, "a zero threshold would promote everything");
         self.promote_threshold = threshold;
+        self.update_plain();
     }
 
     /// Retires completed overlapped misses; stalls for the oldest if the
@@ -184,11 +198,14 @@ impl Machine {
     /// [`Machine::take_tracer`] detaches it.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
+        self.update_plain();
     }
 
     /// Detaches and returns the trace recorder, if one was attached.
     pub fn take_tracer(&mut self) -> Option<Tracer> {
-        self.tracer.take()
+        let t = self.tracer.take();
+        self.update_plain();
+        t
     }
 
     /// Current cycle.
@@ -250,11 +267,24 @@ impl Machine {
     /// completion (single-issue, blocking loads).
     ///
     /// Forced inline into each workload loop, with every hit half below
-    /// it; the memo miss, the TLB and L1 misses, an overlapped miss, a
-    /// promotion check after a walk and trace recording are out-of-line
-    /// calls.
+    /// it; the memo miss and the TLB and L1 misses are out-of-line calls.
+    /// On a plain machine (blocking loads, no promotion, no tracer) that
+    /// is the whole access; otherwise it is `load_featured`.
     #[inline(always)]
     pub fn load(&mut self, v: VAddr) {
+        if self.plain {
+            let (p, span) = self.translate_fast(v);
+            self.now = self.ms.load(v, p, span, self.now);
+        } else {
+            self.load_featured(v);
+        }
+    }
+
+    /// [`Machine::load`] with the optional features: the non-blocking
+    /// miss window, a promotion check after a walk and trace recording.
+    #[cold]
+    #[inline(never)]
+    fn load_featured(&mut self, v: VAddr) {
         if self.mshr > 1 {
             self.make_mshr_slot();
         }
@@ -303,6 +333,19 @@ impl Machine {
     /// Executes a store to the word at `v`; split like [`Machine::load`].
     #[inline(always)]
     pub fn store(&mut self, v: VAddr) {
+        if self.plain {
+            let (p, span) = self.translate_fast(v);
+            self.now = self.ms.store(v, p, span, self.now);
+        } else {
+            self.store_featured(v);
+        }
+    }
+
+    /// [`Machine::store`] with trace recording (the only feature a store
+    /// sees).
+    #[cold]
+    #[inline(never)]
+    fn store_featured(&mut self, v: VAddr) {
         let (p, span) = self.translate_fast(v);
         let start = self.now;
         self.now = self.ms.store(v, p, span, start);
@@ -891,6 +934,92 @@ mod tests {
         m.load(r.start());
         assert!(m.now() > t0 + 5);
         assert_eq!(m.instructions(), 6);
+    }
+
+    #[test]
+    fn plain_flag_tracks_features_and_moves_no_cycle() {
+        use impulse_types::ident::splitmix64;
+
+        // Every sequence of up to four attach / take / promote calls, on a
+        // blocking and a non-blocking CPU: after each call `plain` must
+        // equal the predicate over a model of what is switched on.
+        for mshr in [1, 4] {
+            for ops in (0..=4u32).flat_map(|n| (0..3u32.pow(n)).map(move |code| (n, code))) {
+                let mut m = Machine::new(&SystemConfig::paint_small().with_mshr(mshr));
+                let (mut traced, mut promoting) = (false, false);
+                assert_eq!(m.plain, mshr <= 1, "mshr {mshr} after new");
+                let (n, mut code) = ops;
+                for _ in 0..n {
+                    match code % 3 {
+                        0 => {
+                            m.attach_tracer(Tracer::new(4));
+                            traced = true;
+                        }
+                        1 => {
+                            assert_eq!(m.take_tracer().is_some(), traced);
+                            traced = false;
+                        }
+                        _ => {
+                            m.enable_auto_promotion(8);
+                            promoting = true;
+                        }
+                    }
+                    code /= 3;
+                    let want = mshr <= 1 && !traced && !promoting;
+                    assert_eq!(m.plain, want, "mshr {mshr}, calls {ops:?}");
+                }
+            }
+        }
+
+        // Twin machines, one traced throughout so every access takes the
+        // featured path: one seeded stream of loads, stores and compute
+        // must move their clocks, counters and attribution alike.
+        let mut plain = machine();
+        let mut traced = machine();
+        traced.attach_tracer(Tracer::new(1 << 12));
+        assert!(plain.plain && !traced.plain);
+        let rp = plain.alloc_region(64 * PAGE_SIZE, PAGE_SIZE).unwrap();
+        let rt = traced.alloc_region(64 * PAGE_SIZE, PAGE_SIZE).unwrap();
+        assert_eq!(rp, rt);
+        let mut x = 0x5EED;
+        for step in 0..3_000 {
+            x = splitmix64(x);
+            let off = if x % 8 == 0 {
+                (x >> 8) % (64 * PAGE_SIZE)
+            } else {
+                (x >> 8) % PAGE_SIZE
+            } & !7;
+            let v = rp.start().add(off);
+            match (x >> 32) % 8 {
+                0 => {
+                    plain.compute((x >> 40) % 5);
+                    traced.compute((x >> 40) % 5);
+                }
+                1 | 2 => {
+                    plain.store(v);
+                    traced.store(v);
+                }
+                _ => {
+                    plain.load(v);
+                    traced.load(v);
+                }
+            }
+            assert_eq!(plain.now(), traced.now(), "now at step {step}");
+            assert_eq!(plain.ms.stats(), traced.ms.stats(), "stats at step {step}");
+            assert_eq!(
+                plain.ms.attribution(),
+                traced.ms.attribution(),
+                "attribution at step {step}"
+            );
+            assert_eq!(plain.instructions(), traced.instructions(), "step {step}");
+        }
+        let t = traced.take_tracer().expect("tracer attached");
+        assert_eq!(
+            t.events().len() as u64,
+            traced.ms.accesses(),
+            "one event per access"
+        );
+        assert!(plain == traced, "the twins differ once the tracer is taken");
     }
 
     #[test]
@@ -1713,21 +1842,15 @@ mod tests {
             }
         };
         equality_sees(&m, "a fault-plan RNG step", injector(0), injector(1));
-        // A remap that fails after claiming releases its descriptor and
-        // shadow space, and leaves only a free slot in the grant table.
-        equality_sees(
-            &m,
-            "a kernel grant slot",
-            |_| {},
-            |m| {
-                let unmapped = VRange::new(VAddr::new(1 << 40), PAGE_SIZE);
-                let colors = [0];
-                assert!(m
-                    .kernel
-                    .remap_recolor(m.ms.mc_mut(), unmapped, &colors)
-                    .is_err());
-            },
-        );
+        // A remap that fails after claiming gives back its descriptor, its
+        // shadow space and the grant slot it pushed: nothing changes.
+        let mut failed = m.clone();
+        let unmapped = VRange::new(VAddr::new(1 << 40), PAGE_SIZE);
+        assert!(failed
+            .kernel
+            .remap_recolor(failed.ms.mc_mut(), unmapped, &[0])
+            .is_err());
+        assert!(failed == m, "a failed recolor leaves the machine as it was");
         // Gather loads of two cold SCM lines on the same SCM channel: only
         // the line left in the tier's fill buffer differs.
         let scm = &cfg.tier.scm;
