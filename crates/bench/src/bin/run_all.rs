@@ -26,7 +26,7 @@
 //!
 //! For the paper-layout tables with reference values, run the individual
 //! binaries (`table1`, `table2`, `fig1`, ...). For flight-recorder
-//! captures and heatmaps of this same catalog, run `trace record`.
+//! summaries and heatmaps of this same catalog, run `trace record`.
 
 use std::io::Write;
 use std::process::ExitCode;

@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use impulse_core::FlightRecorder;
 use impulse_obs::Json;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_types::TierPolicy;
@@ -85,29 +86,28 @@ impl ObsSpec {
     }
 
     /// Whether any recording is on (controls whether jobs export
-    /// captures and heatmaps).
+    /// rings and heatmaps).
     pub fn enabled(&self) -> bool {
         self.flight_capacity > 0
     }
 }
 
 /// Everything one observed experiment produces: the usual [`Report`]
-/// plus the encoded `impulse-trace-v1` capture and the
-/// `impulse-heatmap-v2` export (both empty/null when the job ran with
-/// [`ObsSpec::off`]).
+/// plus the controller's flight ring and the `impulse-heatmap-v2` export
+/// (`None`/null when the job ran with [`ObsSpec::off`]).
 #[derive(Clone, Debug)]
 pub struct TraceOutcome {
     /// The experiment's report, exactly as the plain catalog produces.
     pub report: Report,
-    /// Encoded flight capture (empty when recording was disabled).
-    pub capture: Vec<u8>,
+    /// The flight ring (`None` when recording was disabled).
+    pub flight: Option<FlightRecorder>,
     /// Heatmap document (`Json::Null` when recording was disabled).
     pub heatmap: Json,
 }
 
 /// One catalog experiment whose job also exports observability
 /// artifacts. The plain [`Experiment`] catalog is a thin projection of
-/// this (dropping capture and heatmap).
+/// this (dropping ring and heatmap).
 pub struct TracedExperiment {
     name: String,
     job: Box<dyn Fn() -> TraceOutcome + Send + Sync>,
@@ -133,20 +133,20 @@ impl TracedExperiment {
 }
 
 /// Collects the machine's report and (when `obs` is recording) its
-/// flight capture and heatmap into a [`TraceOutcome`].
+/// flight ring and heatmap into a [`TraceOutcome`].
 fn finish(m: &Machine, name: &str, obs: ObsSpec) -> TraceOutcome {
     let report = m.report(name.to_string());
     if !obs.enabled() {
         return TraceOutcome {
             report,
-            capture: Vec::new(),
+            flight: None,
             heatmap: Json::Null,
         };
     }
     let mc = m.memory().mc();
     TraceOutcome {
         report,
-        capture: mc.flight().map(|f| f.encode()).unwrap_or_default(),
+        flight: mc.flight().cloned(),
         heatmap: mc.heatmap_json(obs.top_k),
     }
 }
@@ -395,7 +395,7 @@ pub fn run_all_experiments(seed: u64) -> Vec<Experiment> {
 
 /// The same 28-experiment catalog with observability applied to every
 /// machine: each job's [`SystemConfig`] goes through `obs` before the
-/// machine is built, and the job returns the capture and heatmap next
+/// machine is built, and the job returns the ring and heatmap next
 /// to the report. With [`ObsSpec::off`] the simulated results are
 /// identical to [`run_all_experiments`] — recording never perturbs
 /// simulated time.
@@ -528,14 +528,14 @@ mod tests {
     #[test]
     fn disabled_obs_jobs_export_no_artifacts() {
         // Run the cheapest catalog entry end to end with ObsSpec::off and
-        // check the outcome carries no capture or heatmap.
+        // check the outcome carries no ring or heatmap.
         let traced = run_all_experiments_obs(DEFAULT_SEED, ObsSpec::off());
         let ipc = traced
             .iter()
             .find(|t| t.name().starts_with("ipc/"))
             .expect("ipc experiment present");
         let out = ipc.run();
-        assert!(out.capture.is_empty());
+        assert!(out.flight.is_none());
         assert_eq!(out.heatmap, Json::Null);
         assert_eq!(out.report.name, ipc.name());
     }

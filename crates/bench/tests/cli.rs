@@ -1,18 +1,15 @@
 //! Exit codes of the bench binaries on malformed arguments.
 //!
 //! Every binary checks its arguments against its usage line through
-//! `runner::Args` (`trace dump`/`trace top` included), so a bad value or
-//! a key off the usage line is a usage error with exit code 2: never a
-//! silently ignored knob, and never a panic. Every run points
-//! its outputs into a scratch directory so a binary that wrongly accepts
-//! the argument cannot write into the source tree.
+//! `runner::Args`, so a bad value or a key off the usage line is a usage
+//! error with exit code 2: never a silently ignored knob, and never a
+//! panic. Every run points its outputs into a scratch directory so a
+//! binary that wrongly accepts the argument cannot write into the source
+//! tree.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
-
-use impulse_core::flight::{FlightGeom, FlightRecorder};
-use impulse_core::HitClass;
 
 /// Runs `bin` with `args` plus `outputs` (the binary's output-path keys)
 /// pointed into a fresh scratch directory, which is also its working
@@ -151,36 +148,20 @@ fn table_and_figure_binaries_reject_bad_arguments() {
     }
 }
 
-/// `trace dump`, `top` and `diff` type their values and reject keys off
-/// their usage lines before they read a capture (which here does not
-/// exist, so a wrongly accepted argument exits 1, not 2).
+/// `record` is `trace`'s only subcommand: any other, or none, is a
+/// usage error that prints the one usage line.
 #[test]
-fn trace_dump_top_and_diff_reject_bad_arguments() {
+fn trace_rejects_every_subcommand_but_record() {
     let trace = env!("CARGO_BIN_EXE_trace");
-    for args in [
-        &["top", "missing.trace", "k=x"][..],
-        &["dump", "missing.trace", "limit=abc"],
-        &["top", "missing.trace", "bogus=1"],
-        &["diff", "a.trace", "b.trace", "bogus=1"],
-    ] {
-        assert_eq!(exit_code(trace, "trace", &[], args), Some(2), "{args:?}");
-    }
-    // The usage text keeps every subcommand aligned under the first.
-    let out = run(trace, "trace", &[], &["top", "missing.trace", "k=3", "zz"]);
-    let stderr = String::from_utf8(out.stderr).expect("utf-8 usage text");
-    for line in [
-        "usage: trace record ",
-        "       trace dump ",
-        "       trace diff ",
-    ] {
-        assert!(
-            stderr.lines().any(|l| l.starts_with(line)),
-            "no line starts with {line:?} in:\n{stderr}"
+    for args in [&[][..], &["dump", "x.trace"], &["top", "x.trace"]] {
+        let out = run(trace, "trace", &[], args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            "usage: trace record [dir=results/trace] [seed=N] [jobs=N] [flight=N] [top=N]\n"
         );
     }
-    assert!(stderr
-        .lines()
-        .any(|l| l == "       trace top <capture.trace> [k=N]"));
 }
 
 /// `out=` is not on `chaos`'s usage line (it writes its two documents
@@ -239,72 +220,34 @@ fn trace_record_bad_dir_is_an_error() {
     assert!(stderr.starts_with("error:"), "{stderr}");
 }
 
-/// A reader that closes the pipe early (`trace dump <capture> | head -1`)
-/// ends `trace dump` quietly with success, not a panic.
-#[test]
-fn trace_dump_ends_quietly_on_a_closed_pipe() {
-    let dir = std::env::temp_dir().join(format!("impulse-cli-pipe-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let geom = FlightGeom {
-        line_bytes: 128,
-        banks: 4,
-        row_bytes: 2048,
-    };
-    // Far more table than a pipe buffers, so the dump is still writing
-    // when the reader goes away.
-    let mut fr = FlightRecorder::new(100_000, geom);
-    for i in 0..100_000u64 {
-        fr.record(i, i * 128, HitClass::DirectDram, None);
-    }
-    let capture = dir.join("big.trace");
-    std::fs::write(&capture, fr.encode()).expect("write capture");
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_trace"))
-        .arg("dump")
-        .arg(&capture)
-        .arg("limit=100000")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn trace");
-    let mut first = String::new();
-    BufReader::new(child.stdout.take().expect("piped stdout"))
-        .read_line(&mut first)
-        .expect("read the first line");
-    // The reader is dropped here: the pipe is closed.
-    let out = child.wait_with_output().expect("wait for trace");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(first.starts_with("capture "), "{first}");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        out.stderr.is_empty(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
 /// A reader that is gone before the first line (`ablation_dram | head
-/// -0`) costs a printing binary its output and nothing else: it runs to
+/// -0`) or right after it (`streambuf | head -1`: `streambuf` prints its
+/// banner before it runs its cells, so it is mid-way through its output)
+/// costs a printing binary its output and nothing else: it runs to
 /// completion and exits 0, with nothing on stderr. `table2` prints
-/// through the shared table printer, `ablation_dram` and `chaos` line by
-/// line (`chaos` still writes both documents).
+/// through the shared table printer, `ablation_dram`, `chaos` and
+/// `streambuf` line by line (`chaos` still writes both documents).
 #[test]
 fn printing_binaries_exit_zero_on_a_closed_pipe() {
     let dir = std::env::temp_dir().join(format!("impulse-cli-chaospipe-{}", std::process::id()));
     let chaos_dir = format!("dir={}", dir.display());
-    for (bin, args) in [
+    for (bin, args, read_first) in [
         (
             env!("CARGO_BIN_EXE_ablation_dram"),
             &["batches=100", "jobs=1"][..],
+            false,
         ),
-        (env!("CARGO_BIN_EXE_table2"), &["n=64", "tile=16"][..]),
-        (env!("CARGO_BIN_EXE_chaos"), &[chaos_dir.as_str()][..]),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["n=64", "tile=16"][..],
+            false,
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos"),
+            &[chaos_dir.as_str()][..],
+            false,
+        ),
+        (env!("CARGO_BIN_EXE_streambuf"), &[][..], true),
     ] {
         let mut child = Command::new(bin)
             .args(args)
@@ -312,7 +255,15 @@ fn printing_binaries_exit_zero_on_a_closed_pipe() {
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn binary");
-        drop(child.stdout.take());
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        if read_first {
+            let mut first = String::new();
+            BufReader::new(&mut stdout)
+                .read_line(&mut first)
+                .expect("read the first line");
+            assert!(!first.is_empty(), "{bin}: no first line");
+        }
+        drop(stdout); // The reader is gone: the pipe is closed.
         let out = child.wait_with_output().expect("wait for binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");

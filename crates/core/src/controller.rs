@@ -1757,12 +1757,6 @@ mod tests {
                 _ => assert_eq!(e.desc, None),
             }
         }
-        // The capture round-trips bit-exactly.
-        let bytes = f.encode();
-        let cap = crate::flight::decode(&bytes).unwrap();
-        assert_eq!(cap.events, events);
-        assert_eq!(cap.encode(), bytes);
-
         // Heatmap export carries the schema, per-bank heat, and hot set.
         let doc = m.heatmap_json(8);
         assert_eq!(

@@ -17,8 +17,7 @@
 //! * [`prefetch`] — the 2 KB prefetch SRAM for non-remapped data.
 //! * [`controller`] — the front end tying it all together over the DRAM
 //!   scheduler from `impulse-dram`.
-//! * [`flight`] — a bounded flight recorder of MC transactions with the
-//!   compact `impulse-trace-v1` capture codec.
+//! * [`flight`] — a bounded in-memory flight recorder of MC transactions.
 //!
 //! # Examples
 //!
@@ -59,7 +58,7 @@ pub mod tier;
 
 pub use controller::{DescId, McBreakdown, McConfig, McError, McStats, MemController};
 pub use desc::{DescError, DescStats, ShadowDescriptor};
-pub use flight::{Capture, FlightEvent, FlightGeom, FlightRecorder, HitClass, TraceError};
+pub use flight::{FlightEvent, FlightGeom, FlightRecorder, HitClass};
 pub use pgtbl::{PgTbl, PgTblConfig, PgTblStats};
 pub use prefetch::{PrefetchCache, PrefetchStats};
 pub use remap::{RemapFn, Segment};

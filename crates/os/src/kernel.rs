@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use impulse_core::flight::TraceError;
 use impulse_core::{DescId, McError, MemController, RemapFn};
 use impulse_types::geom::{round_up, PAGE_SHIFT, PAGE_SIZE};
 use impulse_types::{Cycle, MAddr, PAddr, PRange, PvAddr, VAddr, VRange};
@@ -88,8 +87,6 @@ pub enum ImpulseError {
     NotOwner(Pid),
     /// The process id does not exist.
     NoSuchProcess(Pid),
-    /// A recorded trace could not be decoded.
-    Trace(TraceError),
     /// The grant behind the access or operation has been released or
     /// revoked — the handle's generation is stale. Raised both for
     /// syscalls on a dead grant and for demand accesses to an alias torn
@@ -134,7 +131,6 @@ impl core::fmt::Display for ImpulseError {
                 write!(f, "resource is owned by another process ({p})")
             }
             OsError::NoSuchProcess(p) => write!(f, "no such process: {p}"),
-            OsError::Trace(e) => write!(f, "trace capture error: {e}"),
             OsError::RevokedCapability {
                 slot,
                 stale,
@@ -162,11 +158,6 @@ impl From<VmError> for ImpulseError {
 impl From<McError> for ImpulseError {
     fn from(e: McError) -> Self {
         OsError::Mc(e)
-    }
-}
-impl From<TraceError> for ImpulseError {
-    fn from(e: TraceError) -> Self {
-        OsError::Trace(e)
     }
 }
 

@@ -179,8 +179,8 @@ impl SystemConfig {
 
     /// Returns this configuration with the memory controller's flight
     /// recorder enabled: a ring of up to `capacity` MC transactions,
-    /// exportable as an `impulse-trace-v1` capture. `capacity = 0`
-    /// disables recording (the default).
+    /// read back through `MemController::flight`. `capacity = 0` disables
+    /// recording (the default).
     #[must_use]
     pub fn with_flight(mut self, capacity: usize) -> Self {
         self.mc.flight_capacity = capacity;

@@ -4,8 +4,9 @@
 //! its traces were the raw material for memory-system analysis. This
 //! module provides the equivalent facility: a bounded recorder that the
 //! [`Machine`](crate::Machine) feeds with every demand access, useful for
-//! debugging remappings (did the alias stream look like we thought?),
-//! for offline locality analysis, and for building regression fixtures.
+//! debugging remappings (did the alias stream look like we thought?) and
+//! for locality analysis in the same process
+//! ([`Tracer::line_touch_summary`]).
 
 use impulse_types::{AccessKind, Cycle, PAddr, VAddr};
 
@@ -93,71 +94,6 @@ impl Tracer {
         self.dropped = 0;
     }
 
-    /// Events touching the given bus-address range, in issue order.
-    pub fn touching(&self, range: impulse_types::PRange) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events.iter().filter(move |e| range.contains(e.paddr))
-    }
-
-    /// Writes the trace as CSV (`at,kind,vaddr,paddr,latency`) for
-    /// offline analysis.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "at,kind,vaddr,paddr,latency")?;
-        for e in &self.events {
-            writeln!(
-                w,
-                "{},{},{:#x},{:#x},{}",
-                e.at,
-                e.kind,
-                e.vaddr.raw(),
-                e.paddr.raw(),
-                e.latency
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Writes the trace in Chrome trace-event JSON format, loadable in
-    /// `chrome://tracing` or Perfetto: each access becomes a complete
-    /// (`"ph":"X"`) event with `ts` = issue cycle and `dur` = latency,
-    /// with the addresses in `args`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_chrome_trace<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        use impulse_obs::Json;
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                let mut ev = Json::obj();
-                ev.set("name", Json::Str(e.kind.to_string()));
-                ev.set("cat", Json::Str("mem".into()));
-                ev.set("ph", Json::Str("X".into()));
-                ev.set("ts", Json::UInt(e.at));
-                ev.set("dur", Json::UInt(e.latency));
-                ev.set("pid", Json::UInt(0));
-                ev.set("tid", Json::UInt(0));
-                let mut args = Json::obj();
-                args.set("vaddr", Json::Str(format!("{:#x}", e.vaddr.raw())));
-                args.set("paddr", Json::Str(format!("{:#x}", e.paddr.raw())));
-                ev.set("args", args);
-                ev
-            })
-            .collect();
-        let mut root = Json::obj();
-        root.set("traceEvents", Json::Arr(events));
-        root.set("displayTimeUnit", Json::Str("ns".into()));
-        let mut other = Json::obj();
-        other.set("dropped_events", Json::UInt(self.dropped));
-        root.set("otherData", other);
-        write!(w, "{root}")
-    }
-
     /// Simple reuse-distance summary: for each unique line (of
     /// `line_bytes`), how many times it was touched. Returns
     /// `(unique_lines, total_touches)`.
@@ -201,17 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn touching_filters_by_range() {
-        let mut t = Tracer::new(16);
-        for i in 0..8 {
-            t.record(ev(i, i * 64));
-        }
-        let r = impulse_types::PRange::new(PAddr::new(128), 128);
-        let hits: Vec<_> = t.touching(r).map(|e| e.paddr.raw()).collect();
-        assert_eq!(hits, vec![128, 192]);
-    }
-
-    #[test]
     fn line_summary_counts_unique_lines() {
         let mut t = Tracer::new(16);
         for i in 0..8 {
@@ -226,113 +151,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
         let _ = Tracer::new(0);
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_complete_events() {
-        use impulse_obs::Json;
-        let mut t = Tracer::new(2);
-        t.record(ev(10, 32));
-        t.record(TraceEvent {
-            at: 20,
-            kind: AccessKind::Store,
-            vaddr: VAddr::new(64),
-            paddr: PAddr::new(64),
-            latency: 7,
-        });
-        t.record(ev(30, 96)); // overflows capacity
-        let mut buf = Vec::new();
-        t.write_chrome_trace(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed = Json::parse(&text).expect("chrome trace must be valid JSON");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(Json::items)
-            .expect("traceEvents array");
-        assert_eq!(events.len(), 2);
-        let first = &events[0];
-        assert_eq!(first.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(first.get("ts").and_then(Json::as_u64), Some(10));
-        assert_eq!(first.get("dur").and_then(Json::as_u64), Some(1));
-        assert_eq!(first.get("name").and_then(Json::as_str), Some("load"));
-        assert_eq!(
-            first
-                .get("args")
-                .and_then(|a| a.get("paddr"))
-                .and_then(Json::as_str),
-            Some("0x20")
-        );
-        assert_eq!(events[1].get("name").and_then(Json::as_str), Some("store"));
-        assert_eq!(
-            parsed
-                .get("otherData")
-                .and_then(|o| o.get("dropped_events"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn chrome_trace_with_no_events_is_still_a_valid_document() {
-        use impulse_obs::Json;
-        let t = Tracer::new(8);
-        let mut buf = Vec::new();
-        t.write_chrome_trace(&mut buf).unwrap();
-        let parsed = Json::parse(&String::from_utf8(buf).unwrap())
-            .expect("empty chrome trace must be valid JSON");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(Json::items)
-            .expect("traceEvents must be present even when empty");
-        assert!(events.is_empty());
-        assert_eq!(
-            parsed
-                .get("otherData")
-                .and_then(|o| o.get("dropped_events"))
-                .and_then(Json::as_u64),
-            Some(0)
-        );
-        assert_eq!(
-            parsed.get("displayTimeUnit").and_then(Json::as_str),
-            Some("ns")
-        );
-        // The empty CSV export is just the header.
-        let mut csv = Vec::new();
-        t.write_csv(&mut csv).unwrap();
-        assert_eq!(
-            String::from_utf8(csv).unwrap(),
-            "at,kind,vaddr,paddr,latency\n"
-        );
-    }
-
-    #[test]
-    fn chrome_trace_events_parse_back_one_to_one() {
-        use impulse_obs::Json;
-        let mut t = Tracer::new(64);
-        for i in 0..40u64 {
-            t.record(ev(i * 3, i * 64));
-        }
-        let mut buf = Vec::new();
-        t.write_chrome_trace(&mut buf).unwrap();
-        let parsed = Json::parse(&String::from_utf8(buf).unwrap()).unwrap();
-        let events = parsed.get("traceEvents").and_then(Json::items).unwrap();
-        assert_eq!(events.len(), 40);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.get("ts").and_then(Json::as_u64), Some(i as u64 * 3));
-            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
-        }
-    }
-
-    #[test]
-    fn csv_round_trips_through_a_writer() {
-        let mut t = Tracer::new(4);
-        t.record(ev(1, 32));
-        t.record(ev(2, 64));
-        let mut buf = Vec::new();
-        t.write_csv(&mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert_eq!(s.lines().count(), 3);
-        assert!(s.starts_with("at,kind,vaddr,paddr,latency"));
-        assert!(s.contains("1,load,0x20,0x20,1"));
     }
 }

@@ -1,7 +1,7 @@
-//! Stable 64-bit digests for seals and seeded test streams.
+//! Stable 64-bit digests for state prints and seeded test streams.
 //!
-//! * [`fnv64`] — FNV-1a over a byte string; the flight recorder seals
-//!   its captures with it.
+//! * [`fnv64`] — FNV-1a over a byte string; it names a machine's whole
+//!   state through its `Debug` print, so two runs compare by one word.
 //! * [`splitmix64`] — the SplitMix64 avalanche, which spreads
 //!   low-entropy inputs (small integers, similar seeds) across the
 //!   whole word.

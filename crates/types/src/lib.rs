@@ -40,7 +40,6 @@ pub mod hash;
 pub mod ident;
 pub mod range;
 pub mod tier;
-pub mod varint;
 
 pub use access::{Access, AccessKind};
 pub use addr::{MAddr, PAddr, PvAddr, VAddr};
